@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -89,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--beta", type=_rational, default=Fraction(1))
     p_solve.add_argument("--cap-edges", type=_positive_int, default=DEFAULT_EDGE_CAP)
     p_solve.add_argument("--cap-side", type=_positive_int, default=DEFAULT_SIDE_CAP)
-    p_solve.add_argument("--threads", type=_positive_int, default=1)
+    p_solve.add_argument("--threads", type=_positive_int, default=1, help="accepted and ignored")
     p_solve.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_solve.add_argument("--out")
     p_solve.set_defaults(func=cmd_solve)
@@ -105,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lab.add_argument("--suite", help="suite config JSON (default: built-in suite)")
     p_lab.add_argument("--out", default="lab-out", help="directory for reports")
     p_lab.add_argument("--goldens", help="golden verdict directory (default: OUT/goldens)")
-    p_lab.add_argument("--threads", type=_positive_int, default=1)
+    p_lab.add_argument("--threads", type=_positive_int, default=1, help="accepted and ignored")
     p_lab.add_argument("--cap-edges", type=_positive_int, help="override caps.max_edges")
     p_lab.add_argument(
         "--cap-path-len", type=_positive_int,
@@ -278,16 +277,10 @@ def cmd_solve(args) -> int:
         (sub, emap) for sub, emap in _split_for_solving(g) if sub.edge_count > 0
     ]
 
-    def solve_piece(piece):
-        sub, emap = piece
+    solved = []
+    for sub, emap in pieces:
         res = solver(sub, tolerance, args.cap_edges)
-        return res, [emap[e] for e in res.witness]
-
-    if args.threads <= 1 or len(pieces) <= 1:
-        solved = [solve_piece(p) for p in pieces]
-    else:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            solved = list(pool.map(solve_piece, pieces))
+        solved.append((res, [emap[e] for e in res.witness]))
 
     witness = sorted(eid for _, mapped in solved for eid in mapped)
     objective = sum(res.objective for res, _ in solved)
@@ -363,6 +356,7 @@ def _strip_elapsed(payload: dict) -> dict:
 def cmd_lab(args) -> int:
     if args.suite:
         config = json.loads(Path(args.suite).read_text(encoding="utf-8"))
+        lablib.validate_suite(config)
     else:
         config = lablib.default_suite_config()
     if args.cap_edges or args.cap_path_len:

@@ -3,8 +3,9 @@
 Contracting an edge set C merges the connected components of (V, C) into
 supernodes; the induced distance between two original vertices is the
 shortest-path distance between their supernodes.  Equivalently (and this is
-what the hot paths use) it is the shortest-path distance in the original
-graph with every contracted edge's weight set to zero.
+how every distance here is computed, by ``graphs.ScaledDistances``) it is the
+shortest-path distance in the original graph with every contracted edge's
+weight set to zero.
 
 Validity of a contraction set against a tolerance (alpha, beta) means
 ``d_C(u, v) >= d(u, v)/alpha - beta``:
@@ -19,19 +20,16 @@ exact; ties at equality count as valid.
 
 from __future__ import annotations
 
-import heapq
-import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .graphs import (
     DisconnectedGraphError,
     DistanceMatrix,
     Graph,
+    ScaledDistances,
     is_connected,
-    shortest_distances,
 )
 
 
@@ -67,35 +65,6 @@ def normalize_edge_ids(g: Graph, edge_ids: Iterable[int]) -> tuple[int, ...]:
     return tuple(ids)
 
 
-def _partition_labels(g: Graph, ids: Iterable[int]) -> tuple[list[int], int]:
-    """Label each vertex with the minimum vertex of its (V, C)-component,
-    then renumber labels by first appearance.  Returns (labels, block count)."""
-    n = g.vertex_count
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in ids:
-        u, v, _ = g.edges[e]
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            if ru > rv:
-                ru, rv = rv, ru
-            parent[rv] = ru
-    label: list[int] = [0] * n
-    seen: dict[int, int] = {}
-    for v in range(n):
-        r = find(v)
-        if r not in seen:
-            seen[r] = len(seen)
-        label[v] = seen[r]
-    return label, len(seen)
-
-
 @dataclass(frozen=True)
 class QuotientGraph:
     """Result of contracting an edge set: partition, collapsed edges, distances.
@@ -121,7 +90,12 @@ class QuotientGraph:
 def contract(g: Graph, edge_ids: Iterable[int]) -> QuotientGraph:
     """Contract the given edges and compute the full quotient picture."""
     ids = normalize_edge_ids(g, edge_ids)
-    label, k = _partition_labels(g, ids)
+    engine = ScaledDistances(g)
+    dc = engine.all_pairs(sum(1 << e for e in ids))
+    # Weights are positive, so d_C(u, v) == 0 exactly when u and v are merged:
+    # the first zero of a row is the minimum vertex of the row's block.
+    blocks: dict[int, int] = {}
+    label = [blocks.setdefault(row.index(0), len(blocks)) for row in dc]
     best: dict[tuple[int, int], Fraction] = {}
     for u, v, w in g.edges:
         a, b = label[u], label[v]
@@ -132,14 +106,18 @@ def contract(g: Graph, edge_ids: Iterable[int]) -> QuotientGraph:
         cur = best.get((a, b))
         if cur is None or w < cur:
             best[(a, b)] = w
+    k = len(blocks)
     quotient = Graph(k, tuple((a, b, w) for (a, b), w in sorted(best.items())))
+    exact = engine.exact
     return QuotientGraph(
         source=g,
         contracted=ids,
         partition=tuple(label),
         supernode_count=k,
         quotient=quotient,
-        contracted_distances=shortest_distances(quotient),
+        contracted_distances=DistanceMatrix(
+            tuple(tuple(exact(dc[a][b]) for b in blocks) for a in blocks)
+        ),
     )
 
 
@@ -186,8 +164,7 @@ class ToleranceCheck:
     per-pair right-hand sides; subsets are passed as bitmasks over edge ids.
 
     This class is also the search engine the exact solvers drive: it exposes
-    induced distances, validity, the first failing pair, and all failing
-    pairs for a subset.
+    validity, the first failing pair, and all failing pairs for a subset.
     """
 
     def __init__(self, g: Graph, tolerance: Tolerance):
@@ -201,20 +178,10 @@ class ToleranceCheck:
         self.m = m
         self.full_mask = (1 << m) - 1
 
-        scale = math.lcm(1, *(w.denominator for _, _, w in g.edges))
-        self.scale = scale
-        self.int_weights = [int(w * scale) for _, _, w in g.edges]
-        uniq = set(self.int_weights)
-        self._uniform = uniq.pop() if len(uniq) == 1 else None
-
-        # adjacency as flat lists: (neighbor, edge_id)
-        self._adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for eid, (u, v, _) in enumerate(g.edges):
-            self._adj[u].append((v, eid))
-            self._adj[v].append((u, eid))
-
-        base = self._all_pairs(0)
-        self.base_scaled = base
+        engine = ScaledDistances(g)
+        self._all_pairs = engine.all_pairs
+        self.scale = scale = engine.scale
+        self.base_scaled = base = engine.all_pairs()
 
         a, b = tolerance.alpha.numerator, tolerance.alpha.denominator
         r, s = tolerance.beta.numerator, tolerance.beta.denominator
@@ -223,60 +190,9 @@ class ToleranceCheck:
         self._rhs = [[b * s * base[u][v] - offset for v in range(n)] for u in range(n)]
         self.pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
 
-    # -- distances ------------------------------------------------------
-
-    def _sssp(self, src: int, cmask: int) -> list[int]:
-        """Scaled distances from src with contracted edges costing zero."""
-        n = self.n
-        if self._uniform is not None:
-            # 0-1 BFS over hop counts, scaled up afterwards
-            w = self._uniform
-            dist = [-1] * n
-            dist[src] = 0
-            dq = deque([src])
-            while dq:
-                u = dq.popleft()
-                du = dist[u]
-                for v, eid in self._adj[u]:
-                    cost = 0 if (cmask >> eid) & 1 else 1
-                    nd = du + cost
-                    if dist[v] == -1 or nd < dist[v]:
-                        dist[v] = nd
-                        if cost == 0:
-                            dq.appendleft(v)
-                        else:
-                            dq.append(v)
-            return [d * w for d in dist]
-        weights = self.int_weights
-        inf = math.inf
-        dist = [inf] * n
-        dist[src] = 0
-        heap = [(0, src)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u]:
-                continue
-            for v, eid in self._adj[u]:
-                nd = d + (0 if (cmask >> eid) & 1 else weights[eid])
-                if nd < dist[v]:
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-        return [int(d) for d in dist]
-
-    def _all_pairs(self, cmask: int) -> list[list[int]]:
-        return [self._sssp(src, cmask) for src in range(self.n)]
-
-    def induced_scaled(self, cmask: int) -> list[list[int]]:
-        """Scaled induced distance table for the subset (bitmask)."""
-        return self._all_pairs(cmask)
-
-    # -- verdicts ---------------------------------------------------------
-
-    def first_violation(self, cmask: int, weak: bool) -> tuple[int, int, int] | str | None:
-        """None if valid; 'not-proper-subset'; or the lexicographically first
-        failing pair as (u, v, scaled induced distance)."""
-        if weak and cmask == self.full_mask:
-            return "not-proper-subset"
+    def _violations(self, cmask: int, weak: bool) -> Iterator[tuple[int, int, int]]:
+        """Failing pairs in lexicographic order, each with its scaled induced
+        distance; merged pairs are exempt in weak mode."""
         lhs = self._lhs_coeff
         rhs = self._rhs
         dc = self._all_pairs(cmask)
@@ -285,26 +201,21 @@ class ToleranceCheck:
             if weak and d == 0:
                 continue
             if lhs * d < rhs[u][v]:
-                return (u, v, d)
-        return None
+                yield u, v, d
+
+    def first_violation(self, cmask: int, weak: bool) -> tuple[int, int, int] | str | None:
+        """None if valid; 'not-proper-subset'; or the lexicographically first
+        failing pair as (u, v, scaled induced distance)."""
+        if weak and cmask == self.full_mask:
+            return "not-proper-subset"
+        return next(self._violations(cmask, weak), None)
 
     def is_valid(self, cmask: int, weak: bool) -> bool:
         return self.first_violation(cmask, weak) is None
 
-    def failing_pairs(self, cmask: int, weak: bool, dc: list[list[int]] | None = None) -> list[tuple[int, int]]:
+    def failing_pairs(self, cmask: int, weak: bool) -> list[tuple[int, int]]:
         """All pairs violating the inequality (exempting merged pairs in weak mode)."""
-        if dc is None:
-            dc = self._all_pairs(cmask)
-        lhs = self._lhs_coeff
-        rhs = self._rhs
-        out = []
-        for u, v in self.pairs:
-            d = dc[u][v]
-            if weak and d == 0:
-                continue
-            if lhs * d < rhs[u][v]:
-                out.append((u, v))
-        return out
+        return [(u, v) for u, v, _ in self._violations(cmask, weak)]
 
     def unscale(self, value: int) -> Fraction:
         return Fraction(value, self.scale)

@@ -2,9 +2,12 @@
 
 All weights and distances are exact rationals (`fractions.Fraction`); nothing
 in this package ever rounds, so verifier verdicts that hinge on ties at
-equality are reproducible.  Unreachable pairs get the distinguished value
-``UNREACHABLE`` (``math.inf``), which orders above every rational and
-saturates under addition.
+equality are reproducible.  Every distance in the package comes from one
+engine, ``ScaledDistances``, which works in integers after scaling all weights
+by the lcm of their denominators; Fractions are made only when a distance
+leaves it.  Unreachable pairs get the distinguished value ``UNREACHABLE``
+(``math.inf``), which orders above every rational and saturates under
+addition.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import heapq
 import math
 import random
 import re
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -176,9 +180,6 @@ class BipartiteGraph:
         off = self.left_count
         return Graph(self.vertex_count, tuple((l, off + r, w) for l, r, w in self.edges))
 
-    def right_neighbors(self, l: int) -> tuple[int, ...]:
-        return tuple(r for ll, r, _ in self.edges if ll == l)
-
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset((l, r) for l, r, _ in self.edges)
 
@@ -237,34 +238,82 @@ class DistanceMatrix:
         return len(self.values)
 
     def is_reachable(self, u: int, v: int) -> bool:
-        return self.values[u][v] is not UNREACHABLE and self.values[u][v] != UNREACHABLE
+        return self.values[u][v] != UNREACHABLE
+
+
+class ScaledDistances:
+    """Exact single-source distances of a graph in scaled integer arithmetic.
+
+    Every weight is multiplied by ``scale``, the lcm of the weights'
+    denominators, so all distances are integers.  Edges whose id bit is set
+    in ``cmask`` cost zero: that gives the induced distance d_C of the
+    contraction set C, which is 0 exactly when two vertices are merged because
+    weights are positive.  Uniform weights run a 0-1 BFS over hop counts, any
+    other weights an integer Dijkstra.  Vertices the source cannot reach get
+    ``-1``.
+    """
+
+    def __init__(self, g: Graph):
+        self.n = n = g.vertex_count
+        self.scale = scale = math.lcm(1, *(w.denominator for _, _, w in g.edges))
+        self.weights = [int(w * scale) for _, _, w in g.edges]
+        uniq = set(self.weights)
+        self.uniform = uniq.pop() if len(uniq) == 1 else None
+        self.adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for eid, (u, v, _) in enumerate(g.edges):
+            self.adj[u].append((v, eid))
+            self.adj[v].append((u, eid))
+
+    def from_source(self, src: int, cmask: int = 0) -> list[int]:
+        adj = self.adj
+        dist = [-1] * self.n
+        dist[src] = 0
+        w = self.uniform
+        if w is not None:
+            dq = deque([src])
+            while dq:
+                u = dq.popleft()
+                du = dist[u]
+                for v, eid in adj[u]:
+                    cost = 0 if (cmask >> eid) & 1 else 1
+                    nd = du + cost
+                    if dist[v] == -1 or nd < dist[v]:
+                        dist[v] = nd
+                        if cost == 0:
+                            dq.appendleft(v)
+                        else:
+                            dq.append(v)
+            return dist if w == 1 else [d * w if d > 0 else d for d in dist]
+        weights = self.weights
+        heap = [(0, src)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist[u]:
+                continue
+            for v, eid in adj[u]:
+                nd = d + (0 if (cmask >> eid) & 1 else weights[eid])
+                dv = dist[v]
+                if dv == -1 or nd < dv:
+                    dist[v] = nd
+                    heapq.heappush(heap, (nd, v))
+        return dist
+
+    def all_pairs(self, cmask: int = 0) -> list[list[int]]:
+        return [self.from_source(src, cmask) for src in range(self.n)]
+
+    def exact(self, d: int) -> Fraction | float:
+        """The distance a scaled value stands for: a Fraction or ``UNREACHABLE``."""
+        return UNREACHABLE if d < 0 else Fraction(d, self.scale)
 
 
 def shortest_distances(g: Graph) -> DistanceMatrix:
     """All-pairs shortest-path distances, exact.
 
-    Runs a Dijkstra sweep from every source; with Fraction weights the heap
-    comparisons are exact, so the result is the true rational distance table.
     Disconnected pairs get ``UNREACHABLE``.
     """
-    n = g.vertex_count
-    adj = g.adjacency
-    rows: list[tuple[Fraction | float, ...]] = []
-    for src in range(n):
-        dist: list[Fraction | float] = [UNREACHABLE] * n
-        dist[src] = Fraction(0)
-        heap: list[tuple[Fraction, int]] = [(Fraction(0), src)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u]:
-                continue
-            for v, w, _ in adj[u]:
-                nd = d + w
-                if nd < dist[v]:
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-        rows.append(tuple(dist))
-    return DistanceMatrix(tuple(rows))
+    engine = ScaledDistances(g)
+    exact = engine.exact
+    return DistanceMatrix(tuple(tuple(map(exact, row)) for row in engine.all_pairs()))
 
 
 def is_connected(g: Graph) -> bool:

@@ -32,8 +32,6 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from hashlib import sha256
@@ -43,6 +41,7 @@ from .graphs import (
     BipartiteGraph,
     DisconnectedGraphError,
     Graph,
+    ScaledDistances,
     complete_bipartite,
     cycle_graph,
     generate_random_bipartite,
@@ -142,20 +141,6 @@ def _stats(enumerated: int, truncated: bool, t0: float) -> dict:
 # ----------------------------------------------------------------------------
 
 
-def _bfs_levels(g: Graph, src: int) -> list[int]:
-    n = g.vertex_count
-    dist = [-1] * n
-    dist[src] = 0
-    dq = deque([src])
-    while dq:
-        u = dq.popleft()
-        for v, _, _ in g.adjacency[u]:
-            if dist[v] == -1:
-                dist[v] = dist[u] + 1
-                dq.append(v)
-    return dist
-
-
 def _edge_id_lookup(g: Graph) -> dict[tuple[int, int], int]:
     return {(u, v): eid for eid, (u, v, _) in enumerate(g.edges)}
 
@@ -205,7 +190,7 @@ def _all_shortest_paths(g: Graph) -> list[tuple[int, ...]]:
     """Every geodesic between every vertex pair (u < v), unit weights."""
     n = g.vertex_count
     adj = g.adjacency
-    dist = [_bfs_levels(g, s) for s in range(n)]
+    dist = ScaledDistances(g).all_pairs()
     paths: list[tuple[int, ...]] = []
 
     def extend(path: list[int], target: int) -> None:
@@ -279,10 +264,7 @@ def check_path_lemma(
         paths = _all_shortest_paths(g)
     else:
         if max_path_edges is None:
-            diameter = max(
-                (max(row) for row in (_bfs_levels(g, s) for s in range(g.vertex_count))),
-                default=0,
-            )
+            diameter = max((max(row) for row in ScaledDistances(g).all_pairs()), default=0)
             max_path_edges = diameter + 2
         paths, truncated = _all_simple_paths(g, max_path_edges)
     lookup = _edge_id_lookup(g)
@@ -644,14 +626,67 @@ def default_suite_config() -> dict:
     }
 
 
+# Keys each instance family requires, and the JSON types they must have.
+_FAMILY_KEYS = {
+    "path": ("n",),
+    "cycle": ("n",),
+    "complete-bipartite": ("left", "right"),
+    "all-bipartite": ("left", "right"),
+    "random-bipartite": ("left", "right", "prob", "seed"),
+    "file": ("path",),
+}
+_KEY_TYPES = {
+    "n": int,
+    "left": int,
+    "right": int,
+    "seed": int,
+    "prob": (int, float, str),
+    "path": str,
+}
+
+
+def validate_suite(config) -> None:
+    """Raise ValueError naming the first malformed part of a suite config.
+
+    The top level must be an object, ``caps`` an object of integers and
+    ``instances`` a list of objects; each instance needs a known family, that
+    family's keys with values of the right type, and a list of known claim
+    ids.
+    """
+    if not isinstance(config, dict):
+        raise ValueError("suite: the top level must be an object")
+    caps = config.get("caps", {})
+    if not isinstance(caps, dict) or not all(isinstance(c, int) for c in caps.values()):
+        raise ValueError("suite: caps must be an object of integers")
+    instances = config.get("instances", [])
+    if not isinstance(instances, list):
+        raise ValueError("suite: instances must be a list")
+    for i, entry in enumerate(instances):
+        where = f"suite: instances[{i}]"
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where} must be an object")
+        family = entry.get("family")
+        if not isinstance(family, str) or family not in _FAMILY_KEYS:
+            raise ValueError(f"{where}: unknown instance family {family!r}")
+        for key in _FAMILY_KEYS[family]:
+            if key not in entry:
+                raise ValueError(f"{where}: family {family!r} needs key {key!r}")
+            if not isinstance(entry[key], _KEY_TYPES[key]):
+                raise ValueError(f"{where}.{key}: unexpected value {entry[key]!r}")
+        claims = entry.get("claims", [])
+        if not isinstance(claims, list):
+            raise ValueError(f"{where}.claims must be a list")
+        for claim in claims:
+            if claim not in ALL_CLAIMS:
+                raise ValueError(f"{where}: unknown claim id {claim!r}")
+
+
 def _expand_instances(config: dict):
-    """Yield (instance descriptor, graph object, claims, extras) tuples."""
+    """Yield (instance descriptor, graph object, claims, extras) tuples from a
+    config that passed validate_suite."""
     for entry in config.get("instances", []):
         family = entry["family"]
         claims = list(entry.get("claims", []))
-        for claim in claims:
-            if claim not in ALL_CLAIMS:
-                raise ValueError(f"unknown claim id {claim!r}")
         if family == "path":
             n = entry["n"]
             desc = {"family": "path", "params": {"n": n}, "seed": None}
@@ -683,23 +718,20 @@ def _expand_instances(config: dict):
                 "seed": seed,
             }
             yield desc, generate_random_bipartite(l, r, Fraction(prob), seed), claims, entry
-        elif family == "file":
+        else:  # "file"
             path = entry["path"]
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
             digest = sha256(text.encode("utf-8")).hexdigest()[:16]
             desc = {"family": "file", "params": {"sha256": digest}, "seed": None}
             yield desc, parse_graph(text), claims, entry
-        else:
-            raise ValueError(f"unknown instance family {family!r}")
 
 
 def _as_graph(obj) -> Graph:
     return obj.to_graph() if isinstance(obj, BipartiteGraph) else obj
 
 
-def _run_instance(task) -> list[LabReport]:
-    desc, obj, claims, entry, caps = task
+def _run_instance(desc: dict, obj, claims: list[str], entry: dict, caps: dict) -> list[LabReport]:
     cap_edges = caps.get("max_edges", DEFAULT_EDGE_CAP)
     max_path = caps.get("max_path_edges")
     reports: list[LabReport] = []
@@ -775,23 +807,18 @@ def _run_instance(task) -> list[LabReport]:
 def run_suite(config: dict | None = None, threads: int = 1) -> list[LabReport]:
     """Run every requested claim on every instance in the config.
 
-    Report order follows config order regardless of thread count, and
-    per-instance errors become 'error' reports instead of aborting.  An empty
-    config yields an empty list.
+    Reports follow config order, and per-instance errors become 'error'
+    reports instead of aborting.  An empty config yields an empty list.  A
+    malformed config raises ValueError before any instance runs.  ``threads``
+    is accepted for compatibility and ignored: the checks are pure-Python
+    CPU work, which worker threads only slowed down.
     """
     if config is None:
         config = default_suite_config()
+    validate_suite(config)
     caps = config.get("caps", {})
-    tasks = [
-        (desc, obj, claims, entry, caps)
-        for desc, obj, claims, entry in _expand_instances(config)
-    ]
-    if threads <= 1:
-        chunks = [_run_instance(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(_run_instance, tasks))
-    return [report for chunk in chunks for report in chunk]
+    tasks = list(_expand_instances(config))
+    return [report for task in tasks for report in _run_instance(*task, caps)]
 
 
 def summarize(reports: list[LabReport]) -> list[dict]:

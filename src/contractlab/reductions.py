@@ -68,27 +68,6 @@ class GadgetGraph:
     def right_count(self) -> int:
         return self.core.right_count
 
-    def core_left_vertex(self, i: int) -> int:
-        return i
-
-    def core_right_vertex(self, j: int) -> int:
-        return self.core.left_count + j
-
-    @cached_property
-    def _core_edge_ids(self) -> dict[tuple[int, int], int]:
-        ids: dict[tuple[int, int], int] = {}
-        for eid, kind in enumerate(self.edge_kind):
-            if kind == CORE:
-                u, v, _ = self.combined.edges[eid]
-                ids[(u, v)] = eid
-        return ids
-
-    def core_edge_id(self, left: int, right: int) -> int:
-        """Combined edge id of the core edge (left i, right j)."""
-        u = self.core_left_vertex(left)
-        v = self.core_right_vertex(right)
-        return self._core_edge_ids[(u, v)]
-
     @cached_property
     def bipartition(self) -> tuple[BipartiteGraph, tuple[int, ...], tuple[int, ...]]:
         """The gadget as a bipartite graph plus side-to-combined index maps.

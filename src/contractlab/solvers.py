@@ -63,6 +63,14 @@ def _require_cap(m: int, cap: int, what: str) -> None:
         raise CapExceededError(f"{what} {m} exceeds the enumeration cap ({cap})")
 
 
+def _find(parent: list[int], x: int) -> int:
+    """Union-find root of x, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def _suffix_labels(g: Graph) -> list[tuple[int, ...]]:
     """labels[i][v] = min vertex of v's component in (V, edges[i:]).
 
@@ -72,42 +80,28 @@ def _suffix_labels(g: Graph) -> list[tuple[int, ...]]:
     n = g.vertex_count
     m = g.edge_count
     parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     out: list[tuple[int, ...]] = [()] * (m + 1)
     out[m] = tuple(range(n))
     for i in range(m - 1, -1, -1):
         u, v, _ = g.edges[i]
-        ru, rv = find(u), find(v)
+        ru, rv = _find(parent, u), _find(parent, v)
         if ru != rv:
             if ru > rv:
                 ru, rv = rv, ru
             parent[rv] = ru
-        out[i] = tuple(find(x) for x in range(n))
+        out[i] = tuple(_find(parent, x) for x in range(n))
     return out
 
 
 def _mergeable(labels: tuple[int, ...], g: Graph, chosen: list[int], pairs) -> bool:
     """Can every pair be joined using the chosen edges plus the labelled suffix?"""
     parent = list(labels)
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for e in chosen:
         u, v, _ = g.edges[e]
-        ru, rv = find(u), find(v)
+        ru, rv = _find(parent, u), _find(parent, v)
         if ru != rv:
             parent[rv] = ru
-    return all(find(u) == find(v) for u, v in pairs)
+    return all(_find(parent, u) == _find(parent, v) for u, v in pairs)
 
 
 def _search_max_contraction(check: ToleranceCheck, weak: bool) -> tuple[tuple[int, ...] | None, int]:

@@ -400,6 +400,23 @@ def test_lab_bad_suite_file_exit_two(tmp_path):
     assert run_cli("lab", "--suite", bad, "--out", str(tmp_path / "o")) == 2
 
 
+@pytest.mark.parametrize(
+    "config, where",
+    [
+        ({"instances": [{"family": "path"}]}, "instances[0]"),
+        ([1, 2], "top level"),
+        ({"caps": [], "instances": [{"family": "path", "n": 3, "claims": ["path-lemma"]}]}, "caps"),
+        ({"caps": {"max_edges": "x"}, "instances": [{"family": "path", "n": 3}]}, "caps"),
+    ],
+)
+def test_lab_malformed_suite_exit_two(tmp_path, capsys, config, where):
+    suite = write(tmp_path, "suite.json", json.dumps(config))
+    assert run_cli("lab", "--suite", suite, "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: suite") and where in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # usage errors
 # ---------------------------------------------------------------------------

@@ -54,6 +54,21 @@ def test_contract_path_single_edge():
     assert q.partition == (0, 0, 1)
     assert q.quotient.edges == ((0, 1, Fraction(1)),)
     assert q.distance(0, 2) == 1
+    # disconnected inputs: uniform weight 2 and mixed rational weights
+    q = contract(Graph(4, ((0, 1, 2), (2, 3, 2))), [0])
+    assert q.partition == (0, 0, 1, 2)
+    assert q.distance(0, 2) == cl.UNREACHABLE and q.distance(2, 3) == 2
+    mixed = Graph(5, ((0, 1, Fraction(1, 2)), (1, 2, 3), (3, 4, Fraction(2, 3))))
+    q = contract(mixed, [1])
+    assert q.partition == (0, 1, 1, 2, 3)
+    assert q.distance(0, 2) == Fraction(1, 2) and q.distance(3, 4) == Fraction(2, 3)
+    assert q.distance(2, 4) == cl.UNREACHABLE
+    # block {0, 3, 4} of the 5-cycle: 0 is its minimum but not adjacent to 3
+    q = contract(cl.cycle_graph(5), [1, 4])  # edges (0,4) and (3,4)
+    assert q.partition == (0, 1, 2, 0, 0)
+    assert q.supernode_count == 3
+    assert q.quotient.edges == ((0, 1, Fraction(1)), (0, 2, Fraction(1)), (1, 2, Fraction(1)))
+    assert q.distance(3, 1) == 1 and q.distance(1, 2) == 1
 
 
 def test_contract_empty_set_is_identity():

@@ -101,6 +101,15 @@ def test_unreachable_pairs():
     dm = shortest_distances(g)
     assert dm[0, 2] == UNREACHABLE
     assert not dm.is_reachable(1, 2)
+    # uniform weight 2 (scaled BFS) and mixed rational weights (Dijkstra)
+    uniform = Graph(4, ((0, 1, 2), (2, 3, 2)))
+    dm = shortest_distances(uniform)
+    assert dm[0, 2] == UNREACHABLE and dm[0, 1] == 2 and dm[3, 2] == 2
+    assert not dm.is_reachable(1, 3) and dm.is_reachable(2, 3)
+    mixed = Graph(5, ((0, 1, Fraction(1, 2)), (1, 2, 3), (3, 4, Fraction(2, 3))))
+    dm = shortest_distances(mixed)
+    assert dm[0, 2] == Fraction(7, 2) and dm[4, 3] == Fraction(2, 3)
+    assert dm[2, 4] == UNREACHABLE and dm[3, 0] == UNREACHABLE
 
 
 @settings(max_examples=60, deadline=None)

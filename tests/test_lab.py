@@ -351,6 +351,12 @@ def test_run_suite_empty_config():
     assert run_suite({"instances": []}) == []
 
 
+def test_run_suite_default_counters_pinned():
+    reports = run_suite()
+    assert len(reports) == 43
+    assert sum(r.stats["enumerated"] for r in reports) == 545
+
+
 def test_run_suite_deterministic_modulo_elapsed():
     config = default_suite_config()
     first = [r.to_json_dict() for r in run_suite(config)]

@@ -268,3 +268,17 @@ def test_solver_results_are_reproducible():
     a = max_weak_contraction_exact(g, T11)
     b = max_weak_contraction_exact(g, T11)
     assert (a.objective, a.witness, a.explored) == (b.objective, b.witness, b.explored)
+
+
+def test_search_counters_pinned():
+    # node and valid-set counts of fixed searches: a change to the search
+    # shows up here as a diff with a reason, not only as a change of speed
+    g = random_connected_graph(random.Random(2024), 12, 18, unit=True)
+    weak = max_weak_contraction_exact(g, T11)
+    assert (weak.objective, weak.explored) == (17, 19)
+    strong = max_contraction_exact(g, Tolerance(1, 2))
+    assert (strong.objective, strong.explored) == (12, 2564)
+    cells = [(l, r) for l in range(3) for r in range(4) if (l, r) not in ((0, 0), (2, 3))]
+    gadget = cl.build_gadget(BipartiteGraph(3, 4, tuple(cells)), 1).combined
+    assert gadget.edge_count == 17
+    assert sum(1 for _ in enumerate_valid_weak_contractions(gadget, T11)) == 291
