@@ -345,14 +345,6 @@ def cmd_reduce(args) -> int:
     return 0
 
 
-def _strip_elapsed(payload: dict) -> dict:
-    out = dict(payload)
-    stats = dict(out.get("stats", {}))
-    stats.pop("elapsed_ms", None)
-    out["stats"] = stats
-    return out
-
-
 def cmd_lab(args) -> int:
     if args.suite:
         config = json.loads(Path(args.suite).read_text(encoding="utf-8"))

@@ -126,7 +126,9 @@ def contracted_distance(g: Graph, edge_ids: Iterable[int], u: int, v: int) -> Fr
     n = g.vertex_count
     if not (0 <= u < n) or not (0 <= v < n):
         raise ValueError(f"vertex out of range [0,{n}): ({u},{v})")
-    return contract(g, edge_ids).distance(u, v)
+    mask = sum(1 << e for e in normalize_edge_ids(g, edge_ids))
+    engine = ScaledDistances(g)
+    return engine.exact(engine.from_source(u, mask)[v])
 
 
 class ViolationWitness(NamedTuple):
@@ -164,7 +166,8 @@ class ToleranceCheck:
     per-pair right-hand sides; subsets are passed as bitmasks over edge ids.
 
     This class is also the search engine the exact solvers drive: it exposes
-    validity, the first failing pair, and all failing pairs for a subset.
+    validity, the witness of the first violation, and all failing pairs for a
+    subset.
     """
 
     def __init__(self, g: Graph, tolerance: Tolerance):
@@ -180,7 +183,8 @@ class ToleranceCheck:
 
         engine = ScaledDistances(g)
         self._all_pairs = engine.all_pairs
-        self.scale = scale = engine.scale
+        self._exact = engine.exact
+        scale = engine.scale
         self.base_scaled = base = engine.all_pairs()
 
         a, b = tolerance.alpha.numerator, tolerance.alpha.denominator
@@ -203,12 +207,15 @@ class ToleranceCheck:
             if lhs * d < rhs[u][v]:
                 yield u, v, d
 
-    def first_violation(self, cmask: int, weak: bool) -> tuple[int, int, int] | str | None:
-        """None if valid; 'not-proper-subset'; or the lexicographically first
-        failing pair as (u, v, scaled induced distance)."""
+    def first_violation(self, cmask: int, weak: bool) -> ViolationWitness | None:
+        """None if valid, else the witness: 'not-proper-subset' for the full
+        set in weak mode, or the lexicographically first failing pair."""
         if weak and cmask == self.full_mask:
-            return "not-proper-subset"
-        return next(self._violations(cmask, weak), None)
+            return ViolationWitness(kind="not-proper-subset")
+        exact = self._exact
+        for u, v, d in self._violations(cmask, weak):
+            return ViolationWitness("pair", u, v, exact(self.base_scaled[u][v]), exact(d))
+        return None
 
     def is_valid(self, cmask: int, weak: bool) -> bool:
         return self.first_violation(cmask, weak) is None
@@ -217,18 +224,6 @@ class ToleranceCheck:
         """All pairs violating the inequality (exempting merged pairs in weak mode)."""
         return [(u, v) for u, v, _ in self._violations(cmask, weak)]
 
-    def unscale(self, value: int) -> Fraction:
-        return Fraction(value, self.scale)
-
-
-def _verdict(g: Graph, edge_ids: Iterable[int], tolerance: Tolerance, weak: bool) -> bool:
-    ids = normalize_edge_ids(g, edge_ids)
-    check = ToleranceCheck(g, tolerance)
-    mask = 0
-    for e in ids:
-        mask |= 1 << e
-    return check.is_valid(mask, weak)
-
 
 def is_contraction(g: Graph, edge_ids: Iterable[int], tolerance: Tolerance) -> bool:
     """True iff contracting the set keeps every pair within tolerance.
@@ -236,13 +231,13 @@ def is_contraction(g: Graph, edge_ids: Iterable[int], tolerance: Tolerance) -> b
     Merged pairs are not exempt here: they need ``0 >= d(u,v)/alpha - beta``,
     so with beta = 0 only the empty set qualifies.
     """
-    return _verdict(g, edge_ids, tolerance, weak=False)
+    return violation_witness(g, edge_ids, tolerance, weak=False) is None
 
 
 def is_weak_contraction(g: Graph, edge_ids: Iterable[int], tolerance: Tolerance) -> bool:
     """True iff the set is a proper subset of the edges and every unmerged
     pair stays within tolerance."""
-    return _verdict(g, edge_ids, tolerance, weak=True)
+    return violation_witness(g, edge_ids, tolerance, weak=True) is None
 
 
 def violation_witness(
@@ -253,21 +248,5 @@ def violation_witness(
     Pair witnesses pick the lexicographically smallest violating (u, v); a
     weak-mode set equal to all edges yields kind 'not-proper-subset'.
     """
-    ids = normalize_edge_ids(g, edge_ids)
-    check = ToleranceCheck(g, tolerance)
-    mask = 0
-    for e in ids:
-        mask |= 1 << e
-    hit = check.first_violation(mask, weak)
-    if hit is None:
-        return None
-    if hit == "not-proper-subset":
-        return ViolationWitness(kind="not-proper-subset")
-    u, v, d = hit
-    return ViolationWitness(
-        kind="pair",
-        u=u,
-        v=v,
-        distance=check.unscale(check.base_scaled[u][v]),
-        contracted_distance=check.unscale(d),
-    )
+    mask = sum(1 << e for e in normalize_edge_ids(g, edge_ids))
+    return ToleranceCheck(g, tolerance).first_violation(mask, weak)

@@ -233,10 +233,6 @@ class DistanceMatrix:
         u, v = pair
         return self.values[u][v]
 
-    @property
-    def size(self) -> int:
-        return len(self.values)
-
     def is_reachable(self, u: int, v: int) -> bool:
         return self.values[u][v] != UNREACHABLE
 
@@ -321,22 +317,7 @@ def is_connected(g: Graph) -> bool:
 
     The empty graph (no vertices) counts as connected.
     """
-    n = g.vertex_count
-    if n == 0:
-        return True
-    adj = g.adjacency
-    seen = [False] * n
-    seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        u = stack.pop()
-        for v, _, _ in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                stack.append(v)
-    return count == n
+    return len(connected_components(g)) <= 1
 
 
 def connected_components(g: Graph) -> list[list[int]]:

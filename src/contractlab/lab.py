@@ -567,32 +567,43 @@ def enumerate_connected_bipartite(
     total = left * right
     cells = [(l, r) for l in range(left) for r in range(right)]
     out: list[BipartiteGraph] = []
-    seen: set[int] = set()
-    left_perms = list(itertools.permutations(range(left)))
-    right_perms = list(itertools.permutations(range(right)))
+    seen: set[tuple[int, ...]] = set()
+    # Relabel only the smaller side: a graph up to relabelling of the larger
+    # side is the multiset of the larger side's neighbour bitmasks, so the
+    # class key is the least sorted tuple of them over those relabellings
+    # (taken from both sides when they are equal, which covers the swap).
+    small = min(left, right)
+    relabel = [
+        [sum(1 << p[i] for i in range(small) if (x >> i) & 1) for x in range(1 << small)]
+        for p in itertools.permutations(range(small))
+    ]
+    rmask = (1 << right) - 1
+
+    def rows(mask: int) -> list[int]:
+        return [(mask >> (l * right)) & rmask for l in range(left)]
+
+    def cols(mask: int) -> list[int]:
+        return [
+            sum(((mask >> (l * right + r)) & 1) << l for l in range(left))
+            for r in range(right)
+        ]
 
     for mask in range(1 << total):
-        edges = [cells[i] for i in range(total) if (mask >> i) & 1]
-        b = BipartiteGraph(left, right, tuple(edges))
-        if not is_connected(b.to_graph()):
-            continue
         if up_to_iso:
-            canon = mask
-            for pl in left_perms:
-                for pr in right_perms:
-                    remapped = 0
-                    for l, r in edges:
-                        remapped |= 1 << (pl[l] * right + pr[r])
-                    canon = min(canon, remapped)
-                    if left == right:
-                        swapped = 0
-                        for l, r in edges:
-                            swapped |= 1 << (pr[r] * right + pl[l])
-                        canon = min(canon, swapped)
+            views = []
+            if left >= right:
+                views.append(rows(mask))
+            if left <= right:
+                views.append(cols(mask))
+            canon = min(tuple(sorted(t[x] for x in view)) for t in relabel for view in views)
             if canon in seen:
                 continue
             seen.add(canon)
-        out.append(b)
+        # Connectivity is the same across a class, so the first mask met
+        # decides for all of it.
+        b = BipartiteGraph(left, right, tuple(cells[i] for i in range(total) if (mask >> i) & 1))
+        if is_connected(b.to_graph()):
+            out.append(b)
     return out
 
 

@@ -254,9 +254,5 @@ def biclique_to_contraction(
             u, v = side0[i], side1[k]
             edge_ids.add(lookup[(min(u, v), max(u, v))])
     ids = tuple(sorted(edge_ids))
-    tol = Tolerance(Fraction(1), bg.weight)
-    verdict = is_weak_contraction(bg.combined, ids, tol)
-    witness = None
-    if not verdict:
-        witness = violation_witness(bg.combined, ids, tol, weak=True)
-    return ids, verdict, witness
+    witness = violation_witness(bg.combined, ids, Tolerance(Fraction(1), bg.weight), weak=True)
+    return ids, witness is None, witness

@@ -92,6 +92,9 @@ def test_verify_missing_file_exit_two(tmp_path, p3):
 def test_verify_out_of_range_id_exit_two(tmp_path, p3):
     cfile = write(tmp_path, "c.txt", "9\n")
     assert run_cli("verify", p3, cfile) == 2
+    # a bad id outranks a disconnected graph (which alone would exit 1)
+    split = write(tmp_path, "split.txt", cl.render_graph(cl.Graph(4, ((0, 1), (2, 3)))))
+    assert run_cli("verify", split, cfile) == 2
 
 
 def test_verify_csv_format(tmp_path, p3, capsys):

@@ -98,6 +98,17 @@ def test_contract_four_cycle_parallel_edges_collapse():
 def test_contract_invalid_edge_id():
     with pytest.raises(ValueError, match="out of range"):
         contract(cl.path_graph(3), [5])
+    # the id is checked before connectivity, so a disconnected graph with a
+    # bad id is a bad-input error, not a DisconnectedGraphError
+    disconnected = Graph(4, ((0, 1), (2, 3)))
+    for verify in (is_contraction, is_weak_contraction):
+        with pytest.raises(ValueError, match="out of range") as info:
+            verify(disconnected, [5], T11)
+        assert not isinstance(info.value, DisconnectedGraphError)
+    for weak in (False, True):
+        with pytest.raises(ValueError, match="out of range") as info:
+            violation_witness(disconnected, [5], T11, weak=weak)
+        assert not isinstance(info.value, DisconnectedGraphError)
 
 
 def test_contracted_distance_examples():
@@ -108,6 +119,17 @@ def test_contracted_distance_examples():
     assert contracted_distance(p4, [0, 2], 0, 3) == 1
     with pytest.raises(ValueError, match="out of range"):
         contracted_distance(p3, [0], 0, 9)
+    # agrees with the full quotient on every pair, disconnected graphs included
+    rng = random.Random(17)
+    graphs = [Graph(4, ((0, 1, 2), (2, 3, 2)))]
+    for unit in (True, False) * 6:
+        graphs.append(random_connected_graph(rng, rng.randint(2, 7), unit=unit))
+    for g in graphs:
+        ids = [e for e in range(g.edge_count) if rng.random() < 0.5]
+        q = contract(g, ids)
+        for u in range(g.vertex_count):
+            for v in range(g.vertex_count):
+                assert contracted_distance(g, ids, u, v) == q.distance(u, v)
 
 
 def test_quotient_weight_keeps_minimum():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -319,13 +320,33 @@ def test_verdicts_invariant_under_vertex_relabeling():
 # ---------------------------------------------------------------------------
 
 
-def test_enumerate_connected_bipartite_2x2_classes():
-    classes = enumerate_connected_bipartite(2, 2)
-    assert len(classes) == 2  # the 4-path and the 4-cycle
-    sizes = sorted(c.edge_count for c in classes)
-    assert sizes == [3, 4]
+# Class count and the first 16 hex digits of the sha256 of the rendered
+# representatives, in order.
+CLASS_TABLE = [
+    ((2, 2), 2, "b8ec8711b15dbefe"),
+    ((2, 3), 4, "0b74d9ef404322da"),
+    ((3, 3), 10, "2567df63cbc72bec"),
+    ((2, 4), 6, "9a549f5904a6c735"),
+    ((3, 4), 34, "51daa0cbe78b4695"),
+    ((2, 6), 12, "8445bfd9a369c08d"),
+    ((4, 3), 34, "0c319a15b46ea213"),
+    ((6, 2), 12, "6c4a7d156db46f48"),
+]
+
+
+@pytest.mark.parametrize(
+    "sides,count,digest", CLASS_TABLE, ids=[f"{l}x{r}" for (l, r), _, _ in CLASS_TABLE]
+)
+def test_enumerate_connected_bipartite_classes(sides, count, digest):
+    classes = enumerate_connected_bipartite(*sides)
+    assert len(classes) == count
+    if sides == (2, 2):  # the 4-path and the 4-cycle
+        sizes = sorted(c.edge_count for c in classes)
+        assert sizes == [3, 4]
     for c in classes:
         assert cl.is_connected(c.to_graph())
+    rendered = "".join(cl.render_graph(c) for c in classes)
+    assert hashlib.sha256(rendered.encode()).hexdigest()[:16] == digest
 
 
 def test_enumerate_connected_bipartite_labeled_count():
