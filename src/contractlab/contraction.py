@@ -194,18 +194,19 @@ class ToleranceCheck:
         self._rhs = [[b * s * base[u][v] - offset for v in range(n)] for u in range(n)]
         self.pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
 
-    def _violations(self, cmask: int, weak: bool) -> Iterator[tuple[int, int, int]]:
-        """Failing pairs in lexicographic order, each with its scaled induced
-        distance; merged pairs are exempt in weak mode."""
+    def _violations(self, cmask: int, weak: bool) -> Iterator[tuple[tuple[int, int], int]]:
+        """Failing pairs (items of ``self.pairs``) in lexicographic order, each
+        with its scaled induced distance; merged pairs are exempt in weak mode."""
         lhs = self._lhs_coeff
         rhs = self._rhs
         dc = self._all_pairs(cmask)
-        for u, v in self.pairs:
+        for pair in self.pairs:
+            u, v = pair
             d = dc[u][v]
             if weak and d == 0:
                 continue
             if lhs * d < rhs[u][v]:
-                yield u, v, d
+                yield pair, d
 
     def first_violation(self, cmask: int, weak: bool) -> ViolationWitness | None:
         """None if valid, else the witness: 'not-proper-subset' for the full
@@ -213,7 +214,7 @@ class ToleranceCheck:
         if weak and cmask == self.full_mask:
             return ViolationWitness(kind="not-proper-subset")
         exact = self._exact
-        for u, v, d in self._violations(cmask, weak):
+        for (u, v), d in self._violations(cmask, weak):
             return ViolationWitness("pair", u, v, exact(self.base_scaled[u][v]), exact(d))
         return None
 
@@ -221,8 +222,10 @@ class ToleranceCheck:
         return self.first_violation(cmask, weak) is None
 
     def failing_pairs(self, cmask: int, weak: bool) -> list[tuple[int, int]]:
-        """All pairs violating the inequality (exempting merged pairs in weak mode)."""
-        return [(u, v) for u, v, _ in self._violations(cmask, weak)]
+        """All pairs violating the inequality (exempting merged pairs in weak mode).
+
+        The pairs are the check's own ``pairs`` tuples, shared, not copies."""
+        return [pair for pair, _ in self._violations(cmask, weak)]
 
 
 def is_contraction(g: Graph, edge_ids: Iterable[int], tolerance: Tolerance) -> bool:

@@ -295,7 +295,20 @@ class ScaledDistances:
         return dist
 
     def all_pairs(self, cmask: int = 0) -> list[list[int]]:
-        return [self.from_source(src, cmask) for src in range(self.n)]
+        """Every vertex's row, one search per block of merged vertices.
+
+        Vertices at distance 0 from each other have equal rows, so the block
+        shares one list (found from its minimum vertex): rows may be aliased
+        and must not be mutated.
+        """
+        rows: list = [None] * self.n
+        for src in range(self.n):
+            if rows[src] is None:
+                row = self.from_source(src, cmask)
+                for v, d in enumerate(row):
+                    if d == 0:
+                        rows[v] = row
+        return rows
 
     def exact(self, d: int) -> Fraction | float:
         """The distance a scaled value stands for: a Fraction or ``UNREACHABLE``."""

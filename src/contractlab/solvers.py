@@ -15,7 +15,9 @@ increases an induced distance:
 
 Validity itself is not monotone in weak mode (NB merging exempts pairs), so
 no other shortcut is taken; equivalence with plain power-set filtering is
-part of the test suite.
+part of the test suite.  Induced distances, and so the failing pairs, depend
+only on the vertex partition a set induces, so each search evaluates a
+partition once and reuses the result for every other set inducing it.
 """
 
 from __future__ import annotations
@@ -104,19 +106,56 @@ def _mergeable(labels: tuple[int, ...], g: Graph, chosen: list[int], pairs) -> b
     return all(_find(parent, u) == _find(parent, v) for u, v in pairs)
 
 
+class _PartitionMemo:
+    """Failing pairs per vertex partition, for the nodes of one search.
+
+    A node's partition is carried as its min-vertex labels.  ``step`` derives
+    a child's labels and failing pairs from its parent's: an edge inside a
+    block changes neither, and a partition met before costs no distance run.
+    The owner clears ``seen`` when its search ends.
+    """
+
+    def __init__(self, check: ToleranceCheck, weak: bool):
+        self.check = check
+        self.weak = weak
+        self.edges = check.graph.edges
+        self.seen: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+
+    def root(self) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
+        return tuple(range(self.check.n)), self.check.failing_pairs(0, self.weak)
+
+    def step(
+        self, labels: tuple[int, ...], failing: list[tuple[int, int]], mask: int, e: int
+    ) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
+        """Labels and failing pairs of the child set ``mask``, which adds edge e."""
+        u, v, _ = self.edges[e]
+        a, b = labels[u], labels[v]
+        if a == b:
+            return labels, failing
+        if a > b:
+            a, b = b, a
+        labels = tuple(a if x == b else x for x in labels)
+        failing = self.seen.get(labels)
+        if failing is None:
+            failing = self.seen[labels] = self.check.failing_pairs(mask, self.weak)
+        return labels, failing
+
+
 def _search_max_contraction(check: ToleranceCheck, weak: bool) -> tuple[tuple[int, ...] | None, int]:
     g = check.graph
     m = check.m
     full = check.full_mask
     suffix = _suffix_labels(g)
+    memo = _PartitionMemo(check, weak)
     best_set: tuple[int, ...] | None = None
     best_size = -1
     explored = 0
 
-    def visit(cset: list[int], mask: int, start: int) -> None:
+    def visit(
+        cset: list[int], mask: int, start: int, labels: tuple[int, ...], failing: list
+    ) -> None:
         nonlocal best_set, best_size, explored
         explored += 1
-        failing = check.failing_pairs(mask, weak)
         if not failing and (not weak or mask != full):
             if len(cset) > best_size:
                 best_size = len(cset)
@@ -133,10 +172,14 @@ def _search_max_contraction(check: ToleranceCheck, weak: bool) -> tuple[tuple[in
             if base + m - j <= best_size:
                 break
             cset.append(j)
-            visit(cset, mask | (1 << j), j + 1)
+            child = mask | (1 << j)
+            visit(cset, child, j + 1, *memo.step(labels, failing, child, j))
             cset.pop()
 
-    visit([], 0, 0)
+    # visit is a reference cycle: without the clear, the memo outlives the
+    # search until the next full garbage collection
+    visit([], 0, 0, *memo.root())
+    memo.seen.clear()
     return best_set, explored
 
 
@@ -197,9 +240,11 @@ def enumerate_valid_weak_contractions(
     m = check.m
     full = check.full_mask
     suffix = _suffix_labels(g)
+    memo = _PartitionMemo(check, weak=True)
 
-    def visit(cset: list[int], mask: int, start: int) -> Iterator[tuple[int, ...]]:
-        failing = check.failing_pairs(mask, weak=True)
+    def visit(
+        cset: list[int], mask: int, start: int, labels: tuple[int, ...], failing: list
+    ) -> Iterator[tuple[int, ...]]:
         if not failing and mask != full:
             yield tuple(cset)
         if start == m:
@@ -208,10 +253,14 @@ def enumerate_valid_weak_contractions(
             return
         for j in range(start, m):
             cset.append(j)
-            yield from visit(cset, mask | (1 << j), j + 1)
+            child = mask | (1 << j)
+            yield from visit(cset, child, j + 1, *memo.step(labels, failing, child, j))
             cset.pop()
 
-    yield from visit([], 0, 0)
+    try:
+        yield from visit([], 0, 0, *memo.root())
+    finally:
+        memo.seen.clear()
 
 
 def greedy_weak_contraction(

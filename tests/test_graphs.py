@@ -24,6 +24,7 @@ from contractlab import (
     render_graph,
     shortest_distances,
 )
+from contractlab.graphs import ScaledDistances
 
 import naive
 from builders import connected_graphs, random_connected_graph
@@ -144,6 +145,29 @@ def test_distances_match_floyd_warshall_on_weighted_graphs():
         for u in range(g.vertex_count):
             for v in range(g.vertex_count):
                 assert dm[u, v] == fw[u][v]
+
+
+def test_all_pairs_shares_rows_within_blocks():
+    # all_pairs runs one search per block of merged vertices and hands the
+    # block one shared row; the values must be each vertex's own search
+    rng = random.Random(23)
+    graphs = [random_connected_graph(rng, rng.randint(2, 9), unit=unit) for unit in (True, False) * 6]
+    graphs += [
+        Graph(6, tuple((u, v, 2) for u, v, _ in cl.cycle_graph(6).edges) + ((0, 3, 2),)),
+        Graph(4, ((0, 1, 2), (2, 3, 2))),
+    ]
+    largest_block = 0
+    for g in graphs:
+        engine = ScaledDistances(g)
+        full = (1 << g.edge_count) - 1
+        masks = [0, full] + [rng.getrandbits(g.edge_count) for _ in range(6)]
+        for mask in masks:
+            rows = engine.all_pairs(mask)
+            assert rows == [engine.from_source(s, mask) for s in range(g.vertex_count)]
+            blocks = {tuple(v for v, d in enumerate(row) if d == 0) for row in rows}
+            assert len({id(row) for row in rows}) == len(blocks)
+            largest_block = max(largest_block, max(map(len, blocks)))
+    assert largest_block >= 4
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,31 @@ from contractlab import (
     max_edge_biclique_exact,
     max_weak_contraction_exact,
 )
+from contractlab.contraction import ToleranceCheck
 
 import naive
-from builders import random_connected_graph
+from builders import SMALL_WEIGHTS, random_connected_graph
 
 T11 = Tolerance(1, 1)
+
+
+def _repeating_partition_cases():
+    """(graph, alpha) on K4, K5 minus an edge, the wheel W5 (a hub joined to a
+    4-cycle) and the gadget of K_{2,2}: dense in cycles, so many edge sets of
+    one search induce the same vertex partition.  Unit and rational weights."""
+    k4 = Graph(4, tuple((u, v) for u in range(4) for v in range(u + 1, 4)))
+    k5e = Graph(5, tuple((u, v) for u in range(5) for v in range(u + 1, 5) if (u, v) != (3, 4)))
+    wheel = Graph(5, tuple((0, v) for v in range(1, 5)) + tuple((v, v % 4 + 1) for v in range(1, 5)))
+    gadget = cl.build_gadget(cl.complete_bipartite(2, 2), 1).combined
+    rng = random.Random(5)
+    for g in (k4, k5e, wheel, gadget):
+        assert g.edge_count <= 10
+        rational = Graph(
+            g.vertex_count, tuple((u, v, rng.choice(SMALL_WEIGHTS)) for u, v, _ in g.edges)
+        )
+        for h in (g, rational):
+            for alpha in (1, 2):
+                yield h, alpha
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +150,10 @@ def test_enumerate_lex_order_and_oracle_equivalence():
         got = list(enumerate_valid_weak_contractions(g, Tolerance(alpha, beta)))
         assert got == naive.naive_enumerate_weak(g, alpha, beta)
         assert got == sorted(got)
+    for g, alpha in _repeating_partition_cases():
+        got = list(enumerate_valid_weak_contractions(g, Tolerance(alpha, 1)))
+        assert got == naive.naive_enumerate_weak(g, alpha, 1)
+        assert got == sorted(got)
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +179,12 @@ def test_contraction_solvers_match_power_set_filter():
             assert (res.objective, res.witness) == naive.naive_max_weak_contraction(
                 g, alpha, beta
             )
+    for g, alpha in _repeating_partition_cases():
+        t = Tolerance(alpha, 1)
+        res = max_contraction_exact(g, t)
+        assert (res.objective, res.witness) == naive.naive_max_contraction(g, alpha, 1)
+        res = max_weak_contraction_exact(g, t)
+        assert (res.objective, res.witness) == naive.naive_max_weak_contraction(g, alpha, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -282,3 +312,36 @@ def test_search_counters_pinned():
     gadget = cl.build_gadget(BipartiteGraph(3, 4, tuple(cells)), 1).combined
     assert gadget.edge_count == 17
     assert sum(1 for _ in enumerate_valid_weak_contractions(gadget, T11)) == 291
+
+
+def test_search_distance_evaluations_pinned(monkeypatch):
+    # the searches of test_search_counters_pinned evaluate each vertex
+    # partition once: failing_pairs runs once per distinct partition met, not
+    # once per node (19, 2564 and 7258 calls when every node paid)
+    masks: list[int] = []
+    failing_pairs = ToleranceCheck.failing_pairs
+
+    def counted(self, cmask, weak):
+        masks.append(cmask)
+        return failing_pairs(self, cmask, weak)
+
+    monkeypatch.setattr(ToleranceCheck, "failing_pairs", counted)
+
+    def evaluated(g, search):
+        masks.clear()
+        result = search()
+        ids = [[e for e in range(g.edge_count) if (mask >> e) & 1] for mask in masks]
+        assert len({cl.contract(g, c).partition for c in ids}) == len(masks)
+        return len(masks), result
+
+    g = random_connected_graph(random.Random(2024), 12, 18, unit=True)
+    calls, weak = evaluated(g, lambda: max_weak_contraction_exact(g, T11))
+    assert (calls, weak.explored) == (12, 19)
+    calls, strong = evaluated(g, lambda: max_contraction_exact(g, Tolerance(1, 2)))
+    assert (calls, strong.explored) == (288, 2564)
+    cells = [(l, r) for l in range(3) for r in range(4) if (l, r) not in ((0, 0), (2, 3))]
+    gadget = cl.build_gadget(BipartiteGraph(3, 4, tuple(cells)), 1).combined
+    calls, valid = evaluated(
+        gadget, lambda: sum(1 for _ in enumerate_valid_weak_contractions(gadget, T11))
+    )
+    assert (calls, valid) == (1380, 291)
