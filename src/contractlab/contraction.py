@@ -22,14 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
 from .graphs import (
     DisconnectedGraphError,
     DistanceMatrix,
     Graph,
-    ScaledDistances,
-    is_connected,
+    is_connected,  # not called here; kept as contraction.is_connected, which bench/ reads
 )
 
 
@@ -59,9 +59,10 @@ class Tolerance:
 def normalize_edge_ids(g: Graph, edge_ids: Iterable[int]) -> tuple[int, ...]:
     """Deduplicate, sort and range-check a contraction set for ``g``."""
     ids = sorted(set(edge_ids))
+    m = g.edge_count
     for e in ids:
-        if not 0 <= e < g.edge_count:
-            raise ValueError(f"edge id {e} out of range [0,{g.edge_count})")
+        if not 0 <= e < m:
+            raise ValueError(f"edge id {e} out of range [0,{m})")
     return tuple(ids)
 
 
@@ -90,7 +91,7 @@ class QuotientGraph:
 def contract(g: Graph, edge_ids: Iterable[int]) -> QuotientGraph:
     """Contract the given edges and compute the full quotient picture."""
     ids = normalize_edge_ids(g, edge_ids)
-    engine = ScaledDistances(g)
+    engine = g.distances
     dc = engine.all_pairs(sum(1 << e for e in ids))
     # Weights are positive, so d_C(u, v) == 0 exactly when u and v are merged:
     # the first zero of a row is the minimum vertex of the row's block.
@@ -127,7 +128,7 @@ def contracted_distance(g: Graph, edge_ids: Iterable[int], u: int, v: int) -> Fr
     if not (0 <= u < n) or not (0 <= v < n):
         raise ValueError(f"vertex out of range [0,{n}): ({u},{v})")
     mask = sum(1 << e for e in normalize_edge_ids(g, edge_ids))
-    engine = ScaledDistances(g)
+    engine = g.distances
     return engine.exact(engine.from_source(u, mask)[v])
 
 
@@ -162,8 +163,12 @@ class ToleranceCheck:
     Weights are multiplied by the lcm L of their denominators so distances are
     integers; with alpha = p/q and beta = r/s the test
     ``d_C >= d/alpha - beta`` becomes ``p*s*D_C >= q*s*D - p*r*L`` where D and
-    D_C are scaled distances.  One instance precomputes base distances and the
-    per-pair right-hand sides; subsets are passed as bitmasks over edge ids.
+    D_C are scaled distances.  One instance reads the graph's cached base rows
+    (``Graph.distances.base``) and precomputes the per-pair right-hand sides;
+    subsets are passed as bitmasks over edge ids.  The induced rows are built
+    lazily per scan: row u only when the lexicographic pair scan reaches u,
+    one search per block of merged vertices, so a scan that stops at its first
+    failing pair builds no row past it.
 
     This class is also the search engine the exact solvers drive: it exposes
     validity, the witness of the first violation, and all failing pairs for a
@@ -171,7 +176,9 @@ class ToleranceCheck:
     """
 
     def __init__(self, g: Graph, tolerance: Tolerance):
-        if not is_connected(g):
+        engine = g.distances
+        self.base_scaled = base = engine.base
+        if base and -1 in base[0]:
             raise DisconnectedGraphError("tolerance checks require a connected graph")
         self.graph = g
         self.tolerance = tolerance
@@ -181,32 +188,46 @@ class ToleranceCheck:
         self.m = m
         self.full_mask = (1 << m) - 1
 
-        engine = ScaledDistances(g)
-        self._all_pairs = engine.all_pairs
+        self._from_source = engine.from_source
         self._exact = engine.exact
         scale = engine.scale
-        self.base_scaled = base = engine.all_pairs()
 
         a, b = tolerance.alpha.numerator, tolerance.alpha.denominator
         r, s = tolerance.beta.numerator, tolerance.beta.denominator
         self._lhs_coeff = a * s
         offset = a * r * scale
-        self._rhs = [[b * s * base[u][v] - offset for v in range(n)] for u in range(n)]
-        self.pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        coeff = b * s
+        self._rhs = [[coeff * d - offset for d in row] for row in base]
 
-    def _violations(self, cmask: int, weak: bool) -> Iterator[tuple[tuple[int, int], int]]:
-        """Failing pairs (items of ``self.pairs``) in lexicographic order, each
-        with its scaled induced distance; merged pairs are exempt in weak mode."""
+    @cached_property
+    def pairs(self) -> list[tuple[int, int]]:
+        """Every pair u < v in lexicographic order, built on first use."""
+        n = self.n
+        return [(u, v) for u in range(n) for v in range(u + 1, n)]
+
+    def _violations(self, cmask: int, weak: bool) -> Iterator[tuple[int, int, int, int]]:
+        """Failing pairs in lexicographic order as (index in ``pairs``, u, v,
+        scaled induced distance); merged pairs are exempt in weak mode.
+
+        Row u is searched when the scan reaches u and then shared with every
+        vertex merged with u, as in ``ScaledDistances.all_pairs``."""
+        n = self.n
         lhs = self._lhs_coeff
-        rhs = self._rhs
-        dc = self._all_pairs(cmask)
-        for pair in self.pairs:
-            u, v = pair
-            d = dc[u][v]
-            if weak and d == 0:
-                continue
-            if lhs * d < rhs[u][v]:
-                yield pair, d
+        rows: list = [None] * n
+        i = 0
+        for u in range(n - 1):
+            row = rows[u]
+            if row is None:
+                row = self._from_source(u, cmask)
+                for x in range(u, n):
+                    if row[x] == 0:
+                        rows[x] = row
+            rhs = self._rhs[u]
+            for v in range(u + 1, n):
+                d = row[v]
+                if lhs * d < rhs[v] and not (weak and d == 0):
+                    yield i, u, v, d
+                i += 1
 
     def first_violation(self, cmask: int, weak: bool) -> ViolationWitness | None:
         """None if valid, else the witness: 'not-proper-subset' for the full
@@ -214,7 +235,7 @@ class ToleranceCheck:
         if weak and cmask == self.full_mask:
             return ViolationWitness(kind="not-proper-subset")
         exact = self._exact
-        for (u, v), d in self._violations(cmask, weak):
+        for _, u, v, d in self._violations(cmask, weak):
             return ViolationWitness("pair", u, v, exact(self.base_scaled[u][v]), exact(d))
         return None
 
@@ -225,7 +246,8 @@ class ToleranceCheck:
         """All pairs violating the inequality (exempting merged pairs in weak mode).
 
         The pairs are the check's own ``pairs`` tuples, shared, not copies."""
-        return [pair for pair, _ in self._violations(cmask, weak)]
+        pairs = self.pairs
+        return [pairs[i] for i, _, _, _ in self._violations(cmask, weak)]
 
 
 def is_contraction(g: Graph, edge_ids: Iterable[int], tolerance: Tolerance) -> bool:

@@ -5,9 +5,11 @@ in this package ever rounds, so verifier verdicts that hinge on ties at
 equality are reproducible.  Every distance in the package comes from one
 engine, ``ScaledDistances``, which works in integers after scaling all weights
 by the lcm of their denominators; Fractions are made only when a distance
-leaves it.  Unreachable pairs get the distinguished value ``UNREACHABLE``
-(``math.inf``), which orders above every rational and saturates under
-addition.
+leaves it.  A graph builds its engine once (``Graph.distances``) and the engine
+its uncontracted rows once (``ScaledDistances.base``); both live as long as the
+graph and the rows are shared, never copied.  Unreachable pairs get the
+distinguished value ``UNREACHABLE`` (``math.inf``), which orders above every
+rational and saturates under addition.
 """
 
 from __future__ import annotations
@@ -114,6 +116,11 @@ class Graph:
             adj[u].append((v, w, eid))
             adj[v].append((u, w, eid))
         return tuple(tuple(a) for a in adj)
+
+    @cached_property
+    def distances(self) -> "ScaledDistances":
+        """The graph's distance engine, built on first use and kept with the graph."""
+        return ScaledDistances(self)
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -247,6 +254,10 @@ class ScaledDistances:
     weights are positive.  Uniform weights run a 0-1 BFS over hop counts, any
     other weights an integer Dijkstra.  Vertices the source cannot reach get
     ``-1``.
+
+    Build it through ``Graph.distances``, so a graph has one engine; its
+    uncontracted rows, ``base``, are computed once per engine and shared by
+    every caller.
     """
 
     def __init__(self, g: Graph):
@@ -310,6 +321,12 @@ class ScaledDistances:
                         rows[v] = row
         return rows
 
+    @cached_property
+    def base(self) -> list[list[int]]:
+        """``all_pairs()`` of the uncontracted graph, computed once: shared, so
+        neither the list nor its rows may be mutated."""
+        return self.all_pairs()
+
     def exact(self, d: int) -> Fraction | float:
         """The distance a scaled value stands for: a Fraction or ``UNREACHABLE``."""
         return UNREACHABLE if d < 0 else Fraction(d, self.scale)
@@ -320,9 +337,9 @@ def shortest_distances(g: Graph) -> DistanceMatrix:
 
     Disconnected pairs get ``UNREACHABLE``.
     """
-    engine = ScaledDistances(g)
+    engine = g.distances
     exact = engine.exact
-    return DistanceMatrix(tuple(tuple(map(exact, row)) for row in engine.all_pairs()))
+    return DistanceMatrix(tuple(tuple(map(exact, row)) for row in engine.base))
 
 
 def is_connected(g: Graph) -> bool:

@@ -41,7 +41,6 @@ from .graphs import (
     BipartiteGraph,
     DisconnectedGraphError,
     Graph,
-    ScaledDistances,
     complete_bipartite,
     cycle_graph,
     generate_random_bipartite,
@@ -190,7 +189,7 @@ def _all_shortest_paths(g: Graph) -> list[tuple[int, ...]]:
     """Every geodesic between every vertex pair (u < v), unit weights."""
     n = g.vertex_count
     adj = g.adjacency
-    dist = ScaledDistances(g).all_pairs()
+    dist = g.distances.base
     paths: list[tuple[int, ...]] = []
 
     def extend(path: list[int], target: int) -> None:
@@ -264,7 +263,7 @@ def check_path_lemma(
         paths = _all_shortest_paths(g)
     else:
         if max_path_edges is None:
-            diameter = max((max(row) for row in ScaledDistances(g).all_pairs()), default=0)
+            diameter = max((max(row) for row in g.distances.base), default=0)
             max_path_edges = diameter + 2
         paths, truncated = _all_simple_paths(g, max_path_edges)
     lookup = _edge_id_lookup(g)

@@ -112,7 +112,9 @@ class _PartitionMemo:
     A node's partition is carried as its min-vertex labels.  ``step`` derives
     a child's labels and failing pairs from its parent's: an edge inside a
     block changes neither, and a partition met before costs no distance run.
-    The owner clears ``seen`` when its search ends.
+    Weak mode keeps every failing pair, which ``_mergeable`` needs; strong mode
+    prunes on any failing pair, so it keeps at most the first and its scan
+    stops there.  The owner clears ``seen`` when its search ends.
     """
 
     def __init__(self, check: ToleranceCheck, weak: bool):
@@ -121,8 +123,14 @@ class _PartitionMemo:
         self.edges = check.graph.edges
         self.seen: dict[tuple[int, ...], list[tuple[int, int]]] = {}
 
+    def evaluate(self, mask: int) -> list[tuple[int, int]]:
+        if self.weak:
+            return self.check.failing_pairs(mask, True)
+        w = self.check.first_violation(mask, False)
+        return [] if w is None else [(w.u, w.v)]
+
     def root(self) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
-        return tuple(range(self.check.n)), self.check.failing_pairs(0, self.weak)
+        return tuple(range(self.check.n)), self.evaluate(0)
 
     def step(
         self, labels: tuple[int, ...], failing: list[tuple[int, int]], mask: int, e: int
@@ -137,7 +145,7 @@ class _PartitionMemo:
         labels = tuple(a if x == b else x for x in labels)
         failing = self.seen.get(labels)
         if failing is None:
-            failing = self.seen[labels] = self.check.failing_pairs(mask, self.weak)
+            failing = self.seen[labels] = self.evaluate(mask)
         return labels, failing
 
 

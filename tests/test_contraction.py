@@ -22,6 +22,8 @@ from contractlab import (
     violation_witness,
 )
 
+from contractlab.graphs import ScaledDistances
+
 import naive
 from builders import connected_graphs, graph_and_subset, random_connected_graph, tolerances
 
@@ -196,6 +198,50 @@ def test_verifiers_require_connected_input():
         is_contraction(g, [], T11)
     with pytest.raises(DisconnectedGraphError):
         is_weak_contraction(g, [0], T11)
+    # connectivity is read off row 0, so an isolated vertex 0 and an isolated
+    # last vertex are both refused
+    for h in (g, Graph(3, ((1, 2),)), Graph(3, ((0, 1),)), Graph(2)):
+        with pytest.raises(DisconnectedGraphError):
+            cl.ToleranceCheck(h, T11)
+
+
+def test_tolerance_check_on_trivial_graphs():
+    # no vertex and one vertex are connected: every set but the (empty) full
+    # set in weak mode is valid, and there is no pair to fail
+    for n in (0, 1):
+        check = cl.ToleranceCheck(Graph(n), T11)
+        assert check.first_violation(0, weak=False) is None
+        assert check.failing_pairs(0, weak=False) == []
+        assert check.first_violation(0, weak=True).kind == "not-proper-subset"
+
+
+def test_pair_scan_searches_rows_lazily(monkeypatch):
+    # row u is searched only when the lexicographic scan reaches u, once per
+    # block of merged vertices
+    runs: list[int] = []
+    from_source = ScaledDistances.from_source
+
+    def counted(self, src, cmask=0):
+        runs.append(src)
+        return from_source(self, src, cmask)
+
+    monkeypatch.setattr(ScaledDistances, "from_source", counted)
+    # beta = 0 fails any merged pair: contracting edge (0,1) fails in row 0
+    check = cl.ToleranceCheck(cl.path_graph(5), Tolerance(1, 0))
+    runs.clear()
+    w = check.first_violation(0b1, weak=False)
+    assert (w.u, w.v) == (0, 1) and runs == [0]
+    # two contracted edges shorten no distance by more than beta = 2: a valid
+    # set, with blocks {0,5} {1} {2,3} {4} of the 6-cycle's edges (0,5) and (2,3)
+    g = cl.cycle_graph(6)
+    check = cl.ToleranceCheck(g, Tolerance(1, 2))
+    assert [g.endpoints(e) for e in (1, 3)] == [(0, 5), (2, 3)]
+    runs.clear()
+    assert check.first_violation(0b1010, weak=False) is None
+    assert runs == [0, 1, 2, 4]
+    runs.clear()
+    assert check.failing_pairs(0b1010, weak=True) == []
+    assert runs == [0, 1, 2, 4]
 
 
 # ---------------------------------------------------------------------------

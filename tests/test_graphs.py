@@ -159,6 +159,8 @@ def test_all_pairs_shares_rows_within_blocks():
     largest_block = 0
     for g in graphs:
         engine = ScaledDistances(g)
+        # the graph's own engine caches the uncontracted rows
+        assert g.distances.base == [engine.from_source(s) for s in range(g.vertex_count)]
         full = (1 << g.edge_count) - 1
         masks = [0, full] + [rng.getrandbits(g.edge_count) for _ in range(6)]
         for mask in masks:
@@ -168,6 +170,45 @@ def test_all_pairs_shares_rows_within_blocks():
             assert len({id(row) for row in rows}) == len(blocks)
             largest_block = max(largest_block, max(map(len, blocks)))
     assert largest_block >= 4
+
+
+def test_graph_builds_one_engine_and_one_set_of_base_rows():
+    g = cl.cycle_graph(5)
+    assert g.distances is g.distances
+    assert g.distances.base is g.distances.base
+    # the cache is no field: equality and hashing ignore it
+    twin = Graph(g.vertex_count, g.edges)
+    assert g == twin and hash(g) == hash(twin)
+    assert twin.distances is not g.distances
+    assert twin.distances.base == g.distances.base
+
+
+def test_verifiers_leave_base_rows_unchanged():
+    # the rows are shared by every caller, so none may write to them
+    g = random_connected_graph(random.Random(3), 6, 8, unit=False)
+    base = g.distances.base
+    snapshot = [list(row) for row in base]
+    row_ids = [id(row) for row in base]
+    n, m = g.vertex_count, g.edge_count
+    check = cl.ToleranceCheck(g, cl.Tolerance(1, 1))
+    for mask in range(1 << m):
+        ids = [e for e in range(m) if (mask >> e) & 1]
+        for tol in (cl.Tolerance(1, 1), cl.Tolerance(2, 0)):
+            cl.is_contraction(g, ids, tol)
+            cl.is_weak_contraction(g, ids, tol)
+            cl.violation_witness(g, ids, tol, weak=True)
+        cl.contract(g, ids)
+        cl.contracted_distance(g, ids, 0, n - 1)
+        check.failing_pairs(mask, weak=True)
+        check.failing_pairs(mask, weak=False)
+    shortest_distances(g)
+    cl.max_contraction_exact(g, cl.Tolerance(1, 1))
+    cl.max_weak_contraction_exact(g, cl.Tolerance(1, 1))
+    list(cl.enumerate_valid_weak_contractions(g, cl.Tolerance(1, 1)))
+    cl.greedy_weak_contraction(g, cl.Tolerance(1, 1), 0)
+    assert g.distances.base is base
+    assert [id(row) for row in base] == row_ids
+    assert base == snapshot
 
 
 # ---------------------------------------------------------------------------

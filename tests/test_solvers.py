@@ -115,6 +115,13 @@ def test_solvers_require_connected():
     g = Graph(4, ((0, 1), (2, 3)))
     with pytest.raises(cl.DisconnectedGraphError):
         max_weak_contraction_exact(g, T11)
+    # connectivity is refused before the cap: a disconnected graph over the
+    # cap is a DisconnectedGraphError, not a CapExceededError
+    for solve in (max_contraction_exact, max_weak_contraction_exact):
+        with pytest.raises(cl.DisconnectedGraphError):
+            solve(g, T11, cap=1)
+    with pytest.raises(cl.DisconnectedGraphError):
+        list(enumerate_valid_weak_contractions(g, T11, cap=1))
 
 
 # ---------------------------------------------------------------------------
@@ -316,16 +323,21 @@ def test_search_counters_pinned():
 
 def test_search_distance_evaluations_pinned(monkeypatch):
     # the searches of test_search_counters_pinned evaluate each vertex
-    # partition once: failing_pairs runs once per distinct partition met, not
-    # once per node (19, 2564 and 7258 calls when every node paid)
+    # partition once: a pair scan runs once per distinct partition met, not
+    # once per node (19, 2564 and 7258 calls when every node paid).  Every
+    # scan entry point is counted: weak mode calls failing_pairs, strong mode
+    # first_violation (which is_valid also goes through)
     masks: list[int] = []
-    failing_pairs = ToleranceCheck.failing_pairs
 
-    def counted(self, cmask, weak):
-        masks.append(cmask)
-        return failing_pairs(self, cmask, weak)
+    def counting(scan):
+        def counted(self, cmask, weak):
+            masks.append(cmask)
+            return scan(self, cmask, weak)
 
-    monkeypatch.setattr(ToleranceCheck, "failing_pairs", counted)
+        return counted
+
+    for name in ("failing_pairs", "first_violation"):
+        monkeypatch.setattr(ToleranceCheck, name, counting(getattr(ToleranceCheck, name)))
 
     def evaluated(g, search):
         masks.clear()
