@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -345,6 +346,21 @@ def cmd_reduce(args) -> int:
     return 0
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Replace ``path`` with ``text`` in one step: write a temporary file in
+    the same directory, then ``os.replace`` it into place.  A write that fails
+    leaves the old file's bytes and removes the temporary file.  The file is
+    created as ``open`` creates it, so it gets the usual permissions."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def cmd_lab(args) -> int:
     if args.suite:
         config = json.loads(Path(args.suite).read_text(encoding="utf-8"))
@@ -363,24 +379,23 @@ def cmd_lab(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     payloads = [rep.to_json_dict() for rep in reports]
-    (out_dir / "reports.json").write_text(
-        json.dumps(payloads, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    with (out_dir / "summary.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["claim", "family", "holds", "counterexample", "vacuous", "error", "total"])
-        for row in lablib.summarize(reports):
-            writer.writerow(
-                [
-                    row["claim"],
-                    row["family"],
-                    row["holds"],
-                    row["counterexample"],
-                    row["vacuous"],
-                    row["error"],
-                    row["total"],
-                ]
-            )
+    _write_atomic(out_dir / "reports.json", json.dumps(payloads, sort_keys=True, indent=2) + "\n")
+    summary = io.StringIO()
+    writer = csv.writer(summary)
+    writer.writerow(["claim", "family", "holds", "counterexample", "vacuous", "error", "total"])
+    for row in lablib.summarize(reports):
+        writer.writerow(
+            [
+                row["claim"],
+                row["family"],
+                row["holds"],
+                row["counterexample"],
+                row["vacuous"],
+                row["error"],
+                row["total"],
+            ]
+        )
+    _write_atomic(out_dir / "summary.csv", summary.getvalue())
 
     goldens = Path(args.goldens) if args.goldens else out_dir / "goldens"
     goldens.mkdir(parents=True, exist_ok=True)
@@ -413,9 +428,7 @@ def cmd_lab(args) -> int:
                     f"{claim}: {key} recorded {recorded[key]!r}, got {rep.verdict!r}"
                 )
         if changed and claim not in unreadable:
-            golden_path.write_text(
-                json.dumps(recorded, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-            )
+            _write_atomic(golden_path, json.dumps(recorded, sort_keys=True, indent=2) + "\n")
 
     counts = {"holds": 0, "counterexample": 0, "vacuous": 0, "error": 0}
     for rep in reports:

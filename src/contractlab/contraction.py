@@ -165,10 +165,13 @@ class ToleranceCheck:
     ``d_C >= d/alpha - beta`` becomes ``p*s*D_C >= q*s*D - p*r*L`` where D and
     D_C are scaled distances.  One instance reads the graph's cached base rows
     (``Graph.distances.base``) and precomputes the per-pair right-hand sides;
-    subsets are passed as bitmasks over edge ids.  The induced rows are built
-    lazily per scan: row u only when the lexicographic pair scan reaches u,
-    one search per block of merged vertices, so a scan that stops at its first
-    failing pair builds no row past it.
+    subsets are passed as bitmasks over edge ids.  A scan reads the induced
+    rows of its subset from a row source (``rows[u]``) and asks for row u only
+    when the lexicographic pair scan reaches u, so a scan that stops at its
+    first failing pair builds no row past it.  The exact searches pass a
+    ``graphs.MergedRows`` derived from the parent node's rows, so they run no
+    search at all; without a row source (every verdict) the scan searches row
+    u itself, one search per block of merged vertices.
 
     This class is also the search engine the exact solvers drive: it exposes
     validity, the witness of the first violation, and all failing pairs for a
@@ -205,15 +208,17 @@ class ToleranceCheck:
         n = self.n
         return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
-    def _violations(self, cmask: int, weak: bool) -> Iterator[tuple[int, int, int, int]]:
+    def _violations(self, cmask: int, weak: bool, rows) -> Iterator[tuple[int, int, int, int]]:
         """Failing pairs in lexicographic order as (index in ``pairs``, u, v,
         scaled induced distance); merged pairs are exempt in weak mode.
 
-        Row u is searched when the scan reaches u and then shared with every
-        vertex merged with u, as in ``ScaledDistances.all_pairs``."""
+        Row u is read when the scan reaches u, from ``rows``, a source of
+        cmask's induced rows; without one it is searched then and shared with
+        every vertex merged with u, as in ``ScaledDistances.all_pairs``."""
         n = self.n
         lhs = self._lhs_coeff
-        rows: list = [None] * n
+        if rows is None:
+            rows = [None] * n
         i = 0
         for u in range(n - 1):
             row = rows[u]
@@ -229,25 +234,28 @@ class ToleranceCheck:
                     yield i, u, v, d
                 i += 1
 
-    def first_violation(self, cmask: int, weak: bool) -> ViolationWitness | None:
+    def first_violation(self, cmask: int, weak: bool, rows=None) -> ViolationWitness | None:
         """None if valid, else the witness: 'not-proper-subset' for the full
-        set in weak mode, or the lexicographically first failing pair."""
+        set in weak mode, or the lexicographically first failing pair.
+
+        ``rows``, when given, is a source of cmask's induced rows."""
         if weak and cmask == self.full_mask:
             return ViolationWitness(kind="not-proper-subset")
         exact = self._exact
-        for _, u, v, d in self._violations(cmask, weak):
+        for _, u, v, d in self._violations(cmask, weak, rows):
             return ViolationWitness("pair", u, v, exact(self.base_scaled[u][v]), exact(d))
         return None
 
     def is_valid(self, cmask: int, weak: bool) -> bool:
         return self.first_violation(cmask, weak) is None
 
-    def failing_pairs(self, cmask: int, weak: bool) -> list[tuple[int, int]]:
+    def failing_pairs(self, cmask: int, weak: bool, rows=None) -> list[tuple[int, int]]:
         """All pairs violating the inequality (exempting merged pairs in weak mode).
 
-        The pairs are the check's own ``pairs`` tuples, shared, not copies."""
+        ``rows``, when given, is a source of cmask's induced rows.  The pairs
+        are the check's own ``pairs`` tuples, shared, not copies."""
         pairs = self.pairs
-        return [pairs[i] for i, _, _, _ in self._violations(cmask, weak)]
+        return [pairs[i] for i, _, _, _ in self._violations(cmask, weak, rows)]
 
 
 def is_contraction(g: Graph, edge_ids: Iterable[int], tolerance: Tolerance) -> bool:

@@ -332,6 +332,53 @@ class ScaledDistances:
         return UNREACHABLE if d < 0 else Fraction(d, self.scale)
 
 
+class MergedRows:
+    """The induced rows one merge below a parent's, derived on first use.
+
+    ``parent`` is the parent's source of induced rows (``parent[u]``: the
+    base rows or another ``MergedRows``); the child merges the blocks of a
+    and b.  With m the elementwise minimum of the parent's rows a and b
+    (the merged block's row) and c = min(d(u,a), d(u,b)), the child's row u is
+    m when c == 0 and otherwise min(d(u,y), c + m[y]) for every y.  This is
+    exact: d'(u,y) = min(d(u,y), d(u,a) + d(b,y), d(u,b) + d(a,y)), and the
+    two cross terms the formula adds are at least d(u,y) by the triangle
+    inequality.  No search runs; each row costs one pass over a parent row.
+
+    ``labels[v]`` names v's block in the child (vertices with equal labels
+    have equal rows, and labels lie in ``range(len(labels))``), so one row is
+    derived per block and shared by the block: rows are aliased and must not
+    be mutated.  The parent's rows are only read.  The update assumes a
+    connected graph, with no -1 (unreachable) in any parent row; it is meant
+    for the exact searches, whose graphs are connected, not for ``contract``
+    or ``contracted_distance``.
+    """
+
+    __slots__ = ("_parent", "_a", "_b", "_labels", "_merged", "_rows")
+
+    def __init__(self, parent, a: int, b: int, labels):
+        self._parent = parent
+        self._a = a
+        self._b = b
+        self._labels = labels
+        self._merged: list[int] | None = None
+        self._rows: list = [None] * len(labels)
+
+    def __getitem__(self, u: int) -> list[int]:
+        key = self._labels[u]
+        row = self._rows[key]
+        if row is None:
+            parent = self._parent
+            a, b = self._a, self._b
+            m = self._merged
+            if m is None:
+                m = self._merged = [x if x <= y else y for x, y in zip(parent[a], parent[b])]
+            pu = parent[u]
+            c = pu[a] if pu[a] <= pu[b] else pu[b]
+            row = m if c == 0 else [x if x <= c + y else c + y for x, y in zip(pu, m)]
+            self._rows[key] = row
+        return row
+
+
 def shortest_distances(g: Graph) -> DistanceMatrix:
     """All-pairs shortest-path distances, exact.
 

@@ -17,7 +17,11 @@ Validity itself is not monotone in weak mode (NB merging exempts pairs), so
 no other shortcut is taken; equivalence with plain power-set filtering is
 part of the test suite.  Induced distances, and so the failing pairs, depend
 only on the vertex partition a set induces, so each search evaluates a
-partition once and reuses the result for every other set inducing it.
+partition once and reuses the result for every other set inducing it.  A
+child's partition merges two of its parent's blocks, so its induced rows are
+derived from the parent's (``graphs.MergedRows``), one pass per row: the root
+reads the graph's cached base rows and a search runs no BFS or Dijkstra.  The
+rows live only on the depth-first stack; the memo keeps failing pairs only.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graphs import Biclique, BipartiteGraph, DisconnectedGraphError, Graph, is_connected
+from .graphs import Biclique, BipartiteGraph, DisconnectedGraphError, Graph, MergedRows, is_connected
 from .contraction import Tolerance, ToleranceCheck, is_weak_contraction
 
 DEFAULT_EDGE_CAP = 20
@@ -109,9 +113,11 @@ def _mergeable(labels: tuple[int, ...], g: Graph, chosen: list[int], pairs) -> b
 class _PartitionMemo:
     """Failing pairs per vertex partition, for the nodes of one search.
 
-    A node's partition is carried as its min-vertex labels.  ``step`` derives
-    a child's labels and failing pairs from its parent's: an edge inside a
-    block changes neither, and a partition met before costs no distance run.
+    A node's partition is carried as its min-vertex labels, next to its
+    induced rows.  ``step`` derives a child's labels, rows and failing pairs
+    from its parent's: an edge inside a block changes none of them, the rows
+    of a new partition are a ``MergedRows`` over the parent's, read only as
+    far as the scan goes, and a partition met before costs no scan.
     Weak mode keeps every failing pair, which ``_mergeable`` needs; strong mode
     prunes on any failing pair, so it keeps at most the first and its scan
     stops there.  The owner clears ``seen`` when its search ends.
@@ -123,30 +129,33 @@ class _PartitionMemo:
         self.edges = check.graph.edges
         self.seen: dict[tuple[int, ...], list[tuple[int, int]]] = {}
 
-    def evaluate(self, mask: int) -> list[tuple[int, int]]:
+    def evaluate(self, mask: int, rows) -> list[tuple[int, int]]:
         if self.weak:
-            return self.check.failing_pairs(mask, True)
-        w = self.check.first_violation(mask, False)
+            return self.check.failing_pairs(mask, True, rows)
+        w = self.check.first_violation(mask, False, rows)
         return [] if w is None else [(w.u, w.v)]
 
-    def root(self) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
-        return tuple(range(self.check.n)), self.evaluate(0)
+    def root(self) -> tuple[tuple[int, ...], list[list[int]], list[tuple[int, int]]]:
+        rows = self.check.base_scaled
+        return tuple(range(self.check.n)), rows, self.evaluate(0, rows)
 
     def step(
-        self, labels: tuple[int, ...], failing: list[tuple[int, int]], mask: int, e: int
-    ) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
-        """Labels and failing pairs of the child set ``mask``, which adds edge e."""
+        self, labels: tuple[int, ...], rows, failing: list[tuple[int, int]], mask: int, e: int
+    ) -> tuple[tuple[int, ...], list | MergedRows, list[tuple[int, int]]]:
+        """Labels, induced rows and failing pairs of the child set ``mask``,
+        which adds edge e."""
         u, v, _ = self.edges[e]
         a, b = labels[u], labels[v]
         if a == b:
-            return labels, failing
+            return labels, rows, failing
         if a > b:
             a, b = b, a
         labels = tuple(a if x == b else x for x in labels)
+        rows = MergedRows(rows, a, b, labels)
         failing = self.seen.get(labels)
         if failing is None:
-            failing = self.seen[labels] = self.evaluate(mask)
-        return labels, failing
+            failing = self.seen[labels] = self.evaluate(mask, rows)
+        return labels, rows, failing
 
 
 def _search_max_contraction(check: ToleranceCheck, weak: bool) -> tuple[tuple[int, ...] | None, int]:
@@ -160,7 +169,7 @@ def _search_max_contraction(check: ToleranceCheck, weak: bool) -> tuple[tuple[in
     explored = 0
 
     def visit(
-        cset: list[int], mask: int, start: int, labels: tuple[int, ...], failing: list
+        cset: list[int], mask: int, start: int, labels: tuple[int, ...], rows, failing: list
     ) -> None:
         nonlocal best_set, best_size, explored
         explored += 1
@@ -181,7 +190,7 @@ def _search_max_contraction(check: ToleranceCheck, weak: bool) -> tuple[tuple[in
                 break
             cset.append(j)
             child = mask | (1 << j)
-            visit(cset, child, j + 1, *memo.step(labels, failing, child, j))
+            visit(cset, child, j + 1, *memo.step(labels, rows, failing, child, j))
             cset.pop()
 
     # visit is a reference cycle: without the clear, the memo outlives the
@@ -251,7 +260,7 @@ def enumerate_valid_weak_contractions(
     memo = _PartitionMemo(check, weak=True)
 
     def visit(
-        cset: list[int], mask: int, start: int, labels: tuple[int, ...], failing: list
+        cset: list[int], mask: int, start: int, labels: tuple[int, ...], rows, failing: list
     ) -> Iterator[tuple[int, ...]]:
         if not failing and mask != full:
             yield tuple(cset)
@@ -262,7 +271,7 @@ def enumerate_valid_weak_contractions(
         for j in range(start, m):
             cset.append(j)
             child = mask | (1 << j)
-            yield from visit(cset, child, j + 1, *memo.step(labels, failing, child, j))
+            yield from visit(cset, child, j + 1, *memo.step(labels, rows, failing, child, j))
             cset.pop()
 
     try:

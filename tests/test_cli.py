@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -396,6 +398,38 @@ def test_lab_default_suite_runs(tmp_path, capsys):
             "lemma2-lift",
         ]
     )
+
+
+@pytest.mark.parametrize("target", ["reports.json", "summary.csv", "goldens/path-lemma.json"])
+def test_lab_failed_write_keeps_old_file(tmp_path, capsys, monkeypatch, target):
+    # every lab output goes to a temporary file that is renamed into place:
+    # a write that fails keeps the old bytes and leaves no temporary file
+    suite = _mini_suite(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli("lab", "--suite", suite, "--out", str(out)) == 0
+    capsys.readouterr()
+    # a golden is rewritten only when it gains a verdict: drop one
+    golden = out / "goldens" / "path-lemma.json"
+    data = json.loads(golden.read_text(encoding="utf-8"))
+    data.pop(next(iter(data)))
+    golden.write_text(json.dumps(data), encoding="utf-8")
+    path = out / target
+    if path != golden:
+        path.write_text("old\n", encoding="utf-8")
+    old = path.read_bytes()
+    files = sorted(out.rglob("*"))
+    replace = os.replace
+
+    def failing_replace(src, dst):
+        if Path(dst) == path:
+            raise OSError("no space left on device")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="no space left"):
+        run_cli("lab", "--suite", suite, "--out", str(out))
+    assert path.read_bytes() == old
+    assert sorted(out.rglob("*")) == files
 
 
 def test_lab_bad_suite_file_exit_two(tmp_path):

@@ -24,7 +24,7 @@ from contractlab import (
     render_graph,
     shortest_distances,
 )
-from contractlab.graphs import ScaledDistances
+from contractlab.graphs import MergedRows, ScaledDistances
 
 import naive
 from builders import connected_graphs, random_connected_graph
@@ -147,15 +147,18 @@ def test_distances_match_floyd_warshall_on_weighted_graphs():
                 assert dm[u, v] == fw[u][v]
 
 
+def _seeded_graphs(rng):
+    """12 seeded connected graphs on 2-9 vertices (unit and rational weights
+    in turn) and a 6-cycle with a chord whose weights are all 2."""
+    graphs = [random_connected_graph(rng, rng.randint(2, 9), unit=unit) for unit in (True, False) * 6]
+    return graphs + [Graph(6, tuple((u, v, 2) for u, v, _ in cl.cycle_graph(6).edges) + ((0, 3, 2),))]
+
+
 def test_all_pairs_shares_rows_within_blocks():
     # all_pairs runs one search per block of merged vertices and hands the
     # block one shared row; the values must be each vertex's own search
     rng = random.Random(23)
-    graphs = [random_connected_graph(rng, rng.randint(2, 9), unit=unit) for unit in (True, False) * 6]
-    graphs += [
-        Graph(6, tuple((u, v, 2) for u, v, _ in cl.cycle_graph(6).edges) + ((0, 3, 2),)),
-        Graph(4, ((0, 1, 2), (2, 3, 2))),
-    ]
+    graphs = _seeded_graphs(rng) + [Graph(4, ((0, 1, 2), (2, 3, 2)))]
     largest_block = 0
     for g in graphs:
         engine = ScaledDistances(g)
@@ -170,6 +173,37 @@ def test_all_pairs_shares_rows_within_blocks():
             assert len({id(row) for row in rows}) == len(blocks)
             largest_block = max(largest_block, max(map(len, blocks)))
     assert largest_block >= 4
+
+
+def test_merged_rows_match_all_pairs():
+    # the exact searches derive a child's rows from its parent's, one merge at
+    # a time; merging edges in seeded orders, every derived row must equal a
+    # fresh all_pairs of the merged edges, one row per block, and reading the
+    # child must leave the parent's rows as they were
+    order_rng = random.Random(31)
+    merges = 0
+    for g in _seeded_graphs(random.Random(23)):
+        engine = g.distances
+        n, m = g.vertex_count, g.edge_count
+        for _ in range(3):
+            order = list(range(m))
+            order_rng.shuffle(order)
+            labels, rows, mask = tuple(range(n)), engine.base, 0
+            for e in order:
+                mask |= 1 << e
+                u, v, _ = g.edges[e]
+                a, b = sorted((labels[u], labels[v]))
+                if a != b:
+                    parent = [rows[x] for x in range(n)]
+                    snapshot = [list(row) for row in parent]
+                    labels = tuple(a if x == b else x for x in labels)
+                    rows = MergedRows(rows, a, b, labels)
+                    merges += 1
+                derived = [rows[x] for x in range(n)]
+                assert derived == engine.all_pairs(mask)
+                assert len({id(row) for row in derived}) == len(set(labels))
+                assert parent == snapshot
+    assert merges >= 100
 
 
 def test_graph_builds_one_engine_and_one_set_of_base_rows():

@@ -23,6 +23,7 @@ from contractlab import (
     max_weak_contraction_exact,
 )
 from contractlab.contraction import ToleranceCheck
+from contractlab.graphs import ScaledDistances
 
 import naive
 from builders import SMALL_WEIGHTS, random_connected_graph
@@ -326,22 +327,36 @@ def test_search_distance_evaluations_pinned(monkeypatch):
     # partition once: a pair scan runs once per distinct partition met, not
     # once per node (19, 2564 and 7258 calls when every node paid).  Every
     # scan entry point is counted: weak mode calls failing_pairs, strong mode
-    # first_violation (which is_valid also goes through)
+    # first_violation (which is_valid also goes through).  Once the base rows
+    # are cached, a search derives every node's rows from its parent's and runs
+    # no BFS or Dijkstra (72, 1636 and 11492 runs when each block was searched)
     masks: list[int] = []
+    runs: list[int] = []
+    searches: list[int] = []
 
     def counting(scan):
-        def counted(self, cmask, weak):
+        def counted(self, cmask, weak, rows=None):
             masks.append(cmask)
-            return scan(self, cmask, weak)
+            return scan(self, cmask, weak, rows)
 
         return counted
 
     for name in ("failing_pairs", "first_violation"):
         monkeypatch.setattr(ToleranceCheck, name, counting(getattr(ToleranceCheck, name)))
+    from_source = ScaledDistances.from_source
+
+    def counted_search(self, src, cmask=0):
+        runs.append(src)
+        return from_source(self, src, cmask)
+
+    monkeypatch.setattr(ScaledDistances, "from_source", counted_search)
 
     def evaluated(g, search):
+        g.distances.base
         masks.clear()
+        before = len(runs)
         result = search()
+        searches.append(len(runs) - before)
         ids = [[e for e in range(g.edge_count) if (mask >> e) & 1] for mask in masks]
         assert len({cl.contract(g, c).partition for c in ids}) == len(masks)
         return len(masks), result
@@ -357,3 +372,4 @@ def test_search_distance_evaluations_pinned(monkeypatch):
         gadget, lambda: sum(1 for _ in enumerate_valid_weak_contractions(gadget, T11))
     )
     assert (calls, valid) == (1380, 291)
+    assert searches == [0, 0, 0]
