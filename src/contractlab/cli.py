@@ -2,7 +2,7 @@
 
 Exit codes everywhere: 0 success / valid, 1 negative verdict or refusal
 (invalid contraction, golden regression, cap exceeded, disconnected input
-where connectivity is required), 2 usage or parse errors.  All comparable
+where connectivity is required), 2 usage, parse or file errors.  All comparable
 output is deterministic for fixed flags and seed; wall-clock timings never
 appear outside the lab reports' ``elapsed_ms`` field.
 """
@@ -272,6 +272,10 @@ def cmd_solve(args) -> int:
 
     if isinstance(g, BipartiteGraph):
         g = g.to_graph()
+    if problem == "weakcont" and g.edge_count == 0:
+        raise ValueError(
+            "weak contraction needs at least one edge: no proper subset exists"
+        )
     tolerance = Tolerance(args.alpha, args.beta)
     solver = max_contraction_exact if problem == "cont" else max_weak_contraction_exact
     pieces = [
@@ -381,20 +385,12 @@ def cmd_lab(args) -> int:
     payloads = [rep.to_json_dict() for rep in reports]
     _write_atomic(out_dir / "reports.json", json.dumps(payloads, sort_keys=True, indent=2) + "\n")
     summary = io.StringIO()
-    writer = csv.writer(summary)
-    writer.writerow(["claim", "family", "holds", "counterexample", "vacuous", "error", "total"])
-    for row in lablib.summarize(reports):
-        writer.writerow(
-            [
-                row["claim"],
-                row["family"],
-                row["holds"],
-                row["counterexample"],
-                row["vacuous"],
-                row["error"],
-                row["total"],
-            ]
-        )
+    writer = csv.DictWriter(
+        summary,
+        fieldnames=["claim", "family", "holds", "counterexample", "vacuous", "error", "total"],
+    )
+    writer.writeheader()
+    writer.writerows(lablib.summarize(reports))
     _write_atomic(out_dir / "summary.csv", summary.getvalue())
 
     goldens = Path(args.goldens) if args.goldens else out_dir / "goldens"
@@ -497,10 +493,11 @@ def main(argv=None) -> int:
     except (CapExceededError, DisconnectedGraphError) as exc:
         sys.stderr.write(f"refused: {exc}\n")
         return 1
-    except (GraphFormatError, FileNotFoundError, IsADirectoryError, json.JSONDecodeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except ValueError as exc:
+    # a path the user named that cannot be used; other OSErrors, such as a
+    # failed write, keep their traceback
+    except (
+        FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError, ValueError
+    ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -1,8 +1,10 @@
 """Exact maximization for contraction and biclique problems, plus a seeded greedy.
 
-The contraction solvers walk the subset lattice of edge ids depth-first in
-lexicographic order (include an edge before skipping it), so the first
-optimum found is automatically the lexicographically smallest witness.  Two
+The contraction problems share one depth-first walker over the subset
+lattice of edge ids, in lexicographic order (include an edge before skipping
+it).  It yields the valid sets longer than a floor its caller owns: the two
+maximizers raise the floor to each set they receive, so the last one is the
+lexicographically smallest optimum, and the enumerator never raises it.  Two
 prunes are used, both backed by the monotone fact that adding edges never
 increases an induced distance:
 
@@ -18,10 +20,8 @@ no other shortcut is taken; equivalence with plain power-set filtering is
 part of the test suite.  Induced distances, and so the failing pairs, depend
 only on the vertex partition a set induces, so each search evaluates a
 partition once and reuses the result for every other set inducing it.  A
-child's partition merges two of its parent's blocks, so its induced rows are
-derived from the parent's (``graphs.MergedRows``), one pass per row: the root
-reads the graph's cached base rows and a search runs no BFS or Dijkstra.  The
-rows live only on the depth-first stack; the memo keeps failing pairs only.
+child's induced rows are derived from its parent's, so a search runs no BFS
+or Dijkstra.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Generator, Iterator
 
 from .graphs import Biclique, BipartiteGraph, DisconnectedGraphError, Graph, MergedRows, is_connected
 from .contraction import Tolerance, ToleranceCheck, is_weak_contraction
@@ -110,94 +110,102 @@ def _mergeable(labels: tuple[int, ...], g: Graph, chosen: list[int], pairs) -> b
     return all(_find(parent, u) == _find(parent, v) for u, v in pairs)
 
 
-class _PartitionMemo:
-    """Failing pairs per vertex partition, for the nodes of one search.
+def _valid_sets(
+    check: ToleranceCheck, weak: bool, floor: list[int]
+) -> Generator[tuple[int, ...], None, int]:
+    """Yield the valid sets longer than ``floor[0]`` in lexicographic order,
+    then return the number of search nodes visited.
 
-    A node's partition is carried as its min-vertex labels, next to its
-    induced rows.  ``step`` derives a child's labels, rows and failing pairs
-    from its parent's: an edge inside a block changes none of them, the rows
-    of a new partition are a ``MergedRows`` over the parent's, read only as
-    far as the scan goes, and a partition met before costs no scan.
-    Weak mode keeps every failing pair, which ``_mergeable`` needs; strong mode
-    prunes on any failing pair, so it keeps at most the first and its scan
-    stops there.  The owner clears ``seen`` when its search ends.
+    The caller owns ``floor`` and may raise it between sets; a child loop
+    stops once taking every remaining edge could not get past it.
+
+    A node carries its partition as min-vertex labels, next to its induced
+    rows and failing pairs.  An edge inside a block changes none of them.
+    Otherwise the child's rows are a ``MergedRows`` over the parent's, read
+    only as far as the scan goes, and its failing pairs are memoised by
+    labels, so a partition met before costs no scan.  Weak mode keeps every
+    failing pair, which ``_mergeable`` needs; strong mode prunes on any
+    failing pair, so it keeps at most the first and its scan stops there.
     """
-
-    def __init__(self, check: ToleranceCheck, weak: bool):
-        self.check = check
-        self.weak = weak
-        self.edges = check.graph.edges
-        self.seen: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-
-    def evaluate(self, mask: int, rows) -> list[tuple[int, int]]:
-        if self.weak:
-            return self.check.failing_pairs(mask, True, rows)
-        w = self.check.first_violation(mask, False, rows)
-        return [] if w is None else [(w.u, w.v)]
-
-    def root(self) -> tuple[tuple[int, ...], list[list[int]], list[tuple[int, int]]]:
-        rows = self.check.base_scaled
-        return tuple(range(self.check.n)), rows, self.evaluate(0, rows)
-
-    def step(
-        self, labels: tuple[int, ...], rows, failing: list[tuple[int, int]], mask: int, e: int
-    ) -> tuple[tuple[int, ...], list | MergedRows, list[tuple[int, int]]]:
-        """Labels, induced rows and failing pairs of the child set ``mask``,
-        which adds edge e."""
-        u, v, _ = self.edges[e]
-        a, b = labels[u], labels[v]
-        if a == b:
-            return labels, rows, failing
-        if a > b:
-            a, b = b, a
-        labels = tuple(a if x == b else x for x in labels)
-        rows = MergedRows(rows, a, b, labels)
-        failing = self.seen.get(labels)
-        if failing is None:
-            failing = self.seen[labels] = self.evaluate(mask, rows)
-        return labels, rows, failing
-
-
-def _search_max_contraction(check: ToleranceCheck, weak: bool) -> tuple[tuple[int, ...] | None, int]:
     g = check.graph
     m = check.m
     full = check.full_mask
     suffix = _suffix_labels(g)
-    memo = _PartitionMemo(check, weak)
-    best_set: tuple[int, ...] | None = None
-    best_size = -1
+    seen: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     explored = 0
+
+    def scan(mask: int, rows) -> list[tuple[int, int]]:
+        if weak:
+            return check.failing_pairs(mask, True, rows)
+        w = check.first_violation(mask, False, rows)
+        return [] if w is None else [(w.u, w.v)]
 
     def visit(
         cset: list[int], mask: int, start: int, labels: tuple[int, ...], rows, failing: list
-    ) -> None:
-        nonlocal best_set, best_size, explored
+    ) -> Iterator[tuple[int, ...]]:
+        nonlocal explored
         explored += 1
-        if not failing and (not weak or mask != full):
-            if len(cset) > best_size:
-                best_size = len(cset)
-                best_set = tuple(cset)
+        if not failing and (not weak or mask != full) and len(cset) > floor[0]:
+            yield tuple(cset)
         if start == m:
             return
-        if failing:
-            if not weak:
-                return
-            if not _mergeable(suffix[start], g, cset, failing):
-                return
-        base = len(cset)
+        if failing and (not weak or not _mergeable(suffix[start], g, cset, failing)):
+            return
+        reach = len(cset) + m
         for j in range(start, m):
-            if base + m - j <= best_size:
+            if reach - j <= floor[0]:
                 break
-            cset.append(j)
             child = mask | (1 << j)
-            visit(cset, child, j + 1, *memo.step(labels, rows, failing, child, j))
+            u, v, _ = g.edges[j]
+            a, b = labels[u], labels[v]
+            node = labels, rows, failing
+            if a != b:
+                if a > b:
+                    a, b = b, a
+                merged = tuple([a if x == b else x for x in labels])
+                merged_rows = MergedRows(rows, a, b, merged)
+                merged_failing = seen.get(merged)
+                if merged_failing is None:
+                    merged_failing = seen[merged] = scan(child, merged_rows)
+                node = merged, merged_rows, merged_failing
+            cset.append(j)
+            yield from visit(cset, child, j + 1, *node)
             cset.pop()
 
+    base = check.base_scaled
     # visit is a reference cycle: without the clear, the memo outlives the
     # search until the next full garbage collection
-    visit([], 0, 0, *memo.root())
-    memo.seen.clear()
-    return best_set, explored
+    try:
+        yield from visit([], 0, 0, tuple(range(check.n)), base, scan(0, base))
+    finally:
+        seen.clear()
+    return explored
+
+
+def _max_valid_set(g: Graph, tolerance: Tolerance, cap: int, weak: bool) -> SolveResult:
+    _require_connected(g)
+    if weak and g.edge_count == 0:
+        raise ValueError(
+            "weak contraction needs at least one edge: no proper subset exists"
+        )
+    _require_cap(g.edge_count, cap, "edge count")
+    t0 = time.perf_counter()
+    floor = [-1]
+    walk = _valid_sets(ToleranceCheck(g, tolerance), weak, floor)
+    best = None
+    try:
+        while True:
+            best = next(walk)
+            floor[0] = len(best)
+    except StopIteration as done:
+        explored = done.value
+    if best is None:
+        what = "weak contraction" if weak else "contraction set"
+        raise ValueError(
+            f"no valid {what} exists for this tolerance "
+            "(possible only when alpha < 1)"
+        )
+    return SolveResult(len(best), best, explored, time.perf_counter() - t0)
 
 
 def max_contraction_exact(
@@ -208,38 +216,14 @@ def max_contraction_exact(
     Ties break to the lexicographically smallest sorted id tuple.  Refuses
     graphs over the edge cap.
     """
-    _require_connected(g)
-    _require_cap(g.edge_count, cap, "edge count")
-    t0 = time.perf_counter()
-    check = ToleranceCheck(g, tolerance)
-    best, explored = _search_max_contraction(check, weak=False)
-    if best is None:
-        raise ValueError(
-            "no valid contraction set exists for this tolerance "
-            "(possible only when alpha < 1)"
-        )
-    return SolveResult(len(best), best, explored, time.perf_counter() - t0)
+    return _max_valid_set(g, tolerance, cap, weak=False)
 
 
 def max_weak_contraction_exact(
     g: Graph, tolerance: Tolerance, cap: int = DEFAULT_EDGE_CAP
 ) -> SolveResult:
     """Largest proper edge subset valid in weak mode (merged pairs exempt)."""
-    _require_connected(g)
-    if g.edge_count == 0:
-        raise ValueError(
-            "weak contraction needs at least one edge: no proper subset exists"
-        )
-    _require_cap(g.edge_count, cap, "edge count")
-    t0 = time.perf_counter()
-    check = ToleranceCheck(g, tolerance)
-    best, explored = _search_max_contraction(check, weak=True)
-    if best is None:
-        raise ValueError(
-            "no valid weak contraction exists for this tolerance "
-            "(possible only when alpha < 1)"
-        )
-    return SolveResult(len(best), best, explored, time.perf_counter() - t0)
+    return _max_valid_set(g, tolerance, cap, weak=True)
 
 
 def enumerate_valid_weak_contractions(
@@ -253,31 +237,7 @@ def enumerate_valid_weak_contractions(
     """
     _require_connected(g)
     _require_cap(g.edge_count, cap, "edge count")
-    check = ToleranceCheck(g, tolerance)
-    m = check.m
-    full = check.full_mask
-    suffix = _suffix_labels(g)
-    memo = _PartitionMemo(check, weak=True)
-
-    def visit(
-        cset: list[int], mask: int, start: int, labels: tuple[int, ...], rows, failing: list
-    ) -> Iterator[tuple[int, ...]]:
-        if not failing and mask != full:
-            yield tuple(cset)
-        if start == m:
-            return
-        if failing and not _mergeable(suffix[start], g, cset, failing):
-            return
-        for j in range(start, m):
-            cset.append(j)
-            child = mask | (1 << j)
-            yield from visit(cset, child, j + 1, *memo.step(labels, rows, failing, child, j))
-            cset.pop()
-
-    try:
-        yield from visit([], 0, 0, *memo.root())
-    finally:
-        memo.seen.clear()
+    yield from _valid_sets(ToleranceCheck(g, tolerance), True, [-1])
 
 
 def greedy_weak_contraction(

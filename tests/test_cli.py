@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 from fractions import Fraction
@@ -11,6 +13,7 @@ import pytest
 
 import contractlab as cl
 from contractlab.cli import main
+from contractlab.lab import LabReport, summarize
 
 
 def run_cli(*argv, capsys=None):
@@ -191,6 +194,19 @@ def test_solve_threads_do_not_change_output(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_solve_edgeless_graph(tmp_path, capsys, n):
+    # the empty set of an edgeless graph is a valid strong set but not a
+    # proper subset, so weakcont refuses the way the library does
+    gfile = write(tmp_path, "g.txt", cl.render_graph(cl.Graph(n)))
+    assert run_cli("solve", gfile, "--problem", "weakcont") == 2
+    err = capsys.readouterr().err
+    assert err == "error: weak contraction needs at least one edge: no proper subset exists\n"
+    assert run_cli("solve", gfile, "--problem", "cont", "--format", "json") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["objective"], payload["witness"]) == (0, [])
+
+
 def test_solve_meb_requires_bipartite(tmp_path, p3):
     assert run_cli("solve", p3, "--problem", "meb") == 2
 
@@ -336,9 +352,14 @@ def test_lab_pins_goldens_then_stays_stable(tmp_path, capsys):
         return data
 
     assert strip(reports1) == strip(reports2)
-    assert (out / "summary.csv").read_text(encoding="utf-8").startswith(
-        "claim,family,holds,counterexample,vacuous,error,total"
-    )
+    summary = (out / "summary.csv").read_text(encoding="utf-8")
+    assert summary.startswith("claim,family,holds,counterexample,vacuous,error,total")
+    reports = [
+        LabReport(r["claim"], r["instance"], r["verdict"], r.get("witness"), r["stats"])
+        for r in json.loads(reports2)
+    ]
+    expected = [{k: str(v) for k, v in row.items()} for row in summarize(reports)]
+    assert list(csv.DictReader(io.StringIO(summary))) == expected
 
 
 def test_lab_detects_tampered_golden(tmp_path, capsys):
@@ -451,6 +472,22 @@ def test_lab_malformed_suite_exit_two(tmp_path, capsys, config, where):
     assert run_cli("lab", "--suite", suite, "--out", str(tmp_path / "o")) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: suite") and where in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lab", "--suite", "{suite}", "--out", "{file}"),
+        ("lab", "--suite", "{suite}", "--out", "{tmp}/o", "--goldens", "{file}"),
+        ("gen", "--family", "path", "--n", "3", "--out", "{file}/x.txt"),
+    ],
+)
+def test_unusable_output_path_exit_two(tmp_path, capsys, argv):
+    paths = {"suite": _mini_suite(tmp_path), "file": write(tmp_path, "f.txt", ""), "tmp": tmp_path}
+    assert run_cli(*(arg.format(**paths) for arg in argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
     assert "Traceback" not in err
 
 

@@ -102,6 +102,22 @@ def test_weak_rejects_edgeless_graph():
         max_weak_contraction_exact(Graph(1), T11)
 
 
+def test_solvers_refuse_when_no_set_is_valid():
+    # alpha < 1 leaves even the empty set invalid: both maximizers refuse
+    # with their own message
+    g, t = cl.path_graph(3), Tolerance(Fraction(1, 2), 0)
+    with pytest.raises(ValueError) as strong:
+        max_contraction_exact(g, t)
+    assert str(strong.value) == (
+        "no valid contraction set exists for this tolerance (possible only when alpha < 1)"
+    )
+    with pytest.raises(ValueError) as weak:
+        max_weak_contraction_exact(g, t)
+    assert str(weak.value) == (
+        "no valid weak contraction exists for this tolerance (possible only when alpha < 1)"
+    )
+
+
 def test_solvers_refuse_over_cap():
     g = cl.cycle_graph(6)
     with pytest.raises(CapExceededError, match="cap \\(4\\)"):
