@@ -496,7 +496,12 @@ def main(argv=None) -> int:
     # a path the user named that cannot be used; other OSErrors, such as a
     # failed write, keep their traceback
     except (
-        FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError, ValueError
+        FileNotFoundError,
+        FileExistsError,
+        IsADirectoryError,
+        NotADirectoryError,
+        PermissionError,
+        ValueError,
     ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -29,6 +29,7 @@ from .graphs import (
     DisconnectedGraphError,
     DistanceMatrix,
     Graph,
+    RowPacking,
     is_connected,  # not called here; kept as contraction.is_connected, which bench/ reads
 )
 
@@ -165,13 +166,19 @@ class ToleranceCheck:
     ``d_C >= d/alpha - beta`` becomes ``p*s*D_C >= q*s*D - p*r*L`` where D and
     D_C are scaled distances.  One instance reads the graph's cached base rows
     (``Graph.distances.base``) and precomputes the per-pair right-hand sides;
-    subsets are passed as bitmasks over edge ids.  A scan reads the induced
-    rows of its subset from a row source (``rows[u]``) and asks for row u only
+    subsets are passed as bitmasks over edge ids.  A scan asks for row u only
     when the lexicographic pair scan reaches u, so a scan that stops at its
-    first failing pair builds no row past it.  The exact searches pass a
-    ``graphs.MergedRows`` derived from the parent node's rows, so they run no
-    search at all; without a row source (every verdict) the scan searches row
-    u itself, one search per block of merged vertices.
+    first failing pair builds no row past it.
+
+    Without a row source (every verdict) the scan searches row u itself, one
+    search per block of merged vertices, and compares entry by entry.  The
+    exact searches pass a source of packed rows (``rows[u]``, one int per
+    row; see ``graphs.RowPacking``): the packed base rows or a
+    ``graphs.MergedRows`` derived from the parent node's, so they run no
+    search at all.  Against a packed row the whole row is tested at once: on
+    first use the check packs, per row u, the smallest induced distance each
+    pair (u, v) may have, and one guarded subtraction of that threshold row
+    leaves a guard bit clear exactly where a pair fails.
 
     This class is also the search engine the exact solvers drive: it exposes
     validity, the witness of the first violation, and all failing pairs for a
@@ -208,17 +215,33 @@ class ToleranceCheck:
         n = self.n
         return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
-    def _violations(self, cmask: int, weak: bool, rows) -> Iterator[tuple[int, int, int, int]]:
+    @cached_property
+    def _packing(self) -> RowPacking:
+        return self.graph.distances.packed
+
+    @cached_property
+    def _thresholds(self) -> list[int]:
+        """Packed thresholds of rows 0..n-2, built when a search first scans
+        packed rows: pair (u, v) fails exactly when its induced distance is
+        below field v of row u.  That field is ceil(rhs/lhs) clamped to
+        [0, D+1], since an induced distance lies in [0, D], and 0 for v <= u."""
+        lhs = self._lhs_coeff
+        top = max(map(max, self.base_scaled), default=0) + 1
+        pack = self._packing.pack
+        return [
+            pack(0 if v <= u else min(max(-(-r // lhs), 0), top) for v, r in enumerate(rhs))
+            for u, rhs in enumerate(self._rhs[:-1])
+        ]
+
+    def _violations(self, cmask: int, weak: bool) -> Iterator[tuple[int, int, int, int]]:
         """Failing pairs in lexicographic order as (index in ``pairs``, u, v,
         scaled induced distance); merged pairs are exempt in weak mode.
 
-        Row u is read when the scan reaches u, from ``rows``, a source of
-        cmask's induced rows; without one it is searched then and shared with
-        every vertex merged with u, as in ``ScaledDistances.all_pairs``."""
+        Row u is searched when the scan reaches u and shared with every
+        vertex merged with u, as in ``ScaledDistances.all_pairs``."""
         n = self.n
         lhs = self._lhs_coeff
-        if rows is None:
-            rows = [None] * n
+        rows: list = [None] * n
         i = 0
         for u in range(n - 1):
             row = rows[u]
@@ -234,15 +257,40 @@ class ToleranceCheck:
                     yield i, u, v, d
                 i += 1
 
+    def _packed_violations(self, weak: bool, rows) -> Iterator[tuple[int, int, int]]:
+        """(u, packed row u, failing guards) for each row u with a failing
+        pair, in order: the guard of field v is set when (u, v) fails.
+
+        One guarded subtraction per row: ``(row | guards) - thresholds[u]``
+        clears field v's guard exactly when row[v] < thresholds[u][v].  Weak
+        mode also keeps only the fields where row[v] >= 1 (unmerged pairs)."""
+        _, ones, guards, _ = self._packing
+        for u, threshold in enumerate(self._thresholds):
+            row = rows[u]
+            held = row | guards
+            failing = ((held - threshold) & guards) ^ guards
+            if weak:
+                failing &= held - ones
+            if failing:
+                yield u, row, failing
+
     def first_violation(self, cmask: int, weak: bool, rows=None) -> ViolationWitness | None:
         """None if valid, else the witness: 'not-proper-subset' for the full
         set in weak mode, or the lexicographically first failing pair.
 
-        ``rows``, when given, is a source of cmask's induced rows."""
+        ``rows``, when given, is a source of cmask's packed induced rows
+        (``graphs.RowPacking``)."""
         if weak and cmask == self.full_mask:
             return ViolationWitness(kind="not-proper-subset")
         exact = self._exact
-        for _, u, v, d in self._violations(cmask, weak, rows):
+        if rows is None:
+            for _, u, v, d in self._violations(cmask, weak):
+                return ViolationWitness("pair", u, v, exact(self.base_scaled[u][v]), exact(d))
+            return None
+        packing = self._packing
+        for u, row, failing in self._packed_violations(weak, rows):
+            v = ((failing & -failing).bit_length() - 1) // packing.width
+            d = packing.field(row, v)
             return ViolationWitness("pair", u, v, exact(self.base_scaled[u][v]), exact(d))
         return None
 
@@ -252,10 +300,22 @@ class ToleranceCheck:
     def failing_pairs(self, cmask: int, weak: bool, rows=None) -> list[tuple[int, int]]:
         """All pairs violating the inequality (exempting merged pairs in weak mode).
 
-        ``rows``, when given, is a source of cmask's induced rows.  The pairs
-        are the check's own ``pairs`` tuples, shared, not copies."""
+        ``rows``, when given, is a source of cmask's packed induced rows.  The
+        pairs are the check's own ``pairs`` tuples, shared, not copies."""
         pairs = self.pairs
-        return [pairs[i] for i, _, _, _ in self._violations(cmask, weak, rows)]
+        if rows is None:
+            return [pairs[i] for i, _, _, _ in self._violations(cmask, weak)]
+        n = self.n
+        width = self._packing.width
+        out = []
+        for u, _, failing in self._packed_violations(weak, rows):
+            # pairs[first + v] is (u, v): row u's pairs start after those of rows < u
+            first = u * (2 * n - u - 1) // 2 - u - 1
+            while failing:
+                low = failing & -failing
+                out.append(pairs[first + (low.bit_length() - 1) // width])
+                failing ^= low
+        return out
 
 
 def is_contraction(g: Graph, edge_ids: Iterable[int], tolerance: Tolerance) -> bool:

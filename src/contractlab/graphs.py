@@ -10,6 +10,11 @@ its uncontracted rows once (``ScaledDistances.base``); both live as long as the
 graph and the rows are shared, never copied.  Unreachable pairs get the
 distinguished value ``UNREACHABLE`` (``math.inf``), which orders above every
 rational and saturates under addition.
+
+The exact searches hold a distance row as one Python int instead
+(``RowPacking``): each vertex's distance in a fixed-width field under a
+guard bit, so deriving a row after a merge (``MergedRows``) and testing it
+against a tolerance are a few whole-int operations, not a loop per entry.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 UNREACHABLE = math.inf
 
@@ -256,8 +261,8 @@ class ScaledDistances:
     ``-1``.
 
     Build it through ``Graph.distances``, so a graph has one engine; its
-    uncontracted rows, ``base``, are computed once per engine and shared by
-    every caller.
+    uncontracted rows, ``base``, and their packed form, ``packed``, are
+    computed once per engine and shared by every caller.
     """
 
     def __init__(self, g: Graph):
@@ -327,54 +332,113 @@ class ScaledDistances:
         neither the list nor its rows may be mutated."""
         return self.all_pairs()
 
+    @cached_property
+    def packed(self) -> "RowPacking":
+        """The ``base`` rows packed one int per row, computed once and shared.
+        Only for connected graphs: an unreachable -1 cannot be packed."""
+        base = self.base
+        width = (2 * max(map(max, base), default=0) + 1).bit_length() + 1
+        ones = sum(1 << (y * width) for y in range(self.n))
+        packing = RowPacking(width, ones, ones << (width - 1), [])
+        packing.rows.extend(map(packing.pack, base))
+        return packing
+
     def exact(self, d: int) -> Fraction | float:
         """The distance a scaled value stands for: a Fraction or ``UNREACHABLE``."""
         return UNREACHABLE if d < 0 else Fraction(d, self.scale)
 
 
-class MergedRows:
-    """The induced rows one merge below a parent's, derived on first use.
+class RowPacking(NamedTuple):
+    """Distance rows packed one Python int per row (SWAR, SIMD within a
+    register: Lamport, "Multiple byte processing with full-word
+    instructions", CACM 1975).
 
-    ``parent`` is the parent's source of induced rows (``parent[u]``: the
-    base rows or another ``MergedRows``); the child merges the blocks of a
-    and b.  With m the elementwise minimum of the parent's rows a and b
-    (the merged block's row) and c = min(d(u,a), d(u,b)), the child's row u is
-    m when c == 0 and otherwise min(d(u,y), c + m[y]) for every y.  This is
-    exact: d'(u,y) = min(d(u,y), d(u,a) + d(b,y), d(u,b) + d(a,y)), and the
-    two cross terms the formula adds are at least d(u,y) by the triangle
-    inequality.  No search runs; each row costs one pass over a parent row.
+    Field i of a row is ``width`` bits wide, starts at bit ``i * width`` and
+    holds the row's distance to vertex i in its low ``width - 1`` bits; its
+    top bit is a guard bit, clear in every packed row.  With D the largest
+    base distance, ``width = (2*D + 1).bit_length() + 1``, so every value up
+    to 2*D + 1 fits below the guard.  ``ones`` has a 1 in every field and
+    ``guards`` every guard bit set.  For packed x and y, ``((x | guards) - y)
+    & guards`` (``ge``) has field i's guard set exactly where x[i] >= y[i]:
+    with the guards set first no field borrows from the next.  Shifting ge
+    down by ``width - 1`` and subtracting turns each set guard into a mask
+    of its field's value bits, so ``x ^ ((x ^ y) & (ge - (ge >> (width -
+    1))))`` is the fieldwise minimum (``MergedRows``).  The same guarded
+    subtraction compares a row with a row of thresholds
+    (``contraction.ToleranceCheck``).  Each is a few big-int operations per
+    row.  ``rows`` are the packed base rows, shared and never mutated.
+    """
+
+    width: int
+    ones: int
+    guards: int
+    rows: list[int]
+
+    def pack(self, values) -> int:
+        """One packed row of non-negative values below ``2**(width-1)``."""
+        width = self.width
+        return sum(d << (i * width) for i, d in enumerate(values))
+
+    def field(self, row: int, i: int) -> int:
+        """The value in field i of a packed row."""
+        return (row >> (i * self.width)) & ((1 << (self.width - 1)) - 1)
+
+
+class MergedRows:
+    """The packed induced rows one merge below a parent's, derived on first use.
+
+    ``parent`` is the parent's source of packed rows (``parent[u]``: the
+    base ``RowPacking.rows`` or another ``MergedRows``); the child merges the
+    blocks of a and b.  With m the fieldwise minimum of the parent's rows a
+    and b (the merged block's row) and c = min(d(u,a), d(u,b)) = m[u], the
+    child's row u is m when c == 0 and otherwise min(d(u,y), c + m[y]) for
+    every y.  This is exact: d'(u,y) = min(d(u,y), d(u,a) + d(b,y),
+    d(u,b) + d(a,y)), and the two cross terms the formula adds are at least
+    d(u,y) by the triangle inequality.  No search runs; each row costs a few
+    big-int operations on whole packed rows: ``m + c * ones`` adds c to every
+    field, which cannot carry into a guard bit because c + m[y] <= 2*D <
+    2**(width-1), and the fieldwise minimum is the guarded subtraction
+    described in ``RowPacking``.
 
     ``labels[v]`` names v's block in the child (vertices with equal labels
     have equal rows, and labels lie in ``range(len(labels))``), so one row is
-    derived per block and shared by the block: rows are aliased and must not
-    be mutated.  The parent's rows are only read.  The update assumes a
-    connected graph, with no -1 (unreachable) in any parent row; it is meant
-    for the exact searches, whose graphs are connected, not for ``contract``
-    or ``contracted_distance``.
+    derived per block and shared by the block.  The parent's rows are only
+    read.  The update assumes a connected graph, with no -1 (unreachable) in
+    any parent row; it is meant for the exact searches, whose graphs are
+    connected, not for ``contract`` or ``contracted_distance``.
     """
 
-    __slots__ = ("_parent", "_a", "_b", "_labels", "_merged", "_rows")
+    __slots__ = ("_parent", "_a", "_b", "_labels", "_packing", "_merged", "_rows")
 
-    def __init__(self, parent, a: int, b: int, labels):
+    def __init__(self, parent, a: int, b: int, labels, packing: RowPacking):
         self._parent = parent
         self._a = a
         self._b = b
         self._labels = labels
-        self._merged: list[int] | None = None
+        self._packing = packing
+        self._merged: int | None = None
         self._rows: list = [None] * len(labels)
 
-    def __getitem__(self, u: int) -> list[int]:
+    def __getitem__(self, u: int) -> int:
         key = self._labels[u]
         row = self._rows[key]
         if row is None:
+            # the hot path of the searches: the fieldwise minimum (see
+            # RowPacking) and RowPacking.field are written out in place
             parent = self._parent
-            a, b = self._a, self._b
+            width, ones, guards, _ = self._packing
             m = self._merged
             if m is None:
-                m = self._merged = [x if x <= y else y for x, y in zip(parent[a], parent[b])]
-            pu = parent[u]
-            c = pu[a] if pu[a] <= pu[b] else pu[b]
-            row = m if c == 0 else [x if x <= c + y else c + y for x, y in zip(pu, m)]
+                x, y = parent[self._a], parent[self._b]
+                ge = ((x | guards) - y) & guards
+                m = self._merged = x ^ ((x ^ y) & (ge - (ge >> (width - 1))))
+            c = (m >> (u * width)) & ((1 << (width - 1)) - 1)
+            if c == 0:
+                row = m
+            else:
+                x, y = parent[u], m + c * ones
+                ge = ((x | guards) - y) & guards
+                row = x ^ ((x ^ y) & (ge - (ge >> (width - 1))))
             self._rows[key] = row
         return row
 

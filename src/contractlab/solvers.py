@@ -21,7 +21,13 @@ part of the test suite.  Induced distances, and so the failing pairs, depend
 only on the vertex partition a set induces, so each search evaluates a
 partition once and reuses the result for every other set inducing it.  A
 child's induced rows are derived from its parent's, so a search runs no BFS
-or Dijkstra.
+or Dijkstra.  Rows are packed one int per row (``graphs.RowPacking``): field
+y of row u, ``width`` bits wide, holds d(u, y) under a guard bit, and width
+is chosen from the largest base distance D so that the merge update's sums
+c + m[y] <= 2*D stay below the guard bit (2*D < 2**(width-1)).  So a row
+is derived (``graphs.MergedRows``) and tested against the tolerance
+(``ToleranceCheck``) with a few big-int operations rather than a loop per
+entry.
 """
 
 from __future__ import annotations
@@ -31,7 +37,15 @@ import time
 from dataclasses import dataclass
 from typing import Generator, Iterator
 
-from .graphs import Biclique, BipartiteGraph, DisconnectedGraphError, Graph, MergedRows, is_connected
+from .graphs import (
+    Biclique,
+    BipartiteGraph,
+    DisconnectedGraphError,
+    Graph,
+    MergedRows,
+    RowPacking,
+    is_connected,
+)
 from .contraction import Tolerance, ToleranceCheck, is_weak_contraction
 
 DEFAULT_EDGE_CAP = 20
@@ -110,6 +124,14 @@ def _mergeable(labels: tuple[int, ...], g: Graph, chosen: list[int], pairs) -> b
     return all(_find(parent, u) == _find(parent, v) for u, v in pairs)
 
 
+def _merge(labels: tuple[int, ...], rows, packing: RowPacking, a: int, b: int):
+    """The min-vertex labels and packed rows after merging blocks a != b."""
+    if a > b:
+        a, b = b, a
+    labels = tuple([a if x == b else x for x in labels])
+    return labels, MergedRows(rows, a, b, labels, packing)
+
+
 def _valid_sets(
     check: ToleranceCheck, weak: bool, floor: list[int]
 ) -> Generator[tuple[int, ...], None, int]:
@@ -119,13 +141,14 @@ def _valid_sets(
     The caller owns ``floor`` and may raise it between sets; a child loop
     stops once taking every remaining edge could not get past it.
 
-    A node carries its partition as min-vertex labels, next to its induced
-    rows and failing pairs.  An edge inside a block changes none of them.
-    Otherwise the child's rows are a ``MergedRows`` over the parent's, read
-    only as far as the scan goes, and its failing pairs are memoised by
-    labels, so a partition met before costs no scan.  Weak mode keeps every
-    failing pair, which ``_mergeable`` needs; strong mode prunes on any
-    failing pair, so it keeps at most the first and its scan stops there.
+    A node carries its partition as min-vertex labels, next to its packed
+    induced rows and failing pairs, starting from the packed base rows.  An
+    edge inside a block changes none of them.  Otherwise the child's rows
+    are a ``MergedRows`` over the parent's, read only as far as the scan
+    goes, and its failing pairs are memoised by labels, so a partition met
+    before costs no scan.  Weak mode keeps every failing pair, which
+    ``_mergeable`` needs; strong mode prunes on any failing pair, so it
+    keeps at most the first and its scan stops there.
     """
     g = check.graph
     m = check.m
@@ -160,10 +183,7 @@ def _valid_sets(
             a, b = labels[u], labels[v]
             node = labels, rows, failing
             if a != b:
-                if a > b:
-                    a, b = b, a
-                merged = tuple([a if x == b else x for x in labels])
-                merged_rows = MergedRows(rows, a, b, merged)
+                merged, merged_rows = _merge(labels, rows, packing, a, b)
                 merged_failing = seen.get(merged)
                 if merged_failing is None:
                     merged_failing = seen[merged] = scan(child, merged_rows)
@@ -172,7 +192,8 @@ def _valid_sets(
             yield from visit(cset, child, j + 1, *node)
             cset.pop()
 
-    base = check.base_scaled
+    packing = g.distances.packed
+    base = packing.rows
     # visit is a reference cycle: without the clear, the memo outlives the
     # search until the next full garbage collection
     try:
@@ -245,9 +266,11 @@ def greedy_weak_contraction(
 ) -> SolveResult:
     """Seeded greedy heuristic: try edges in shuffled order, keep what stays valid.
 
-    The returned witness is re-verified with the public verifier before it is
-    returned, so the result is always a valid weak contraction (never better
-    than the exact optimum, no ratio guarantee).
+    A trial is one merge below the kept set's packed rows (``MergedRows``),
+    so the trials run no search.  The returned witness is re-verified with
+    the public verifier before it is returned, so the result is always a
+    valid weak contraction (never better than the exact optimum, no ratio
+    guarantee).
     """
     _require_connected(g)
     if g.edge_count == 0:
@@ -256,15 +279,22 @@ def greedy_weak_contraction(
         )
     t0 = time.perf_counter()
     check = ToleranceCheck(g, tolerance)
+    packing = g.distances.packed
     order = list(range(g.edge_count))
     random.Random(seed).shuffle(order)
     mask = 0
     chosen: list[int] = []
+    # the kept set's partition and packed rows; a trial is one merge below them
+    labels, rows = tuple(range(g.vertex_count)), packing.rows
     for e in order:
         trial = mask | (1 << e)
-        if check.is_valid(trial, weak=True):
+        u, v, _ = g.edges[e]
+        a, b = labels[u], labels[v]
+        trial_labels, trial_rows = (labels, rows) if a == b else _merge(labels, rows, packing, a, b)
+        if check.first_violation(trial, True, trial_rows) is None:
             mask = trial
             chosen.append(e)
+            labels, rows = trial_labels, trial_rows
     chosen.sort()
     if not is_weak_contraction(g, chosen, tolerance):
         raise ValueError(

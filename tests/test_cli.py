@@ -491,6 +491,40 @@ def test_unusable_output_path_exit_two(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, denied",
+    [
+        (("verify", "{p3}", "{c}"), "p3.txt"),
+        (("verify", "{p3}", "{c}"), "c.txt"),
+        (("gen", "--family", "path", "--n", "3", "--out", "{tmp}/g.txt"), "g.txt"),
+        (("lab", "--suite", "{suite}", "--out", "{tmp}/o"), "suite.json"),
+        (("lab", "--suite", "{suite}", "--out", "{tmp}/o"), "reports.json"),
+    ],
+)
+def test_permission_denied_path_exit_two(tmp_path, capsys, monkeypatch, p3, argv, denied):
+    # file modes do not stop root, so the refusal is simulated: every way a
+    # named path is read or written raises PermissionError for that file
+    paths = {
+        "p3": p3, "c": write(tmp_path, "c.txt", "0\n"), "suite": _mini_suite(tmp_path), "tmp": tmp_path
+    }
+
+    def refusing(method):
+        def call(path, *args, **kwargs):
+            if Path(path).name == denied or Path(path).name.startswith(f".{denied}."):
+                raise PermissionError(13, "Permission denied", str(path))
+            return method(path, *args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(Path, "read_text", refusing(Path.read_text))
+    monkeypatch.setattr(Path, "write_text", refusing(Path.write_text))
+    monkeypatch.setattr("builtins.open", refusing(open))
+    assert run_cli(*(arg.format(**paths) for arg in argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Permission denied" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # usage errors
 # ---------------------------------------------------------------------------

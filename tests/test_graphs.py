@@ -175,34 +175,43 @@ def test_all_pairs_shares_rows_within_blocks():
     assert largest_block >= 4
 
 
+def _unpack(row: int, packing, n: int) -> list[int]:
+    """The distances packed in ``row``; its guard bits and the bits above its
+    n fields must be clear."""
+    assert row & packing.guards == 0 and row >> (n * packing.width) == 0
+    return [packing.field(row, y) for y in range(n)]
+
+
 def test_merged_rows_match_all_pairs():
-    # the exact searches derive a child's rows from its parent's, one merge at
-    # a time; merging edges in seeded orders, every derived row must equal a
-    # fresh all_pairs of the merged edges, one row per block, and reading the
-    # child must leave the parent's rows as they were
+    # the exact searches derive a child's packed rows from its parent's, one
+    # merge at a time; merging edges in seeded orders, every derived row must
+    # decode to a fresh all_pairs of the merged edges, one row per block, and
+    # reading the child must leave the parent's rows as they were
     order_rng = random.Random(31)
     merges = 0
     for g in _seeded_graphs(random.Random(23)):
         engine = g.distances
+        packing = engine.packed
         n, m = g.vertex_count, g.edge_count
+        assert [_unpack(row, packing, n) for row in packing.rows] == engine.base
         for _ in range(3):
             order = list(range(m))
             order_rng.shuffle(order)
-            labels, rows, mask = tuple(range(n)), engine.base, 0
+            labels, rows, mask = tuple(range(n)), packing.rows, 0
             for e in order:
                 mask |= 1 << e
                 u, v, _ = g.edges[e]
                 a, b = sorted((labels[u], labels[v]))
                 if a != b:
+                    parent_rows = rows
                     parent = [rows[x] for x in range(n)]
-                    snapshot = [list(row) for row in parent]
                     labels = tuple(a if x == b else x for x in labels)
-                    rows = MergedRows(rows, a, b, labels)
+                    rows = MergedRows(rows, a, b, labels, packing)
                     merges += 1
                 derived = [rows[x] for x in range(n)]
-                assert derived == engine.all_pairs(mask)
+                assert [_unpack(row, packing, n) for row in derived] == engine.all_pairs(mask)
                 assert len({id(row) for row in derived}) == len(set(labels))
-                assert parent == snapshot
+                assert [parent_rows[x] for x in range(n)] == parent
     assert merges >= 100
 
 

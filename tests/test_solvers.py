@@ -50,6 +50,42 @@ def _repeating_partition_cases():
                 yield h, alpha
 
 
+def _field_width_cases():
+    """(graph, alpha, beta) at the edges of the searches' packed rows (see
+    graphs.RowPacking): alpha < 1, so thresholds above the largest distance
+    are clamped; a beta so large that no threshold is positive; scaled
+    weights in the tens of thousands (1000/7 and 97/89 scale by 623); and
+    the one-vertex and one-edge graphs."""
+    rng = random.Random(17)
+    for alpha in (Fraction(1, 3), Fraction(1, 2)):
+        for _ in range(4):
+            g = random_connected_graph(rng, rng.randint(2, 5), unit=rng.random() < 0.5)
+            yield g, alpha, rng.choice([Fraction(1, 2), 1])
+    for alpha in (1, 2):
+        for _ in range(3):
+            yield random_connected_graph(rng, rng.randint(2, 5), unit=False), alpha, 100
+    heavy = (Fraction(1000, 7), Fraction(97, 89))
+    for beta in (0, Fraction(97, 89), Fraction(1000, 7)):
+        for _ in range(3):
+            g = random_connected_graph(rng, rng.randint(3, 5), unit=True)
+            g = Graph(g.vertex_count, tuple((u, v, rng.choice(heavy)) for u, v, _ in g.edges))
+            yield g, 1, beta
+    for g in (Graph(1), Graph(2, ((0, 1, Fraction(1000, 7)),))):
+        for alpha, beta in ((Fraction(1, 2), 0), (1, 0), (1, 1), (2, 100)):
+            yield g, alpha, beta
+
+
+def _solved_or_none(solve, g, t):
+    """(objective, witness) as the power-set oracle gives it, None when the
+    solver finds no valid set."""
+    try:
+        res = solve(g, t)
+    except ValueError as exc:
+        assert str(exc).startswith("no valid")
+        return None
+    return res.objective, res.witness
+
+
 # ---------------------------------------------------------------------------
 # exact contraction solvers: worked examples
 # ---------------------------------------------------------------------------
@@ -178,6 +214,9 @@ def test_enumerate_lex_order_and_oracle_equivalence():
         got = list(enumerate_valid_weak_contractions(g, Tolerance(alpha, 1)))
         assert got == naive.naive_enumerate_weak(g, alpha, 1)
         assert got == sorted(got)
+    for g, alpha, beta in _field_width_cases():
+        got = list(enumerate_valid_weak_contractions(g, Tolerance(alpha, beta)))
+        assert got == naive.naive_enumerate_weak(g, alpha, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +248,16 @@ def test_contraction_solvers_match_power_set_filter():
         assert (res.objective, res.witness) == naive.naive_max_contraction(g, alpha, 1)
         res = max_weak_contraction_exact(g, t)
         assert (res.objective, res.witness) == naive.naive_max_weak_contraction(g, alpha, 1)
+    solved = 0
+    for g, alpha, beta in _field_width_cases():
+        t = Tolerance(alpha, beta)
+        got = _solved_or_none(max_contraction_exact, g, t)
+        assert got == naive.naive_max_contraction(g, alpha, beta)
+        solved += got is not None
+        if g.edge_count > 0:
+            got = _solved_or_none(max_weak_contraction_exact, g, t)
+            assert got == naive.naive_max_weak_contraction(g, alpha, beta)
+    assert solved >= 10
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +359,29 @@ def test_greedy_witness_always_valid_and_bounded():
 def test_greedy_path3_always_one():
     for seed in range(10):
         assert greedy_weak_contraction(cl.path_graph(3), T11, seed).objective == 1
+
+
+def test_greedy_derives_trial_rows(monkeypatch):
+    # each trial is one merge below the kept set's packed rows, so once the
+    # base rows are cached the only searches are the public verifier's
+    # re-check of the witness (74 runs when every trial searched its blocks)
+    runs: list[int] = []
+    from_source = ScaledDistances.from_source
+
+    def counted(self, src, cmask=0):
+        runs.append(src)
+        return from_source(self, src, cmask)
+
+    monkeypatch.setattr(ScaledDistances, "from_source", counted)
+    g = random_connected_graph(random.Random(2024), 12, 18, unit=True)
+    g.distances.base
+    runs.clear()
+    res = greedy_weak_contraction(g, T11, 0)
+    assert (res.objective, res.witness, res.explored) == (4, (0, 2, 11, 15), 18)
+    assert len(runs) == 7
+    runs.clear()
+    assert is_weak_contraction(g, res.witness, T11)
+    assert len(runs) == 7
 
 
 # ---------------------------------------------------------------------------
