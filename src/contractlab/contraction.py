@@ -29,7 +29,6 @@ from .graphs import (
     DisconnectedGraphError,
     DistanceMatrix,
     Graph,
-    RowPacking,
     is_connected,  # not called here; kept as contraction.is_connected, which bench/ reads
 )
 
@@ -216,18 +215,15 @@ class ToleranceCheck:
         return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
     @cached_property
-    def _packing(self) -> RowPacking:
-        return self.graph.distances.packed
-
-    @cached_property
     def _thresholds(self) -> list[int]:
         """Packed thresholds of rows 0..n-2, built when a search first scans
         packed rows: pair (u, v) fails exactly when its induced distance is
         below field v of row u.  That field is ceil(rhs/lhs) clamped to
-        [0, D+1], since an induced distance lies in [0, D], and 0 for v <= u."""
+        [0, D+1] (``RowPacking.top``), since an induced distance lies in
+        [0, D], and 0 for v <= u."""
         lhs = self._lhs_coeff
-        top = max(map(max, self.base_scaled), default=0) + 1
-        pack = self._packing.pack
+        packing = self.graph.distances.packed
+        top, pack = packing.top, packing.pack
         return [
             pack(0 if v <= u else min(max(-(-r // lhs), 0), top) for v, r in enumerate(rhs))
             for u, rhs in enumerate(self._rhs[:-1])
@@ -264,7 +260,7 @@ class ToleranceCheck:
         One guarded subtraction per row: ``(row | guards) - thresholds[u]``
         clears field v's guard exactly when row[v] < thresholds[u][v].  Weak
         mode also keeps only the fields where row[v] >= 1 (unmerged pairs)."""
-        _, ones, guards, _ = self._packing
+        _, ones, guards, _, _ = self.graph.distances.packed
         for u, threshold in enumerate(self._thresholds):
             row = rows[u]
             held = row | guards
@@ -287,9 +283,9 @@ class ToleranceCheck:
             for _, u, v, d in self._violations(cmask, weak):
                 return ViolationWitness("pair", u, v, exact(self.base_scaled[u][v]), exact(d))
             return None
-        packing = self._packing
+        packing = self.graph.distances.packed
         for u, row, failing in self._packed_violations(weak, rows):
-            v = ((failing & -failing).bit_length() - 1) // packing.width
+            v = packing.guard_field(failing & -failing)
             d = packing.field(row, v)
             return ViolationWitness("pair", u, v, exact(self.base_scaled[u][v]), exact(d))
         return None
@@ -306,14 +302,14 @@ class ToleranceCheck:
         if rows is None:
             return [pairs[i] for i, _, _, _ in self._violations(cmask, weak)]
         n = self.n
-        width = self._packing.width
+        guard_field = self.graph.distances.packed.guard_field
         out = []
         for u, _, failing in self._packed_violations(weak, rows):
             # pairs[first + v] is (u, v): row u's pairs start after those of rows < u
             first = u * (2 * n - u - 1) // 2 - u - 1
             while failing:
                 low = failing & -failing
-                out.append(pairs[first + (low.bit_length() - 1) // width])
+                out.append(pairs[first + guard_field(low)])
                 failing ^= low
         return out
 

@@ -337,9 +337,10 @@ class ScaledDistances:
         """The ``base`` rows packed one int per row, computed once and shared.
         Only for connected graphs: an unreachable -1 cannot be packed."""
         base = self.base
-        width = (2 * max(map(max, base), default=0) + 1).bit_length() + 1
+        top = max(map(max, base), default=0) + 1
+        width = (2 * top - 1).bit_length() + 1
         ones = sum(1 << (y * width) for y in range(self.n))
-        packing = RowPacking(width, ones, ones << (width - 1), [])
+        packing = RowPacking(width, ones, ones << (width - 1), top, [])
         packing.rows.extend(map(packing.pack, base))
         return packing
 
@@ -358,20 +359,23 @@ class RowPacking(NamedTuple):
     top bit is a guard bit, clear in every packed row.  With D the largest
     base distance, ``width = (2*D + 1).bit_length() + 1``, so every value up
     to 2*D + 1 fits below the guard.  ``ones`` has a 1 in every field and
-    ``guards`` every guard bit set.  For packed x and y, ``((x | guards) - y)
+    ``guards`` every guard bit set, and ``top`` is D + 1, above every
+    distance a row of the graph holds.  For packed x and y, ``((x | guards) - y)
     & guards`` (``ge``) has field i's guard set exactly where x[i] >= y[i]:
     with the guards set first no field borrows from the next.  Shifting ge
     down by ``width - 1`` and subtracting turns each set guard into a mask
     of its field's value bits, so ``x ^ ((x ^ y) & (ge - (ge >> (width -
     1))))`` is the fieldwise minimum (``MergedRows``).  The same guarded
     subtraction compares a row with a row of thresholds
-    (``contraction.ToleranceCheck``).  Each is a few big-int operations per
-    row.  ``rows`` are the packed base rows, shared and never mutated.
+    (``contraction.ToleranceCheck``), and ``guard_field`` names the field a
+    guard bit of the result marks.  Each is a few big-int operations per row.
+    ``rows`` are the packed base rows, shared and never mutated.
     """
 
     width: int
     ones: int
     guards: int
+    top: int
     rows: list[int]
 
     def pack(self, values) -> int:
@@ -382,6 +386,10 @@ class RowPacking(NamedTuple):
     def field(self, row: int, i: int) -> int:
         """The value in field i of a packed row."""
         return (row >> (i * self.width)) & ((1 << (self.width - 1)) - 1)
+
+    def guard_field(self, bit: int) -> int:
+        """The index of the field whose guard bit is ``bit``."""
+        return (bit.bit_length() - 1) // self.width
 
 
 class MergedRows:
@@ -426,7 +434,7 @@ class MergedRows:
             # the hot path of the searches: the fieldwise minimum (see
             # RowPacking) and RowPacking.field are written out in place
             parent = self._parent
-            width, ones, guards, _ = self._packing
+            width, ones, guards, _, _ = self._packing
             m = self._merged
             if m is None:
                 x, y = parent[self._a], parent[self._b]

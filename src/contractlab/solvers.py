@@ -37,15 +37,7 @@ import time
 from dataclasses import dataclass
 from typing import Generator, Iterator
 
-from .graphs import (
-    Biclique,
-    BipartiteGraph,
-    DisconnectedGraphError,
-    Graph,
-    MergedRows,
-    RowPacking,
-    is_connected,
-)
+from .graphs import Biclique, BipartiteGraph, DisconnectedGraphError, Graph, MergedRows, is_connected
 from .contraction import Tolerance, ToleranceCheck, is_weak_contraction
 
 DEFAULT_EDGE_CAP = 20
@@ -124,14 +116,6 @@ def _mergeable(labels: tuple[int, ...], g: Graph, chosen: list[int], pairs) -> b
     return all(_find(parent, u) == _find(parent, v) for u, v in pairs)
 
 
-def _merge(labels: tuple[int, ...], rows, packing: RowPacking, a: int, b: int):
-    """The min-vertex labels and packed rows after merging blocks a != b."""
-    if a > b:
-        a, b = b, a
-    labels = tuple([a if x == b else x for x in labels])
-    return labels, MergedRows(rows, a, b, labels, packing)
-
-
 def _valid_sets(
     check: ToleranceCheck, weak: bool, floor: list[int]
 ) -> Generator[tuple[int, ...], None, int]:
@@ -183,7 +167,10 @@ def _valid_sets(
             a, b = labels[u], labels[v]
             node = labels, rows, failing
             if a != b:
-                merged, merged_rows = _merge(labels, rows, packing, a, b)
+                if a > b:
+                    a, b = b, a
+                merged = tuple([a if x == b else x for x in labels])
+                merged_rows = MergedRows(rows, a, b, merged, packing)
                 merged_failing = seen.get(merged)
                 if merged_failing is None:
                     merged_failing = seen[merged] = scan(child, merged_rows)
@@ -266,11 +253,9 @@ def greedy_weak_contraction(
 ) -> SolveResult:
     """Seeded greedy heuristic: try edges in shuffled order, keep what stays valid.
 
-    A trial is one merge below the kept set's packed rows (``MergedRows``),
-    so the trials run no search.  The returned witness is re-verified with
-    the public verifier before it is returned, so the result is always a
-    valid weak contraction (never better than the exact optimum, no ratio
-    guarantee).
+    The returned witness is re-verified with the public verifier before it is
+    returned, so the result is always a valid weak contraction (never better
+    than the exact optimum, no ratio guarantee).
     """
     _require_connected(g)
     if g.edge_count == 0:
@@ -279,22 +264,15 @@ def greedy_weak_contraction(
         )
     t0 = time.perf_counter()
     check = ToleranceCheck(g, tolerance)
-    packing = g.distances.packed
     order = list(range(g.edge_count))
     random.Random(seed).shuffle(order)
     mask = 0
     chosen: list[int] = []
-    # the kept set's partition and packed rows; a trial is one merge below them
-    labels, rows = tuple(range(g.vertex_count)), packing.rows
     for e in order:
         trial = mask | (1 << e)
-        u, v, _ = g.edges[e]
-        a, b = labels[u], labels[v]
-        trial_labels, trial_rows = (labels, rows) if a == b else _merge(labels, rows, packing, a, b)
-        if check.first_violation(trial, True, trial_rows) is None:
+        if check.is_valid(trial, weak=True):
             mask = trial
             chosen.append(e)
-            labels, rows = trial_labels, trial_rows
     chosen.sort()
     if not is_weak_contraction(g, chosen, tolerance):
         raise ValueError(

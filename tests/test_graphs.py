@@ -194,6 +194,7 @@ def test_merged_rows_match_all_pairs():
         packing = engine.packed
         n, m = g.vertex_count, g.edge_count
         assert [_unpack(row, packing, n) for row in packing.rows] == engine.base
+        assert packing.top == max(map(max, engine.base)) + 1
         for _ in range(3):
             order = list(range(m))
             order_rng.shuffle(order)

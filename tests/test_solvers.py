@@ -361,29 +361,6 @@ def test_greedy_path3_always_one():
         assert greedy_weak_contraction(cl.path_graph(3), T11, seed).objective == 1
 
 
-def test_greedy_derives_trial_rows(monkeypatch):
-    # each trial is one merge below the kept set's packed rows, so once the
-    # base rows are cached the only searches are the public verifier's
-    # re-check of the witness (74 runs when every trial searched its blocks)
-    runs: list[int] = []
-    from_source = ScaledDistances.from_source
-
-    def counted(self, src, cmask=0):
-        runs.append(src)
-        return from_source(self, src, cmask)
-
-    monkeypatch.setattr(ScaledDistances, "from_source", counted)
-    g = random_connected_graph(random.Random(2024), 12, 18, unit=True)
-    g.distances.base
-    runs.clear()
-    res = greedy_weak_contraction(g, T11, 0)
-    assert (res.objective, res.witness, res.explored) == (4, (0, 2, 11, 15), 18)
-    assert len(runs) == 7
-    runs.clear()
-    assert is_weak_contraction(g, res.witness, T11)
-    assert len(runs) == 7
-
-
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
