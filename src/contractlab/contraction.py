@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
 from .graphs import (
@@ -163,25 +162,16 @@ class ToleranceCheck:
     Weights are multiplied by the lcm L of their denominators so distances are
     integers; with alpha = p/q and beta = r/s the test
     ``d_C >= d/alpha - beta`` becomes ``p*s*D_C >= q*s*D - p*r*L`` where D and
-    D_C are scaled distances.  One instance reads the graph's cached base rows
-    (``Graph.distances.base``) and precomputes the per-pair right-hand sides;
-    subsets are passed as bitmasks over edge ids.  A scan asks for row u only
-    when the lexicographic pair scan reaches u, so a scan that stops at its
-    first failing pair builds no row past it.
+    D_C are scaled distances.  That is ``lhs * D_C >= rhs[u][v]``: ``lhs`` is
+    p*s and ``rhs`` holds the right-hand side of every pair, precomputed from
+    the graph's cached base rows (``Graph.distances.base``).  Both are
+    read-only and shared with the exact searches (``solvers._valid_sets``),
+    which test their own rows against the same inequality.
 
-    Without a row source (every verdict) the scan searches row u itself, one
-    search per block of merged vertices, and compares entry by entry.  The
-    exact searches pass a source of packed rows (``rows[u]``, one int per
-    row; see ``graphs.RowPacking``): the packed base rows or a
-    ``graphs.MergedRows`` derived from the parent node's, so they run no
-    search at all.  Against a packed row the whole row is tested at once: on
-    first use the check packs, per row u, the smallest induced distance each
-    pair (u, v) may have, and one guarded subtraction of that threshold row
-    leaves a guard bit clear exactly where a pair fails.
-
-    This class is also the search engine the exact solvers drive: it exposes
-    validity, the witness of the first violation, and all failing pairs for a
-    subset.
+    Subsets are passed as bitmasks over edge ids.  A scan searches row u only
+    when the lexicographic pair scan reaches u, one search per block of merged
+    vertices, so a scan that stops at its first failing pair builds no row
+    past it.
     """
 
     def __init__(self, g: Graph, tolerance: Tolerance):
@@ -203,42 +193,20 @@ class ToleranceCheck:
 
         a, b = tolerance.alpha.numerator, tolerance.alpha.denominator
         r, s = tolerance.beta.numerator, tolerance.beta.denominator
-        self._lhs_coeff = a * s
+        self.lhs = a * s
         offset = a * r * scale
         coeff = b * s
-        self._rhs = [[coeff * d - offset for d in row] for row in base]
+        self.rhs = [[coeff * d - offset for d in row] for row in base]
 
-    @cached_property
-    def pairs(self) -> list[tuple[int, int]]:
-        """Every pair u < v in lexicographic order, built on first use."""
-        n = self.n
-        return [(u, v) for u in range(n) for v in range(u + 1, n)]
-
-    @cached_property
-    def _thresholds(self) -> list[int]:
-        """Packed thresholds of rows 0..n-2, built when a search first scans
-        packed rows: pair (u, v) fails exactly when its induced distance is
-        below field v of row u.  That field is ceil(rhs/lhs) clamped to
-        [0, D+1] (``RowPacking.top``), since an induced distance lies in
-        [0, D], and 0 for v <= u."""
-        lhs = self._lhs_coeff
-        packing = self.graph.distances.packed
-        top, pack = packing.top, packing.pack
-        return [
-            pack(0 if v <= u else min(max(-(-r // lhs), 0), top) for v, r in enumerate(rhs))
-            for u, rhs in enumerate(self._rhs[:-1])
-        ]
-
-    def _violations(self, cmask: int, weak: bool) -> Iterator[tuple[int, int, int, int]]:
-        """Failing pairs in lexicographic order as (index in ``pairs``, u, v,
-        scaled induced distance); merged pairs are exempt in weak mode.
+    def _violations(self, cmask: int, weak: bool) -> Iterator[tuple[int, int, int]]:
+        """Failing pairs in lexicographic order as (u, v, scaled induced
+        distance); merged pairs are exempt in weak mode.
 
         Row u is searched when the scan reaches u and shared with every
         vertex merged with u, as in ``ScaledDistances.all_pairs``."""
         n = self.n
-        lhs = self._lhs_coeff
+        lhs = self.lhs
         rows: list = [None] * n
-        i = 0
         for u in range(n - 1):
             row = rows[u]
             if row is None:
@@ -246,72 +214,28 @@ class ToleranceCheck:
                 for x in range(u, n):
                     if row[x] == 0:
                         rows[x] = row
-            rhs = self._rhs[u]
+            rhs = self.rhs[u]
             for v in range(u + 1, n):
                 d = row[v]
                 if lhs * d < rhs[v] and not (weak and d == 0):
-                    yield i, u, v, d
-                i += 1
+                    yield u, v, d
 
-    def _packed_violations(self, weak: bool, rows) -> Iterator[tuple[int, int, int]]:
-        """(u, packed row u, failing guards) for each row u with a failing
-        pair, in order: the guard of field v is set when (u, v) fails.
-
-        One guarded subtraction per row: ``(row | guards) - thresholds[u]``
-        clears field v's guard exactly when row[v] < thresholds[u][v].  Weak
-        mode also keeps only the fields where row[v] >= 1 (unmerged pairs)."""
-        _, ones, guards, _, _ = self.graph.distances.packed
-        for u, threshold in enumerate(self._thresholds):
-            row = rows[u]
-            held = row | guards
-            failing = ((held - threshold) & guards) ^ guards
-            if weak:
-                failing &= held - ones
-            if failing:
-                yield u, row, failing
-
-    def first_violation(self, cmask: int, weak: bool, rows=None) -> ViolationWitness | None:
+    def first_violation(self, cmask: int, weak: bool) -> ViolationWitness | None:
         """None if valid, else the witness: 'not-proper-subset' for the full
-        set in weak mode, or the lexicographically first failing pair.
-
-        ``rows``, when given, is a source of cmask's packed induced rows
-        (``graphs.RowPacking``)."""
+        set in weak mode, or the lexicographically first failing pair."""
         if weak and cmask == self.full_mask:
             return ViolationWitness(kind="not-proper-subset")
         exact = self._exact
-        if rows is None:
-            for _, u, v, d in self._violations(cmask, weak):
-                return ViolationWitness("pair", u, v, exact(self.base_scaled[u][v]), exact(d))
-            return None
-        packing = self.graph.distances.packed
-        for u, row, failing in self._packed_violations(weak, rows):
-            v = packing.guard_field(failing & -failing)
-            d = packing.field(row, v)
+        for u, v, d in self._violations(cmask, weak):
             return ViolationWitness("pair", u, v, exact(self.base_scaled[u][v]), exact(d))
         return None
 
     def is_valid(self, cmask: int, weak: bool) -> bool:
         return self.first_violation(cmask, weak) is None
 
-    def failing_pairs(self, cmask: int, weak: bool, rows=None) -> list[tuple[int, int]]:
-        """All pairs violating the inequality (exempting merged pairs in weak mode).
-
-        ``rows``, when given, is a source of cmask's packed induced rows.  The
-        pairs are the check's own ``pairs`` tuples, shared, not copies."""
-        pairs = self.pairs
-        if rows is None:
-            return [pairs[i] for i, _, _, _ in self._violations(cmask, weak)]
-        n = self.n
-        guard_field = self.graph.distances.packed.guard_field
-        out = []
-        for u, _, failing in self._packed_violations(weak, rows):
-            # pairs[first + v] is (u, v): row u's pairs start after those of rows < u
-            first = u * (2 * n - u - 1) // 2 - u - 1
-            while failing:
-                low = failing & -failing
-                out.append(pairs[first + guard_field(low)])
-                failing ^= low
-        return out
+    def failing_pairs(self, cmask: int, weak: bool) -> list[tuple[int, int]]:
+        """All pairs violating the inequality (exempting merged pairs in weak mode)."""
+        return [(u, v) for u, v, _ in self._violations(cmask, weak)]
 
 
 def is_contraction(g: Graph, edge_ids: Iterable[int], tolerance: Tolerance) -> bool:

@@ -554,16 +554,22 @@ def check_lemma2(
 
 
 def enumerate_connected_bipartite(
-    left: int, right: int, *, up_to_iso: bool = True
+    left: int, right: int, *, up_to_iso: bool = True, cap: int = DEFAULT_EDGE_CAP
 ) -> list[BipartiteGraph]:
     """All connected bipartite graphs with the given side sizes.
 
     With ``up_to_iso`` (the default) one representative is kept per
     isomorphism class under side-respecting relabelings, plus the side swap
     when the sides have equal size.  Order follows ascending edge bitmask, so
-    the list is deterministic.
+    the list is deterministic.  The loop runs over all 2**(left*right) edge
+    sets, so more than ``cap`` possible edges raise CapExceededError first.
     """
     total = left * right
+    if total > cap:
+        raise CapExceededError(
+            f"{left}x{right} bipartite family has {total} possible edges, "
+            f"over the enumeration cap ({cap})"
+        )
     cells = [(l, r) for l in range(left) for r in range(right)]
     out: list[BipartiteGraph] = []
     seen: set[tuple[int, ...]] = set()
@@ -694,6 +700,7 @@ def validate_suite(config) -> None:
 def _expand_instances(config: dict):
     """Yield (instance descriptor, graph object, claims, extras) tuples from a
     config that passed validate_suite."""
+    cap_edges = config.get("caps", {}).get("max_edges", DEFAULT_EDGE_CAP)
     for entry in config.get("instances", []):
         family = entry["family"]
         claims = list(entry.get("claims", []))
@@ -711,7 +718,7 @@ def _expand_instances(config: dict):
             yield desc, complete_bipartite(l, r), claims, entry
         elif family == "all-bipartite":
             l, r = entry["left"], entry["right"]
-            for idx, b in enumerate(enumerate_connected_bipartite(l, r)):
+            for idx, b in enumerate(enumerate_connected_bipartite(l, r, cap=cap_edges)):
                 desc = {
                     "family": "all-bipartite",
                     "params": {"left": l, "right": r, "index": idx},

@@ -21,13 +21,13 @@ part of the test suite.  Induced distances, and so the failing pairs, depend
 only on the vertex partition a set induces, so each search evaluates a
 partition once and reuses the result for every other set inducing it.  A
 child's induced rows are derived from its parent's, so a search runs no BFS
-or Dijkstra.  Rows are packed one int per row (``graphs.RowPacking``): field
-y of row u, ``width`` bits wide, holds d(u, y) under a guard bit, and width
-is chosen from the largest base distance D so that the merge update's sums
-c + m[y] <= 2*D stay below the guard bit (2*D < 2**(width-1)).  So a row
-is derived (``graphs.MergedRows``) and tested against the tolerance
-(``ToleranceCheck``) with a few big-int operations rather than a loop per
-entry.
+or Dijkstra.
+
+The searches hold a distance row as one Python int (``RowPacking``): each
+vertex's distance in a fixed-width field under a guard bit.  Deriving a row
+after a merge (``MergedRows``) and testing it against the tolerance (the
+walker's scan, ``_row_scan``) are then a few big-int operations rather than
+a loop per entry.  This module is the only one that knows the format.
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Generator, Iterator
+from typing import Callable, Generator, Iterator, NamedTuple
 
-from .graphs import Biclique, BipartiteGraph, DisconnectedGraphError, Graph, MergedRows, is_connected
+from .graphs import Biclique, BipartiteGraph, DisconnectedGraphError, Graph, is_connected
 from .contraction import Tolerance, ToleranceCheck, is_weak_contraction
 
 DEFAULT_EDGE_CAP = 20
@@ -116,6 +116,148 @@ def _mergeable(labels: tuple[int, ...], g: Graph, chosen: list[int], pairs) -> b
     return all(_find(parent, u) == _find(parent, v) for u, v in pairs)
 
 
+class RowPacking(NamedTuple):
+    """Distance rows packed one Python int per row (SWAR, SIMD within a
+    register: Lamport, "Multiple byte processing with full-word
+    instructions", CACM 1975).
+
+    Field i of a row is ``width`` bits wide, starts at bit ``i * width`` and
+    holds the row's distance to vertex i in its low ``width - 1`` bits; its
+    top bit is a guard bit, clear in every packed row.  With D the largest
+    base distance, ``width = (2*D + 1).bit_length() + 1``, so every value up
+    to 2*D + 1 fits below the guard.  ``ones`` has a 1 in every field and
+    ``guards`` every guard bit set, and ``top`` is D + 1, above every
+    distance a row of the graph holds.  For packed x and y, ``((x | guards) - y)
+    & guards`` (``ge``) has field i's guard set exactly where x[i] >= y[i]:
+    with the guards set first no field borrows from the next.  Shifting ge
+    down by ``width - 1`` and subtracting turns each set guard into a mask
+    of its field's value bits, so ``x ^ ((x ^ y) & (ge - (ge >> (width -
+    1))))`` is the fieldwise minimum (``MergedRows``).  The same guarded
+    subtraction compares a row with a row of thresholds (``_row_scan``).
+    Each is a few big-int operations per row.
+    """
+
+    width: int
+    ones: int
+    guards: int
+    top: int
+
+    @classmethod
+    def for_rows(cls, base: list[list[int]]) -> RowPacking:
+        """The packing that fits a connected graph's scaled ``base`` rows
+        (an unreachable -1 cannot be packed)."""
+        top = max(map(max, base), default=0) + 1
+        width = (2 * top - 1).bit_length() + 1
+        ones = sum(1 << (y * width) for y in range(len(base)))
+        return cls(width, ones, ones << (width - 1), top)
+
+    def pack(self, values) -> int:
+        """One packed row of non-negative values below ``2**(width-1)``."""
+        width = self.width
+        return sum(d << (i * width) for i, d in enumerate(values))
+
+
+class MergedRows:
+    """The packed induced rows one merge below a parent's, derived on first use.
+
+    ``parent`` is the parent's source of packed rows (``parent[u]``: the
+    packed base rows or another ``MergedRows``); the child merges the
+    blocks of a and b.  With m the fieldwise minimum of the parent's rows a
+    and b (the merged block's row) and c = min(d(u,a), d(u,b)) = m[u], the
+    child's row u is m when c == 0 and otherwise min(d(u,y), c + m[y]) for
+    every y.  This is exact: d'(u,y) = min(d(u,y), d(u,a) + d(b,y),
+    d(u,b) + d(a,y)), and the two cross terms the formula adds are at least
+    d(u,y) by the triangle inequality.  No search runs; each row costs a few
+    big-int operations on whole packed rows: ``m + c * ones`` adds c to every
+    field, which cannot carry into a guard bit because c + m[y] <= 2*D <
+    2**(width-1), and the fieldwise minimum is the guarded subtraction
+    described in ``RowPacking``.
+
+    ``labels[v]`` names v's block in the child (vertices with equal labels
+    have equal rows, and labels lie in ``range(len(labels))``), so one row is
+    derived per block and shared by the block.  The parent's rows are only
+    read.  The update assumes a connected graph, with no -1 (unreachable) in
+    any parent row.
+    """
+
+    __slots__ = ("_parent", "_a", "_b", "labels", "_packing", "_merged", "_rows")
+
+    def __init__(self, parent, a: int, b: int, labels, packing: RowPacking):
+        self._parent = parent
+        self._a = a
+        self._b = b
+        self.labels = labels
+        self._packing = packing
+        self._merged: int | None = None
+        self._rows: list = [None] * len(labels)
+
+    def __getitem__(self, u: int) -> int:
+        key = self.labels[u]
+        row = self._rows[key]
+        if row is None:
+            # the hot path of the searches: the fieldwise minimum (see
+            # RowPacking) and the read of field u are written out in place
+            parent = self._parent
+            width, ones, guards, _ = self._packing
+            m = self._merged
+            if m is None:
+                x, y = parent[self._a], parent[self._b]
+                ge = ((x | guards) - y) & guards
+                m = self._merged = x ^ ((x ^ y) & (ge - (ge >> (width - 1))))
+            c = (m >> (u * width)) & ((1 << (width - 1)) - 1)
+            if c == 0:
+                row = m
+            else:
+                x, y = parent[u], m + c * ones
+                ge = ((x | guards) - y) & guards
+                row = x ^ ((x ^ y) & (ge - (ge >> (width - 1))))
+            self._rows[key] = row
+        return row
+
+
+def _row_scan(
+    check: ToleranceCheck, weak: bool, packing: RowPacking
+) -> Callable[..., list[tuple[int, int]]]:
+    """The walker's pair scan: ``scan(rows)`` lists the failing pairs of a
+    source of packed induced rows (``rows[u]``), in lexicographic order.
+
+    Pair (u, v) fails exactly when ``check.lhs * d < check.rhs[u][v]``, that
+    is when its induced distance d is below ceil(rhs/lhs).  So each row u <
+    n-1 gets a packed threshold row: that ceiling clamped to [0, D+1]
+    (``RowPacking.top``, since d lies in [0, D]), and 0 for v <= u.  One
+    guarded subtraction, ``(row | guards) - threshold``, clears field v's
+    guard exactly where (u, v) fails, and weak mode keeps only the fields
+    where the row holds at least 1 (unmerged pairs).  Strong mode stops at
+    the first failing pair.  Weak mode decodes every one into the search's
+    own table of (u, v) tuples, shared rather than made per scan, so the
+    walker's memo of failing pairs holds no copies.
+    """
+    width, ones, guards, top = packing
+    lhs = check.lhs
+    thresholds = [
+        packing.pack(0 if v <= u else min(max(-(-r // lhs), 0), top) for v, r in enumerate(rhs))
+        for u, rhs in enumerate(check.rhs[:-1])
+    ]
+    pairs = [[(u, v) for v in range(check.n)] for u in range(len(thresholds))]
+
+    def scan(rows) -> list[tuple[int, int]]:
+        out = []
+        for u, threshold in enumerate(thresholds):
+            held = rows[u] | guards
+            failing = ((held - threshold) & guards) ^ guards
+            if weak:
+                failing &= held - ones
+            while failing:
+                low = failing & -failing
+                out.append(pairs[u][(low.bit_length() - 1) // width])
+                if not weak:
+                    return out
+                failing ^= low
+        return out
+
+    return scan
+
+
 def _valid_sets(
     check: ToleranceCheck, weak: bool, floor: list[int]
 ) -> Generator[tuple[int, ...], None, int]:
@@ -136,23 +278,16 @@ def _valid_sets(
     """
     g = check.graph
     m = check.m
-    full = check.full_mask
     suffix = _suffix_labels(g)
     seen: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     explored = 0
 
-    def scan(mask: int, rows) -> list[tuple[int, int]]:
-        if weak:
-            return check.failing_pairs(mask, True, rows)
-        w = check.first_violation(mask, False, rows)
-        return [] if w is None else [(w.u, w.v)]
-
     def visit(
-        cset: list[int], mask: int, start: int, labels: tuple[int, ...], rows, failing: list
+        cset: list[int], start: int, labels: tuple[int, ...], rows, failing: list
     ) -> Iterator[tuple[int, ...]]:
         nonlocal explored
         explored += 1
-        if not failing and (not weak or mask != full) and len(cset) > floor[0]:
+        if not failing and (not weak or len(cset) < m) and len(cset) > floor[0]:
             yield tuple(cset)
         if start == m:
             return
@@ -162,7 +297,6 @@ def _valid_sets(
         for j in range(start, m):
             if reach - j <= floor[0]:
                 break
-            child = mask | (1 << j)
             u, v, _ = g.edges[j]
             a, b = labels[u], labels[v]
             node = labels, rows, failing
@@ -173,18 +307,19 @@ def _valid_sets(
                 merged_rows = MergedRows(rows, a, b, merged, packing)
                 merged_failing = seen.get(merged)
                 if merged_failing is None:
-                    merged_failing = seen[merged] = scan(child, merged_rows)
+                    merged_failing = seen[merged] = scan(merged_rows)
                 node = merged, merged_rows, merged_failing
             cset.append(j)
-            yield from visit(cset, child, j + 1, *node)
+            yield from visit(cset, j + 1, *node)
             cset.pop()
 
-    packing = g.distances.packed
-    base = packing.rows
+    packing = RowPacking.for_rows(check.base_scaled)
+    base = list(map(packing.pack, check.base_scaled))
+    scan = _row_scan(check, weak, packing)
     # visit is a reference cycle: without the clear, the memo outlives the
     # search until the next full garbage collection
     try:
-        yield from visit([], 0, 0, tuple(range(check.n)), base, scan(0, base))
+        yield from visit([], 0, tuple(range(check.n)), base, scan(base))
     finally:
         seen.clear()
     return explored

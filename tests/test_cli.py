@@ -458,6 +458,17 @@ def test_lab_bad_suite_file_exit_two(tmp_path):
     assert run_cli("lab", "--suite", bad, "--out", str(tmp_path / "o")) == 2
 
 
+def test_lab_all_bipartite_over_cap_is_refused(tmp_path, capsys):
+    # 6x6 has 36 possible edges, over the default cap of 20: refused before
+    # a loop over 2**36 edge sets, and nothing is written
+    config = {"instances": [{"family": "all-bipartite", "left": 6, "right": 6, "claims": []}]}
+    suite = write(tmp_path, "suite.json", json.dumps(config))
+    out = tmp_path / "o"
+    assert run_cli("lab", "--suite", suite, "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith("refused:")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "config, where",
     [

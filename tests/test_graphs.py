@@ -24,7 +24,8 @@ from contractlab import (
     render_graph,
     shortest_distances,
 )
-from contractlab.graphs import MergedRows, ScaledDistances
+from contractlab.graphs import ScaledDistances
+from contractlab.solvers import MergedRows, RowPacking
 
 import naive
 from builders import connected_graphs, random_connected_graph
@@ -178,8 +179,9 @@ def test_all_pairs_shares_rows_within_blocks():
 def _unpack(row: int, packing, n: int) -> list[int]:
     """The distances packed in ``row``; its guard bits and the bits above its
     n fields must be clear."""
-    assert row & packing.guards == 0 and row >> (n * packing.width) == 0
-    return [packing.field(row, y) for y in range(n)]
+    width = packing.width
+    assert row & packing.guards == 0 and row >> (n * width) == 0
+    return [(row >> (y * width)) & ((1 << (width - 1)) - 1) for y in range(n)]
 
 
 def test_merged_rows_match_all_pairs():
@@ -191,14 +193,15 @@ def test_merged_rows_match_all_pairs():
     merges = 0
     for g in _seeded_graphs(random.Random(23)):
         engine = g.distances
-        packing = engine.packed
+        packing = RowPacking.for_rows(engine.base)
+        base = [packing.pack(row) for row in engine.base]
         n, m = g.vertex_count, g.edge_count
-        assert [_unpack(row, packing, n) for row in packing.rows] == engine.base
+        assert [_unpack(row, packing, n) for row in base] == engine.base
         assert packing.top == max(map(max, engine.base)) + 1
         for _ in range(3):
             order = list(range(m))
             order_rng.shuffle(order)
-            labels, rows, mask = tuple(range(n)), packing.rows, 0
+            labels, rows, mask = tuple(range(n)), base, 0
             for e in order:
                 mask |= 1 << e
                 u, v, _ = g.edges[e]

@@ -355,6 +355,13 @@ def test_enumerate_connected_bipartite_labeled_count():
     assert enumerate_connected_bipartite(2, 2) == enumerate_connected_bipartite(2, 2)
 
 
+def test_enumerate_connected_bipartite_refuses_over_cap():
+    # 2x3 has 6 possible edges: the cap is checked before the 2**6 mask loop
+    with pytest.raises(cl.CapExceededError, match="cap"):
+        enumerate_connected_bipartite(2, 3, cap=5)
+    assert len(enumerate_connected_bipartite(2, 3, cap=6)) == 4
+
+
 def test_enumerate_connected_bipartite_has_expected_members():
     classes = enumerate_connected_bipartite(3, 3)
     assert any(c.edge_count == 9 for c in classes)  # K33

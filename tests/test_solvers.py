@@ -22,7 +22,7 @@ from contractlab import (
     max_edge_biclique_exact,
     max_weak_contraction_exact,
 )
-from contractlab.contraction import ToleranceCheck
+from contractlab import solvers
 from contractlab.graphs import ScaledDistances
 
 import naive
@@ -52,7 +52,7 @@ def _repeating_partition_cases():
 
 def _field_width_cases():
     """(graph, alpha, beta) at the edges of the searches' packed rows (see
-    graphs.RowPacking): alpha < 1, so thresholds above the largest distance
+    solvers.RowPacking): alpha < 1, so thresholds above the largest distance
     are clamped; a beta so large that no threshold is positive; scaled
     weights in the tens of thousands (1000/7 and 97/89 scale by 623); and
     the one-vertex and one-edge graphs."""
@@ -389,42 +389,51 @@ def test_search_counters_pinned():
 
 def test_search_distance_evaluations_pinned(monkeypatch):
     # the searches of test_search_counters_pinned evaluate each vertex
-    # partition once: a pair scan runs once per distinct partition met, not
-    # once per node (19, 2564 and 7258 calls when every node paid).  Every
-    # scan entry point is counted: weak mode calls failing_pairs, strong mode
-    # first_violation (which is_valid also goes through).  Once the base rows
-    # are cached, a search derives every node's rows from its parent's and runs
-    # no BFS or Dijkstra (72, 1636 and 11492 runs when each block was searched)
-    masks: list[int] = []
+    # partition once: the walker's pair scan runs once per distinct partition
+    # met, not once per node (19, 2564 and 7258 scans when every node paid),
+    # and the labels of the rows each scan reads tell the partitions apart.
+    # Once the base rows are cached, a search derives every node's rows from
+    # its parent's and runs no BFS or Dijkstra (72, 1636 and 11492 runs when
+    # each block was searched), and it turns no scaled distance into a
+    # Fraction: no witness is built for a failing node
+    scanned: list[tuple[int, ...]] = []
     runs: list[int] = []
     searches: list[int] = []
+    exacts: list[int] = []
+    row_scan = solvers._row_scan
 
-    def counting(scan):
-        def counted(self, cmask, weak, rows=None):
-            masks.append(cmask)
-            return scan(self, cmask, weak, rows)
+    def counting_scan(check, weak, packing):
+        scan = row_scan(check, weak, packing)
+
+        def counted(rows):
+            scanned.append(getattr(rows, "labels", tuple(range(check.n))))
+            return scan(rows)
 
         return counted
 
-    for name in ("failing_pairs", "first_violation"):
-        monkeypatch.setattr(ToleranceCheck, name, counting(getattr(ToleranceCheck, name)))
+    monkeypatch.setattr(solvers, "_row_scan", counting_scan)
     from_source = ScaledDistances.from_source
+    exact = ScaledDistances.exact
 
     def counted_search(self, src, cmask=0):
         runs.append(src)
         return from_source(self, src, cmask)
 
+    def counted_exact(self, d):
+        exacts.append(d)
+        return exact(self, d)
+
     monkeypatch.setattr(ScaledDistances, "from_source", counted_search)
+    monkeypatch.setattr(ScaledDistances, "exact", counted_exact)
 
     def evaluated(g, search):
         g.distances.base
-        masks.clear()
-        before = len(runs)
+        scanned.clear()
+        before = (len(runs), len(exacts))
         result = search()
-        searches.append(len(runs) - before)
-        ids = [[e for e in range(g.edge_count) if (mask >> e) & 1] for mask in masks]
-        assert len({cl.contract(g, c).partition for c in ids}) == len(masks)
-        return len(masks), result
+        searches.append((len(runs) - before[0], len(exacts) - before[1]))
+        assert len(set(scanned)) == len(scanned)
+        return len(scanned), result
 
     g = random_connected_graph(random.Random(2024), 12, 18, unit=True)
     calls, weak = evaluated(g, lambda: max_weak_contraction_exact(g, T11))
@@ -437,4 +446,4 @@ def test_search_distance_evaluations_pinned(monkeypatch):
         gadget, lambda: sum(1 for _ in enumerate_valid_weak_contractions(gadget, T11))
     )
     assert (calls, valid) == (1380, 291)
-    assert searches == [0, 0, 0]
+    assert searches == [(0, 0), (0, 0), (0, 0)]
