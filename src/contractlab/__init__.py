@@ -16,7 +16,6 @@ from .graphs import (
     complete_bipartite,
     connected_components,
     cycle_graph,
-    edge_expansion,
     generate_planted_biclique,
     generate_random_bipartite,
     is_connected,
@@ -42,7 +41,6 @@ from .solvers import (
     CapExceededError,
     SolveResult,
     enumerate_valid_weak_contractions,
-    greedy_weak_contraction,
     max_balanced_biclique_exact,
     max_contraction_exact,
     max_edge_biclique_exact,

@@ -180,7 +180,6 @@ class ToleranceCheck:
         if base and -1 in base[0]:
             raise DisconnectedGraphError("tolerance checks require a connected graph")
         self.graph = g
-        self.tolerance = tolerance
         n = g.vertex_count
         m = g.edge_count
         self.n = n

@@ -22,7 +22,6 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
 
 UNREACHABLE = math.inf
 
@@ -371,29 +370,6 @@ def connected_components(g: Graph) -> list[list[int]]:
                     stack.append(v)
         comps.append(sorted(comp))
     return comps
-
-
-def edge_expansion(g: Graph, subset: Iterable[int]) -> Fraction:
-    """Crossing-edge count of a vertex subset normalized by (degree * |S|).
-
-    Requires a regular graph with positive degree and a nonempty proper
-    subset; violations raise ValueError ("regularity required" / "invalid
-    subset").
-    """
-    n = g.vertex_count
-    s = set(subset)
-    if any(not 0 <= v < n for v in s):
-        raise ValueError("invalid subset: vertex index out of range")
-    if not s or len(s) == n:
-        raise ValueError("invalid subset: must be nonempty and proper")
-    degrees = {g.degree(v) for v in range(n)}
-    if len(degrees) != 1:
-        raise ValueError("regularity required: graph is not regular")
-    d = degrees.pop()
-    if d == 0:
-        raise ValueError("regularity required: degree must be positive")
-    crossing = sum(1 for u, v, _ in g.edges if (u in s) != (v in s))
-    return Fraction(crossing, d * len(s))
 
 
 # ----------------------------------------------------------------------------

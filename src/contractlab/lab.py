@@ -46,6 +46,7 @@ from .graphs import (
     generate_random_bipartite,
     is_connected,
     parse_graph,
+    parse_rational,
     path_graph,
 )
 from .contraction import Tolerance, ToleranceCheck
@@ -554,15 +555,16 @@ def check_lemma2(
 
 
 def enumerate_connected_bipartite(
-    left: int, right: int, *, up_to_iso: bool = True, cap: int = DEFAULT_EDGE_CAP
+    left: int, right: int, *, cap: int = DEFAULT_EDGE_CAP
 ) -> list[BipartiteGraph]:
-    """All connected bipartite graphs with the given side sizes.
+    """One connected bipartite graph per isomorphism class with the given
+    side sizes.
 
-    With ``up_to_iso`` (the default) one representative is kept per
-    isomorphism class under side-respecting relabelings, plus the side swap
-    when the sides have equal size.  Order follows ascending edge bitmask, so
-    the list is deterministic.  The loop runs over all 2**(left*right) edge
-    sets, so more than ``cap`` possible edges raise CapExceededError first.
+    Classes are taken under side-respecting relabelings, plus the side swap
+    when the sides have equal size; each is represented by its member with
+    the smallest edge bitmask, and the list follows ascending bitmask, so it
+    is deterministic.  The loop runs over all 2**(left*right) edge sets, so
+    more than ``cap`` possible edges raise CapExceededError first.
     """
     total = left * right
     if total > cap:
@@ -594,16 +596,11 @@ def enumerate_connected_bipartite(
         ]
 
     for mask in range(1 << total):
-        if up_to_iso:
-            views = []
-            if left >= right:
-                views.append(rows(mask))
-            if left <= right:
-                views.append(cols(mask))
-            canon = min(tuple(sorted(t[x] for x in view)) for t in relabel for view in views)
-            if canon in seen:
-                continue
-            seen.add(canon)
+        views = ([rows(mask)] if left >= right else []) + ([cols(mask)] if left <= right else [])
+        canon = min(tuple(sorted(t[x] for x in view)) for t in relabel for view in views)
+        if canon in seen:
+            continue
+        seen.add(canon)
         # Connectivity is the same across a class, so the first mask met
         # decides for all of it.
         b = BipartiteGraph(left, right, tuple(cells[i] for i in range(total) if (mask >> i) & 1))
@@ -661,18 +658,32 @@ _KEY_TYPES = {
 }
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool (JSON ``true`` loads as a Python int)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_rational(value) -> bool:
+    """An int, or a string ``parse_rational`` accepts."""
+    try:
+        return _is_int(value) or isinstance(value, str) and parse_rational(value) is not None
+    except ValueError:
+        return False
+
+
 def validate_suite(config) -> None:
     """Raise ValueError naming the first malformed part of a suite config.
 
     The top level must be an object, ``caps`` an object of integers and
     ``instances`` a list of objects; each instance needs a known family, that
     family's keys with values of the right type, and a list of known claim
-    ids.
+    ids.  Optional ``betas`` must be a list of integers or ``p/q`` strings and
+    ``trials`` a non-negative integer.  No boolean counts as an integer.
     """
     if not isinstance(config, dict):
         raise ValueError("suite: the top level must be an object")
     caps = config.get("caps", {})
-    if not isinstance(caps, dict) or not all(isinstance(c, int) for c in caps.values()):
+    if not isinstance(caps, dict) or not all(_is_int(c) for c in caps.values()):
         raise ValueError("suite: caps must be an object of integers")
     instances = config.get("instances", [])
     if not isinstance(instances, list):
@@ -687,8 +698,15 @@ def validate_suite(config) -> None:
         for key in _FAMILY_KEYS[family]:
             if key not in entry:
                 raise ValueError(f"{where}: family {family!r} needs key {key!r}")
-            if not isinstance(entry[key], _KEY_TYPES[key]):
-                raise ValueError(f"{where}.{key}: unexpected value {entry[key]!r}")
+            value = entry[key]
+            if isinstance(value, bool) or not isinstance(value, _KEY_TYPES[key]):
+                raise ValueError(f"{where}.{key}: unexpected value {value!r}")
+        betas = entry.get("betas", [])
+        if not isinstance(betas, list) or not all(_is_rational(beta) for beta in betas):
+            raise ValueError(f"{where}.betas must be a list of integers or p/q strings")
+        trials = entry.get("trials", 0)
+        if not _is_int(trials) or trials < 0:
+            raise ValueError(f"{where}.trials must be a non-negative integer")
         claims = entry.get("claims", [])
         if not isinstance(claims, list):
             raise ValueError(f"{where}.claims must be a list")

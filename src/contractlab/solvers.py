@@ -1,4 +1,4 @@
-"""Exact maximization for contraction and biclique problems, plus a seeded greedy.
+"""Exact maximization for contraction and biclique problems.
 
 The contraction problems share one depth-first walker over the subset
 lattice of edge ids, in lexicographic order (include an edge before skipping
@@ -32,12 +32,12 @@ a loop per entry.  This module is the only one that knows the format.
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass
 from typing import Callable, Generator, Iterator, NamedTuple
 
 from .graphs import Biclique, BipartiteGraph, DisconnectedGraphError, Graph, is_connected
+# is_weak_contraction is not called here; kept as solvers.is_weak_contraction, which bench/ reads
 from .contraction import Tolerance, ToleranceCheck, is_weak_contraction
 
 DEFAULT_EDGE_CAP = 20
@@ -383,40 +383,6 @@ def enumerate_valid_weak_contractions(
     yield from _valid_sets(ToleranceCheck(g, tolerance), True, [-1])
 
 
-def greedy_weak_contraction(
-    g: Graph, tolerance: Tolerance, seed: int
-) -> SolveResult:
-    """Seeded greedy heuristic: try edges in shuffled order, keep what stays valid.
-
-    The returned witness is re-verified with the public verifier before it is
-    returned, so the result is always a valid weak contraction (never better
-    than the exact optimum, no ratio guarantee).
-    """
-    _require_connected(g)
-    if g.edge_count == 0:
-        raise ValueError(
-            "weak contraction needs at least one edge: no proper subset exists"
-        )
-    t0 = time.perf_counter()
-    check = ToleranceCheck(g, tolerance)
-    order = list(range(g.edge_count))
-    random.Random(seed).shuffle(order)
-    mask = 0
-    chosen: list[int] = []
-    for e in order:
-        trial = mask | (1 << e)
-        if check.is_valid(trial, weak=True):
-            mask = trial
-            chosen.append(e)
-    chosen.sort()
-    if not is_weak_contraction(g, chosen, tolerance):
-        raise ValueError(
-            "no valid weak contraction exists for this tolerance "
-            "(possible only when alpha < 1)"
-        )
-    return SolveResult(len(chosen), tuple(chosen), g.edge_count, time.perf_counter() - t0)
-
-
 # ----------------------------------------------------------------------------
 # Bicliques.  Enumeration runs over subsets of the smaller side (left wins
 # ties); the partner side is always the full common neighborhood, held as a
@@ -428,28 +394,16 @@ def greedy_weak_contraction(
 def _enumeration_side(b: BipartiteGraph) -> tuple[bool, int, int, list[int]]:
     """(enumerating left?, side size, other size, neighbor bitmasks)."""
     enum_left = b.left_count <= b.right_count
-    if enum_left:
-        k, other = b.left_count, b.right_count
-        nbr = [0] * k
-        for l, r, _ in b.edges:
-            nbr[l] |= 1 << r
-    else:
-        k, other = b.right_count, b.left_count
-        nbr = [0] * k
-        for l, r, _ in b.edges:
-            nbr[r] |= 1 << l
+    k, other = (b.left_count, b.right_count) if enum_left else (b.right_count, b.left_count)
+    nbr = [0] * k
+    for l, r, _ in b.edges:
+        x, y = (l, r) if enum_left else (r, l)
+        nbr[x] |= 1 << y
     return enum_left, k, other, nbr
 
 
 def _bits(mask: int) -> tuple[int, ...]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
+    return tuple(i for i in range(mask.bit_length()) if (mask >> i) & 1)
 
 
 def _orient(enum_left: bool, subset: tuple[int, ...], partner: tuple[int, ...]) -> Biclique:
@@ -464,16 +418,14 @@ def max_edge_biclique_exact(b: BipartiteGraph, cap: int = DEFAULT_SIDE_CAP) -> S
     best_obj = 0
     best = Biclique((), ())
     explored = 0
-    full_other = (1 << other) - 1
 
     def visit(s: list[int], tmask: int, start: int) -> None:
         nonlocal best_obj, best, explored
         explored += 1
-        if s:
-            obj = len(s) * tmask.bit_count()
-            if obj > best_obj:
-                best_obj = obj
-                best = _orient(enum_left, tuple(s), _bits(tmask))
+        obj = len(s) * tmask.bit_count()
+        if obj > best_obj:
+            best_obj = obj
+            best = _orient(enum_left, tuple(s), _bits(tmask))
         for j in range(start, k):
             nt = tmask & nbr[j]
             if (len(s) + 1 + (k - j - 1)) * nt.bit_count() <= best_obj:
@@ -482,7 +434,7 @@ def max_edge_biclique_exact(b: BipartiteGraph, cap: int = DEFAULT_SIDE_CAP) -> S
             visit(s, nt, j + 1)
             s.pop()
 
-    visit([], full_other, 0)
+    visit([], (1 << other) - 1, 0)
     return SolveResult(best_obj, best, explored, time.perf_counter() - t0)
 
 
@@ -491,51 +443,33 @@ def max_balanced_biclique_exact(b: BipartiteGraph, cap: int = DEFAULT_SIDE_CAP) 
 
     The witness is the lexicographically smallest size-t subset of the
     enumeration side together with the smallest t vertices of its common
-    neighborhood.
+    neighborhood.  One search finds both: ``best_t`` rises only at a subset
+    of exactly the new size (a longer one has a prefix of that size, visited
+    earlier, that would already have raised it), so the first subset to
+    reach the final t is the lexicographically smallest one.
     """
     enum_left, k, other, nbr = _enumeration_side(b)
     _require_cap(k, cap, "smaller side size")
     t0 = time.perf_counter()
     best_t = 0
+    best = Biclique((), ())
     explored = 0
-    full_other = (1 << other) - 1
+    s = [0] * k  # s[:size] is the subset at the current node
 
-    def search(size: int, tmask: int, start: int) -> None:
-        nonlocal best_t, explored
+    def visit(size: int, tmask: int, start: int) -> None:
+        nonlocal best_t, best, explored
         explored += 1
-        if size:
-            best_t = max(best_t, min(size, tmask.bit_count()))
+        if size > best_t and tmask.bit_count() > best_t:
+            best_t = size
+            best = _orient(enum_left, tuple(s[:size]), _bits(tmask)[:size])
         for j in range(start, k):
+            if size + k - j <= best_t:
+                break
             nt = tmask & nbr[j]
-            if min(size + (k - j), nt.bit_count()) <= best_t:
+            if nt.bit_count() <= best_t:
                 continue
-            search(size + 1, nt, j + 1)
+            s[size] = j
+            visit(size + 1, nt, j + 1)
 
-    search(0, full_other, 0)
-
-    if best_t == 0:
-        return SolveResult(0, Biclique((), ()), explored, time.perf_counter() - t0)
-
-    def witness(s: list[int], tmask: int, start: int) -> tuple[tuple[int, ...], int] | None:
-        nonlocal explored
-        explored += 1
-        if len(s) == best_t:
-            return tuple(s), tmask
-        for j in range(start, k - (best_t - len(s)) + 1):
-            nt = tmask & nbr[j]
-            if nt.bit_count() < best_t:
-                continue
-            s.append(j)
-            found = witness(s, nt, j + 1)
-            if found is not None:
-                return found
-            s.pop()
-        return None
-
-    found = witness([], full_other, 0)
-    assert found is not None
-    subset, tmask = found
-    partner = _bits(tmask)[:best_t]
-    return SolveResult(
-        best_t, _orient(enum_left, subset, partner), explored, time.perf_counter() - t0
-    )
+    visit(0, (1 << other) - 1, 0)
+    return SolveResult(best_t, best, explored, time.perf_counter() - t0)

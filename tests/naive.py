@@ -357,11 +357,6 @@ def naive_path_claim_shortest(g: Graph):
     return verdict, smallest, firings
 
 
-def naive_crossing_count(g: Graph, subset) -> int:
-    s = set(subset)
-    return sum(1 for u, v, _ in g.edges if (u in s) != (v in s))
-
-
 def relabel_graph(g: Graph, perm) -> Graph:
     """Apply a vertex permutation (perm[v] = new index)."""
     return Graph(g.vertex_count, tuple((perm[u], perm[v], w) for u, v, w in g.edges))

@@ -469,6 +469,16 @@ def test_lab_all_bipartite_over_cap_is_refused(tmp_path, capsys):
     assert not out.exists()
 
 
+_COROLLARY = {
+    "family": "random-bipartite",
+    "left": 2,
+    "right": 2,
+    "prob": "1/2",
+    "seed": 1,
+    "claims": ["corollary-scaling"],
+}
+
+
 @pytest.mark.parametrize(
     "config, where",
     [
@@ -476,6 +486,11 @@ def test_lab_all_bipartite_over_cap_is_refused(tmp_path, capsys):
         ([1, 2], "top level"),
         ({"caps": [], "instances": [{"family": "path", "n": 3, "claims": ["path-lemma"]}]}, "caps"),
         ({"caps": {"max_edges": "x"}, "instances": [{"family": "path", "n": 3}]}, "caps"),
+        ({"caps": {"max_edges": True}, "instances": [{"family": "path", "n": 3}]}, "caps"),
+        ({"instances": [{"family": "path", "n": True, "claims": ["path-lemma"]}]}, "instances[0].n"),
+        ({"instances": [dict(_COROLLARY, betas="13")]}, "instances[0].betas"),
+        ({"instances": [dict(_COROLLARY, betas=["x"])]}, "instances[0].betas"),
+        ({"instances": [dict(_COROLLARY, trials="5")]}, "instances[0].trials"),
     ],
 )
 def test_lab_malformed_suite_exit_two(tmp_path, capsys, config, where):

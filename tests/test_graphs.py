@@ -1,4 +1,4 @@
-"""graph-core: types, distances, expansion, generators, text round-trip."""
+"""graph-core: types, distances, generators, text round-trip."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from contractlab import (
     Graph,
     GraphFormatError,
     UNREACHABLE,
-    edge_expansion,
     generate_planted_biclique,
     generate_random_bipartite,
     is_connected,
@@ -252,7 +251,6 @@ def test_verifiers_leave_base_rows_unchanged():
     cl.max_contraction_exact(g, cl.Tolerance(1, 1))
     cl.max_weak_contraction_exact(g, cl.Tolerance(1, 1))
     list(cl.enumerate_valid_weak_contractions(g, cl.Tolerance(1, 1)))
-    cl.greedy_weak_contraction(g, cl.Tolerance(1, 1), 0)
     assert g.distances.base is base
     assert [id(row) for row in base] == row_ids
     assert base == snapshot
@@ -281,56 +279,6 @@ def test_gadget_of_connected_bipartite_is_connected():
         combined = cl.build_gadget(b, 1).combined
         assert is_connected(combined)
         assert naive.is_connected_naive(combined)
-
-
-# ---------------------------------------------------------------------------
-# edge expansion
-# ---------------------------------------------------------------------------
-
-
-def _complete_graph(n):
-    return Graph(n, tuple((u, v) for u in range(n) for v in range(u + 1, n)))
-
-
-def test_expansion_k4_pair():
-    assert edge_expansion(_complete_graph(4), [0, 1]) == Fraction(2, 3)
-
-
-def test_expansion_cycle_adjacent_pair():
-    assert edge_expansion(cl.cycle_graph(4), [0, 1]) == Fraction(1, 2)
-
-
-def test_expansion_matches_naive_on_cube():
-    # 3-regular graph on 8 vertices: the hypercube Q3
-    edges = [
-        (u, v)
-        for u in range(8)
-        for v in range(u + 1, 8)
-        if bin(u ^ v).count("1") == 1
-    ]
-    g = Graph(8, tuple(edges))
-    rng = random.Random(3)
-    for _ in range(20):
-        s = rng.sample(range(8), 3)
-        expect = Fraction(naive.naive_crossing_count(g, s), 3 * len(s))
-        assert edge_expansion(g, s) == expect
-
-
-def test_expansion_complement_identity():
-    g = _complete_graph(5)
-    s = [0, 1]
-    comp = [2, 3, 4]
-    assert edge_expansion(g, s) == edge_expansion(g, comp) * Fraction(len(comp), len(s))
-
-
-def test_expansion_errors():
-    irregular = Graph(3, ((0, 1),))
-    with pytest.raises(ValueError, match="regularity required"):
-        edge_expansion(irregular, [0])
-    with pytest.raises(ValueError, match="invalid subset"):
-        edge_expansion(_complete_graph(3), [])
-    with pytest.raises(ValueError, match="invalid subset"):
-        edge_expansion(_complete_graph(3), [0, 1, 2])
 
 
 # ---------------------------------------------------------------------------

@@ -349,12 +349,6 @@ def test_enumerate_connected_bipartite_classes(sides, count, digest):
     assert hashlib.sha256(rendered.encode()).hexdigest()[:16] == digest
 
 
-def test_enumerate_connected_bipartite_labeled_count():
-    labeled = enumerate_connected_bipartite(2, 2, up_to_iso=False)
-    assert len(labeled) == 5  # four labeled paths plus the cycle
-    assert enumerate_connected_bipartite(2, 2) == enumerate_connected_bipartite(2, 2)
-
-
 def test_enumerate_connected_bipartite_refuses_over_cap():
     # 2x3 has 6 possible edges: the cap is checked before the 2**6 mask loop
     with pytest.raises(cl.CapExceededError, match="cap"):

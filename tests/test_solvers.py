@@ -1,7 +1,8 @@
-"""solvers: worked examples, power-set oracle equivalence, determinism, greedy."""
+"""solvers: worked examples, power-set oracle equivalence, determinism, search counters."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,8 +16,6 @@ from contractlab import (
     Graph,
     Tolerance,
     enumerate_valid_weak_contractions,
-    greedy_weak_contraction,
-    is_weak_contraction,
     max_balanced_biclique_exact,
     max_contraction_exact,
     max_edge_biclique_exact,
@@ -303,13 +302,11 @@ def test_mbb_tensor_of_three_vertex_path():
 
 
 def test_biclique_solvers_match_double_subset_filter():
+    # every side pair up to 5x5, from empty to complete
     rng = random.Random(37)
-    for _ in range(40):
-        left = rng.randint(1, 4)
-        right = rng.randint(1, 4)
-        b = cl.generate_random_bipartite(left, right, Fraction(1, 2), rng.randrange(10**6))
-        if b.edge_count > 8:
-            continue
+    probs = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
+    for left, right, prob in itertools.product(range(6), range(6), probs):
+        b = cl.generate_random_bipartite(left, right, prob, rng.randrange(10**6))
         meb = max_edge_biclique_exact(b)
         obj, l, r = naive.naive_meb(b)
         assert meb.objective == obj
@@ -337,31 +334,6 @@ def test_biclique_cap_refusal():
 
 
 # ---------------------------------------------------------------------------
-# greedy
-# ---------------------------------------------------------------------------
-
-
-def test_greedy_witness_always_valid_and_bounded():
-    rng = random.Random(59)
-    for _ in range(25):
-        g = random_connected_graph(rng, rng.randint(2, 5), unit=rng.random() < 0.5)
-        if g.edge_count == 0:
-            continue
-        seed = rng.randrange(10**6)
-        res = greedy_weak_contraction(g, T11, seed)
-        assert is_weak_contraction(g, res.witness, T11)
-        exact = max_weak_contraction_exact(g, T11)
-        assert res.objective <= exact.objective
-        again = greedy_weak_contraction(g, T11, seed)
-        assert res.witness == again.witness
-
-
-def test_greedy_path3_always_one():
-    for seed in range(10):
-        assert greedy_weak_contraction(cl.path_graph(3), T11, seed).objective == 1
-
-
-# ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
 
@@ -385,6 +357,11 @@ def test_search_counters_pinned():
     gadget = cl.build_gadget(BipartiteGraph(3, 4, tuple(cells)), 1).combined
     assert gadget.edge_count == 17
     assert sum(1 for _ in enumerate_valid_weak_contractions(gadget, T11)) == 291
+    b, _ = cl.generate_planted_biclique(20, 20, 6, 6, Fraction(1, 2), 0)
+    meb = max_edge_biclique_exact(b)
+    assert (meb.objective, meb.explored) == (42, 2527)
+    mbb = max_balanced_biclique_exact(b)
+    assert (mbb.objective, mbb.explored) == (6, 296)
 
 
 def test_search_distance_evaluations_pinned(monkeypatch):
