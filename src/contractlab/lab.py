@@ -639,7 +639,7 @@ def default_suite_config() -> dict:
     }
 
 
-# Keys each instance family requires, and the JSON types they must have.
+# Keys each instance family requires; _KEY_RULES says what each must hold.
 _FAMILY_KEYS = {
     "path": ("n",),
     "cycle": ("n",),
@@ -648,19 +648,15 @@ _FAMILY_KEYS = {
     "random-bipartite": ("left", "right", "prob", "seed"),
     "file": ("path",),
 }
-_KEY_TYPES = {
-    "n": int,
-    "left": int,
-    "right": int,
-    "seed": int,
-    "prob": (int, float, str),
-    "path": str,
-}
 
 
 def _is_int(value) -> bool:
     """An int that is not a bool (JSON ``true`` loads as a Python int)."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_count(value) -> bool:
+    return _is_int(value) and value >= 0
 
 
 def _is_rational(value) -> bool:
@@ -671,20 +667,37 @@ def _is_rational(value) -> bool:
         return False
 
 
+def _is_probability(value) -> bool:
+    return _is_rational(value) and 0 <= Fraction(value) <= 1
+
+
+# What each family key must hold, and how to say so.
+_KEY_RULES = {
+    "n": (_is_count, "a non-negative integer"),
+    "left": (_is_count, "a non-negative integer"),
+    "right": (_is_count, "a non-negative integer"),
+    "seed": (_is_int, "an integer"),
+    "prob": (_is_probability, "an integer or a p/q string in [0, 1]"),
+    "path": (lambda value: isinstance(value, str), "a string"),
+}
+
+
 def validate_suite(config) -> None:
     """Raise ValueError naming the first malformed part of a suite config.
 
-    The top level must be an object, ``caps`` an object of integers and
-    ``instances`` a list of objects; each instance needs a known family, that
-    family's keys with values of the right type, and a list of known claim
-    ids.  Optional ``betas`` must be a list of integers or ``p/q`` strings and
-    ``trials`` a non-negative integer.  No boolean counts as an integer.
+    The top level must be an object, ``caps`` an object of positive
+    integers and ``instances`` a list of objects; each instance needs a known
+    family, that family's keys with values in range (sizes non-negative,
+    ``prob`` an integer or ``p/q`` string in [0, 1]), and a list of known
+    claim ids.  Optional ``betas`` must be a list of integers or ``p/q``
+    strings and ``trials`` a non-negative integer.  No boolean counts as an
+    integer and no float is accepted.
     """
     if not isinstance(config, dict):
         raise ValueError("suite: the top level must be an object")
     caps = config.get("caps", {})
-    if not isinstance(caps, dict) or not all(_is_int(c) for c in caps.values()):
-        raise ValueError("suite: caps must be an object of integers")
+    if not isinstance(caps, dict) or not all(_is_int(c) and c >= 1 for c in caps.values()):
+        raise ValueError("suite: caps must be an object of positive integers")
     instances = config.get("instances", [])
     if not isinstance(instances, list):
         raise ValueError("suite: instances must be a list")
@@ -699,13 +712,14 @@ def validate_suite(config) -> None:
             if key not in entry:
                 raise ValueError(f"{where}: family {family!r} needs key {key!r}")
             value = entry[key]
-            if isinstance(value, bool) or not isinstance(value, _KEY_TYPES[key]):
-                raise ValueError(f"{where}.{key}: unexpected value {value!r}")
+            valid, what = _KEY_RULES[key]
+            if not valid(value):
+                raise ValueError(f"{where}.{key} must be {what}, got {value!r}")
         betas = entry.get("betas", [])
         if not isinstance(betas, list) or not all(_is_rational(beta) for beta in betas):
             raise ValueError(f"{where}.betas must be a list of integers or p/q strings")
         trials = entry.get("trials", 0)
-        if not _is_int(trials) or trials < 0:
+        if not _is_count(trials):
             raise ValueError(f"{where}.trials must be a non-negative integer")
         claims = entry.get("claims", [])
         if not isinstance(claims, list):

@@ -11,9 +11,11 @@ increases an induced distance:
 * strong mode: a failing pair has a fixed positive right-hand side and its
   induced distance can only shrink, so every superset of an invalid set is
   invalid and the branch dies;
-* weak mode: a failing pair can only be rescued by merging it, so a branch
-  dies as soon as some failing pair is disconnected even in the union of the
-  chosen edges and every edge still undecided.
+* weak mode: a failing pair stays failing until it is merged.  Child j and
+  its descendants draw edges only from the chosen ones and edges j..m-1, a
+  set that shrinks as j grows, so a node builds its children only up to the
+  last j whose set still joins every failing pair (``_last_child``), and
+  none if no j does.
 
 Validity itself is not monotone in weak mode (NB merging exempts pairs), so
 no other shortcut is taken; equivalence with plain power-set filtering is
@@ -75,45 +77,31 @@ def _require_cap(m: int, cap: int, what: str) -> None:
         raise CapExceededError(f"{what} {m} exceeds the enumeration cap ({cap})")
 
 
-def _find(parent: list[int], x: int) -> int:
-    """Union-find root of x, halving the path on the way."""
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
+def _last_child(labels: tuple[int, ...], g: Graph, pairs) -> int:
+    """The largest j at which the partition ``labels`` joined with the edges
+    j..m-1 joins every pair, or -1 if none does.
 
-
-def _suffix_labels(g: Graph) -> list[tuple[int, ...]]:
-    """labels[i][v] = min vertex of v's component in (V, edges[i:]).
-
-    Each labels array is idempotent (label[label[v]] == label[v]), so it can
-    seed a fresh union-find when a node's chosen edges get merged in.
+    ``pairs`` is a non-empty list of pairs that ``labels`` leaves apart.
+    Edges are added from the last one down, each merge relabelling one block,
+    and a joined pair stays joined, so one index walks the pairs once.  The
+    edges j..m-1 only grow as j falls, so every j up to the result joins
+    every pair too.
     """
-    n = g.vertex_count
-    m = g.edge_count
-    parent = list(range(n))
-    out: list[tuple[int, ...]] = [()] * (m + 1)
-    out[m] = tuple(range(n))
-    for i in range(m - 1, -1, -1):
-        u, v, _ = g.edges[i]
-        ru, rv = _find(parent, u), _find(parent, v)
-        if ru != rv:
-            if ru > rv:
-                ru, rv = rv, ru
-            parent[rv] = ru
-        out[i] = tuple(_find(parent, x) for x in range(n))
-    return out
-
-
-def _mergeable(labels: tuple[int, ...], g: Graph, chosen: list[int], pairs) -> bool:
-    """Can every pair be joined using the chosen edges plus the labelled suffix?"""
-    parent = list(labels)
-    for e in chosen:
-        u, v, _ = g.edges[e]
-        ru, rv = _find(parent, u), _find(parent, v)
-        if ru != rv:
-            parent[rv] = ru
-    return all(_find(parent, u) == _find(parent, v) for u, v in pairs)
+    label = labels
+    i, k = 0, len(pairs)
+    edges = g.edges
+    for j in range(g.edge_count - 1, -1, -1):
+        u, v, _ = edges[j]
+        a, b = label[u], label[v]
+        if a != b:
+            label = [a if x == b else x for x in label]
+            x, y = pairs[i]
+            while label[x] == label[y]:
+                i += 1
+                if i == k:
+                    return j
+                x, y = pairs[i]
+    return -1
 
 
 class RowPacking(NamedTuple):
@@ -271,44 +259,49 @@ def _valid_sets(
     induced rows and failing pairs, starting from the packed base rows.  An
     edge inside a block changes none of them.  Otherwise the child's rows
     are a ``MergedRows`` over the parent's, read only as far as the scan
-    goes, and its failing pairs are memoised by labels, so a partition met
-    before costs no scan.  Weak mode keeps every failing pair, which
-    ``_mergeable`` needs; strong mode prunes on any failing pair, so it
-    keeps at most the first and its scan stops there.
+    goes.  Its failing pairs and its last child worth building (m - 1 when
+    none fails) depend only on the partition, so they are memoised by
+    labels: a partition met before costs no scan and no ``_last_child``
+    pass.  Weak mode keeps every failing pair, which ``_last_child`` needs;
+    strong mode prunes on any failing pair, so it keeps at most the first
+    and its scan stops there.
     """
     g = check.graph
     m = check.m
-    suffix = _suffix_labels(g)
-    seen: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    seen: dict[tuple[int, ...], tuple[list[tuple[int, int]], int]] = {}
     explored = 0
 
+    def evaluate(labels: tuple[int, ...], rows) -> tuple[list[tuple[int, int]], int]:
+        failing = scan(rows)
+        if weak and failing:
+            return failing, _last_child(labels, g, failing)
+        return failing, m - 1
+
     def visit(
-        cset: list[int], start: int, labels: tuple[int, ...], rows, failing: list
+        cset: list[int], start: int, labels: tuple[int, ...], rows, failing: list, last: int
     ) -> Iterator[tuple[int, ...]]:
         nonlocal explored
         explored += 1
         if not failing and (not weak or len(cset) < m) and len(cset) > floor[0]:
             yield tuple(cset)
-        if start == m:
-            return
-        if failing and (not weak or not _mergeable(suffix[start], g, cset, failing)):
+        if start == m or failing and not weak:
             return
         reach = len(cset) + m
-        for j in range(start, m):
+        for j in range(start, last + 1):
             if reach - j <= floor[0]:
                 break
             u, v, _ = g.edges[j]
             a, b = labels[u], labels[v]
-            node = labels, rows, failing
+            node = labels, rows, failing, last
             if a != b:
                 if a > b:
                     a, b = b, a
                 merged = tuple([a if x == b else x for x in labels])
                 merged_rows = MergedRows(rows, a, b, merged, packing)
-                merged_failing = seen.get(merged)
-                if merged_failing is None:
-                    merged_failing = seen[merged] = scan(merged_rows)
-                node = merged, merged_rows, merged_failing
+                hit = seen.get(merged)
+                if hit is None:
+                    hit = seen[merged] = evaluate(merged, merged_rows)
+                node = merged, merged_rows, *hit
             cset.append(j)
             yield from visit(cset, j + 1, *node)
             cset.pop()
@@ -319,7 +312,8 @@ def _valid_sets(
     # visit is a reference cycle: without the clear, the memo outlives the
     # search until the next full garbage collection
     try:
-        yield from visit([], 0, tuple(range(check.n)), base, scan(base))
+        labels = tuple(range(check.n))
+        yield from visit([], 0, labels, base, *evaluate(labels, base))
     finally:
         seen.clear()
     return explored
@@ -422,13 +416,17 @@ def max_edge_biclique_exact(b: BipartiteGraph, cap: int = DEFAULT_SIDE_CAP) -> S
     def visit(s: list[int], tmask: int, start: int) -> None:
         nonlocal best_obj, best, explored
         explored += 1
-        obj = len(s) * tmask.bit_count()
-        if obj > best_obj:
-            best_obj = obj
+        width = tmask.bit_count()
+        if len(s) * width > best_obj:
+            best_obj = len(s) * width
             best = _orient(enum_left, tuple(s), _bits(tmask))
         for j in range(start, k):
+            # nt is a subset of tmask, so once width fails no later child passes
+            reach = len(s) + k - j
+            if reach * width <= best_obj:
+                break
             nt = tmask & nbr[j]
-            if (len(s) + 1 + (k - j - 1)) * nt.bit_count() <= best_obj:
+            if reach * nt.bit_count() <= best_obj:
                 continue
             s.append(j)
             visit(s, nt, j + 1)

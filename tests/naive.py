@@ -229,14 +229,15 @@ def naive_mbb(b: BipartiteGraph):
 
 
 class NaiveUnitChecker:
-    """Fast from-scratch verifier for unit-weight graphs at tolerance (1, 1).
+    """Fast from-scratch verifier for unit-weight graphs, at tolerance (1, 1)
+    unless another (alpha, beta) is given.
 
     Base distances are BFS hop counts; induced distances come from an explicit
     block quotient followed by BFS over blocks.  No code or representation is
     shared with the package's scaled-integer engine.
     """
 
-    def __init__(self, g: Graph):
+    def __init__(self, g: Graph, alpha=1, beta=1):
         self.g = g
         self.n = g.vertex_count
         self.m = g.edge_count
@@ -247,6 +248,10 @@ class NaiveUnitChecker:
             adj[v].append(u)
         self.adj = adj
         self.base = [self._bfs(adj, s, self.n) for s in range(self.n)]
+        alpha, beta = Fraction(alpha), Fraction(beta)
+        limits = ([b / alpha - beta for b in row] for row in self.base)
+        # integral limits as ints: an int comparison is several times cheaper
+        self.limit = [[x.numerator if x.denominator == 1 else x for x in row] for row in limits]
 
     @staticmethod
     def _bfs(adj, src, size):
@@ -264,7 +269,7 @@ class NaiveUnitChecker:
         return dist
 
     def verdicts(self, subset) -> tuple[bool, bool]:
-        """(strong, weak) verdicts at (1, 1) for the given edge ids."""
+        """(strong, weak) verdicts at the checker's tolerance for the given edge ids."""
         label = components_of(self.n, [self.pairs[e] for e in subset])
         k = max(label) + 1
         badj = [set() for _ in range(k)]
@@ -278,11 +283,11 @@ class NaiveUnitChecker:
         strong = True
         weak = len(set(subset)) < self.m
         for u in range(self.n):
-            bu = self.base[u]
+            lu = self.limit[u]
             du = bdist[label[u]]
             for v in range(u + 1, self.n):
                 dc = du[label[v]]
-                if dc < bu[v] - 1:
+                if dc < lu[v]:
                     strong = False
                     if dc != 0:
                         weak = False

@@ -491,6 +491,10 @@ _COROLLARY = {
         ({"instances": [dict(_COROLLARY, betas="13")]}, "instances[0].betas"),
         ({"instances": [dict(_COROLLARY, betas=["x"])]}, "instances[0].betas"),
         ({"instances": [dict(_COROLLARY, trials="5")]}, "instances[0].trials"),
+        ({"instances": [dict(_COROLLARY, prob=0.1)]}, "instances[0].prob"),
+        ({"instances": [dict(_COROLLARY, prob="3/2")]}, "instances[0].prob"),
+        ({"caps": {"max_edges": -5}, "instances": [dict(_COROLLARY)]}, "caps"),
+        ({"instances": [{"family": "all-bipartite", "left": -1, "right": 2}]}, "instances[0].left"),
     ],
 )
 def test_lab_malformed_suite_exit_two(tmp_path, capsys, config, where):

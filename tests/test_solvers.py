@@ -218,6 +218,72 @@ def test_enumerate_lex_order_and_oracle_equivalence():
         assert got == naive.naive_enumerate_weak(g, alpha, beta)
 
 
+def test_enumerate_pendant_gadgets_match_oracle():
+    # on the gadget of every connected core up to 2x3 (at most 11 edges) the
+    # walker's child loop is often cut short (solvers._last_child), which
+    # random graphs with n <= 5 rarely trigger.  The unit-weight oracle filters
+    # the whole power set; the Fraction one, slower, runs up to 8 edges
+    for left in (1, 2):
+        for right in (1, 2, 3):
+            for core in cl.enumerate_connected_bipartite(left, right):
+                g = cl.build_gadget(core, 1).combined
+                for alpha, beta in ((1, 1), (2, Fraction(1, 2))):
+                    got = list(enumerate_valid_weak_contractions(g, Tolerance(alpha, beta)))
+                    checker = naive.NaiveUnitChecker(g, alpha, beta)
+                    subsets = naive.all_subsets(g.edge_count)
+                    assert got == sorted(s for s in subsets if checker.verdicts(s)[1])
+                    if g.edge_count <= 8:
+                        assert got == naive.naive_enumerate_weak(g, alpha, beta)
+
+
+def _min_vertex_labels(n: int, vertex_pairs) -> tuple[int, ...]:
+    component = naive.components_of(n, vertex_pairs)
+    first: dict[int, int] = {}
+    for v, c in enumerate(component):
+        first.setdefault(c, v)
+    return tuple(first[c] for c in component)
+
+
+def _joins_every_pair(labels, g: Graph, j: int, pairs) -> bool:
+    """A fresh union-find of the partition and edges j..m-1."""
+    parent = list(labels)
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for u, v, _ in g.edges[j:]:
+        parent[root(u)] = root(v)
+    return all(root(u) == root(v) for u, v in pairs)
+
+
+def test_last_child_matches_fresh_union_find():
+    # for every start, the children the walker builds, range(start, last + 1),
+    # are exactly the j >= start whose edges j..m-1, added to the partition,
+    # join every pair; none at all (a dead node) when last < start
+    rng = random.Random(41)
+    dead = live = 0
+    for _ in range(80):
+        n = rng.randint(2, 8)
+        g = random_connected_graph(rng, n, unit=True)
+        m = g.edge_count
+        chosen = [g.edges[e][:2] for e in range(m) if rng.random() < 0.3]
+        labels = _min_vertex_labels(n, chosen)
+        apart = [(u, v) for u in range(n) for v in range(u + 1, n) if labels[u] != labels[v]]
+        if not apart:
+            continue
+        pairs = rng.sample(apart, rng.randint(1, len(apart)))
+        last = solvers._last_child(labels, g, pairs)
+        for start in range(m + 1):
+            joined = [j for j in range(start, m) if _joins_every_pair(labels, g, j, pairs)]
+            assert joined == list(range(start, last + 1))
+            if start < m:
+                dead += last < start
+                live += last >= start
+    assert dead and live
+
+
 # ---------------------------------------------------------------------------
 # oracle equivalence for the maximizers
 # ---------------------------------------------------------------------------
@@ -356,7 +422,13 @@ def test_search_counters_pinned():
     cells = [(l, r) for l in range(3) for r in range(4) if (l, r) not in ((0, 0), (2, 3))]
     gadget = cl.build_gadget(BipartiteGraph(3, 4, tuple(cells)), 1).combined
     assert gadget.edge_count == 17
-    assert sum(1 for _ in enumerate_valid_weak_contractions(gadget, T11)) == 291
+    walk = solvers._valid_sets(cl.ToleranceCheck(gadget, T11), True, [-1])
+    valid = 0
+    with pytest.raises(StopIteration) as done:
+        while True:
+            next(walk)
+            valid += 1
+    assert (valid, done.value.value) == (291, 2392)
     b, _ = cl.generate_planted_biclique(20, 20, 6, 6, Fraction(1, 2), 0)
     meb = max_edge_biclique_exact(b)
     assert (meb.objective, meb.explored) == (42, 2527)
@@ -367,7 +439,7 @@ def test_search_counters_pinned():
 def test_search_distance_evaluations_pinned(monkeypatch):
     # the searches of test_search_counters_pinned evaluate each vertex
     # partition once: the walker's pair scan runs once per distinct partition
-    # met, not once per node (19, 2564 and 7258 scans when every node paid),
+    # met, not once per node (19, 2564 and 2392 scans when every node paid),
     # and the labels of the rows each scan reads tell the partitions apart.
     # Once the base rows are cached, a search derives every node's rows from
     # its parent's and runs no BFS or Dijkstra (72, 1636 and 11492 runs when
@@ -422,5 +494,5 @@ def test_search_distance_evaluations_pinned(monkeypatch):
     calls, valid = evaluated(
         gadget, lambda: sum(1 for _ in enumerate_valid_weak_contractions(gadget, T11))
     )
-    assert (calls, valid) == (1380, 291)
+    assert (calls, valid) == (501, 291)
     assert searches == [(0, 0), (0, 0), (0, 0)]
