@@ -226,6 +226,29 @@ def _first_disjoint_contracted_pair(
     return None
 
 
+# ((graph, cap), valid sets) left by the last path check that enumerated.
+# The suite runs both path claims of an instance back to back, so the second
+# finds its sets here.  Every check takes the entry out, so the sets do not
+# stay alive through the gadget checks that follow; the entry is swapped
+# whole, never mutated, so concurrent checks need no lock.
+_last_valid_sets: tuple[tuple[Graph, int], tuple[tuple[int, ...], ...]] | None = None
+
+
+def _sorted_valid_sets(g: Graph, cap_edges: int) -> tuple[tuple[int, ...], ...]:
+    """Valid weak contractions at (1,1), smallest first, then lexicographically."""
+    global _last_valid_sets
+    key = (g, cap_edges)
+    memo, _last_valid_sets = _last_valid_sets, None
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    valid_sets = tuple(sorted(
+        enumerate_valid_weak_contractions(g, Tolerance(Fraction(1), Fraction(1)), cap_edges),
+        key=lambda s: (len(s), s),
+    ))
+    _last_valid_sets = (key, valid_sets)
+    return valid_sets
+
+
 def check_path_lemma(
     g: Graph,
     shortest_only: bool,
@@ -255,10 +278,7 @@ def check_path_lemma(
     claim = CLAIM_PATH_SHORTEST if shortest_only else CLAIM_PATH
     inst = _adhoc_instance(instance)
 
-    valid_sets = sorted(
-        enumerate_valid_weak_contractions(g, Tolerance(Fraction(1), Fraction(1)), cap_edges),
-        key=lambda s: (len(s), s),
-    )
+    valid_sets = _sorted_valid_sets(g, cap_edges)
     truncated = False
     if shortest_only:
         paths = _all_shortest_paths(g)
@@ -563,8 +583,10 @@ def enumerate_connected_bipartite(
     Classes are taken under side-respecting relabelings, plus the side swap
     when the sides have equal size; each is represented by its member with
     the smallest edge bitmask, and the list follows ascending bitmask, so it
-    is deterministic.  The loop runs over all 2**(left*right) edge sets, so
-    more than ``cap`` possible edges raise CapExceededError first.
+    is deterministic.  The walk visits each sorted multiset of the larger
+    side's neighbour bitmasks once, C(2**s + l - 1, l) of them for sides of
+    s <= l vertices, and more than ``cap`` possible edges raise
+    CapExceededError before it.
     """
     total = left * right
     if total > cap:
@@ -573,36 +595,40 @@ def enumerate_connected_bipartite(
             f"over the enumeration cap ({cap})"
         )
     cells = [(l, r) for l in range(left) for r in range(right)]
-    out: list[BipartiteGraph] = []
-    seen: set[tuple[int, ...]] = set()
-    # Relabel only the smaller side: a graph up to relabelling of the larger
-    # side is the multiset of the larger side's neighbour bitmasks, so the
-    # class key is the least sorted tuple of them over those relabellings
-    # (taken from both sides when they are equal, which covers the swap).
-    small = min(left, right)
+    # A graph up to relabelling of the larger side is the multiset of the
+    # larger side's neighbour bitmasks (rows, or columns when left < right),
+    # so the class key is the least sorted tuple of them over the
+    # relabellings of the smaller side (taken from both sides when they are
+    # equal, which covers the swap).  Walking the sorted tuples and keeping
+    # those that are their own key meets each class exactly once.
+    small, large = min(left, right), max(left, right)
     relabel = [
         [sum(1 << p[i] for i in range(small) if (x >> i) & 1) for x in range(1 << small)]
         for p in itertools.permutations(range(small))
     ]
-    rmask = (1 << right) - 1
 
-    def rows(mask: int) -> list[int]:
-        return [(mask >> (l * right)) & rmask for l in range(left)]
+    def transpose(view) -> list[int]:
+        return [sum(((x >> r) & 1) << l for l, x in enumerate(view)) for r in range(small)]
 
-    def cols(mask: int) -> list[int]:
-        return [
-            sum(((mask >> (l * right + r)) & 1) << l for l in range(left))
-            for r in range(right)
-        ]
+    def least_mask(view) -> int:
+        # Row left-1 holds the highest bits, so the least bitmask with these
+        # larger-side values puts rows, or columns read from row left-1
+        # down, in descending value.
+        desc = sorted(view, reverse=True)
+        if left < right:
+            return sum(
+                ((x >> l) & 1) << (l * right + r) for r, x in enumerate(desc) for l in range(left)
+            )
+        return sum(x << (l * right) for l, x in enumerate(desc))
 
-    for mask in range(1 << total):
-        views = ([rows(mask)] if left >= right else []) + ([cols(mask)] if left <= right else [])
-        canon = min(tuple(sorted(t[x] for x in view)) for t in relabel for view in views)
-        if canon in seen:
+    masks = []
+    for key in itertools.combinations_with_replacement(range(1 << small), large):
+        views = [key, transpose(key)] if left == right else [key]
+        if any(tuple(sorted(map(t.__getitem__, view))) < key for t in relabel for view in views):
             continue
-        seen.add(canon)
-        # Connectivity is the same across a class, so the first mask met
-        # decides for all of it.
+        masks.append(min(least_mask(map(t.__getitem__, view)) for t in relabel for view in views))
+    out: list[BipartiteGraph] = []
+    for mask in sorted(masks):
         b = BipartiteGraph(left, right, tuple(cells[i] for i in range(total) if (mask >> i) & 1))
         if is_connected(b.to_graph()):
             out.append(b)

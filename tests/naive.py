@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 from contractlab import BipartiteGraph, Graph
 
@@ -111,10 +111,14 @@ def induced_distances(g: Graph, cset) -> tuple[list[int], list[list]]:
     return label, table
 
 
-def naive_is_contraction(g: Graph, cset, alpha, beta) -> bool:
-    """Literal check of the strong-mode inequality over every vertex pair."""
+def naive_is_contraction(g: Graph, cset, alpha, beta, base=None) -> bool:
+    """Literal check of the strong-mode inequality over every vertex pair.
+
+    ``base`` is ``fw_distances`` of the whole graph, computed here if not given.
+    """
     alpha, beta = Fraction(alpha), Fraction(beta)
-    base = fw_distances(g.vertex_count, g.edges)
+    if base is None:
+        base = fw_distances(g.vertex_count, g.edges)
     label, table = induced_distances(g, cset)
     for u in range(g.vertex_count):
         for v in range(u + 1, g.vertex_count):
@@ -123,12 +127,16 @@ def naive_is_contraction(g: Graph, cset, alpha, beta) -> bool:
     return True
 
 
-def naive_is_weak_contraction(g: Graph, cset, alpha, beta) -> bool:
-    """Literal weak-mode check: proper subset plus the inequality on unmerged pairs."""
+def naive_is_weak_contraction(g: Graph, cset, alpha, beta, base=None) -> bool:
+    """Literal weak-mode check: proper subset plus the inequality on unmerged pairs.
+
+    ``base`` is ``fw_distances`` of the whole graph, computed here if not given.
+    """
     if len(set(cset)) >= g.edge_count:
         return False
     alpha, beta = Fraction(alpha), Fraction(beta)
-    base = fw_distances(g.vertex_count, g.edges)
+    if base is None:
+        base = fw_distances(g.vertex_count, g.edges)
     label, table = induced_distances(g, cset)
     for u in range(g.vertex_count):
         for v in range(u + 1, g.vertex_count):
@@ -147,18 +155,20 @@ def all_subsets(m: int):
 
 def naive_max_contraction(g: Graph, alpha, beta):
     """(objective, witness) by filtering the full power set; None if nothing valid."""
+    base = fw_distances(g.vertex_count, g.edges)
     best = None
     for sub in all_subsets(g.edge_count):
-        if naive_is_contraction(g, sub, alpha, beta):
+        if naive_is_contraction(g, sub, alpha, beta, base):
             if best is None or len(sub) > len(best) or (len(sub) == len(best) and sub < best):
                 best = sub
     return None if best is None else (len(best), best)
 
 
 def naive_max_weak_contraction(g: Graph, alpha, beta):
+    base = fw_distances(g.vertex_count, g.edges)
     best = None
     for sub in all_subsets(g.edge_count):
-        if naive_is_weak_contraction(g, sub, alpha, beta):
+        if naive_is_weak_contraction(g, sub, alpha, beta, base):
             if best is None or len(sub) > len(best) or (len(sub) == len(best) and sub < best):
                 best = sub
     return None if best is None else (len(best), best)
@@ -166,9 +176,10 @@ def naive_max_weak_contraction(g: Graph, alpha, beta):
 
 def naive_enumerate_weak(g: Graph, alpha, beta) -> list[tuple[int, ...]]:
     """All valid proper subsets, in lexicographic (sorted-tuple) order."""
+    base = fw_distances(g.vertex_count, g.edges)
     valid = [
         sub for sub in all_subsets(g.edge_count)
-        if naive_is_weak_contraction(g, sub, alpha, beta)
+        if naive_is_weak_contraction(g, sub, alpha, beta, base)
     ]
     return sorted(valid)
 
@@ -360,6 +371,40 @@ def naive_path_claim_shortest(g: Graph):
     else:
         verdict = "holds" if firings else "vacuous"
     return verdict, smallest, firings
+
+
+def naive_connected_bipartite_classes(left: int, right: int) -> list[BipartiteGraph]:
+    """One connected graph per class, by a sweep over all 2**(left*right) edge sets.
+
+    Classes are taken under side-respecting relabellings, plus the side swap
+    when the sides have equal size.  The first edge bitmask met in each class
+    (bit l*right + r for the edge (l, r)) represents it, so the list follows
+    ascending bitmask.
+    """
+    total = left * right
+    cells = [(l, r) for l in range(left) for r in range(right)]
+    small = min(left, right)
+    relabel = [
+        [sum(1 << p[i] for i in range(small) if (x >> i) & 1) for x in range(1 << small)]
+        for p in permutations(range(small))
+    ]
+    rmask = (1 << right) - 1
+    out = []
+    seen = set()
+    for mask in range(1 << total):
+        rows = [(mask >> (l * right)) & rmask for l in range(left)]
+        cols = [
+            sum(((mask >> (l * right + r)) & 1) << l for l in range(left)) for r in range(right)
+        ]
+        views = ([rows] if left >= right else []) + ([cols] if left <= right else [])
+        canon = min(tuple(sorted(t[x] for x in view)) for t in relabel for view in views)
+        if canon in seen:
+            continue
+        seen.add(canon)
+        b = BipartiteGraph(left, right, tuple(cells[i] for i in range(total) if (mask >> i) & 1))
+        if is_connected_naive(b.to_graph()):
+            out.append(b)
+    return out
 
 
 def relabel_graph(g: Graph, perm) -> Graph:

@@ -460,7 +460,7 @@ def test_lab_bad_suite_file_exit_two(tmp_path):
 
 def test_lab_all_bipartite_over_cap_is_refused(tmp_path, capsys):
     # 6x6 has 36 possible edges, over the default cap of 20: refused before
-    # a loop over 2**36 edge sets, and nothing is written
+    # any class is generated, and nothing is written
     config = {"instances": [{"family": "all-bipartite", "left": 6, "right": 6, "claims": []}]}
     suite = write(tmp_path, "suite.json", json.dumps(config))
     out = tmp_path / "o"

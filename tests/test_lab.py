@@ -117,6 +117,53 @@ def test_path_truncation_flag():
     assert full.stats["truncated"] is False  # diameter+2 covers every 6-cycle path
 
 
+def _without_elapsed(rep) -> dict:
+    payload = rep.to_json_dict()
+    payload["stats"] = {k: v for k, v in payload["stats"].items() if k != "elapsed_ms"}
+    return payload
+
+
+def test_path_claims_share_one_enumeration(monkeypatch):
+    # both path claims of an instance read one sorted tuple of valid sets
+    calls = [0]
+    enumerate_sets = cl.lab.enumerate_valid_weak_contractions
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return enumerate_sets(*args, **kwargs)
+
+    monkeypatch.setattr(cl.lab, "_last_valid_sets", None)
+    monkeypatch.setattr(cl.lab, "enumerate_valid_weak_contractions", counted)
+    config = default_suite_config()
+    paths = [e for e in config["instances"] if e["family"] in ("path", "cycle")]
+    assert len(paths) == 4 and all(len(e["claims"]) == 2 for e in paths)
+    run_suite({"instances": paths})
+    assert calls[0] == 4
+    assert cl.lab._last_valid_sets is None  # the second claim let the sets go
+    calls[0] = 0
+    run_suite(config)
+    assert calls[0] == 12  # 4 path instances + 8 biclique-lemma gadgets
+
+
+def test_path_memo_matches_fresh_calls(monkeypatch):
+    graphs = [cl.cycle_graph(4), THREE_PATH.to_graph(), cl.complete_bipartite(2, 3).to_graph()]
+    fresh = []
+    for g in graphs:
+        for flag in (False, True):
+            monkeypatch.setattr(cl.lab, "_last_valid_sets", None)
+            fresh.append(_without_elapsed(check_path_lemma(g, flag)))
+    for _ in range(2):
+        in_turn = [
+            _without_elapsed(check_path_lemma(g, flag)) for g in graphs for flag in (False, True)
+        ]
+        assert in_turn == fresh
+    # a smaller cap is a different key: it still refuses the graph
+    g = graphs[-1]
+    check_path_lemma(g, False, cap_edges=g.edge_count)
+    with pytest.raises(cl.CapExceededError):
+        check_path_lemma(g, True, cap_edges=g.edge_count - 1)
+
+
 def test_path_counterexamples_reverify_on_random_bipartite():
     rng = random.Random(6)
     seen = 0
@@ -331,6 +378,9 @@ CLASS_TABLE = [
     ((2, 6), 12, "8445bfd9a369c08d"),
     ((4, 3), 34, "0c319a15b46ea213"),
     ((6, 2), 12, "6c4a7d156db46f48"),
+    ((4, 4), 93, "770985d83f345c5e"),
+    ((4, 5), 558, "e6d902d5811b0254"),
+    ((5, 4), 558, "4f0fda1479cb4a7e"),
 ]
 
 
@@ -350,10 +400,20 @@ def test_enumerate_connected_bipartite_classes(sides, count, digest):
 
 
 def test_enumerate_connected_bipartite_refuses_over_cap():
-    # 2x3 has 6 possible edges: the cap is checked before the 2**6 mask loop
+    # 2x3 has 6 possible edges: the cap is checked before any class is generated
     with pytest.raises(cl.CapExceededError, match="cap"):
         enumerate_connected_bipartite(2, 3, cap=5)
     assert len(enumerate_connected_bipartite(2, 3, cap=6)) == 4
+
+
+def test_enumerate_connected_bipartite_matches_mask_sweep():
+    # every side pair with at most 12 possible edges, empty sides included:
+    # the same classes, representatives and order as a sweep over all edge sets
+    for left in range(13):
+        for right in range(13):
+            if left * right <= 12:
+                expected = naive.naive_connected_bipartite_classes(left, right)
+                assert enumerate_connected_bipartite(left, right) == expected, (left, right)
 
 
 def test_enumerate_connected_bipartite_has_expected_members():
