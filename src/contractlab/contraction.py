@@ -166,7 +166,8 @@ class ToleranceCheck:
     p*s and ``rhs`` holds the right-hand side of every pair, precomputed from
     the graph's cached base rows (``Graph.distances.base``).  Both are
     read-only and shared with the exact searches (``solvers._valid_sets``),
-    which test their own rows against the same inequality.
+    which test their own packed distance matrices against the same
+    inequality.
 
     Subsets are passed as bitmasks over edge ids.  A scan searches row u only
     when the lexicographic pair scan reaches u, one search per block of merged

@@ -60,11 +60,11 @@ from .solvers import (
     max_weak_contraction_exact,
 )
 from .reductions import (
+    _lift_into,
     biclique_to_contraction,
     build_gadget,
     build_tensor_square,
     contraction_to_biclique,
-    lift_biclique,
     project_biclique,
 )
 
@@ -530,7 +530,7 @@ def check_lemma2(
     for b in maximal:
         enumerated += 1
         try:
-            lift_biclique(g, b)
+            _lift_into(tensor, b)
         except ValueError as exc:
             witness = {
                 "factor_biclique": {"left": list(b.left), "right": list(b.right)},
@@ -812,13 +812,16 @@ def _run_instance(desc: dict, obj, claims: list[str], entry: dict, caps: dict) -
     reports: list[LabReport] = []
     theorem6: tuple[LabReport, LabReport] | None = None
     biclique_report: LabReport | None = None
+    graph: Graph | None = None  # one Graph, so one distance engine, for both path claims
 
     for claim in claims:
         try:
             if claim in (CLAIM_PATH, CLAIM_PATH_SHORTEST):
+                if graph is None:
+                    graph = _as_graph(obj)
                 reports.append(
                     check_path_lemma(
-                        _as_graph(obj),
+                        graph,
                         shortest_only=(claim == CLAIM_PATH_SHORTEST),
                         cap_edges=cap_edges,
                         max_path_edges=max_path,

@@ -166,13 +166,18 @@ def lift_biclique(g: BipartiteGraph, b: Biclique) -> Biclique:
     {(r, l) : r in T, l in S}, i.e. |S||T| vertices per side; completeness in
     the tensor is verified before returning.
     """
+    return _lift_into(build_tensor_square(g), b)
+
+
+def _lift_into(t: TensorGraph, b: Biclique) -> Biclique:
+    """``lift_biclique`` against an already built tensor square ``t``."""
+    g = t.factor
     b.validate_in(g)
     nl, nr = g.left_count, g.right_count
     left = tuple(sorted(l * nr + r for l in b.left for r in b.right))
     right = tuple(sorted(r * nl + l for r in b.right for l in b.left))
     lifted = Biclique(left, right)
-    tensor = build_tensor_square(g)
-    lifted.validate_in(tensor.graph)
+    lifted.validate_in(t.graph)
     return lifted
 
 

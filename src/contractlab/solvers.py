@@ -22,14 +22,15 @@ no other shortcut is taken; equivalence with plain power-set filtering is
 part of the test suite.  Induced distances, and so the failing pairs, depend
 only on the vertex partition a set induces, so each search evaluates a
 partition once and reuses the result for every other set inducing it.  A
-child's induced rows are derived from its parent's, so a search runs no BFS
-or Dijkstra.
+child's induced distances are derived from its parent's, so a search runs no
+BFS or Dijkstra.
 
-The searches hold a distance row as one Python int (``RowPacking``): each
-vertex's distance in a fixed-width field under a guard bit.  Deriving a row
-after a merge (``MergedRows``) and testing it against the tolerance (the
-walker's scan, ``_row_scan``) are then a few big-int operations rather than
-a loop per entry.  This module is the only one that knows the format.
+A search node holds its whole induced distance matrix as one Python int
+(``RowPacking``): every pair's distance in a fixed-width field under a guard
+bit, row-major.  Deriving the matrix after a merge (``RowPacking.merge``)
+and testing it against the tolerance (the walker's scan, ``_matrix_scan``)
+are then each a fixed handful of big-int operations, not a loop over rows
+or entries.  This module is the only one that knows the format.
 """
 
 from __future__ import annotations
@@ -105,142 +106,130 @@ def _last_child(labels: tuple[int, ...], g: Graph, pairs) -> int:
 
 
 class RowPacking(NamedTuple):
-    """Distance rows packed one Python int per row (SWAR, SIMD within a
+    """A distance matrix packed into one Python int (SWAR, SIMD within a
     register: Lamport, "Multiple byte processing with full-word
     instructions", CACM 1975).
 
-    Field i of a row is ``width`` bits wide, starts at bit ``i * width`` and
-    holds the row's distance to vertex i in its low ``width - 1`` bits; its
-    top bit is a guard bit, clear in every packed row.  With D the largest
-    base distance, ``width = (2*D + 1).bit_length() + 1``, so every value up
-    to 2*D + 1 fits below the guard.  ``ones`` has a 1 in every field and
-    ``guards`` every guard bit set, and ``top`` is D + 1, above every
-    distance a row of the graph holds.  For packed x and y, ``((x | guards) - y)
-    & guards`` (``ge``) has field i's guard set exactly where x[i] >= y[i]:
-    with the guards set first no field borrows from the next.  Shifting ge
-    down by ``width - 1`` and subtracting turns each set guard into a mask
-    of its field's value bits, so ``x ^ ((x ^ y) & (ge - (ge >> (width -
-    1))))`` is the fieldwise minimum (``MergedRows``).  The same guarded
-    subtraction compares a row with a row of thresholds (``_row_scan``).
-    Each is a few big-int operations per row.
+    Field u*n + y is ``width`` bits wide, starts at bit ``(u*n + y) * width``
+    and holds d(u, y) in its low ``width - 1`` bits; its top bit is a guard
+    bit, clear in every packed matrix.  So row u is the ``span`` = n*width
+    bits from ``u * span`` up.  With D the largest base distance, ``width =
+    (2*D + 1).bit_length() + 1``, so every value up to 2*D + 1 fits below the
+    guard, and ``top`` is D + 1, above every distance the graph holds.
+    ``ones`` has a 1 in every field and ``guards`` every guard bit set;
+    ``row_ones`` and ``row_guards`` are the same for one row.  For packed x
+    and y, ``((x | guards) - y) & guards`` has field i's guard set exactly
+    where x[i] >= y[i]: with the guards set first no field borrows from the
+    next.  Shifting that down by ``width - 1`` and subtracting turns each set
+    guard into a mask of its field's value bits, which gives the fieldwise
+    minimum (``_min``), and the same guarded subtraction compares a matrix
+    with a matrix of thresholds (``_matrix_scan``).
+
+    ``merge`` spreads one row over the whole matrix with two products.
+    ``spread`` = sum of 1 << k*(n-1)*width over k < n moves field u of a row
+    to the start of row u; only these diagonal terms land in column 0 and at
+    most two terms meet in any other field.  No value exceeds D, so a sum of
+    two is at most 2*D < 2**(width-1) and never carries into a guard bit.
+    ``col0`` keeps the value bits of column 0, and ``copies`` (a 1 at the
+    start of every row) repeats a row in every row.
     """
 
     width: int
+    span: int
     ones: int
     guards: int
+    row_ones: int
+    row_guards: int
+    spread: int
+    col0: int
+    copies: int
     top: int
 
     @classmethod
     def for_rows(cls, base: list[list[int]]) -> RowPacking:
         """The packing that fits a connected graph's scaled ``base`` rows
         (an unreachable -1 cannot be packed)."""
+        n = len(base)
         top = max(map(max, base), default=0) + 1
         width = (2 * top - 1).bit_length() + 1
-        ones = sum(1 << (y * width) for y in range(len(base)))
-        return cls(width, ones, ones << (width - 1), top)
+        span = n * width
+        row_ones = sum(1 << (y * width) for y in range(n))
+        copies = sum(1 << (u * span) for u in range(n))
+        spread = sum(1 << (k * (n - 1) * width) for k in range(n))
+        ones = row_ones * copies
+        return cls(
+            width, span, ones, ones << (width - 1), row_ones, row_ones << (width - 1),
+            spread, copies * ((1 << (width - 1)) - 1), copies, top,
+        )
 
     def pack(self, values) -> int:
-        """One packed row of non-negative values below ``2**(width-1)``."""
+        """Fields 0, 1, ... holding non-negative ``values`` below ``2**(width-1)``;
+        a matrix is its rows' values in row-major order."""
         width = self.width
         return sum(d << (i * width) for i, d in enumerate(values))
 
+    def merge(self, matrix: int, a: int, b: int) -> int:
+        """The packed induced matrix after the blocks of a and b merge.
 
-class MergedRows:
-    """The packed induced rows one merge below a parent's, derived on first use.
-
-    ``parent`` is the parent's source of packed rows (``parent[u]``: the
-    packed base rows or another ``MergedRows``); the child merges the
-    blocks of a and b.  With m the fieldwise minimum of the parent's rows a
-    and b (the merged block's row) and c = min(d(u,a), d(u,b)) = m[u], the
-    child's row u is m when c == 0 and otherwise min(d(u,y), c + m[y]) for
-    every y.  This is exact: d'(u,y) = min(d(u,y), d(u,a) + d(b,y),
-    d(u,b) + d(a,y)), and the two cross terms the formula adds are at least
-    d(u,y) by the triangle inequality.  No search runs; each row costs a few
-    big-int operations on whole packed rows: ``m + c * ones`` adds c to every
-    field, which cannot carry into a guard bit because c + m[y] <= 2*D <
-    2**(width-1), and the fieldwise minimum is the guarded subtraction
-    described in ``RowPacking``.
-
-    ``labels[v]`` names v's block in the child (vertices with equal labels
-    have equal rows, and labels lie in ``range(len(labels))``), so one row is
-    derived per block and shared by the block.  The parent's rows are only
-    read.  The update assumes a connected graph, with no -1 (unreachable) in
-    any parent row.
-    """
-
-    __slots__ = ("_parent", "_a", "_b", "labels", "_packing", "_merged", "_rows")
-
-    def __init__(self, parent, a: int, b: int, labels, packing: RowPacking):
-        self._parent = parent
-        self._a = a
-        self._b = b
-        self.labels = labels
-        self._packing = packing
-        self._merged: int | None = None
-        self._rows: list = [None] * len(labels)
-
-    def __getitem__(self, u: int) -> int:
-        key = self.labels[u]
-        row = self._rows[key]
-        if row is None:
-            # the hot path of the searches: the fieldwise minimum (see
-            # RowPacking) and the read of field u are written out in place
-            parent = self._parent
-            width, ones, guards, _ = self._packing
-            m = self._merged
-            if m is None:
-                x, y = parent[self._a], parent[self._b]
-                ge = ((x | guards) - y) & guards
-                m = self._merged = x ^ ((x ^ y) & (ge - (ge >> (width - 1))))
-            c = (m >> (u * width)) & ((1 << (width - 1)) - 1)
-            if c == 0:
-                row = m
-            else:
-                x, y = parent[u], m + c * ones
-                ge = ((x | guards) - y) & guards
-                row = x ^ ((x ^ y) & (ge - (ge >> (width - 1))))
-            self._rows[key] = row
-        return row
+        With m the fieldwise minimum of rows a and b (the merged block's
+        row), the result is min(d(u,y), m[u] + m[y]) in every field.  This is
+        exact: d'(u,y) = min(d(u,y), d(u,a) + d(b,y), d(u,b) + d(a,y)), and
+        m[u] + m[y] is the least of those two cross terms and of d(u,a) +
+        d(a,y) and d(u,b) + d(b,y), which are at least d(u,y) by the triangle
+        inequality.  Where m[u] = 0 (u merged with a or b), row u becomes m.
+        The matrix must have no -1 (unreachable) field.
+        """
+        width, span, _, guards, row_ones, row_guards, spread, col0, copies, _ = self
+        row = (1 << span) - 1
+        m = _min((matrix >> (a * span)) & row, (matrix >> (b * span)) & row, row_guards, width)
+        cross = ((m * spread) & col0) * row_ones + m * copies
+        return _min(matrix, cross, guards, width)
 
 
-def _row_scan(
+def _min(x: int, y: int, guards: int, width: int) -> int:
+    """Fieldwise minimum of packed x and y (see ``RowPacking``)."""
+    ge = ((x | guards) - y) & guards
+    return x ^ ((x ^ y) & (ge - (ge >> (width - 1))))
+
+
+def _matrix_scan(
     check: ToleranceCheck, weak: bool, packing: RowPacking
-) -> Callable[..., list[tuple[int, int]]]:
-    """The walker's pair scan: ``scan(rows)`` lists the failing pairs of a
-    source of packed induced rows (``rows[u]``), in lexicographic order.
+) -> Callable[[int], list[tuple[int, int]]]:
+    """The walker's pair scan: ``scan(matrix)`` lists the failing pairs of a
+    packed induced matrix, in lexicographic order.
 
     Pair (u, v) fails exactly when ``check.lhs * d < check.rhs[u][v]``, that
-    is when its induced distance d is below ceil(rhs/lhs).  So each row u <
-    n-1 gets a packed threshold row: that ceiling clamped to [0, D+1]
+    is when its induced distance d is below ceil(rhs/lhs).  So the scan holds
+    a packed threshold matrix: that ceiling clamped to [0, D+1]
     (``RowPacking.top``, since d lies in [0, D]), and 0 for v <= u.  One
-    guarded subtraction, ``(row | guards) - threshold``, clears field v's
-    guard exactly where (u, v) fails, and weak mode keeps only the fields
-    where the row holds at least 1 (unmerged pairs).  Strong mode stops at
-    the first failing pair.  Weak mode decodes every one into the search's
-    own table of (u, v) tuples, shared rather than made per scan, so the
+    guarded subtraction, ``(matrix | guards) - thresholds``, clears field
+    (u, v)'s guard exactly where (u, v) fails, and weak mode keeps only the
+    fields holding at least 1 (unmerged pairs).  Fields run in lexicographic
+    pair order, so the set guards are decoded lowest first: strong mode
+    stops at the first, weak mode decodes every one into the search's own
+    flat table of (u, v) tuples, shared rather than made per scan, so the
     walker's memo of failing pairs holds no copies.
     """
-    width, ones, guards, top = packing
-    lhs = check.lhs
-    thresholds = [
-        packing.pack(0 if v <= u else min(max(-(-r // lhs), 0), top) for v, r in enumerate(rhs))
-        for u, rhs in enumerate(check.rhs[:-1])
-    ]
-    pairs = [[(u, v) for v in range(check.n)] for u in range(len(thresholds))]
+    width, _, ones, guards, *_ = packing
+    lhs, n = check.lhs, check.n
+    thresholds = packing.pack(
+        0 if v <= u else min(max(-(-r // lhs), 0), packing.top)
+        for u, rhs in enumerate(check.rhs)
+        for v, r in enumerate(rhs)
+    )
+    pairs = [(u, v) for u in range(n) for v in range(n)]
 
-    def scan(rows) -> list[tuple[int, int]]:
+    def scan(matrix: int) -> list[tuple[int, int]]:
+        held = matrix | guards
+        failing = ((held - thresholds) & guards) ^ guards
+        if not weak:
+            return [pairs[((failing & -failing).bit_length() - 1) // width]] if failing else []
+        failing &= held - ones
         out = []
-        for u, threshold in enumerate(thresholds):
-            held = rows[u] | guards
-            failing = ((held - threshold) & guards) ^ guards
-            if weak:
-                failing &= held - ones
-            while failing:
-                low = failing & -failing
-                out.append(pairs[u][(low.bit_length() - 1) // width])
-                if not weak:
-                    return out
-                failing ^= low
+        while failing:
+            low = failing & -failing
+            out.append(pairs[(low.bit_length() - 1) // width])
+            failing ^= low
         return out
 
     return scan
@@ -256,29 +245,29 @@ def _valid_sets(
     stops once taking every remaining edge could not get past it.
 
     A node carries its partition as min-vertex labels, next to its packed
-    induced rows and failing pairs, starting from the packed base rows.  An
-    edge inside a block changes none of them.  Otherwise the child's rows
-    are a ``MergedRows`` over the parent's, read only as far as the scan
-    goes.  Its failing pairs and its last child worth building (m - 1 when
-    none fails) depend only on the partition, so they are memoised by
-    labels: a partition met before costs no scan and no ``_last_child``
-    pass.  Weak mode keeps every failing pair, which ``_last_child`` needs;
-    strong mode prunes on any failing pair, so it keeps at most the first
-    and its scan stops there.
+    induced matrix (``RowPacking``) and failing pairs, starting from the
+    packed base matrix.  An edge inside a block changes none of them.
+    Otherwise the child's matrix is one ``RowPacking.merge`` of the
+    parent's.  Its matrix, failing pairs and last child worth building (m - 1
+    when none fails) depend only on the partition, so they are memoised by
+    labels: a partition met before costs no merge, no scan and no
+    ``_last_child`` pass.  Weak mode keeps every failing pair, which
+    ``_last_child`` needs; strong mode prunes on any failing pair, so it
+    keeps at most the first and its scan stops there.
     """
     g = check.graph
     m = check.m
-    seen: dict[tuple[int, ...], tuple[list[tuple[int, int]], int]] = {}
+    seen: dict[tuple[int, ...], tuple[int, list[tuple[int, int]], int]] = {}
     explored = 0
 
-    def evaluate(labels: tuple[int, ...], rows) -> tuple[list[tuple[int, int]], int]:
-        failing = scan(rows)
+    def evaluate(labels: tuple[int, ...], matrix: int) -> tuple[int, list[tuple[int, int]], int]:
+        failing = scan(matrix)
         if weak and failing:
-            return failing, _last_child(labels, g, failing)
-        return failing, m - 1
+            return matrix, failing, _last_child(labels, g, failing)
+        return matrix, failing, m - 1
 
     def visit(
-        cset: list[int], start: int, labels: tuple[int, ...], rows, failing: list, last: int
+        cset: list[int], start: int, labels: tuple[int, ...], matrix: int, failing: list, last: int
     ) -> Iterator[tuple[int, ...]]:
         nonlocal explored
         explored += 1
@@ -292,28 +281,27 @@ def _valid_sets(
                 break
             u, v, _ = g.edges[j]
             a, b = labels[u], labels[v]
-            node = labels, rows, failing, last
+            node = labels, matrix, failing, last
             if a != b:
                 if a > b:
                     a, b = b, a
                 merged = tuple([a if x == b else x for x in labels])
-                merged_rows = MergedRows(rows, a, b, merged, packing)
                 hit = seen.get(merged)
                 if hit is None:
-                    hit = seen[merged] = evaluate(merged, merged_rows)
-                node = merged, merged_rows, *hit
+                    hit = seen[merged] = evaluate(merged, packing.merge(matrix, a, b))
+                node = merged, *hit
             cset.append(j)
             yield from visit(cset, j + 1, *node)
             cset.pop()
 
     packing = RowPacking.for_rows(check.base_scaled)
-    base = list(map(packing.pack, check.base_scaled))
-    scan = _row_scan(check, weak, packing)
+    scan = _matrix_scan(check, weak, packing)
     # visit is a reference cycle: without the clear, the memo outlives the
     # search until the next full garbage collection
     try:
         labels = tuple(range(check.n))
-        yield from visit([], 0, labels, base, *evaluate(labels, base))
+        base = packing.pack(d for row in check.base_scaled for d in row)
+        yield from visit([], 0, labels, *evaluate(labels, base))
     finally:
         seen.clear()
     return explored

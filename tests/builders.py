@@ -1,4 +1,5 @@
-"""Random-instance builders and hypothesis strategies shared by the tests."""
+"""Random-instance builders, hypothesis strategies and a decoder of packed
+distance matrices, shared by the tests."""
 
 from __future__ import annotations
 
@@ -40,6 +41,16 @@ def random_connected_graph(
         return Fraction(1) if unit else rng.choice(SMALL_WEIGHTS)
 
     return Graph(n, tuple((u, v, weight()) for u, v in sorted(chosen)))
+
+
+def unpack_matrix(matrix: int, packing, n: int) -> list[list[int]]:
+    """The n x n distances packed row-major in ``matrix`` (see
+    ``solvers.RowPacking``); its guard bits and the bits above its n*n fields
+    must be clear."""
+    width = packing.width
+    assert matrix & packing.guards == 0 and matrix >> (n * n * width) == 0
+    value = (1 << (width - 1)) - 1
+    return [[(matrix >> ((u * n + y) * width)) & value for y in range(n)] for u in range(n)]
 
 
 def random_subset(rng: random.Random, m: int, nonempty: bool = False) -> tuple[int, ...]:

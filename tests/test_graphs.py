@@ -24,10 +24,10 @@ from contractlab import (
     shortest_distances,
 )
 from contractlab.graphs import ScaledDistances
-from contractlab.solvers import MergedRows, RowPacking
+from contractlab.solvers import RowPacking
 
 import naive
-from builders import connected_graphs, random_connected_graph
+from builders import connected_graphs, random_connected_graph, unpack_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -175,46 +175,32 @@ def test_all_pairs_shares_rows_within_blocks():
     assert largest_block >= 4
 
 
-def _unpack(row: int, packing, n: int) -> list[int]:
-    """The distances packed in ``row``; its guard bits and the bits above its
-    n fields must be clear."""
-    width = packing.width
-    assert row & packing.guards == 0 and row >> (n * width) == 0
-    return [(row >> (y * width)) & ((1 << (width - 1)) - 1) for y in range(n)]
-
-
 def test_merged_rows_match_all_pairs():
-    # the exact searches derive a child's packed rows from its parent's, one
-    # merge at a time; merging edges in seeded orders, every derived row must
-    # decode to a fresh all_pairs of the merged edges, one row per block, and
-    # reading the child must leave the parent's rows as they were
+    # the exact searches derive a child's packed distance matrix from its
+    # parent's, one merge at a time; merging edges in seeded orders, every
+    # derived matrix must decode to a fresh all_pairs of the merged edges
     order_rng = random.Random(31)
     merges = 0
     for g in _seeded_graphs(random.Random(23)):
         engine = g.distances
         packing = RowPacking.for_rows(engine.base)
-        base = [packing.pack(row) for row in engine.base]
+        base = packing.pack(d for row in engine.base for d in row)
         n, m = g.vertex_count, g.edge_count
-        assert [_unpack(row, packing, n) for row in base] == engine.base
+        assert unpack_matrix(base, packing, n) == engine.base
         assert packing.top == max(map(max, engine.base)) + 1
         for _ in range(3):
             order = list(range(m))
             order_rng.shuffle(order)
-            labels, rows, mask = tuple(range(n)), base, 0
+            labels, matrix, mask = tuple(range(n)), base, 0
             for e in order:
                 mask |= 1 << e
                 u, v, _ = g.edges[e]
                 a, b = sorted((labels[u], labels[v]))
                 if a != b:
-                    parent_rows = rows
-                    parent = [rows[x] for x in range(n)]
                     labels = tuple(a if x == b else x for x in labels)
-                    rows = MergedRows(rows, a, b, labels, packing)
+                    matrix = packing.merge(matrix, a, b)
                     merges += 1
-                derived = [rows[x] for x in range(n)]
-                assert [_unpack(row, packing, n) for row in derived] == engine.all_pairs(mask)
-                assert len({id(row) for row in derived}) == len(set(labels))
-                assert [parent_rows[x] for x in range(n)] == parent
+                assert unpack_matrix(matrix, packing, n) == engine.all_pairs(mask)
     assert merges >= 100
 
 

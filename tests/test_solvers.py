@@ -25,7 +25,7 @@ from contractlab import solvers
 from contractlab.graphs import ScaledDistances
 
 import naive
-from builders import SMALL_WEIGHTS, random_connected_graph
+from builders import SMALL_WEIGHTS, random_connected_graph, unpack_matrix
 
 T11 = Tolerance(1, 1)
 
@@ -50,11 +50,11 @@ def _repeating_partition_cases():
 
 
 def _field_width_cases():
-    """(graph, alpha, beta) at the edges of the searches' packed rows (see
-    solvers.RowPacking): alpha < 1, so thresholds above the largest distance
-    are clamped; a beta so large that no threshold is positive; scaled
-    weights in the tens of thousands (1000/7 and 97/89 scale by 623); and
-    the one-vertex and one-edge graphs."""
+    """(graph, alpha, beta) at the edges of the searches' packed matrices
+    (see solvers.RowPacking): alpha < 1, so thresholds above the largest
+    distance are clamped; a beta so large that no threshold is positive;
+    scaled weights in the tens of thousands (1000/7 and 97/89 scale by 623);
+    and the one-vertex and one-edge graphs."""
     rng = random.Random(17)
     for alpha in (Fraction(1, 3), Fraction(1, 2)):
         for _ in range(4):
@@ -72,6 +72,55 @@ def _field_width_cases():
     for g in (Graph(1), Graph(2, ((0, 1, Fraction(1000, 7)),))):
         for alpha, beta in ((Fraction(1, 2), 0), (1, 0), (1, 1), (2, 100)):
             yield g, alpha, beta
+
+
+def _core_gadgets_4x5(rng):
+    """Pendant gadgets of three seeded connected 4x5 cores with 16, 18 and 20
+    edges, so 25 to 29 gadget edges on 18 vertices."""
+    cells = [(l, r) for l in range(4) for r in range(5)]
+    for size in (16, 18, 20):
+        while True:
+            core = BipartiteGraph(4, 5, tuple(sorted(rng.sample(cells, size))))
+            if cl.is_connected(core.to_graph()):
+                break
+        yield cl.build_gadget(core, 1).combined
+
+
+def test_matrix_merge_and_scan_match_the_verifier():
+    # the walker's merge and pair scan, driven without a search: at the edges
+    # of the field width (heavy weights scaled by 623, alpha < 1 with clamped
+    # thresholds) and on gadgets of 4x5 cores, every merged matrix decodes to
+    # a fresh all_pairs, the weak scan lists the verifier's failing pairs and
+    # the strong scan its first one
+    rng = random.Random(47)
+    cases = [(g, Tolerance(alpha, beta)) for g, alpha, beta in _field_width_cases()]
+    cases += [(g, t) for g in _core_gadgets_4x5(rng) for t in (T11, Tolerance(2, Fraction(1, 2)))]
+    assert max(g.edge_count for g, _ in cases) == 29
+    merges = 0
+    for g, t in cases:
+        check = cl.ToleranceCheck(g, t)
+        engine = g.distances
+        packing = solvers.RowPacking.for_rows(check.base_scaled)
+        weak_scan = solvers._matrix_scan(check, True, packing)
+        strong_scan = solvers._matrix_scan(check, False, packing)
+        n = g.vertex_count
+        order = list(range(g.edge_count))
+        rng.shuffle(order)
+        labels, mask = tuple(range(n)), 0
+        matrix = packing.pack(d for row in check.base_scaled for d in row)
+        for e in [None] + order:
+            if e is not None:
+                mask |= 1 << e
+                u, v, _ = g.edges[e]
+                a, b = sorted((labels[u], labels[v]))
+                if a != b:
+                    labels = tuple(a if x == b else x for x in labels)
+                    matrix = packing.merge(matrix, a, b)
+                    merges += 1
+            assert unpack_matrix(matrix, packing, n) == engine.all_pairs(mask)
+            assert weak_scan(matrix) == check.failing_pairs(mask, weak=True)
+            assert strong_scan(matrix) == check.failing_pairs(mask, weak=False)[:1]
+    assert merges >= 100
 
 
 def _solved_or_none(solve, g, t):
@@ -439,28 +488,29 @@ def test_search_counters_pinned():
 def test_search_distance_evaluations_pinned(monkeypatch):
     # the searches of test_search_counters_pinned evaluate each vertex
     # partition once: the walker's pair scan runs once per distinct partition
-    # met, not once per node (19, 2564 and 2392 scans when every node paid),
-    # and the labels of the rows each scan reads tell the partitions apart.
-    # Once the base rows are cached, a search derives every node's rows from
-    # its parent's and runs no BFS or Dijkstra (72, 1636 and 11492 runs when
-    # each block was searched), and it turns no scaled distance into a
-    # Fraction: no witness is built for a failing node
-    scanned: list[tuple[int, ...]] = []
+    # met, not once per node (19, 2564 and 2392 scans when every node paid).
+    # A scanned matrix holds 0 exactly for the merged pairs, so distinct
+    # matrices mean distinct partitions.  Once the base rows are cached, a
+    # search derives every node's matrix from its parent's and runs no BFS or
+    # Dijkstra (72, 1636 and 11492 runs when each block was searched), and it
+    # turns no scaled distance into a Fraction: no witness is built for a
+    # failing node
+    scanned: list[int] = []
     runs: list[int] = []
     searches: list[int] = []
     exacts: list[int] = []
-    row_scan = solvers._row_scan
+    matrix_scan = solvers._matrix_scan
 
     def counting_scan(check, weak, packing):
-        scan = row_scan(check, weak, packing)
+        scan = matrix_scan(check, weak, packing)
 
-        def counted(rows):
-            scanned.append(getattr(rows, "labels", tuple(range(check.n))))
-            return scan(rows)
+        def counted(matrix):
+            scanned.append(matrix)
+            return scan(matrix)
 
         return counted
 
-    monkeypatch.setattr(solvers, "_row_scan", counting_scan)
+    monkeypatch.setattr(solvers, "_matrix_scan", counting_scan)
     from_source = ScaledDistances.from_source
     exact = ScaledDistances.exact
 
