@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -350,21 +349,6 @@ def cmd_reduce(args) -> int:
     return 0
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Replace ``path`` with ``text`` in one step: write a temporary file in
-    the same directory, then ``os.replace`` it into place.  A write that fails
-    leaves the old file's bytes and removes the temporary file.  The file is
-    created as ``open`` creates it, so it gets the usual permissions."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def cmd_lab(args) -> int:
     if args.suite:
         config = json.loads(Path(args.suite).read_text(encoding="utf-8"))
@@ -383,7 +367,9 @@ def cmd_lab(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     payloads = [rep.to_json_dict() for rep in reports]
-    _write_atomic(out_dir / "reports.json", json.dumps(payloads, sort_keys=True, indent=2) + "\n")
+    lablib.write_atomic(
+        out_dir / "reports.json", json.dumps(payloads, sort_keys=True, indent=2) + "\n"
+    )
     summary = io.StringIO()
     writer = csv.DictWriter(
         summary,
@@ -391,40 +377,10 @@ def cmd_lab(args) -> int:
     )
     writer.writeheader()
     writer.writerows(lablib.summarize(reports))
-    _write_atomic(out_dir / "summary.csv", summary.getvalue())
+    lablib.write_atomic(out_dir / "summary.csv", summary.getvalue())
 
     goldens = Path(args.goldens) if args.goldens else out_dir / "goldens"
-    goldens.mkdir(parents=True, exist_ok=True)
-    regressions: list[str] = []
-    unreadable: list[str] = []
-    pinned = 0
-    by_claim: dict[str, list] = {}
-    for rep in reports:
-        by_claim.setdefault(rep.claim, []).append(rep)
-    for claim, claim_reports in by_claim.items():
-        golden_path = goldens / f"{claim}.json"
-        recorded: dict[str, str] = {}
-        if golden_path.exists():
-            try:
-                recorded = json.loads(golden_path.read_text(encoding="utf-8"))
-                if not isinstance(recorded, dict):
-                    raise ValueError("golden file must hold an object")
-            except ValueError:
-                unreadable.append(claim)
-                continue
-        changed = False
-        for rep in claim_reports:
-            key = lablib.instance_key(rep.instance)
-            if key not in recorded:
-                recorded[key] = rep.verdict
-                pinned += 1
-                changed = True
-            elif recorded[key] != rep.verdict:
-                regressions.append(
-                    f"{claim}: {key} recorded {recorded[key]!r}, got {rep.verdict!r}"
-                )
-        if changed and claim not in unreadable:
-            _write_atomic(golden_path, json.dumps(recorded, sort_keys=True, indent=2) + "\n")
+    pinned, regressions, unreadable = lablib.compare_goldens(reports, goldens)
 
     counts = {"holds": 0, "counterexample": 0, "vacuous": 0, "error": 0}
     for rep in reports:

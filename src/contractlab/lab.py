@@ -30,11 +30,14 @@ Claim ids (fixed report-schema slugs):
 from __future__ import annotations
 
 import itertools
+import json
+import os
 import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from hashlib import sha256
+from pathlib import Path
 
 from .graphs import (
     Biclique,
@@ -229,8 +232,7 @@ def _first_disjoint_contracted_pair(
 # ((graph, cap), valid sets) left by the last path check that enumerated.
 # The suite runs both path claims of an instance back to back, so the second
 # finds its sets here.  Every check takes the entry out, so the sets do not
-# stay alive through the gadget checks that follow; the entry is swapped
-# whole, never mutated, so concurrent checks need no lock.
+# stay alive through the gadget checks that follow.
 _last_valid_sets: tuple[tuple[Graph, int], tuple[tuple[int, ...], ...]] | None = None
 
 
@@ -919,3 +921,62 @@ def summarize(reports: list[LabReport]) -> list[dict]:
         row[rep.verdict] += 1
         row["total"] += 1
     return list(rows.values())
+
+
+def write_atomic(path: Path, text: str) -> None:
+    """Replace ``path`` with ``text`` in one step: write a temporary file in
+    the same directory, then ``os.replace`` it into place.  A write that fails
+    leaves the old file's bytes and removes the temporary file.  The file is
+    created as ``open`` creates it, so it gets the usual permissions."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def compare_goldens(reports: list[LabReport], goldens: Path) -> tuple[int, list[str], list[str]]:
+    """Check ``reports`` against the golden files in ``goldens``, one
+    ``<claim>.json`` per claim mapping ``instance_key`` to a verdict.
+
+    Returns (pinned, regressions, unreadable): the number of verdicts newly
+    recorded, one message per verdict that differs from its golden, and the
+    claims whose golden file is not a JSON object.  A readable golden file
+    that gained verdicts is rewritten with ``write_atomic``; an unreadable one
+    is left as it is and its claim is not compared.
+    """
+    goldens.mkdir(parents=True, exist_ok=True)
+    regressions: list[str] = []
+    unreadable: list[str] = []
+    pinned = 0
+    by_claim: dict[str, list[LabReport]] = {}
+    for rep in reports:
+        by_claim.setdefault(rep.claim, []).append(rep)
+    for claim, claim_reports in by_claim.items():
+        golden_path = goldens / f"{claim}.json"
+        recorded: dict[str, str] = {}
+        if golden_path.exists():
+            try:
+                recorded = json.loads(golden_path.read_text(encoding="utf-8"))
+                if not isinstance(recorded, dict):
+                    raise ValueError("golden file must hold an object")
+            except ValueError:
+                unreadable.append(claim)
+                continue
+        changed = False
+        for rep in claim_reports:
+            key = instance_key(rep.instance)
+            if key not in recorded:
+                recorded[key] = rep.verdict
+                pinned += 1
+                changed = True
+            elif recorded[key] != rep.verdict:
+                regressions.append(
+                    f"{claim}: {key} recorded {recorded[key]!r}, got {rep.verdict!r}"
+                )
+        if changed:
+            write_atomic(golden_path, json.dumps(recorded, sort_keys=True, indent=2) + "\n")
+    return pinned, regressions, unreadable

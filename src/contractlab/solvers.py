@@ -23,7 +23,10 @@ part of the test suite.  Induced distances, and so the failing pairs, depend
 only on the vertex partition a set induces, so each search evaluates a
 partition once and reuses the result for every other set inducing it.  A
 child's induced distances are derived from its parent's, so a search runs no
-BFS or Dijkstra.
+BFS or Dijkstra.  The walker is one generator frame driving an explicit
+stack of open nodes, not a generator per node, and it holds a partition as a
+str of block labels: a merge is one ``str.replace`` and the memo key is the
+str itself, whose hash Python caches.
 
 A search node holds its whole induced distance matrix as one Python int
 (``RowPacking``): every pair's distance in a fixed-width field under a guard
@@ -78,15 +81,15 @@ def _require_cap(m: int, cap: int, what: str) -> None:
         raise CapExceededError(f"{what} {m} exceeds the enumeration cap ({cap})")
 
 
-def _last_child(labels: tuple[int, ...], g: Graph, pairs) -> int:
+def _last_child(labels: str, g: Graph, pairs) -> int:
     """The largest j at which the partition ``labels`` joined with the edges
     j..m-1 joins every pair, or -1 if none does.
 
     ``pairs`` is a non-empty list of pairs that ``labels`` leaves apart.
-    Edges are added from the last one down, each merge relabelling one block,
-    and a joined pair stays joined, so one index walks the pairs once.  The
-    edges j..m-1 only grow as j falls, so every j up to the result joins
-    every pair too.
+    Edges are added from the last one down, each merge relabelling one block
+    (one ``str.replace``), and a joined pair stays joined, so one index walks
+    the pairs once.  The edges j..m-1 only grow as j falls, so every j up to
+    the result joins every pair too.
     """
     label = labels
     i, k = 0, len(pairs)
@@ -95,7 +98,7 @@ def _last_child(labels: tuple[int, ...], g: Graph, pairs) -> int:
         u, v, _ = edges[j]
         a, b = label[u], label[v]
         if a != b:
-            label = [a if x == b else x for x in label]
+            label = label.replace(b, a)
             x, y = pairs[i]
             while label[x] == label[y]:
                 i += 1
@@ -241,70 +244,72 @@ def _valid_sets(
     """Yield the valid sets longer than ``floor[0]`` in lexicographic order,
     then return the number of search nodes visited.
 
-    The caller owns ``floor`` and may raise it between sets; a child loop
-    stops once taking every remaining edge could not get past it.
+    The caller owns ``floor`` and may raise it between sets; a node's child
+    loop stops once taking every remaining edge could not get past it, tested
+    as each child is taken.
 
-    A node carries its partition as min-vertex labels, next to its packed
-    induced matrix (``RowPacking``) and failing pairs, starting from the
-    packed base matrix.  An edge inside a block changes none of them.
-    Otherwise the child's matrix is one ``RowPacking.merge`` of the
-    parent's.  Its matrix, failing pairs and last child worth building (m - 1
-    when none fails) depend only on the partition, so they are memoised by
-    labels: a partition met before costs no merge, no scan and no
-    ``_last_child`` pass.  Weak mode keeps every failing pair, which
-    ``_last_child`` needs; strong mode prunes on any failing pair, so it
-    keeps at most the first and its scan stops there.
+    One generator frame walks the lattice with an explicit stack of open
+    nodes, each entry the node's next child j and its node.  A node is its
+    partition as a str (character i is ``chr`` of the least vertex in i's
+    block, so a merge is one ``str.replace``), its packed induced matrix
+    (``RowPacking``), its failing pairs and its last child worth building
+    (m - 1 when none fails), starting from the packed base matrix.  An edge
+    inside a block changes none of them.  Otherwise the child's matrix is one
+    ``RowPacking.merge`` of the parent's.  A node depends only on its
+    partition, so nodes are memoised by the labels str: a partition met
+    before costs no merge, no scan and no ``_last_child`` pass.  Weak mode
+    keeps every failing pair, which ``_last_child`` needs; strong mode prunes
+    on any failing pair, so it keeps at most the first and its scan stops
+    there.
     """
-    g = check.graph
     m = check.m
-    seen: dict[tuple[int, ...], tuple[int, list[tuple[int, int]], int]] = {}
-    explored = 0
+    edges = check.graph.edges
+    packing = RowPacking.for_rows(check.base_scaled)
+    scan = _matrix_scan(check, weak, packing)
+    seen: dict[str, tuple[str, int, list[tuple[int, int]], int]] = {}
 
-    def evaluate(labels: tuple[int, ...], matrix: int) -> tuple[int, list[tuple[int, int]], int]:
+    def evaluate(labels: str, matrix: int) -> tuple[str, int, list[tuple[int, int]], int]:
         failing = scan(matrix)
         if weak and failing:
-            return matrix, failing, _last_child(labels, g, failing)
-        return matrix, failing, m - 1
+            return labels, matrix, failing, _last_child(labels, check.graph, failing)
+        return labels, matrix, failing, m - 1
 
-    def visit(
-        cset: list[int], start: int, labels: tuple[int, ...], matrix: int, failing: list, last: int
-    ) -> Iterator[tuple[int, ...]]:
-        nonlocal explored
+    labels = "".join(map(chr, range(check.n)))
+    node = evaluate(labels, packing.pack(d for row in check.base_scaled for d in row))
+    cset: list[int] = []  # the stack's node at depth i has cset[:i]
+    stack: list[list] = []  # [next child, node] per open node
+    start = explored = 0
+    while True:
         explored += 1
+        failing = node[2]
         if not failing and (not weak or len(cset) < m) and len(cset) > floor[0]:
             yield tuple(cset)
-        if start == m or failing and not weak:
-            return
-        reach = len(cset) + m
-        for j in range(start, last + 1):
-            if reach - j <= floor[0]:
-                break
-            u, v, _ = g.edges[j]
+        if start < m and (weak or not failing):
+            stack.append([start, node])
+        while stack:
+            entry = stack[-1]
+            j, (labels, matrix, _, last) = entry
+            depth = len(stack) - 1
+            if j > last or depth + m - j <= floor[0]:
+                stack.pop()
+                continue
+            entry[0] = start = j + 1
+            del cset[depth:]
+            cset.append(j)
+            u, v, _ = edges[j]
             a, b = labels[u], labels[v]
-            node = labels, matrix, failing, last
             if a != b:
                 if a > b:
                     a, b = b, a
-                merged = tuple([a if x == b else x for x in labels])
-                hit = seen.get(merged)
-                if hit is None:
-                    hit = seen[merged] = evaluate(merged, packing.merge(matrix, a, b))
-                node = merged, *hit
-            cset.append(j)
-            yield from visit(cset, j + 1, *node)
-            cset.pop()
-
-    packing = RowPacking.for_rows(check.base_scaled)
-    scan = _matrix_scan(check, weak, packing)
-    # visit is a reference cycle: without the clear, the memo outlives the
-    # search until the next full garbage collection
-    try:
-        labels = tuple(range(check.n))
-        base = packing.pack(d for row in check.base_scaled for d in row)
-        yield from visit([], 0, labels, *evaluate(labels, base))
-    finally:
-        seen.clear()
-    return explored
+                merged = labels.replace(b, a)
+                node = seen.get(merged)
+                if node is None:
+                    node = seen[merged] = evaluate(merged, packing.merge(matrix, ord(a), ord(b)))
+            else:
+                node = entry[1]
+            break
+        else:
+            return explored
 
 
 def _max_valid_set(g: Graph, tolerance: Tolerance, cap: int, weak: bool) -> SolveResult:

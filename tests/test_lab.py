@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -37,6 +38,7 @@ from contractlab.lab import (
     ERROR,
     HOLDS,
     VACUOUS,
+    compare_goldens,
 )
 
 import naive
@@ -531,6 +533,45 @@ def test_summarize_counts():
         assert row["total"] == (
             row["holds"] + row["counterexample"] + row["vacuous"] + row["error"]
         )
+
+
+def test_compare_goldens_pins_then_flags_regressions_and_unreadable(tmp_path, monkeypatch):
+    def report(claim, n, verdict):
+        instance = {"family": "path", "params": {"n": n}, "seed": None}
+        return cl.LabReport(claim, instance, verdict, None, {})
+
+    goldens = tmp_path / "goldens"
+    first = [
+        report(CLAIM_PATH, 3, HOLDS),
+        report(CLAIM_PATH, 4, VACUOUS),
+        report(CLAIM_BICLIQUE, 3, HOLDS),
+    ]
+    assert compare_goldens(first, goldens) == (3, [], [])
+    pinned = (goldens / f"{CLAIM_PATH}.json").read_text(encoding="utf-8")
+    assert json.loads(pinned) == {"path[n=3]": HOLDS, "path[n=4]": VACUOUS}
+    # a changed verdict is reported and not written back; a new instance is
+    # pinned beside it; a claim whose golden is not a JSON object is skipped
+    (goldens / f"{CLAIM_BICLIQUE}.json").write_text("[1]", encoding="utf-8")
+    second = [
+        report(CLAIM_PATH, 3, COUNTEREXAMPLE),
+        report(CLAIM_PATH, 5, HOLDS),
+        report(CLAIM_BICLIQUE, 3, HOLDS),
+    ]
+    pinned_count, regressions, unreadable = compare_goldens(second, goldens)
+    assert pinned_count == 1
+    assert regressions == [f"{CLAIM_PATH}: path[n=3] recorded 'holds', got 'counterexample'"]
+    assert unreadable == [CLAIM_BICLIQUE]
+    assert json.loads((goldens / f"{CLAIM_PATH}.json").read_text(encoding="utf-8")) == {
+        "path[n=3]": HOLDS, "path[n=4]": VACUOUS, "path[n=5]": HOLDS,
+    }
+    assert (goldens / f"{CLAIM_BICLIQUE}.json").read_text(encoding="utf-8") == "[1]"
+    names = sorted(p.name for p in goldens.iterdir())
+    assert names == [f"{CLAIM_BICLIQUE}.json", f"{CLAIM_PATH}.json"]
+    # nothing new: no file is rewritten
+    writes = []
+    monkeypatch.setattr(cl.lab, "write_atomic", lambda path, text: writes.append(path))
+    assert compare_goldens(second[1:2], goldens) == (0, [], [])
+    assert writes == []
 
 
 def test_file_family_roundtrip(tmp_path):

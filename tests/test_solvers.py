@@ -323,7 +323,7 @@ def test_last_child_matches_fresh_union_find():
         if not apart:
             continue
         pairs = rng.sample(apart, rng.randint(1, len(apart)))
-        last = solvers._last_child(labels, g, pairs)
+        last = solvers._last_child("".join(map(chr, labels)), g, pairs)
         for start in range(m + 1):
             joined = [j for j in range(start, m) if _joins_every_pair(labels, g, j, pairs)]
             assert joined == list(range(start, last + 1))
@@ -331,6 +331,29 @@ def test_last_child_matches_fresh_union_find():
                 dead += last < start
                 live += last >= start
     assert dead and live
+    # labels past code point 255 (a wider str kind): a 300-vertex cycle
+    g = cl.cycle_graph(300)
+    chosen = [g.edges[e][:2] for e in range(300) if rng.random() < 0.3]
+    labels = _min_vertex_labels(300, chosen)
+    apart = [(u, v) for u in range(256, 300) for v in range(u + 1, 300) if labels[u] != labels[v]]
+    pairs = rng.sample(apart, 5)
+    last = solvers._last_child("".join(map(chr, labels)), g, pairs)
+    joined = [j for j in range(300) if _joins_every_pair(labels, g, j, pairs)]
+    assert joined == list(range(last + 1)) and last > 0
+
+
+def test_walker_stops_anywhere_and_handles_one_vertex():
+    # a consumer that stops early gets a prefix of the full stream, and a
+    # one-vertex graph has one node: the empty set, valid only in strong mode
+    cells = [(l, r) for l in range(3) for r in range(4) if (l, r) not in ((0, 0), (2, 3))]
+    gadget = cl.build_gadget(BipartiteGraph(3, 4, tuple(cells)), 1).combined
+    full = list(enumerate_valid_weak_contractions(gadget, T11))
+    assert len(full) == 291
+    for k in (0, 1, 7, 100, 290):
+        assert list(itertools.islice(enumerate_valid_weak_contractions(gadget, T11), k)) == full[:k]
+    r = max_contraction_exact(Graph(1), Tolerance(1, 0))
+    assert (r.objective, r.witness, r.explored) == (0, (), 1)
+    assert list(enumerate_valid_weak_contractions(Graph(1), T11)) == []
 
 
 # ---------------------------------------------------------------------------
