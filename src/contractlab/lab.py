@@ -35,6 +35,7 @@ import os
 import random
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from hashlib import sha256
 from pathlib import Path
@@ -63,6 +64,7 @@ from .solvers import (
     max_weak_contraction_exact,
 )
 from .reductions import (
+    GadgetGraph,
     _lift_into,
     biclique_to_contraction,
     build_gadget,
@@ -78,16 +80,6 @@ CLAIM_T6_SOUNDNESS = "thm6-soundness"
 CLAIM_T6_COMPLETENESS = "thm6-completeness"
 CLAIM_COROLLARY = "corollary-scaling"
 CLAIM_LEMMA2 = "lemma2-lift"
-
-ALL_CLAIMS = (
-    CLAIM_PATH,
-    CLAIM_PATH_SHORTEST,
-    CLAIM_BICLIQUE,
-    CLAIM_T6_SOUNDNESS,
-    CLAIM_T6_COMPLETENESS,
-    CLAIM_COROLLARY,
-    CLAIM_LEMMA2,
-)
 
 HOLDS = "holds"
 COUNTEREXAMPLE = "counterexample"
@@ -229,26 +221,20 @@ def _first_disjoint_contracted_pair(
     return None
 
 
-# ((graph, cap), valid sets) left by the last path check that enumerated.
-# The suite runs both path claims of an instance back to back, so the second
-# finds its sets here.  Every check takes the entry out, so the sets do not
-# stay alive through the gadget checks that follow.
-_last_valid_sets: tuple[tuple[Graph, int], tuple[tuple[int, ...], ...]] | None = None
+def _require_path_graph(g: Graph) -> None:
+    """Refuse a graph the path claims are not defined on."""
+    if not g.has_unit_weights():
+        raise ValueError("path claim checks require unit weights")
+    if not is_connected(g):
+        raise DisconnectedGraphError("path claim checks require a connected graph")
 
 
 def _sorted_valid_sets(g: Graph, cap_edges: int) -> tuple[tuple[int, ...], ...]:
     """Valid weak contractions at (1,1), smallest first, then lexicographically."""
-    global _last_valid_sets
-    key = (g, cap_edges)
-    memo, _last_valid_sets = _last_valid_sets, None
-    if memo is not None and memo[0] == key:
-        return memo[1]
-    valid_sets = tuple(sorted(
+    return tuple(sorted(
         enumerate_valid_weak_contractions(g, Tolerance(Fraction(1), Fraction(1)), cap_edges),
         key=lambda s: (len(s), s),
     ))
-    _last_valid_sets = (key, valid_sets)
-    return valid_sets
 
 
 def check_path_lemma(
@@ -258,6 +244,7 @@ def check_path_lemma(
     cap_edges: int = DEFAULT_EDGE_CAP,
     max_path_edges: int | None = None,
     instance: dict | None = None,
+    valid_sets: tuple[tuple[int, ...], ...] | None = None,
 ) -> LabReport:
     """Does every valid weak contraction at (1,1) that contains two
     vertex-disjoint edges of a path contain the whole path?
@@ -271,16 +258,16 @@ def check_path_lemma(
     exemption: the two contracted edges shorten the geodesic by 2 > beta = 1,
     so its endpoints lie in one supernode of every set the hypothesis fires
     on (a proper spanning set, say, on ``K_{2,3}`` minus an edge).
+
+    ``valid_sets`` stands in for ``g``'s sorted valid sets at ``cap_edges``.
     """
     t0 = time.perf_counter()
-    if not g.has_unit_weights():
-        raise ValueError("path claim checks require unit weights")
-    if not is_connected(g):
-        raise DisconnectedGraphError("path claim checks require a connected graph")
+    _require_path_graph(g)
     claim = CLAIM_PATH_SHORTEST if shortest_only else CLAIM_PATH
     inst = _adhoc_instance(instance)
 
-    valid_sets = _sorted_valid_sets(g, cap_edges)
+    if valid_sets is None:
+        valid_sets = _sorted_valid_sets(g, cap_edges)
     truncated = False
     if shortest_only:
         paths = _all_shortest_paths(g)
@@ -330,17 +317,18 @@ def check_biclique_lemma(
     *,
     cap_edges: int = DEFAULT_EDGE_CAP,
     instance: dict | None = None,
+    gadget: GadgetGraph | None = None,
 ) -> LabReport:
     """Does every valid weak contraction of the unit gadget with more than one
     edge contract a complete biclique of the core?
 
     Enumerates valid sets in lexicographic order and stops at the first one
     whose edges do not form a core biclique.  Vacuous when no valid set has
-    more than one edge.
+    more than one edge.  ``gadget``, when given, must be ``build_gadget(g, 1)``.
     """
     t0 = time.perf_counter()
     inst = _adhoc_instance(instance)
-    bg = build_gadget(g, 1)
+    bg = build_gadget(g, 1) if gadget is None else gadget
     enumerated = 0
     matched = False
     for cand in enumerate_valid_weak_contractions(
@@ -371,6 +359,7 @@ def check_theorem6(
     side_cap: int = DEFAULT_SIDE_CAP,
     instance: dict | None = None,
     biclique_report: LabReport | None = None,
+    gadget: GadgetGraph | None = None,
 ) -> tuple[LabReport, LabReport]:
     """Adjudicate both directions of the gadget reduction on one instance.
 
@@ -379,11 +368,12 @@ def check_theorem6(
     edges; vacuous when the biclique claim already failed.  Completeness:
     contracting a maximum-edge biclique of the gadget verifies as a valid
     weak contraction; the verifier's verdict is recorded either way and the
-    witness carries everything needed to re-check it.
+    witness carries everything needed to re-check it.  ``gadget``, when
+    given, must be ``build_gadget(g, 1)``.
     """
     t0 = time.perf_counter()
     inst = _adhoc_instance(instance)
-    bg = build_gadget(g, 1)
+    bg = build_gadget(g, 1) if gadget is None else gadget
     meb_core = max_edge_biclique_exact(g, side_cap)
     view, _, _ = bg.bipartition
     meb_gadget = max_edge_biclique_exact(view, side_cap)
@@ -392,7 +382,7 @@ def check_theorem6(
     )
     lemma = biclique_report
     if lemma is None:
-        lemma = check_biclique_lemma(g, cap_edges=cap_edges, instance=instance)
+        lemma = check_biclique_lemma(g, cap_edges=cap_edges, instance=instance, gadget=bg)
 
     evidence = {
         "meb_core": meb_core.objective,
@@ -753,7 +743,7 @@ def validate_suite(config) -> None:
         if not isinstance(claims, list):
             raise ValueError(f"{where}.claims must be a list")
         for claim in claims:
-            if claim not in ALL_CLAIMS:
+            if claim not in _CLAIMS:
                 raise ValueError(f"{where}: unknown claim id {claim!r}")
 
 
@@ -804,91 +794,100 @@ def _expand_instances(config: dict):
             yield desc, parse_graph(text), claims, entry
 
 
-def _as_graph(obj) -> Graph:
-    return obj.to_graph() if isinstance(obj, BipartiteGraph) else obj
+@dataclass(frozen=True)
+class _Instance:
+    """One suite instance and the values its claims share, each built on first
+    use.  A property that raises caches nothing: each claim reading it raises."""
+
+    desc: dict
+    obj: Graph | BipartiteGraph
+    entry: dict
+    cap_edges: int
+    max_path: int | None
+
+    @cached_property
+    def graph(self) -> Graph:
+        """One Graph, so one distance engine, for both path claims."""
+        return self.obj.to_graph() if isinstance(self.obj, BipartiteGraph) else self.obj
+
+    @cached_property
+    def valid_sets(self) -> tuple[tuple[int, ...], ...]:
+        _require_path_graph(self.graph)  # refuse before enumerating, as check_path_lemma does
+        return _sorted_valid_sets(self.graph, self.cap_edges)
+
+    @cached_property
+    def gadget(self) -> GadgetGraph:
+        return build_gadget(self.obj, 1)
+
+    @cached_property
+    def biclique(self) -> LabReport:
+        return check_biclique_lemma(
+            self.obj, cap_edges=self.cap_edges, instance=self.desc, gadget=self.gadget
+        )
+
+    @cached_property
+    def theorem6(self) -> tuple[LabReport, LabReport]:
+        return check_theorem6(
+            self.obj, cap_edges=self.cap_edges, instance=self.desc,
+            biclique_report=self.biclique, gadget=self.gadget,
+        )
+
+
+def _path_reports(inst: _Instance, shortest_only: bool) -> list[LabReport]:
+    return [check_path_lemma(
+        inst.graph, shortest_only, cap_edges=inst.cap_edges, max_path_edges=inst.max_path,
+        instance=inst.desc, valid_sets=inst.valid_sets,
+    )]
+
+
+def _corollary_reports(inst: _Instance) -> list[LabReport]:
+    desc, trials = inst.desc, inst.entry.get("trials", 25)
+    return [
+        check_corollary_scaling(
+            inst.obj, Fraction(beta), trials, seed=desc["seed"] or 0,
+            instance=dict(desc, params=dict(desc["params"], beta=str(Fraction(beta)))),
+        )
+        for beta in inst.entry.get("betas", ["1/2", "1", "3"])
+    ]
+
+
+# Claim id -> (needs a bipartite instance, the reports it makes on one).  Every
+# report comes from a call of a check_* function looked up in this module at
+# call time, so a wrapper set on the module sees each claim's outermost call.
+_CLAIMS = {
+    CLAIM_PATH: (False, lambda inst: _path_reports(inst, False)),
+    CLAIM_PATH_SHORTEST: (False, lambda inst: _path_reports(inst, True)),
+    CLAIM_BICLIQUE: (True, lambda inst: [inst.biclique]),
+    CLAIM_T6_SOUNDNESS: (True, lambda inst: [inst.theorem6[0]]),
+    CLAIM_T6_COMPLETENESS: (True, lambda inst: [inst.theorem6[1]]),
+    CLAIM_COROLLARY: (True, _corollary_reports),
+    CLAIM_LEMMA2: (True, lambda inst: [check_lemma2(inst.obj, instance=inst.desc)]),
+}
 
 
 def _run_instance(desc: dict, obj, claims: list[str], entry: dict, caps: dict) -> list[LabReport]:
-    cap_edges = caps.get("max_edges", DEFAULT_EDGE_CAP)
-    max_path = caps.get("max_path_edges")
+    cap_edges, max_path = caps.get("max_edges", DEFAULT_EDGE_CAP), caps.get("max_path_edges")
+    inst = _Instance(desc, obj, entry, cap_edges, max_path)
     reports: list[LabReport] = []
-    theorem6: tuple[LabReport, LabReport] | None = None
-    biclique_report: LabReport | None = None
-    graph: Graph | None = None  # one Graph, so one distance engine, for both path claims
-
     for claim in claims:
+        needs_bipartite, make_reports = _CLAIMS[claim]
         try:
-            if claim in (CLAIM_PATH, CLAIM_PATH_SHORTEST):
-                if graph is None:
-                    graph = _as_graph(obj)
-                reports.append(
-                    check_path_lemma(
-                        graph,
-                        shortest_only=(claim == CLAIM_PATH_SHORTEST),
-                        cap_edges=cap_edges,
-                        max_path_edges=max_path,
-                        instance=desc,
-                    )
-                )
-                continue
-            if not isinstance(obj, BipartiteGraph):
+            if needs_bipartite and not isinstance(obj, BipartiteGraph):
                 raise ValueError(f"claim {claim} needs a bipartite instance")
-            if claim == CLAIM_BICLIQUE:
-                if biclique_report is None:
-                    biclique_report = check_biclique_lemma(
-                        obj, cap_edges=cap_edges, instance=desc
-                    )
-                reports.append(biclique_report)
-            elif claim in (CLAIM_T6_SOUNDNESS, CLAIM_T6_COMPLETENESS):
-                if theorem6 is None:
-                    if biclique_report is None:
-                        biclique_report = check_biclique_lemma(
-                            obj, cap_edges=cap_edges, instance=desc
-                        )
-                    theorem6 = check_theorem6(
-                        obj,
-                        cap_edges=cap_edges,
-                        instance=desc,
-                        biclique_report=biclique_report,
-                    )
-                reports.append(theorem6[0] if claim == CLAIM_T6_SOUNDNESS else theorem6[1])
-            elif claim == CLAIM_COROLLARY:
-                trials = entry.get("trials", 25)
-                for beta in entry.get("betas", ["1/2", "1", "3"]):
-                    desc_b = {
-                        "family": desc["family"],
-                        "params": dict(desc["params"], beta=str(Fraction(beta))),
-                        "seed": desc.get("seed"),
-                    }
-                    reports.append(
-                        check_corollary_scaling(
-                            obj,
-                            Fraction(beta),
-                            trials,
-                            seed=desc.get("seed") or 0,
-                            instance=desc_b,
-                        )
-                    )
-            elif claim == CLAIM_LEMMA2:
-                reports.append(check_lemma2(obj, instance=desc))
-        except Exception as exc:  # per-instance failures must not abort the suite
-            reports.append(
-                LabReport(
-                    claim,
-                    desc,
-                    ERROR,
-                    {"error": f"{type(exc).__name__}: {exc}"},
-                    {"enumerated": 0, "truncated": False, "elapsed_ms": 0.0},
-                )
-            )
+            reports.extend(make_reports(inst))
+        except ValueError as exc:  # an expected refusal fails this claim, not the suite
+            error = {"error": f"{type(exc).__name__}: {exc}"}
+            stats = {"enumerated": 0, "truncated": False, "elapsed_ms": 0.0}
+            reports.append(LabReport(claim, desc, ERROR, error, stats))
     return reports
 
 
 def run_suite(config: dict | None = None, threads: int = 1) -> list[LabReport]:
     """Run every requested claim on every instance in the config.
 
-    Reports follow config order, and per-instance errors become 'error'
-    reports instead of aborting.  An empty config yields an empty list.  A
+    Reports follow config order.  A claim an instance refuses with a
+    ValueError (over a cap, disconnected, not bipartite) becomes an 'error'
+    report; any other exception leaves run_suite.  An empty config yields an empty list.  A
     malformed config raises ValueError before any instance runs.  ``threads``
     is accepted for compatibility and ignored: the checks are pure-Python
     CPU work, which worker threads only slowed down.

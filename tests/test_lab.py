@@ -134,25 +134,22 @@ def test_path_claims_share_one_enumeration(monkeypatch):
         calls[0] += 1
         return enumerate_sets(*args, **kwargs)
 
-    monkeypatch.setattr(cl.lab, "_last_valid_sets", None)
     monkeypatch.setattr(cl.lab, "enumerate_valid_weak_contractions", counted)
     config = default_suite_config()
     paths = [e for e in config["instances"] if e["family"] in ("path", "cycle")]
     assert len(paths) == 4 and all(len(e["claims"]) == 2 for e in paths)
     run_suite({"instances": paths})
     assert calls[0] == 4
-    assert cl.lab._last_valid_sets is None  # the second claim let the sets go
     calls[0] = 0
     run_suite(config)
     assert calls[0] == 12  # 4 path instances + 8 biclique-lemma gadgets
 
 
-def test_path_memo_matches_fresh_calls(monkeypatch):
+def test_path_memo_matches_fresh_calls():
     graphs = [cl.cycle_graph(4), THREE_PATH.to_graph(), cl.complete_bipartite(2, 3).to_graph()]
     fresh = []
     for g in graphs:
         for flag in (False, True):
-            monkeypatch.setattr(cl.lab, "_last_valid_sets", None)
             fresh.append(_without_elapsed(check_path_lemma(g, flag)))
     for _ in range(2):
         in_turn = [
@@ -164,6 +161,29 @@ def test_path_memo_matches_fresh_calls(monkeypatch):
     check_path_lemma(g, False, cap_edges=g.edge_count)
     with pytest.raises(cl.CapExceededError):
         check_path_lemma(g, True, cap_edges=g.edge_count - 1)
+
+
+def test_shared_inputs_give_the_reports_of_fresh_calls():
+    # valid_sets= and gadget= hand a check what it would have built itself
+    for g in (cl.cycle_graph(4), THREE_PATH.to_graph(), cl.complete_bipartite(2, 3).to_graph()):
+        valid_sets = cl.lab._sorted_valid_sets(g, cl.lab.DEFAULT_EDGE_CAP)
+        for flag in (False, True):
+            shared = check_path_lemma(g, flag, valid_sets=valid_sets)
+            assert _without_elapsed(shared) == _without_elapsed(check_path_lemma(g, flag))
+    for b in (cl.complete_bipartite(2, 2), THREE_PATH, cl.complete_bipartite(2, 3)):
+        gadget = cl.build_gadget(b, 1)
+        fresh = check_biclique_lemma(b)
+        assert _without_elapsed(check_biclique_lemma(b, gadget=gadget)) == _without_elapsed(fresh)
+        shared = check_theorem6(b, gadget=gadget)
+        shared += check_theorem6(b, gadget=gadget, biclique_report=fresh)
+        fresh_pair = [_without_elapsed(r) for r in check_theorem6(b)]
+        assert [_without_elapsed(r) for r in shared] == fresh_pair * 2
+    # the suite hands both path claims one enumeration
+    claims = [CLAIM_PATH, CLAIM_PATH_SHORTEST]
+    reports = run_suite({"instances": [{"family": "cycle", "n": 4, "claims": claims}]})
+    desc = reports[0].instance
+    fresh = [check_path_lemma(cl.cycle_graph(4), flag, instance=desc) for flag in (False, True)]
+    assert [_without_elapsed(r) for r in reports] == [_without_elapsed(r) for r in fresh]
 
 
 def test_path_counterexamples_reverify_on_random_bipartite():
@@ -502,6 +522,60 @@ def test_run_suite_records_errors_without_aborting():
     assert reports[0].verdict == ERROR
     assert "DisconnectedGraphError" in reports[0].witness["error"]
     assert reports[1].verdict in (HOLDS, VACUOUS)
+
+
+def test_run_suite_refusals_are_error_reports():
+    # a gadget claim on a graph that is not bipartite
+    reports = run_suite({"instances": [{"family": "path", "n": 4, "claims": [CLAIM_BICLIQUE]}]})
+    assert [r.verdict for r in reports] == [ERROR]
+    expected = "ValueError: claim biclique-lemma needs a bipartite instance"
+    assert reports[0].witness == {"error": expected}
+    # P5 has 4 edges, over a cap of 3: both path claims refuse it
+    config = {
+        "caps": {"max_edges": 3},
+        "instances": [{"family": "path", "n": 5, "claims": [CLAIM_PATH, CLAIM_PATH_SHORTEST]}],
+    }
+    reports = run_suite(config)
+    assert [r.claim for r in reports] == [CLAIM_PATH, CLAIM_PATH_SHORTEST]
+    for rep in reports:
+        assert rep.verdict == ERROR
+        assert rep.witness["error"].startswith("CapExceededError: ")
+
+
+def test_run_suite_raises_unexpected_exceptions(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken check")
+
+    monkeypatch.setattr(cl.lab, "check_lemma2", broken)
+    with pytest.raises(RuntimeError, match="broken check"):
+        run_suite(default_suite_config())
+
+
+def test_run_suite_builds_one_gadget_per_instance(monkeypatch):
+    calls = [0]
+    build = cl.lab.build_gadget
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cl.lab, "build_gadget", counted)
+    run_suite(default_suite_config())
+    assert calls[0] == 12  # 8 gadget instances, plus 2 betas x 2 gadgets for the corollary
+
+
+def test_run_suite_calls_checks_by_their_module_names(monkeypatch):
+    # a wrapper set on the module sees one outermost call per lemma2-lift report
+    calls = [0]
+    original = cl.lab.check_lemma2
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cl.lab, "check_lemma2", counted)
+    reports = run_suite(default_suite_config())
+    assert calls[0] == sum(r.claim == CLAIM_LEMMA2 for r in reports) == 9
 
 
 def test_run_suite_rejects_unknown_claims_and_families():
