@@ -657,17 +657,6 @@ def default_suite_config() -> dict:
     }
 
 
-# Keys each instance family requires; _KEY_RULES says what each must hold.
-_FAMILY_KEYS = {
-    "path": ("n",),
-    "cycle": ("n",),
-    "complete-bipartite": ("left", "right"),
-    "all-bipartite": ("left", "right"),
-    "random-bipartite": ("left", "right", "prob", "seed"),
-    "file": ("path",),
-}
-
-
 def _is_int(value) -> bool:
     """An int that is not a bool (JSON ``true`` loads as a Python int)."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -689,33 +678,73 @@ def _is_probability(value) -> bool:
     return _is_rational(value) and 0 <= Fraction(value) <= 1
 
 
-# What each family key must hold, and how to say so.
-_KEY_RULES = {
-    "n": (_is_count, "a non-negative integer"),
-    "left": (_is_count, "a non-negative integer"),
-    "right": (_is_count, "a non-negative integer"),
-    "seed": (_is_int, "an integer"),
-    "prob": (_is_probability, "an integer or a p/q string in [0, 1]"),
-    "path": (lambda value: isinstance(value, str), "a string"),
+def _file_instances(entry: dict, cap_edges: int) -> list:
+    with open(entry["path"], "r", encoding="utf-8") as fh:
+        text = fh.read()
+    return [({"sha256": sha256(text.encode("utf-8")).hexdigest()[:16]}, None, parse_graph(text))]
+
+
+_COUNT = (_is_count, "a non-negative integer")
+_SIDES = {"left": _COUNT, "right": _COUNT}
+
+
+def _sides(entry: dict) -> dict:
+    return {"left": entry["left"], "right": entry["right"]}
+
+
+# Family -> (its required keys, each with a rule and what the rule says, and a
+# builder (entry, max_edges cap) -> [(params, seed, graph)]).  An instance may
+# hold only its family's keys and _INSTANCE_KEYS.
+_FAMILIES = {
+    "path": ({"n": _COUNT}, lambda e, cap: [({"n": e["n"]}, None, path_graph(e["n"]))]),
+    "cycle": (
+        {"n": (lambda value: _is_int(value) and value >= 3, "an integer >= 3")},
+        lambda e, cap: [({"n": e["n"]}, None, cycle_graph(e["n"]))],
+    ),
+    "complete-bipartite": (
+        _SIDES, lambda e, cap: [(_sides(e), None, complete_bipartite(e["left"], e["right"]))]
+    ),
+    "all-bipartite": (_SIDES, lambda e, cap: [
+        (dict(_sides(e), index=i), None, b)
+        for i, b in enumerate(enumerate_connected_bipartite(e["left"], e["right"], cap=cap))
+    ]),
+    "random-bipartite": (
+        dict(_SIDES, prob=(_is_probability, "an integer or a p/q string in [0, 1]"),
+             seed=(_is_int, "an integer")),
+        lambda e, cap: [(
+            dict(_sides(e), prob=str(Fraction(e["prob"]))), e["seed"],
+            generate_random_bipartite(e["left"], e["right"], Fraction(e["prob"]), e["seed"]),
+        )],
+    ),
+    "file": ({"path": (lambda value: isinstance(value, str), "a string")}, _file_instances),
 }
+_INSTANCE_KEYS = ("family", "claims", "betas", "trials")
+
+# Cap name -> default, which a suite's caps override (max_path_edges None:
+# the graph's diameter + 2).
+_CAPS = {"max_edges": DEFAULT_EDGE_CAP, "max_path_edges": None}
 
 
 def validate_suite(config) -> None:
     """Raise ValueError naming the first malformed part of a suite config.
 
     The top level must be an object, ``caps`` an object of positive
-    integers and ``instances`` a list of objects; each instance needs a known
-    family, that family's keys with values in range (sizes non-negative,
-    ``prob`` an integer or ``p/q`` string in [0, 1]), and a list of known
-    claim ids.  Optional ``betas`` must be a list of integers or ``p/q``
-    strings and ``trials`` a non-negative integer.  No boolean counts as an
-    integer and no float is accepted.
+    integers named in _CAPS and ``instances`` a list of objects; each
+    instance needs a known family, that family's keys with values in range
+    (sizes non-negative, a cycle's ``n`` at least 3, ``prob`` an integer or
+    ``p/q`` string in [0, 1]), and a list of known claim ids.  Optional
+    ``betas`` must be a list of integers or ``p/q`` strings and ``trials`` a
+    non-negative integer; an instance holds no other keys.  No boolean
+    counts as an integer and no float is accepted.
     """
     if not isinstance(config, dict):
         raise ValueError("suite: the top level must be an object")
     caps = config.get("caps", {})
     if not isinstance(caps, dict) or not all(_is_int(c) and c >= 1 for c in caps.values()):
         raise ValueError("suite: caps must be an object of positive integers")
+    for name in caps:
+        if name not in _CAPS:
+            raise ValueError(f"suite: caps.{name} is not a known cap")
     instances = config.get("instances", [])
     if not isinstance(instances, list):
         raise ValueError("suite: instances must be a list")
@@ -724,15 +753,18 @@ def validate_suite(config) -> None:
         if not isinstance(entry, dict):
             raise ValueError(f"{where} must be an object")
         family = entry.get("family")
-        if not isinstance(family, str) or family not in _FAMILY_KEYS:
+        if not isinstance(family, str) or family not in _FAMILIES:
             raise ValueError(f"{where}: unknown instance family {family!r}")
-        for key in _FAMILY_KEYS[family]:
+        keys = _FAMILIES[family][0]
+        for key, (valid, what) in keys.items():
             if key not in entry:
                 raise ValueError(f"{where}: family {family!r} needs key {key!r}")
             value = entry[key]
-            valid, what = _KEY_RULES[key]
             if not valid(value):
                 raise ValueError(f"{where}.{key} must be {what}, got {value!r}")
+        for key in entry:
+            if key not in keys and key not in _INSTANCE_KEYS:
+                raise ValueError(f"{where}.{key} is not a key of family {family!r}")
         betas = entry.get("betas", [])
         if not isinstance(betas, list) or not all(_is_rational(beta) for beta in betas):
             raise ValueError(f"{where}.betas must be a list of integers or p/q strings")
@@ -745,53 +777,6 @@ def validate_suite(config) -> None:
         for claim in claims:
             if claim not in _CLAIMS:
                 raise ValueError(f"{where}: unknown claim id {claim!r}")
-
-
-def _expand_instances(config: dict):
-    """Yield (instance descriptor, graph object, claims, extras) tuples from a
-    config that passed validate_suite."""
-    cap_edges = config.get("caps", {}).get("max_edges", DEFAULT_EDGE_CAP)
-    for entry in config.get("instances", []):
-        family = entry["family"]
-        claims = list(entry.get("claims", []))
-        if family == "path":
-            n = entry["n"]
-            desc = {"family": "path", "params": {"n": n}, "seed": None}
-            yield desc, path_graph(n), claims, entry
-        elif family == "cycle":
-            n = entry["n"]
-            desc = {"family": "cycle", "params": {"n": n}, "seed": None}
-            yield desc, cycle_graph(n), claims, entry
-        elif family == "complete-bipartite":
-            l, r = entry["left"], entry["right"]
-            desc = {"family": "complete-bipartite", "params": {"left": l, "right": r}, "seed": None}
-            yield desc, complete_bipartite(l, r), claims, entry
-        elif family == "all-bipartite":
-            l, r = entry["left"], entry["right"]
-            for idx, b in enumerate(enumerate_connected_bipartite(l, r, cap=cap_edges)):
-                desc = {
-                    "family": "all-bipartite",
-                    "params": {"left": l, "right": r, "index": idx},
-                    "seed": None,
-                }
-                yield desc, b, claims, entry
-        elif family == "random-bipartite":
-            l, r = entry["left"], entry["right"]
-            prob = entry["prob"]
-            seed = entry["seed"]
-            desc = {
-                "family": "random-bipartite",
-                "params": {"left": l, "right": r, "prob": str(Fraction(prob))},
-                "seed": seed,
-            }
-            yield desc, generate_random_bipartite(l, r, Fraction(prob), seed), claims, entry
-        else:  # "file"
-            path = entry["path"]
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-            digest = sha256(text.encode("utf-8")).hexdigest()[:16]
-            desc = {"family": "file", "params": {"sha256": digest}, "seed": None}
-            yield desc, parse_graph(text), claims, entry
 
 
 @dataclass(frozen=True)
@@ -865,20 +850,18 @@ _CLAIMS = {
 }
 
 
-def _run_instance(desc: dict, obj, claims: list[str], entry: dict, caps: dict) -> list[LabReport]:
-    cap_edges, max_path = caps.get("max_edges", DEFAULT_EDGE_CAP), caps.get("max_path_edges")
-    inst = _Instance(desc, obj, entry, cap_edges, max_path)
+def _run_instance(inst: _Instance) -> list[LabReport]:
     reports: list[LabReport] = []
-    for claim in claims:
+    for claim in inst.entry.get("claims", []):
         needs_bipartite, make_reports = _CLAIMS[claim]
         try:
-            if needs_bipartite and not isinstance(obj, BipartiteGraph):
+            if needs_bipartite and not isinstance(inst.obj, BipartiteGraph):
                 raise ValueError(f"claim {claim} needs a bipartite instance")
             reports.extend(make_reports(inst))
         except ValueError as exc:  # an expected refusal fails this claim, not the suite
             error = {"error": f"{type(exc).__name__}: {exc}"}
             stats = {"enumerated": 0, "truncated": False, "elapsed_ms": 0.0}
-            reports.append(LabReport(claim, desc, ERROR, error, stats))
+            reports.append(LabReport(claim, inst.desc, ERROR, error, stats))
     return reports
 
 
@@ -895,9 +878,20 @@ def run_suite(config: dict | None = None, threads: int = 1) -> list[LabReport]:
     if config is None:
         config = default_suite_config()
     validate_suite(config)
-    caps = config.get("caps", {})
-    tasks = list(_expand_instances(config))
-    return [report for task in tasks for report in _run_instance(*task, caps)]
+    caps = {**_CAPS, **config.get("caps", {})}
+    # Every family is built, so an over-cap one refused, before any claim
+    # runs; each instance's context lives only while its own claims run.
+    tasks = [
+        ({"family": entry["family"], "params": params, "seed": seed}, obj, entry)
+        for entry in config.get("instances", [])
+        for params, seed, obj in _FAMILIES[entry["family"]][1](entry, caps["max_edges"])
+    ]
+    return [
+        report for desc, obj, entry in tasks
+        for report in _run_instance(
+            _Instance(desc, obj, entry, caps["max_edges"], caps["max_path_edges"])
+        )
+    ]
 
 
 def summarize(reports: list[LabReport]) -> list[dict]:

@@ -495,6 +495,10 @@ _COROLLARY = {
         ({"instances": [dict(_COROLLARY, prob="3/2")]}, "instances[0].prob"),
         ({"caps": {"max_edges": -5}, "instances": [dict(_COROLLARY)]}, "caps"),
         ({"instances": [{"family": "all-bipartite", "left": -1, "right": 2}]}, "instances[0].left"),
+        # a misspelt cap or instance key would otherwise run with the default
+        ({"caps": {"max_edge": 3}, "instances": [dict(_COROLLARY)]}, "caps.max_edge"),
+        ({"instances": [dict(_COROLLARY, trial=5)]}, "instances[0].trial"),
+        ({"instances": [{"family": "cycle", "n": 2, "claims": ["path-lemma"]}]}, "instances[0].n"),
     ],
 )
 def test_lab_malformed_suite_exit_two(tmp_path, capsys, config, where):

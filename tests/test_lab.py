@@ -660,3 +660,46 @@ def test_file_family_roundtrip(tmp_path):
     assert len(reports) == 1
     assert reports[0].verdict == COUNTEREXAMPLE
     assert reports[0].instance["family"] == "file"
+
+
+def test_run_suite_builds_every_family(tmp_path, monkeypatch):
+    # one suite over all six families pins each report's instance descriptor;
+    # a file path is read relative to the working directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "k23.txt").write_text(
+        cl.render_graph(cl.complete_bipartite(2, 3)), encoding="utf-8"
+    )
+    config = {
+        "caps": {"max_path_edges": 2},
+        "instances": [
+            {"family": "path", "n": 5, "claims": [CLAIM_PATH]},
+            {"family": "cycle", "n": 4, "claims": [CLAIM_PATH_SHORTEST]},
+            {"family": "complete-bipartite", "left": 2, "right": 2, "claims": [CLAIM_LEMMA2]},
+            {"family": "all-bipartite", "left": 2, "right": 2, "claims": [CLAIM_LEMMA2]},
+            {
+                "family": "random-bipartite", "left": 3, "right": 3, "prob": "2/4", "seed": 2,
+                "claims": [CLAIM_COROLLARY], "betas": ["3"], "trials": 3,
+            },
+            {"family": "file", "path": "k23.txt", "claims": [CLAIM_LEMMA2]},
+        ],
+    }
+
+    def desc(family, seed=None, **params):
+        return {"family": family, "params": params, "seed": seed}
+
+    reports = run_suite(config)
+    assert [(r.claim, r.instance) for r in reports] == [
+        (CLAIM_PATH, desc("path", n=5)),
+        (CLAIM_PATH_SHORTEST, desc("cycle", n=4)),
+        (CLAIM_LEMMA2, desc("complete-bipartite", left=2, right=2)),
+        (CLAIM_LEMMA2, desc("all-bipartite", left=2, right=2, index=0)),
+        (CLAIM_LEMMA2, desc("all-bipartite", left=2, right=2, index=1)),
+        (CLAIM_COROLLARY, desc("random-bipartite", 2, left=3, right=3, prob="1/2", beta="3")),
+        (CLAIM_LEMMA2, desc("file", sha256="eb996b8ca8a22597")),
+    ]
+    assert all(r.verdict != ERROR for r in reports)
+    # P5's paths reach 4 edges, past the suite's own cap of 2; by default
+    # (diameter + 2 = 6) nothing is cut
+    assert reports[0].stats["truncated"] is True
+    del config["caps"]
+    assert run_suite(config)[0].stats["truncated"] is False
