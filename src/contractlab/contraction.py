@@ -165,7 +165,7 @@ class ToleranceCheck:
     D_C are scaled distances.  That is ``lhs * D_C >= rhs[u][v]``: ``lhs`` is
     p*s and ``rhs`` holds the right-hand side of every pair, precomputed from
     the graph's cached base rows (``Graph.distances.base``).  Both are
-    read-only and shared with the exact searches (``solvers._valid_sets``),
+    read-only and shared with the exact searches (``solvers._Search``),
     which test their own packed distance matrices against the same
     inequality.
 

@@ -728,9 +728,9 @@ _CAPS = {"max_edges": DEFAULT_EDGE_CAP, "max_path_edges": None}
 def validate_suite(config) -> None:
     """Raise ValueError naming the first malformed part of a suite config.
 
-    The top level must be an object, ``caps`` an object of positive
-    integers named in _CAPS and ``instances`` a list of objects; each
-    instance needs a known family, that family's keys with values in range
+    The top level must be an object with no keys but ``caps``, an object of
+    positive integers named in _CAPS, and ``instances``, a list of objects;
+    each instance needs a known family, that family's keys with values in range
     (sizes non-negative, a cycle's ``n`` at least 3, ``prob`` an integer or
     ``p/q`` string in [0, 1]), and a list of known claim ids.  Optional
     ``betas`` must be a list of integers or ``p/q`` strings and ``trials`` a
@@ -739,6 +739,9 @@ def validate_suite(config) -> None:
     """
     if not isinstance(config, dict):
         raise ValueError("suite: the top level must be an object")
+    for key in config:
+        if key not in ("caps", "instances"):
+            raise ValueError(f"suite: {key} is not a known top-level key")
     caps = config.get("caps", {})
     if not isinstance(caps, dict) or not all(_is_int(c) and c >= 1 for c in caps.values()):
         raise ValueError("suite: caps must be an object of positive integers")

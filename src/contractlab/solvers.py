@@ -2,11 +2,14 @@
 
 The contraction problems share one depth-first walker over the subset
 lattice of edge ids, in lexicographic order (include an edge before skipping
-it).  It yields the valid sets longer than a floor its caller owns: the two
-maximizers raise the floor to each set they receive, so the last one is the
-lexicographically smallest optimum, and the enumerator never raises it.  Two
-prunes are used, both backed by the monotone fact that adding edges never
-increases an induced distance:
+it).  It yields the valid sets longer than a floor its caller owns, and a
+child whose subtree cannot get past the floor is not built: at depth d,
+child j's sets hold at most d + bound[j] edges, where ``bound`` is a suffix
+bound the caller also owns.  The weak maximizer raises the floor to each set
+it receives, so its last one is the lexicographically smallest optimum, and
+the enumerator never raises it; both pass the plain bound m - j.  Three
+prunes are used, the first two backed by the monotone fact that adding edges
+never increases an induced distance:
 
 * strong mode: a failing pair has a fixed positive right-hand side and its
   induced distance can only shrink, so every superset of an invalid set is
@@ -15,18 +18,28 @@ increases an induced distance:
   its descendants draw edges only from the chosen ones and edges j..m-1, a
   set that shrinks as j grows, so a node builds its children only up to the
   last j whose set still joins every failing pair (``_last_child``), and
-  none if no j does.
+  none if no j does;
+* strong mode only: the Russian-doll suffix bound (``_suffix_bounds``).
+  Strong validity is down-closed (every subset of a valid set is valid), so
+  cset + {j} + S valid makes {j} + S a valid set inside edges j..m-1, and
+  the largest such set, ``bound[j]``, caps the subtree.  The strong
+  maximizer computes every bound[j] exactly, from j = m-1 down, one short
+  walk each, then takes the first set of a final walk whose floor is one
+  below the optimum: include-first order is lexicographic order, so that set
+  is the lexicographically smallest optimum.
 
-Validity itself is not monotone in weak mode (NB merging exempts pairs), so
-no other shortcut is taken; equivalence with plain power-set filtering is
-part of the test suite.  Induced distances, and so the failing pairs, depend
-only on the vertex partition a set induces, so each search evaluates a
-partition once and reuses the result for every other set inducing it.  A
-child's induced distances are derived from its parent's, so a search runs no
-BFS or Dijkstra.  The walker is one generator frame driving an explicit
-stack of open nodes, not a generator per node, and it holds a partition as a
-str of block labels: a merge is one ``str.replace`` and the memo key is the
-str itself, whose hash Python caches.
+Validity itself is not monotone in weak mode (merging exempts pairs, so a
+subset of a valid set may fail), so weak mode has no suffix bound and takes
+no other shortcut; equivalence with plain power-set filtering is part of the
+test suite.  Induced distances, and so the failing pairs, depend only on the
+vertex partition a set induces, so each search (``_Search``, shared by every
+walk of one solve) evaluates a partition once and reuses the result for
+every other set inducing it.  A child's induced distances are derived from
+its parent's, so a search runs no BFS or Dijkstra.  The walker is one
+generator frame driving an explicit stack of open nodes, not a generator per
+node, and it holds a partition as a str of block labels: a merge is one
+``str.replace`` and the memo key is the str itself, whose hash Python
+caches.
 
 A search node holds its whole induced distance matrix as one Python int
 (``RowPacking``): every pair's distance in a fixed-width field under a guard
@@ -40,7 +53,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Generator, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .graphs import Biclique, BipartiteGraph, DisconnectedGraphError, Graph, is_connected
 # is_weak_contraction is not called here; kept as solvers.is_weak_contraction, which bench/ reads
@@ -59,8 +72,10 @@ class SolveResult:
     """Outcome of a solver run.
 
     ``witness`` is a sorted tuple of edge ids (contraction problems) or a
-    Biclique; ``explored`` counts search nodes and is deterministic,
-    ``elapsed`` is wall time in seconds and is never compared.
+    Biclique; ``explored`` counts search nodes and is deterministic (a strong
+    contraction solve sums the nodes of all its walks: one per suffix bound
+    and the final one), ``elapsed`` is wall time in seconds and is never
+    compared.
     """
 
     objective: int
@@ -238,78 +253,126 @@ def _matrix_scan(
     return scan
 
 
-def _valid_sets(
-    check: ToleranceCheck, weak: bool, floor: list[int]
-) -> Generator[tuple[int, ...], None, int]:
-    """Yield the valid sets longer than ``floor[0]`` in lexicographic order,
-    then return the number of search nodes visited.
+class _Search:
+    """The state that every walk of one search shares.
 
-    The caller owns ``floor`` and may raise it between sets; a node's child
-    loop stops once taking every remaining edge could not get past it, tested
-    as each child is taken.
+    One ``RowPacking``, one threshold matrix (inside ``scan``), one root node
+    and one partition memo ``seen``, so a partition is merged and scanned
+    once per search however many walks meet it.  ``explored`` sums the nodes
+    of every walk, including walks their consumer closed early.
 
-    One generator frame walks the lattice with an explicit stack of open
-    nodes, each entry the node's next child j and its node.  A node is its
-    partition as a str (character i is ``chr`` of the least vertex in i's
-    block, so a merge is one ``str.replace``), its packed induced matrix
-    (``RowPacking``), its failing pairs and its last child worth building
-    (m - 1 when none fails), starting from the packed base matrix.  An edge
-    inside a block changes none of them.  Otherwise the child's matrix is one
-    ``RowPacking.merge`` of the parent's.  A node depends only on its
+    A node is its partition as a str (character i is ``chr`` of the least
+    vertex in i's block, so a merge is one ``str.replace``), its packed
+    induced matrix (``RowPacking``), its failing pairs and its last child
+    worth building (m - 1 when none fails).  It depends only on its
     partition, so nodes are memoised by the labels str: a partition met
     before costs no merge, no scan and no ``_last_child`` pass.  Weak mode
     keeps every failing pair, which ``_last_child`` needs; strong mode prunes
     on any failing pair, so it keeps at most the first and its scan stops
     there.
     """
-    m = check.m
-    edges = check.graph.edges
-    packing = RowPacking.for_rows(check.base_scaled)
-    scan = _matrix_scan(check, weak, packing)
-    seen: dict[str, tuple[str, int, list[tuple[int, int]], int]] = {}
 
-    def evaluate(labels: str, matrix: int) -> tuple[str, int, list[tuple[int, int]], int]:
-        failing = scan(matrix)
-        if weak and failing:
-            return labels, matrix, failing, _last_child(labels, check.graph, failing)
-        return labels, matrix, failing, m - 1
+    def __init__(self, check: ToleranceCheck, weak: bool) -> None:
+        self.edges, self.weak, self.m = check.graph.edges, weak, check.m
+        self.packing = packing = RowPacking.for_rows(check.base_scaled)
+        self.seen: dict[str, tuple[str, int, list[tuple[int, int]], int]] = {}
+        self.explored = 0
+        scan, graph, m = _matrix_scan(check, weak, packing), check.graph, check.m
 
-    labels = "".join(map(chr, range(check.n)))
-    node = evaluate(labels, packing.pack(d for row in check.base_scaled for d in row))
-    cset: list[int] = []  # the stack's node at depth i has cset[:i]
-    stack: list[list] = []  # [next child, node] per open node
-    start = explored = 0
-    while True:
-        explored += 1
-        failing = node[2]
-        if not failing and (not weak or len(cset) < m) and len(cset) > floor[0]:
-            yield tuple(cset)
-        if start < m and (weak or not failing):
-            stack.append([start, node])
-        while stack:
-            entry = stack[-1]
-            j, (labels, matrix, _, last) = entry
-            depth = len(stack) - 1
-            if j > last or depth + m - j <= floor[0]:
-                stack.pop()
-                continue
-            entry[0] = start = j + 1
-            del cset[depth:]
-            cset.append(j)
-            u, v, _ = edges[j]
-            a, b = labels[u], labels[v]
-            if a != b:
-                if a > b:
-                    a, b = b, a
-                merged = labels.replace(b, a)
-                node = seen.get(merged)
-                if node is None:
-                    node = seen[merged] = evaluate(merged, packing.merge(matrix, ord(a), ord(b)))
+        # a closure rather than a method: it runs once per partition and reads no attribute
+        def evaluate(labels: str, matrix: int) -> tuple[str, int, list[tuple[int, int]], int]:
+            failing = scan(matrix)
+            if weak and failing:
+                return labels, matrix, failing, _last_child(labels, graph, failing)
+            return labels, matrix, failing, m - 1
+
+        self.evaluate = evaluate
+        labels = "".join(map(chr, range(check.n)))
+        self.root = evaluate(labels, packing.pack(d for row in check.base_scaled for d in row))
+
+    def walk(
+        self, floor: list[int], bound: list[int], start: int = 0
+    ) -> Iterator[tuple[int, ...]]:
+        """Yield the valid sets longer than ``floor[0]`` in lexicographic
+        order, among those whose least edge is at least ``start``.
+
+        The caller owns ``floor`` and may raise it between sets.  It also
+        owns ``bound`` (m + 1 entries): ``bound[j]`` caps the size of every
+        valid set inside the edges j..m-1 and must not grow with j.  A node
+        at depth d stops its child loop at the first child j with
+        d + bound[j] <= floor[0], tested as each child is taken.  The plain
+        ``bound[j] = m - j`` is always safe; only strong mode has a tighter
+        one (``_suffix_bounds``).
+
+        One generator frame walks the lattice with an explicit stack of open
+        nodes, each entry the node's next child j and its node, starting
+        from the root (the packed base matrix).  An edge inside a block
+        changes nothing; otherwise the child's matrix is one
+        ``RowPacking.merge`` of the parent's, unless the memo holds it.
+        Nodes are added to ``explored`` before each yield and at the end.
+        """
+        m, weak, seen, evaluate = self.m, self.weak, self.seen, self.evaluate
+        edges, merge = self.edges, self.packing.merge
+        node = self.root
+        cset: list[int] = []  # the stack's node at depth i has cset[:i]
+        stack: list[list] = []  # [next child, node] per open node
+        explored = 0
+        while True:
+            explored += 1
+            failing = node[2]
+            if not failing and (not weak or len(cset) < m) and len(cset) > floor[0]:
+                self.explored += explored
+                explored = 0
+                yield tuple(cset)
+            if start < m and (weak or not failing):
+                stack.append([start, node])
+            while stack:
+                entry = stack[-1]
+                j, (labels, matrix, _, last) = entry
+                depth = len(stack) - 1
+                if j > last or depth + bound[j] <= floor[0]:
+                    stack.pop()
+                    continue
+                entry[0] = start = j + 1
+                del cset[depth:]
+                cset.append(j)
+                u, v, _ = edges[j]
+                a, b = labels[u], labels[v]
+                if a != b:
+                    if a > b:
+                        a, b = b, a
+                    merged = labels.replace(b, a)
+                    node = seen.get(merged)
+                    if node is None:
+                        node = seen[merged] = evaluate(merged, merge(matrix, ord(a), ord(b)))
+                else:
+                    node = entry[1]
+                break
             else:
-                node = entry[1]
-            break
-        else:
-            return explored
+                self.explored += explored
+                return
+
+
+def _suffix_bounds(search: _Search) -> list[int]:
+    """The Russian-doll bounds of a strong search (Östergård, "A fast
+    algorithm for the maximum clique problem", Discrete Appl. Math. 2002):
+    ``bound[i]`` is the size of the largest valid set inside edges i..m-1,
+    and ``bound[m]`` is 0.
+
+    Strong validity is down-closed, so bound[i] is bound[i+1] or one more,
+    and it is one more exactly when some valid set inside i..m-1 is longer
+    than bound[i+1].  For i = m-1 down to 0 one walk, whose root takes only
+    children from i on, looks for such a set with floor bound[i+1] and
+    bound[i] at its largest possible value, and stops at the first.  Every
+    later entry is exact by then, so only sets containing edge i are built.
+    """
+    m = search.m
+    bound = [0] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        bound[i] = bound[i + 1] + 1
+        if next(search.walk([bound[i + 1]], bound, i), None) is None:
+            bound[i] = bound[i + 1]
+    return bound
 
 
 def _max_valid_set(g: Graph, tolerance: Tolerance, cap: int, weak: bool) -> SolveResult:
@@ -320,22 +383,25 @@ def _max_valid_set(g: Graph, tolerance: Tolerance, cap: int, weak: bool) -> Solv
         )
     _require_cap(g.edge_count, cap, "edge count")
     t0 = time.perf_counter()
-    floor = [-1]
-    walk = _valid_sets(ToleranceCheck(g, tolerance), weak, floor)
+    search = _Search(ToleranceCheck(g, tolerance), weak)
+    m = g.edge_count
     best = None
-    try:
-        while True:
-            best = next(walk)
+    if weak:
+        floor = [-1]
+        for best in search.walk(floor, list(range(m, -1, -1))):
             floor[0] = len(best)
-    except StopIteration as done:
-        explored = done.value
+    elif not search.root[2]:  # an invalid empty set has no valid superset
+        bound = _suffix_bounds(search)
+        # bound[0] is the optimum, so the first set longer than bound[0] - 1
+        # is the lexicographically smallest optimum
+        best = next(search.walk([bound[0] - 1], bound))
     if best is None:
         what = "weak contraction" if weak else "contraction set"
         raise ValueError(
             f"no valid {what} exists for this tolerance "
             "(possible only when alpha < 1)"
         )
-    return SolveResult(len(best), best, explored, time.perf_counter() - t0)
+    return SolveResult(len(best), best, search.explored, time.perf_counter() - t0)
 
 
 def max_contraction_exact(
@@ -367,7 +433,8 @@ def enumerate_valid_weak_contractions(
     """
     _require_connected(g)
     _require_cap(g.edge_count, cap, "edge count")
-    yield from _valid_sets(ToleranceCheck(g, tolerance), True, [-1])
+    m = g.edge_count
+    yield from _Search(ToleranceCheck(g, tolerance), True).walk([-1], list(range(m, -1, -1)))
 
 
 # ----------------------------------------------------------------------------

@@ -499,6 +499,8 @@ _COROLLARY = {
         ({"caps": {"max_edge": 3}, "instances": [dict(_COROLLARY)]}, "caps.max_edge"),
         ({"instances": [dict(_COROLLARY, trial=5)]}, "instances[0].trial"),
         ({"instances": [{"family": "cycle", "n": 2, "claims": ["path-lemma"]}]}, "instances[0].n"),
+        # a misspelt "instances" would otherwise run no instance and exit 0
+        ({"instance": [dict(_COROLLARY)]}, "suite: instance is not"),
     ],
 )
 def test_lab_malformed_suite_exit_two(tmp_path, capsys, config, where):

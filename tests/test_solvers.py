@@ -397,6 +397,65 @@ def test_contraction_solvers_match_power_set_filter():
     assert solved >= 10
 
 
+def test_suffix_bounds_match_power_set_filter():
+    # bound[i] of a strong search is the size of the largest subset of edges
+    # i..m-1 that the literal checker accepts, for every i; every fourth
+    # graph is a tree, and an invalid empty set means nothing is valid
+    rng = random.Random(83)
+    tolerances = [
+        (1, 1), (Fraction(3, 2), Fraction(1, 2)), (2, 1), (1, 2), (2, 2),
+        (Fraction(1, 2), 2), (Fraction(3, 2), 1),
+    ]
+    trees = bounded = tight = 0
+    for trial in range(36):
+        n = rng.randint(2, 8)
+        tree = trial % 4 == 0
+        m = n - 1 if tree else rng.randint(n - 1, min(12, n * (n - 1) // 2))
+        g = random_connected_graph(rng, n, m, unit=trial % 2 == 0)
+        alpha, beta = tolerances[trial % len(tolerances)]
+        base = naive.fw_distances(n, g.edges)
+        largest = [0] * (m + 1)
+        valid = 0
+        for sub in naive.all_subsets(m):
+            if naive.naive_is_contraction(g, sub, alpha, beta, base):
+                valid += 1
+                for i in range((sub[0] if sub else m) + 1):
+                    largest[i] = max(largest[i], len(sub))
+        search = solvers._Search(cl.ToleranceCheck(g, Tolerance(alpha, beta)), False)
+        if search.root[2]:
+            assert valid == 0
+            continue
+        assert solvers._suffix_bounds(search) == largest
+        trees += tree
+        bounded += 1
+        tight += 0 < largest[0] < m
+    assert trees >= 6 and bounded >= 30 and tight >= 10
+
+
+def test_strong_solver_checks_before_any_walk(monkeypatch):
+    # an invalid empty set (alpha < 1) is refused from the root node, before
+    # any suffix walk; the cap is checked before any search state is built
+    walks: list = []
+    walk = solvers._Search.walk
+
+    def counted_walk(self, *args):
+        walks.append(args)
+        return walk(self, *args)
+
+    monkeypatch.setattr(solvers._Search, "walk", counted_walk)
+    g = cl.cycle_graph(5)
+    with pytest.raises(ValueError, match="no valid contraction set"):
+        max_contraction_exact(g, Tolerance(Fraction(1, 2), 0))
+    assert walks == []
+    assert max_contraction_exact(g, T11).objective == 2
+    assert len(walks) == g.edge_count + 1
+    built: list = []
+    monkeypatch.setattr(solvers, "ToleranceCheck", lambda *args: built.append(args))
+    with pytest.raises(CapExceededError, match="cap \\(4\\)"):
+        max_contraction_exact(g, T11, cap=4)
+    assert built == []
+
+
 # ---------------------------------------------------------------------------
 # bicliques
 # ---------------------------------------------------------------------------
@@ -490,17 +549,13 @@ def test_search_counters_pinned():
     weak = max_weak_contraction_exact(g, T11)
     assert (weak.objective, weak.explored) == (17, 19)
     strong = max_contraction_exact(g, Tolerance(1, 2))
-    assert (strong.objective, strong.explored) == (12, 2564)
+    assert (strong.objective, strong.explored) == (12, 1308)
     cells = [(l, r) for l in range(3) for r in range(4) if (l, r) not in ((0, 0), (2, 3))]
     gadget = cl.build_gadget(BipartiteGraph(3, 4, tuple(cells)), 1).combined
     assert gadget.edge_count == 17
-    walk = solvers._valid_sets(cl.ToleranceCheck(gadget, T11), True, [-1])
-    valid = 0
-    with pytest.raises(StopIteration) as done:
-        while True:
-            next(walk)
-            valid += 1
-    assert (valid, done.value.value) == (291, 2392)
+    search = solvers._Search(cl.ToleranceCheck(gadget, T11), True)
+    valid = sum(1 for _ in search.walk([-1], list(range(17, -1, -1))))
+    assert (valid, search.explored) == (291, 2392)
     b, _ = cl.generate_planted_biclique(20, 20, 6, 6, Fraction(1, 2), 0)
     meb = max_edge_biclique_exact(b)
     assert (meb.objective, meb.explored) == (42, 2527)
@@ -511,7 +566,9 @@ def test_search_counters_pinned():
 def test_search_distance_evaluations_pinned(monkeypatch):
     # the searches of test_search_counters_pinned evaluate each vertex
     # partition once: the walker's pair scan runs once per distinct partition
-    # met, not once per node (19, 2564 and 2392 scans when every node paid).
+    # met, not once per node (19, 1308 and 2392 scans when every node paid).
+    # The strong solve's walks (one per suffix bound, then the final one)
+    # share one memo, so no partition is scanned twice across them either.
     # A scanned matrix holds 0 exactly for the merged pairs, so distinct
     # matrices mean distinct partitions.  Once the base rows are cached, a
     # search derives every node's matrix from its parent's and runs no BFS or
@@ -561,7 +618,7 @@ def test_search_distance_evaluations_pinned(monkeypatch):
     calls, weak = evaluated(g, lambda: max_weak_contraction_exact(g, T11))
     assert (calls, weak.explored) == (12, 19)
     calls, strong = evaluated(g, lambda: max_contraction_exact(g, Tolerance(1, 2)))
-    assert (calls, strong.explored) == (288, 2564)
+    assert (calls, strong.explored) == (292, 1308)
     cells = [(l, r) for l in range(3) for r in range(4) if (l, r) not in ((0, 0), (2, 3))]
     gadget = cl.build_gadget(BipartiteGraph(3, 4, tuple(cells)), 1).combined
     calls, valid = evaluated(
