@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
 from .graphs import (
@@ -128,7 +129,7 @@ def contracted_distance(g: Graph, edge_ids: Iterable[int], u: int, v: int) -> Fr
         raise ValueError(f"vertex out of range [0,{n}): ({u},{v})")
     mask = sum(1 << e for e in normalize_edge_ids(g, edge_ids))
     engine = g.distances
-    return engine.exact(engine.from_source(u, mask)[v])
+    return engine.exact(engine.row(u, mask)[v])
 
 
 class ViolationWitness(NamedTuple):
@@ -163,16 +164,19 @@ class ToleranceCheck:
     integers; with alpha = p/q and beta = r/s the test
     ``d_C >= d/alpha - beta`` becomes ``p*s*D_C >= q*s*D - p*r*L`` where D and
     D_C are scaled distances.  That is ``lhs * D_C >= rhs[u][v]``: ``lhs`` is
-    p*s and ``rhs`` holds the right-hand side of every pair, precomputed from
-    the graph's cached base rows (``Graph.distances.base``).  Both are
-    read-only and shared with the exact searches (``solvers._Search``),
+    p*s and ``rhs[u][v]`` is ``coeff * D - offset`` with ``coeff`` = q*s and
+    ``offset`` = p*r*L, D read from the graph's cached base rows
+    (``Graph.distances.base``).  A verdict tests ``lhs * D_C + offset <
+    coeff * D`` pair by pair and builds no table; ``rhs``, the whole O(n²)
+    table, is built on first use for the exact searches (``solvers._Search``),
     which test their own packed distance matrices against the same
-    inequality.
+    inequality.  All of these are read-only.
 
-    Subsets are passed as bitmasks over edge ids.  A scan searches row u only
-    when the lexicographic pair scan reaches u, one search per block of merged
-    vertices, so a scan that stops at its first failing pair builds no row
-    past it.
+    Subsets are passed as bitmasks over edge ids.  A scan reads row u through
+    the engine's memo (``ScaledDistances.row``) only when the lexicographic
+    pair scan reaches u, so a scan that stops at its first failing pair
+    searches no row past it, and another verdict on the same mask searches
+    none.
     """
 
     def __init__(self, g: Graph, tolerance: Tolerance):
@@ -187,37 +191,32 @@ class ToleranceCheck:
         self.m = m
         self.full_mask = (1 << m) - 1
 
-        self._from_source = engine.from_source
+        self._row = engine.row
         self._exact = engine.exact
-        scale = engine.scale
 
         a, b = tolerance.alpha.numerator, tolerance.alpha.denominator
         r, s = tolerance.beta.numerator, tolerance.beta.denominator
         self.lhs = a * s
-        offset = a * r * scale
-        coeff = b * s
-        self.rhs = [[coeff * d - offset for d in row] for row in base]
+        self.offset = a * r * engine.scale
+        self.coeff = b * s
+
+    @cached_property
+    def rhs(self) -> list[list[int]]:
+        """The right-hand side ``coeff * D - offset`` of every pair, row by row."""
+        coeff, offset = self.coeff, self.offset
+        return [[coeff * d - offset for d in row] for row in self.base_scaled]
 
     def _violations(self, cmask: int, weak: bool) -> Iterator[tuple[int, int, int]]:
         """Failing pairs in lexicographic order as (u, v, scaled induced
-        distance); merged pairs are exempt in weak mode.
-
-        Row u is searched when the scan reaches u and shared with every
-        vertex merged with u, as in ``ScaledDistances.all_pairs``."""
-        n = self.n
-        lhs = self.lhs
-        rows: list = [None] * n
+        distance); merged pairs are exempt in weak mode."""
+        n, lhs, offset, coeff = self.n, self.lhs, self.offset, self.coeff
+        row, base = self._row, self.base_scaled
         for u in range(n - 1):
-            row = rows[u]
-            if row is None:
-                row = self._from_source(u, cmask)
-                for x in range(u, n):
-                    if row[x] == 0:
-                        rows[x] = row
-            rhs = self.rhs[u]
+            dc = row(u, cmask)
+            d0 = base[u]
             for v in range(u + 1, n):
-                d = row[v]
-                if lhs * d < rhs[v] and not (weak and d == 0):
+                d = dc[v]
+                if lhs * d + offset < coeff * d0[v] and not (weak and d == 0):
                     yield u, v, d
 
     def first_violation(self, cmask: int, weak: bool) -> ViolationWitness | None:

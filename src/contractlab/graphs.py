@@ -7,9 +7,10 @@ engine, ``ScaledDistances``, which works in integers after scaling all weights
 by the lcm of their denominators; Fractions are made only when a distance
 leaves it.  A graph builds its engine once (``Graph.distances``) and the engine
 its uncontracted rows once (``ScaledDistances.base``); both live as long as the
-graph and the rows are shared, never copied.  Unreachable pairs get the
-distinguished value ``UNREACHABLE`` (``math.inf``), which orders above every
-rational and saturates under addition.
+graph and the rows are shared, never copied.  The engine also keeps the rows of
+the last contracted edge mask it was asked about (``ScaledDistances.row``).
+Unreachable pairs get the distinguished value ``UNREACHABLE`` (``math.inf``),
+which orders above every rational and saturates under addition.
 """
 
 from __future__ import annotations
@@ -256,7 +257,11 @@ class ScaledDistances:
 
     Build it through ``Graph.distances``, so a graph has one engine; its
     uncontracted rows, ``base``, are computed once per engine and shared by
-    every caller.
+    every caller.  ``row(u, cmask)`` reads rows through a memo of one edge
+    mask: a verdict, a witness, ``contracted_distance`` and ``contract`` on
+    the same set share their searches, one per block of merged vertices.
+    The memo is one ``(cmask, rows)`` tuple, replaced whole when another mask
+    is asked for, so it holds at most n rows (n² ints) per graph.
     """
 
     def __init__(self, g: Graph):
@@ -269,6 +274,7 @@ class ScaledDistances:
         for eid, (u, v, _) in enumerate(g.edges):
             self.adj[u].append((v, eid))
             self.adj[v].append((u, eid))
+        self._memo: tuple[int, list] = (0, [None] * n)
 
     def from_source(self, src: int, cmask: int = 0) -> list[int]:
         adj = self.adj
@@ -304,21 +310,31 @@ class ScaledDistances:
                     heapq.heappush(heap, (nd, v))
         return dist
 
-    def all_pairs(self, cmask: int = 0) -> list[list[int]]:
-        """Every vertex's row, one search per block of merged vertices.
+    def row(self, u: int, cmask: int = 0) -> list[int]:
+        """Vertex u's row with the edges of ``cmask`` contracted, searched
+        only if the memo does not hold it yet.
 
-        Vertices at distance 0 from each other have equal rows, so the block
-        shares one list (found from its minimum vertex): rows may be aliased
-        and must not be mutated.
+        Vertices at distance 0 from each other have equal rows, so one search
+        fills the memo for u's whole block: rows may be aliased and must not
+        be mutated.  Another mask replaces the memo in one assignment, so a
+        reader never pairs one mask with another mask's rows.
         """
-        rows: list = [None] * self.n
-        for src in range(self.n):
-            if rows[src] is None:
-                row = self.from_source(src, cmask)
-                for v, d in enumerate(row):
-                    if d == 0:
-                        rows[v] = row
-        return rows
+        memo = self._memo
+        if memo[0] != cmask:
+            memo = self._memo = (cmask, [None] * self.n)
+        rows = memo[1]
+        row = rows[u]
+        if row is None:
+            row = self.from_source(u, cmask)
+            for v, d in enumerate(row):
+                if d == 0:
+                    rows[v] = row
+        return row
+
+    def all_pairs(self, cmask: int = 0) -> list[list[int]]:
+        """Every vertex's row (``row``), one search per block of merged
+        vertices; rows may be aliased and must not be mutated."""
+        return [self.row(u, cmask) for u in range(self.n)]
 
     @cached_property
     def base(self) -> list[list[int]]:

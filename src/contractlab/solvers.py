@@ -24,9 +24,10 @@ never increases an induced distance:
   cset + {j} + S valid makes {j} + S a valid set inside edges j..m-1, and
   the largest such set, ``bound[j]``, caps the subtree.  The strong
   maximizer computes every bound[j] exactly, from j = m-1 down, one short
-  walk each, then takes the first set of a final walk whose floor is one
-  below the optimum: include-first order is lexicographic order, so that set
-  is the lexicographically smallest optimum.
+  walk each.  Include-first order is lexicographic order, so the first set
+  the j = 0 walk finds is the lexicographically smallest optimum; when that
+  walk finds none, a final walk whose floor is one below the optimum takes
+  its first set instead.
 
 Validity itself is not monotone in weak mode (merging exempts pairs, so a
 subset of a valid set may fail), so weak mode has no suffix bound and takes
@@ -74,8 +75,8 @@ class SolveResult:
     ``witness`` is a sorted tuple of edge ids (contraction problems) or a
     Biclique; ``explored`` counts search nodes and is deterministic (a strong
     contraction solve sums the nodes of all its walks: one per suffix bound
-    and the final one), ``elapsed`` is wall time in seconds and is never
-    compared.
+    and, if one runs, the final one), ``elapsed`` is wall time in seconds
+    and is never compared.
     """
 
     objective: int
@@ -353,11 +354,12 @@ class _Search:
                 return
 
 
-def _suffix_bounds(search: _Search) -> list[int]:
+def _suffix_bounds(search: _Search) -> tuple[list[int], tuple[int, ...] | None]:
     """The Russian-doll bounds of a strong search (Östergård, "A fast
     algorithm for the maximum clique problem", Discrete Appl. Math. 2002):
     ``bound[i]`` is the size of the largest valid set inside edges i..m-1,
-    and ``bound[m]`` is 0.
+    and ``bound[m]`` is 0.  Returned with the set the i = 0 walk found, or
+    None if it found none.
 
     Strong validity is down-closed, so bound[i] is bound[i+1] or one more,
     and it is one more exactly when some valid set inside i..m-1 is longer
@@ -365,14 +367,18 @@ def _suffix_bounds(search: _Search) -> list[int]:
     children from i on, looks for such a set with floor bound[i+1] and
     bound[i] at its largest possible value, and stops at the first.  Every
     later entry is exact by then, so only sets containing edge i are built.
+    The i = 0 walk takes every child, so the set it finds is the first
+    optimum in lexicographic order.
     """
     m = search.m
     bound = [0] * (m + 1)
+    first = None
     for i in range(m - 1, -1, -1):
         bound[i] = bound[i + 1] + 1
-        if next(search.walk([bound[i + 1]], bound, i), None) is None:
+        first = next(search.walk([bound[i + 1]], bound, i), None)
+        if first is None:
             bound[i] = bound[i + 1]
-    return bound
+    return bound, first
 
 
 def _max_valid_set(g: Graph, tolerance: Tolerance, cap: int, weak: bool) -> SolveResult:
@@ -391,10 +397,11 @@ def _max_valid_set(g: Graph, tolerance: Tolerance, cap: int, weak: bool) -> Solv
         for best in search.walk(floor, list(range(m, -1, -1))):
             floor[0] = len(best)
     elif not search.root[2]:  # an invalid empty set has no valid superset
-        bound = _suffix_bounds(search)
-        # bound[0] is the optimum, so the first set longer than bound[0] - 1
-        # is the lexicographically smallest optimum
-        best = next(search.walk([bound[0] - 1], bound))
+        bound, best = _suffix_bounds(search)
+        if best is None:
+            # bound[0] = bound[1] is the optimum, so the first set longer
+            # than bound[0] - 1 is the lexicographically smallest one
+            best = next(search.walk([bound[0] - 1], bound))
     if best is None:
         what = "weak contraction" if weak else "contraction set"
         raise ValueError(

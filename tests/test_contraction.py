@@ -217,7 +217,9 @@ def test_tolerance_check_on_trivial_graphs():
 
 def test_pair_scan_searches_rows_lazily(monkeypatch):
     # row u is searched only when the lexicographic scan reaches u, once per
-    # block of merged vertices
+    # block of merged vertices, and only the first time the graph's engine
+    # meets the mask: every later verdict, witness, contracted_distance or
+    # contract on the same mask reads the memo and searches nothing
     runs: list[int] = []
     from_source = ScaledDistances.from_source
 
@@ -241,7 +243,82 @@ def test_pair_scan_searches_rows_lazily(monkeypatch):
     assert runs == [0, 1, 2, 4]
     runs.clear()
     assert check.failing_pairs(0b1010, weak=True) == []
+    assert cl.ToleranceCheck(g, T11).first_violation(0b1010, weak=True) is None
+    assert contracted_distance(g, [1, 3], 5, 2) == 2
+    assert contract(g, [3, 1]).supernode_count == 4
+    assert runs == []
+    # the memo holds one mask: after another mask, 0b1010 is new again and
+    # searched lazily as before
+    assert contracted_distance(g, [0], 0, 1) == 0 and runs == [0]
+    runs.clear()
+    assert check.first_violation(0b1010, weak=False) is None
     assert runs == [0, 1, 2, 4]
+
+
+def test_row_memo_follows_the_mask():
+    # one graph's engine keeps the rows of the last edge mask it met; strong
+    # and weak verdicts, both witnesses, contracted_distance and contract,
+    # interleaved in a shuffled order over a few masks (so masks repeat and
+    # alternate) and tolerances, must agree with a freshly built equal graph
+    # (an empty memo) and with the literal oracle; odd trials have rational
+    # weights
+    rng = random.Random(1919)
+    tols = [(1, 1), (Fraction(3, 2), Fraction(1, 2)), (2, 0), (1, 2), (Fraction(5, 4), 1)]
+    kinds = ["strong", "weak", "witness", "weak-witness", "distance", "contract"]
+    for trial in range(24):
+        n = rng.randint(3, 7)
+        m = rng.randint(n - 1, min(10, n * (n - 1) // 2))
+        g = random_connected_graph(rng, n, m, unit=trial % 2 == 0)
+        base = naive.fw_distances(n, g.edges)
+        masks = [tuple(e for e in range(m) if rng.randrange(2)) for _ in range(3)]
+        masks.append(tuple(range(m)))
+        for _ in range(8):
+            ids = rng.choice(masks)
+            alpha, beta = rng.choice(tols)
+            tol = Tolerance(alpha, beta)
+            u, v = rng.sample(range(n), 2)
+            label, table = naive.induced_distances(g, ids)
+            failing = [
+                (x, y)
+                for x in range(n)
+                for y in range(x + 1, n)
+                if table[label[x]][label[y]] < base[x][y] / tol.alpha - tol.beta
+            ]
+            unmerged = [(x, y) for x, y in failing if label[x] != label[y]]
+            rng.shuffle(kinds)
+            for kind in kinds:
+                fresh = Graph(n, g.edges)
+                if kind == "strong":
+                    got, want = is_contraction(g, ids, tol), is_contraction(fresh, ids, tol)
+                    assert got == want == naive.naive_is_contraction(g, ids, alpha, beta, base)
+                elif kind == "weak":
+                    got, want = is_weak_contraction(g, ids, tol), is_weak_contraction(fresh, ids, tol)
+                    assert got == want == naive.naive_is_weak_contraction(g, ids, alpha, beta, base)
+                elif kind in ("witness", "weak-witness"):
+                    weak = kind == "weak-witness"
+                    got = violation_witness(g, ids, tol, weak)
+                    assert got == violation_witness(fresh, ids, tol, weak)
+                    pairs = unmerged if weak else failing
+                    if weak and len(ids) == m:
+                        assert got.kind == "not-proper-subset"
+                    elif pairs:
+                        x, y = pairs[0]
+                        assert got == cl.ViolationWitness(
+                            "pair", x, y, base[x][y], table[label[x]][label[y]]
+                        )
+                    else:
+                        assert got is None
+                elif kind == "distance":
+                    got = contracted_distance(g, ids, u, v)
+                    assert got == contracted_distance(fresh, ids, u, v)
+                    assert got == table[label[u]][label[v]]
+                else:
+                    q = contract(g, ids)
+                    assert q == contract(fresh, ids)
+                    assert q.distance(u, v) == table[label[u]][label[v]]
+            mask = sum(1 << e for e in ids)
+            engine = g.distances
+            assert engine.all_pairs(mask) == [engine.from_source(x, mask) for x in range(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -416,16 +416,23 @@ def test_suffix_bounds_match_power_set_filter():
         base = naive.fw_distances(n, g.edges)
         largest = [0] * (m + 1)
         valid = 0
-        for sub in naive.all_subsets(m):
+        first_of_size: dict[int, tuple[int, ...]] = {}
+        for sub in naive.all_subsets(m):  # by size, then lexicographically
             if naive.naive_is_contraction(g, sub, alpha, beta, base):
                 valid += 1
+                first_of_size.setdefault(len(sub), sub)
                 for i in range((sub[0] if sub else m) + 1):
                     largest[i] = max(largest[i], len(sub))
         search = solvers._Search(cl.ToleranceCheck(g, Tolerance(alpha, beta)), False)
         if search.root[2]:
             assert valid == 0
             continue
-        assert solvers._suffix_bounds(search) == largest
+        bound, first = solvers._suffix_bounds(search)
+        assert bound == largest
+        # the i = 0 walk finds a set exactly when every optimum holds edge 0,
+        # and that set is the lexicographically smallest optimum
+        assert (first is not None) == (largest[0] > largest[1])
+        assert first is None or first == first_of_size[largest[0]]
         trees += tree
         bounded += 1
         tight += 0 < largest[0] < m
@@ -434,7 +441,9 @@ def test_suffix_bounds_match_power_set_filter():
 
 def test_strong_solver_checks_before_any_walk(monkeypatch):
     # an invalid empty set (alpha < 1) is refused from the root node, before
-    # any suffix walk; the cap is checked before any search state is built
+    # any suffix walk; the cap is checked before any search state is built.
+    # A solve runs one walk per suffix bound, and a final walk only when the
+    # i = 0 walk finds no set
     walks: list = []
     walk = solvers._Search.walk
 
@@ -449,6 +458,11 @@ def test_strong_solver_checks_before_any_walk(monkeypatch):
     assert walks == []
     assert max_contraction_exact(g, T11).objective == 2
     assert len(walks) == g.edge_count + 1
+    # on the 5-vertex path at (2, 1) the i = 0 walk finds the optimum itself
+    walks.clear()
+    p = cl.path_graph(5)
+    assert max_contraction_exact(p, Tolerance(2, 1)).witness == (0, 1, 3)
+    assert len(walks) == p.edge_count
     built: list = []
     monkeypatch.setattr(solvers, "ToleranceCheck", lambda *args: built.append(args))
     with pytest.raises(CapExceededError, match="cap \\(4\\)"):
@@ -549,7 +563,7 @@ def test_search_counters_pinned():
     weak = max_weak_contraction_exact(g, T11)
     assert (weak.objective, weak.explored) == (17, 19)
     strong = max_contraction_exact(g, Tolerance(1, 2))
-    assert (strong.objective, strong.explored) == (12, 1308)
+    assert (strong.objective, strong.explored) == (12, 1110)
     cells = [(l, r) for l in range(3) for r in range(4) if (l, r) not in ((0, 0), (2, 3))]
     gadget = cl.build_gadget(BipartiteGraph(3, 4, tuple(cells)), 1).combined
     assert gadget.edge_count == 17
@@ -566,7 +580,7 @@ def test_search_counters_pinned():
 def test_search_distance_evaluations_pinned(monkeypatch):
     # the searches of test_search_counters_pinned evaluate each vertex
     # partition once: the walker's pair scan runs once per distinct partition
-    # met, not once per node (19, 1308 and 2392 scans when every node paid).
+    # met, not once per node (19, 1110 and 2392 scans when every node paid).
     # The strong solve's walks (one per suffix bound, then the final one)
     # share one memo, so no partition is scanned twice across them either.
     # A scanned matrix holds 0 exactly for the merged pairs, so distinct
@@ -618,7 +632,7 @@ def test_search_distance_evaluations_pinned(monkeypatch):
     calls, weak = evaluated(g, lambda: max_weak_contraction_exact(g, T11))
     assert (calls, weak.explored) == (12, 19)
     calls, strong = evaluated(g, lambda: max_contraction_exact(g, Tolerance(1, 2)))
-    assert (calls, strong.explored) == (292, 1308)
+    assert (calls, strong.explored) == (292, 1110)
     cells = [(l, r) for l in range(3) for r in range(4) if (l, r) not in ((0, 0), (2, 3))]
     gadget = cl.build_gadget(BipartiteGraph(3, 4, tuple(cells)), 1).combined
     calls, valid = evaluated(
