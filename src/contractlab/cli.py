@@ -22,6 +22,7 @@ from .graphs import (
     DisconnectedGraphError,
     Graph,
     GraphFormatError,
+    _INTEGER_RE,
     complete_bipartite,
     connected_components,
     cycle_graph,
@@ -176,12 +177,9 @@ def _load_edge_ids(path: str) -> list[int]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        try:
-            ids.append(int(line))
-        except ValueError:
-            raise GraphFormatError(
-                "malformed-edge-id", f"expected an edge id, got {line!r}", lineno
-            ) from None
+        if not _INTEGER_RE.fullmatch(line):
+            raise GraphFormatError("malformed-edge-id", f"expected an edge id, got {line!r}", lineno)
+        ids.append(int(line))
     return ids
 
 

@@ -26,17 +26,32 @@ from functools import cached_property
 
 UNREACHABLE = math.inf
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+# ASCII decimal only: int() and a Unicode \d would also take "1_0", "+1" and
+# the digits of other scripts
+_COUNT_RE = re.compile(r"\d+", re.ASCII)
+_INTEGER_RE = re.compile(r"-?\d+", re.ASCII)
+_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$", re.ASCII)
+_ONE = Fraction(1)
 
 
 class GraphFormatError(ValueError):
-    """Malformed graph text.  `reason` is a stable slug naming the defect."""
+    """Malformed graph text or edge list.  `reason` is a stable slug naming the defect.
 
-    def __init__(self, reason: str, message: str, line: int | None = None):
+    `line` is the text line ``parse_graph`` blames and `edge` the position of
+    the offending edge in a constructor's input; `message` is the text
+    without either.
+    """
+
+    def __init__(self, reason: str, message: str, line: int | None = None, edge: int | None = None):
         self.reason = reason
+        self.message = message
         self.line = line
-        where = f" (line {line})" if line is not None else ""
-        super().__init__(f"{message}{where}")
+        self.edge = edge
+        if line is not None:
+            message += f" (line {line})"
+        elif edge is not None:
+            message += f" (input edge {edge})"
+        super().__init__(message)
 
 
 class DisconnectedGraphError(ValueError):
@@ -44,7 +59,7 @@ class DisconnectedGraphError(ValueError):
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse an exact rational written as a decimal integer or ``p/q``.
+    """Parse an exact rational written as an ASCII decimal integer or ``p/q``.
 
     Raises ValueError on anything else (including floating-point syntax).
     """
@@ -57,11 +72,42 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in rational: {text!r}") from None
 
 
-def _as_weight(value) -> Fraction:
-    w = Fraction(value)
-    if w <= 0:
-        raise ValueError(f"edge weight must be strictly positive, got {value}")
-    return w
+def _canonical_edges(edges, left: int, right: int | None = None) -> tuple[tuple[int, int, Fraction], ...]:
+    """The edge rules, stated once: `edges` as ``(u, v, w)`` triples sorted by ``(u, v)``.
+
+    A 2-tuple gets weight 1.  Endpoints must lie in ``[0, left) x [0, right)``;
+    ``right=None`` means a simple graph on `left` vertices, which refuses
+    self-loops and orders each pair ``u < v``.  Weights must be positive and
+    each pair may appear once.  A defect raises GraphFormatError with the
+    position of the offending edge in `edges`; a duplicate is blamed on its
+    second occurrence.
+    """
+    simple = right is None
+    if simple:
+        right = left
+    kept: dict[tuple[int, int], Fraction] = {}
+    for i, e in enumerate(edges):
+        if len(e) == 2:
+            (u, v), w = e, _ONE
+        else:
+            u, v, w = e
+            w = Fraction(w)
+            if w <= 0:
+                raise GraphFormatError(
+                    "non-positive-weight", f"edge weight must be strictly positive, got {e[2]}", edge=i
+                )
+        if not (0 <= u < left and 0 <= v < right):
+            raise GraphFormatError(
+                "index-out-of-range", f"index out of range [0,{left}) x [0,{right}): ({u},{v})", edge=i
+            )
+        if simple and u >= v:
+            if u == v:
+                raise GraphFormatError("self-loop", f"self-loop not allowed at vertex {u}", edge=i)
+            u, v = v, u
+        if (u, v) in kept:
+            raise GraphFormatError("duplicate-edge", f"duplicate edge ({u},{v})", edge=i)
+        kept[u, v] = w
+    return tuple((u, v, w) for (u, v), w in sorted(kept.items()))
 
 
 @dataclass(frozen=True)
@@ -72,8 +118,8 @@ class Graph:
     sorted by ``(u, v)``.  Edge ids are positions in this canonical list, so
     they are stable across runs and usable for tie-breaking.  The constructor
     normalizes its input (2-tuples get weight 1, endpoints may come in either
-    order) and rejects self-loops, duplicate pairs, out-of-range indices and
-    non-positive weights.
+    order) and raises GraphFormatError on a self-loop, a duplicate pair, an
+    out-of-range index or a non-positive weight.
     """
 
     vertex_count: int
@@ -83,26 +129,7 @@ class Graph:
         n = self.vertex_count
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
-        norm = []
-        for e in self.edges:
-            if len(e) == 2:
-                u, v = e
-                w = Fraction(1)
-            else:
-                u, v, w = e
-                w = _as_weight(w)
-            if not (0 <= u < n) or not (0 <= v < n):
-                raise ValueError(f"vertex index out of range [0,{n}): ({u},{v})")
-            if u == v:
-                raise ValueError(f"self-loop not allowed at vertex {u}")
-            if u > v:
-                u, v = v, u
-            norm.append((u, v, w))
-        norm.sort(key=lambda t: (t[0], t[1]))
-        for a, b in zip(norm, norm[1:]):
-            if a[:2] == b[:2]:
-                raise ValueError(f"duplicate edge ({a[0]},{a[1]})")
-        object.__setattr__(self, "edges", tuple(norm))
+        object.__setattr__(self, "edges", _canonical_edges(self.edges, n))
 
     @property
     def edge_count(self) -> int:
@@ -145,8 +172,11 @@ class BipartiteGraph:
     """A bipartite graph with sides indexed independently from 0.
 
     Edges are ``(left, right, weight)`` and are kept sorted by ``(left,
-    right)``; ids are positions in that list.  ``to_graph()`` gives the
-    combined simple-graph view with right vertices offset by ``left_count``.
+    right)``; ids are positions in that list.  2-tuples get weight 1; the
+    constructor raises GraphFormatError on the same defects as ``Graph``'s,
+    except self-loops, which a bipartite edge cannot form.  ``to_graph()``
+    gives the combined simple-graph view with right vertices offset by
+    ``left_count``.
     """
 
     left_count: int
@@ -156,24 +186,7 @@ class BipartiteGraph:
     def __post_init__(self):
         if self.left_count < 0 or self.right_count < 0:
             raise ValueError("side sizes must be non-negative")
-        norm = []
-        for e in self.edges:
-            if len(e) == 2:
-                l, r = e
-                w = Fraction(1)
-            else:
-                l, r, w = e
-                w = _as_weight(w)
-            if not (0 <= l < self.left_count):
-                raise ValueError(f"left index out of range [0,{self.left_count}): {l}")
-            if not (0 <= r < self.right_count):
-                raise ValueError(f"right index out of range [0,{self.right_count}): {r}")
-            norm.append((l, r, w))
-        norm.sort(key=lambda t: (t[0], t[1]))
-        for a, b in zip(norm, norm[1:]):
-            if a[:2] == b[:2]:
-                raise ValueError(f"duplicate edge ({a[0]},{a[1]})")
-        object.__setattr__(self, "edges", tuple(norm))
+        object.__setattr__(self, "edges", _canonical_edges(self.edges, self.left_count, self.right_count))
 
     @property
     def vertex_count(self) -> int:
@@ -407,12 +420,7 @@ def generate_random_bipartite(
     if not 0 <= p <= 1:
         raise ValueError(f"edge probability must be in [0,1], got {edge_probability}")
     rng = random.Random(seed)
-    edges = [
-        (l, r, Fraction(1))
-        for l in range(left)
-        for r in range(right)
-        if _happens(rng, p)
-    ]
+    edges = [(l, r) for l in range(left) for r in range(right) if _happens(rng, p)]
     return BipartiteGraph(left, right, tuple(edges))
 
 
@@ -439,33 +447,27 @@ def generate_planted_biclique(
     plant_l = sorted(rng.sample(range(left), plant_left))
     plant_r = sorted(rng.sample(range(right), plant_right))
     in_plant = {(l, r) for l in plant_l for r in plant_r}
-    edges = []
-    for l in range(left):
-        for r in range(right):
-            if (l, r) in in_plant:
-                edges.append((l, r, Fraction(1)))
-            elif _happens(rng, p):
-                edges.append((l, r, Fraction(1)))
+    # a planted pair draws no random number, so `or` keeps the stream of draws
+    edges = [
+        (l, r) for l in range(left) for r in range(right) if (l, r) in in_plant or _happens(rng, p)
+    ]
     return BipartiteGraph(left, right, tuple(edges)), Biclique(tuple(plant_l), tuple(plant_r))
 
 
 def path_graph(n: int, weight=1) -> Graph:
-    w = _as_weight(weight)
-    return Graph(n, tuple((i, i + 1, w) for i in range(n - 1)))
+    return Graph(n, tuple((i, i + 1, weight) for i in range(n - 1)))
 
 
 def cycle_graph(n: int, weight=1) -> Graph:
     if n < 3:
         raise ValueError("a cycle needs at least 3 vertices")
-    w = _as_weight(weight)
-    edges = [(i, i + 1, w) for i in range(n - 1)] + [(0, n - 1, w)]
+    edges = [(i, i + 1, weight) for i in range(n - 1)] + [(0, n - 1, weight)]
     return Graph(n, tuple(edges))
 
 
 def complete_bipartite(left: int, right: int, weight=1) -> BipartiteGraph:
-    w = _as_weight(weight)
     return BipartiteGraph(
-        left, right, tuple((l, r, w) for l in range(left) for r in range(right))
+        left, right, tuple((l, r, weight) for l in range(left) for r in range(right))
     )
 
 
@@ -475,19 +477,29 @@ def complete_bipartite(left: int, right: int, weight=1) -> BipartiteGraph:
 #   graph <n> <m>              |  bipartite <nL> <nR> <m>
 #   u v [w]                    |  l r [w]
 #
-# One edge per line; weight is a decimal integer or p/q and defaults to 1.
+# One edge per line; weight is an ASCII decimal integer or p/q and defaults to 1.
 # Lines starting with '#' are comments.  Rendering is canonical (sorted edge
 # order, weight omitted when 1), so render(parse(t)) is a fixed point.
 # ----------------------------------------------------------------------------
 
 
+_HEADERS = {
+    "graph": (Graph, "graph <n> <m>"),
+    "bipartite": (BipartiteGraph, "bipartite <nL> <nR> <m>"),
+}
+
+
 def parse_graph(text: str) -> Graph | BipartiteGraph:
     """Parse the line-oriented graph format; header decides the kind returned.
 
+    Counts, endpoints and weights are ASCII decimal.  The text is checked
+    here (header, token shape, edge count); the edge rules are the
+    constructor's, and a defect it finds is reported at the edge's line.
     Raises GraphFormatError with a distinct `reason` slug per defect:
     malformed-header, malformed-edge, malformed-weight, non-positive-weight,
     index-out-of-range, self-loop, duplicate-edge, missing-edges,
-    trailing-content, empty-input.
+    trailing-content, empty-input.  With several defects, the first of
+    header, edge count, token shape and edge rules is reported.
     """
     lines = [
         (i + 1, line.strip())
@@ -498,25 +510,14 @@ def parse_graph(text: str) -> Graph | BipartiteGraph:
         raise GraphFormatError("empty-input", "no content lines")
     header_line, header = lines[0]
     tokens = header.split()
-    if tokens[0] == "graph":
-        if len(tokens) != 3:
-            raise GraphFormatError("malformed-header", f"expected 'graph <n> <m>', got {header!r}", header_line)
-        kind = "graph"
-    elif tokens[0] == "bipartite":
-        if len(tokens) != 4:
-            raise GraphFormatError(
-                "malformed-header", f"expected 'bipartite <nL> <nR> <m>', got {header!r}", header_line
-            )
-        kind = "bipartite"
-    else:
+    if tokens[0] not in _HEADERS:
         raise GraphFormatError("malformed-header", f"unknown header {tokens[0]!r}", header_line)
-    try:
-        counts = [int(t) for t in tokens[1:]]
-    except ValueError:
-        raise GraphFormatError("malformed-header", f"non-integer count in {header!r}", header_line) from None
-    if any(c < 0 for c in counts):
-        raise GraphFormatError("malformed-header", f"negative count in {header!r}", header_line)
-    m = counts[-1]
+    cls, usage = _HEADERS[tokens[0]]
+    if len(tokens) != len(usage.split()):
+        raise GraphFormatError("malformed-header", f"expected {usage!r}, got {header!r}", header_line)
+    if not all(map(_COUNT_RE.fullmatch, tokens[1:])):
+        raise GraphFormatError("malformed-header", f"counts must be decimal integers in {header!r}", header_line)
+    *sizes, m = map(int, tokens[1:])
 
     body = lines[1:]
     if len(body) < m:
@@ -524,48 +525,23 @@ def parse_graph(text: str) -> Graph | BipartiteGraph:
     if len(body) > m:
         raise GraphFormatError("trailing-content", f"header promises {m} edges, found {len(body)}", body[m][0])
 
-    edges: list[tuple[int, int, Fraction]] = []
-    seen: set[tuple[int, int]] = set()
+    edges: list[tuple] = []
     for lineno, line in body:
         parts = line.split()
-        if len(parts) not in (2, 3):
-            raise GraphFormatError("malformed-edge", f"expected 'u v [w]', got {line!r}", lineno)
+        if len(parts) not in (2, 3) or not all(map(_INTEGER_RE.fullmatch, parts[:2])):
+            raise GraphFormatError("malformed-edge", f"expected 'u v [w]' with integer u, v, got {line!r}", lineno)
+        a, b = int(parts[0]), int(parts[1])
+        if len(parts) == 2:
+            edges.append((a, b))
+            continue
         try:
-            a, b = int(parts[0]), int(parts[1])
+            edges.append((a, b, parse_rational(parts[2])))
         except ValueError:
-            raise GraphFormatError("malformed-edge", f"non-integer endpoint in {line!r}", lineno) from None
-        if len(parts) == 3:
-            try:
-                w = parse_rational(parts[2])
-            except ValueError:
-                raise GraphFormatError("malformed-weight", f"bad weight in {line!r}", lineno) from None
-        else:
-            w = Fraction(1)
-        if w <= 0:
-            raise GraphFormatError("non-positive-weight", f"weight must be positive in {line!r}", lineno)
-
-        if kind == "graph":
-            n = counts[0]
-            if not (0 <= a < n) or not (0 <= b < n):
-                raise GraphFormatError("index-out-of-range", f"vertex out of [0,{n}) in {line!r}", lineno)
-            if a == b:
-                raise GraphFormatError("self-loop", f"self-loop in {line!r}", lineno)
-            key = (min(a, b), max(a, b))
-        else:
-            nl, nr = counts[0], counts[1]
-            if not (0 <= a < nl):
-                raise GraphFormatError("index-out-of-range", f"left index out of [0,{nl}) in {line!r}", lineno)
-            if not (0 <= b < nr):
-                raise GraphFormatError("index-out-of-range", f"right index out of [0,{nr}) in {line!r}", lineno)
-            key = (a, b)
-        if key in seen:
-            raise GraphFormatError("duplicate-edge", f"duplicate edge in {line!r}", lineno)
-        seen.add(key)
-        edges.append((a, b, w))
-
-    if kind == "graph":
-        return Graph(counts[0], tuple(edges))
-    return BipartiteGraph(counts[0], counts[1], tuple(edges))
+            raise GraphFormatError("malformed-weight", f"bad weight in {line!r}", lineno) from None
+    try:
+        return cls(*sizes, tuple(edges))
+    except GraphFormatError as exc:
+        raise GraphFormatError(exc.reason, exc.message, body[exc.edge][0]) from None
 
 
 def _render_weight(w: Fraction) -> str:

@@ -154,7 +154,7 @@ def build_tensor_square(g: BipartiteGraph) -> TensorGraph:
     for i, (a, b) in enumerate(left_pairs):
         for k, (c, d) in enumerate(right_pairs):
             if (a, c) in present and (d, b) in present:
-                edges.append((i, k, Fraction(1)))
+                edges.append((i, k))
     tensor = BipartiteGraph(nl * nr, nr * nl, tuple(edges))
     return TensorGraph(factor=g, graph=tensor, left_pairs=left_pairs, right_pairs=right_pairs)
 

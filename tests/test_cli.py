@@ -86,8 +86,10 @@ def test_verify_malformed_graph_exit_two(tmp_path, capsys):
 
 
 def test_verify_bad_contraction_file_exit_two(tmp_path, p3):
-    cfile = write(tmp_path, "c.txt", "zero\n")
-    assert run_cli("verify", p3, cfile) == 2
+    # "1_0" and "+1" would read as 10 and 1 through int()
+    for text in ("zero\n", "1_0\n", "+1\n"):
+        cfile = write(tmp_path, "c.txt", text)
+        assert run_cli("verify", p3, cfile) == 2
 
 
 def test_verify_missing_file_exit_two(tmp_path, p3):
@@ -130,6 +132,7 @@ def test_verify_exit_matrix(tmp_path, p3):
         (["verify", p3, valid, "--weak"], 0),
         (["verify", p3, invalid, "--weak"], 1),
         (["verify", p3, valid, "--beta", "x/y"], 2),
+        (["verify", p3, valid, "--beta", "\u0663"], 2),
     ]
     for argv, expected in matrix:
         assert run_cli(*argv) == expected
@@ -501,6 +504,8 @@ _COROLLARY = {
         ({"instances": [{"family": "cycle", "n": 2, "claims": ["path-lemma"]}]}, "instances[0].n"),
         # a misspelt "instances" would otherwise run no instance and exit 0
         ({"instance": [dict(_COROLLARY)]}, "suite: instance is not"),
+        # rationals are ASCII decimal: an Arabic-Indic three is not 3
+        ({"instances": [dict(_COROLLARY, betas=["\u0663"])]}, "instances[0].betas"),
     ],
 )
 def test_lab_malformed_suite_exit_two(tmp_path, capsys, config, where):

@@ -46,16 +46,22 @@ def test_edges_are_canonicalized():
 
 
 def test_graph_rejects_bad_edges():
-    with pytest.raises(ValueError, match="self-loop"):
-        Graph(2, ((0, 0),))
-    with pytest.raises(ValueError, match="duplicate"):
-        Graph(2, ((0, 1), (1, 0)))
-    with pytest.raises(ValueError, match="out of range"):
-        Graph(2, ((0, 2),))
-    with pytest.raises(ValueError, match="positive"):
-        Graph(2, ((0, 1, 0),))
-    with pytest.raises(ValueError, match="positive"):
-        Graph(2, ((0, 1, Fraction(-1, 2)),))
+    # (constructor, counts, edges, reason, message word, position blamed)
+    cases = [
+        (Graph, (2,), ((0, 1), (0, 0)), "self-loop", "self-loop", 1),
+        (Graph, (3,), ((0, 1), (1, 2), (1, 0)), "duplicate-edge", "duplicate", 2),
+        (Graph, (2,), ((0, 2),), "index-out-of-range", "out of range", 0),
+        (Graph, (2,), ((0, 1, 0),), "non-positive-weight", "positive", 0),
+        (Graph, (2,), ((0, 1, Fraction(-1, 2)),), "non-positive-weight", "positive", 0),
+        (BipartiteGraph, (2, 3), ((0, 0), (2, 0)), "index-out-of-range", "out of range", 1),
+        (BipartiteGraph, (2, 3), ((0, 3),), "index-out-of-range", "out of range", 0),
+        (BipartiteGraph, (2, 3), ((0, 1), (1, 0), (0, 1, 2)), "duplicate-edge", "duplicate", 2),
+        (BipartiteGraph, (2, 3), ((0, 0, 0),), "non-positive-weight", "positive", 0),
+    ]
+    for cls, counts, edges, reason, word, position in cases:
+        with pytest.raises(GraphFormatError, match=word) as exc:
+            cls(*counts, edges)
+        assert (exc.value.reason, exc.value.edge) == (reason, position)
 
 
 def test_bipartite_to_graph_offsets_right_side():
@@ -351,30 +357,46 @@ def test_parse_render_round_trip_bipartite(left, right, mask):
     assert parse_graph(render_graph(b)) == b
 
 
+_PARSE_ERRORS = [
+    ("", "empty-input", None),
+    ("graph 2\n", "malformed-header", 1),
+    ("lattice 2 1\n0 1\n", "malformed-header", 1),
+    ("graph x 1\n0 1\n", "malformed-header", 1),
+    ("graph 2 1\n0 0 1\n", "self-loop", 2),
+    ("graph 2 1\n0 3 1\n", "index-out-of-range", 2),
+    ("graph 2 1\n-1 1\n", "index-out-of-range", 2),
+    ("graph 2 1\n0 1 0\n", "non-positive-weight", 2),
+    ("graph 2 1\n0 1 -2\n", "non-positive-weight", 2),
+    ("graph 2 1\n0 1 1.5\n", "malformed-weight", 2),
+    ("graph 2 1\n0 1 1/0\n", "malformed-weight", 2),
+    ("graph 3 2\n0 1\n1 0\n", "duplicate-edge", 3),
+    ("# c\ngraph 3 2\n0 1\n\n0 1\n", "duplicate-edge", 5),
+    ("graph 3 2\n0 1\n", "missing-edges", None),
+    ("graph 3 1\n0 1\n1 2\n", "trailing-content", 3),
+    ("graph 2 1\n0\n", "malformed-edge", 2),
+    ("bipartite 2 2 1\n0 2\n", "index-out-of-range", 2),
+    ("bipartite 2 2 2\n0 1\n0 1 1/2\n", "duplicate-edge", 3),
+    # integers are ASCII decimal: no "_", no "+", no other script's digits
+    ("graph 1_0 1\n0 1\n", "malformed-header", 1),
+    ("graph -1 0\n", "malformed-header", 1),
+    ("graph \u0663 1\n0 1\n", "malformed-header", 1),
+    ("graph 2 1\n0 +1\n", "malformed-edge", 2),
+    ("graph 3 1\n0 \u0662\n", "malformed-edge", 2),
+    ("graph 2 1\n0 1 \u0663\n", "malformed-weight", 2),
+    # token errors come before edge-rule errors, whatever their lines
+    ("graph 3 2\n0 0\n1 x\n", "malformed-edge", 3),
+]
+
+
 @pytest.mark.parametrize(
-    "text,reason",
-    [
-        ("", "empty-input"),
-        ("graph 2\n", "malformed-header"),
-        ("lattice 2 1\n0 1\n", "malformed-header"),
-        ("graph x 1\n0 1\n", "malformed-header"),
-        ("graph 2 1\n0 0 1\n", "self-loop"),
-        ("graph 2 1\n0 3 1\n", "index-out-of-range"),
-        ("graph 2 1\n0 1 0\n", "non-positive-weight"),
-        ("graph 2 1\n0 1 -2\n", "non-positive-weight"),
-        ("graph 2 1\n0 1 1.5\n", "malformed-weight"),
-        ("graph 2 1\n0 1 1/0\n", "malformed-weight"),
-        ("graph 3 2\n0 1\n1 0\n", "duplicate-edge"),
-        ("graph 3 2\n0 1\n", "missing-edges"),
-        ("graph 3 1\n0 1\n1 2\n", "trailing-content"),
-        ("graph 2 1\n0\n", "malformed-edge"),
-        ("bipartite 2 2 1\n0 2\n", "index-out-of-range"),
-    ],
+    "text,reason,line", _PARSE_ERRORS, ids=[f"{text}-{reason}" for text, reason, _ in _PARSE_ERRORS]
 )
-def test_parse_errors_are_distinct(text, reason):
+def test_parse_errors_are_distinct(text, reason, line):
     with pytest.raises(GraphFormatError) as exc:
         parse_graph(text)
-    assert exc.value.reason == reason
+    assert (exc.value.reason, exc.value.line) == (reason, line)
+    if line is not None:
+        assert str(exc.value).endswith(f" (line {line})")
 
 
 def test_biclique_validation():
