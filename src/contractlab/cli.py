@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from .graphs import (
     DisconnectedGraphError,
     Graph,
     GraphFormatError,
+    _COUNT_RE,
     _INTEGER_RE,
     complete_bipartite,
     connected_components,
@@ -55,11 +57,18 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+# Integer flags take ASCII decimal, as graph text does: int() alone would
+# also read "1_0" as 10, "+3" as 3 and non-ASCII digits such as "٣".
+def _integer(text: str) -> int:
+    if not _INTEGER_RE.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected a decimal integer, got {text!r}")
+    return int(text)
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
+    if not _COUNT_RE.fullmatch(text) or int(text) == 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,10 +132,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--right", type=_positive_int)
     p_gen.add_argument("--n", type=_positive_int)
     p_gen.add_argument("--prob", type=_rational, default=Fraction(1, 2))
-    p_gen.add_argument("--plant-left", type=int, default=0)
-    p_gen.add_argument("--plant-right", type=int, default=0)
+    p_gen.add_argument("--plant-left", type=_integer, default=0)
+    p_gen.add_argument("--plant-right", type=_integer, default=0)
     p_gen.add_argument("--noise", type=_rational, default=Fraction(0))
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=_integer, default=0)
     p_gen.add_argument("--out")
     p_gen.add_argument("--plant-out", help="write the planted witness JSON here")
     p_gen.set_defaults(func=cmd_gen)
@@ -313,17 +322,12 @@ def cmd_reduce(args) -> int:
     if args.construction == "gadget":
         gadget = build_gadget(g, args.weight)
         text = render_graph(gadget.combined)
-        nv, nu = gadget.left_count, gadget.right_count
-        roles = []
-        for v in range(gadget.combined.vertex_count):
-            if v < nv:
-                roles.append({"index": v, "role": "core-left", "source": v})
-            elif v < nv + nu:
-                roles.append({"index": v, "role": "core-right", "source": v - nv})
-            elif v < 2 * nv + nu:
-                roles.append({"index": v, "role": "pendant-left", "source": v - nv - nu})
-            else:
-                roles.append({"index": v, "role": "pendant-right", "source": v - 2 * nv - nu})
+        nv = gadget.left_count
+        roles = [None] * gadget.combined.vertex_count
+        for v, pendant in enumerate(gadget.pendant_map):
+            side, source = ("left", v) if v < nv else ("right", v - nv)
+            roles[v] = {"index": v, "role": f"core-{side}", "source": source}
+            roles[pendant] = {"index": pendant, "role": f"pendant-{side}", "source": source}
         provenance = {
             "construction": "gadget",
             "weight": str(gadget.weight),
@@ -380,9 +384,7 @@ def cmd_lab(args) -> int:
     goldens = Path(args.goldens) if args.goldens else out_dir / "goldens"
     pinned, regressions, unreadable = lablib.compare_goldens(reports, goldens)
 
-    counts = {"holds": 0, "counterexample": 0, "vacuous": 0, "error": 0}
-    for rep in reports:
-        counts[rep.verdict] += 1
+    counts = Counter(rep.verdict for rep in reports)
     sys.stdout.write(
         f"{len(reports)} reports: {counts['holds']} holds, "
         f"{counts['counterexample']} counterexamples, {counts['vacuous']} vacuous, "

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
 from .graphs import (
@@ -163,14 +162,13 @@ class ToleranceCheck:
     Weights are multiplied by the lcm L of their denominators so distances are
     integers; with alpha = p/q and beta = r/s the test
     ``d_C >= d/alpha - beta`` becomes ``p*s*D_C >= q*s*D - p*r*L`` where D and
-    D_C are scaled distances.  That is ``lhs * D_C >= rhs[u][v]``: ``lhs`` is
-    p*s and ``rhs[u][v]`` is ``coeff * D - offset`` with ``coeff`` = q*s and
-    ``offset`` = p*r*L, D read from the graph's cached base rows
-    (``Graph.distances.base``).  A verdict tests ``lhs * D_C + offset <
-    coeff * D`` pair by pair and builds no table; ``rhs``, the whole O(n²)
-    table, is built on first use for the exact searches (``solvers._Search``),
-    which test their own packed distance matrices against the same
-    inequality.  All of these are read-only.
+    D_C are scaled distances.  That is ``lhs * D_C + offset >= coeff * D``
+    with ``lhs`` = p*s, ``coeff`` = q*s and ``offset`` = p*r*L, D read from
+    the graph's cached base rows (``Graph.distances.base``).  A verdict tests
+    the failing side, ``lhs * D_C + offset < coeff * D``, pair by pair and
+    builds no table; the exact searches (``solvers._matrix_scan``) read the
+    same three integers and base rows to test their own packed distance
+    matrices.  All of these are read-only.
 
     Subsets are passed as bitmasks over edge ids.  A scan reads row u through
     the engine's memo (``ScaledDistances.row``) only when the lexicographic
@@ -199,12 +197,6 @@ class ToleranceCheck:
         self.lhs = a * s
         self.offset = a * r * engine.scale
         self.coeff = b * s
-
-    @cached_property
-    def rhs(self) -> list[list[int]]:
-        """The right-hand side ``coeff * D - offset`` of every pair, row by row."""
-        coeff, offset = self.coeff, self.offset
-        return [[coeff * d - offset for d in row] for row in self.base_scaled]
 
     def _violations(self, cmask: int, weak: bool) -> Iterator[tuple[int, int, int]]:
         """Failing pairs in lexicographic order as (u, v, scaled induced

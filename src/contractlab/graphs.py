@@ -91,7 +91,8 @@ def _canonical_edges(edges, left: int, right: int | None = None) -> tuple[tuple[
             (u, v), w = e, _ONE
         else:
             u, v, w = e
-            w = Fraction(w)
+            if not isinstance(w, Fraction):
+                w = Fraction(w)
             if w <= 0:
                 raise GraphFormatError(
                     "non-positive-weight", f"edge weight must be strictly positive, got {e[2]}", edge=i

@@ -212,13 +212,15 @@ def _first_disjoint_contracted_pair(
     """First pair of positions at distance >= 2 whose edges are both contracted.
 
     On a simple path, edges two or more positions apart share no vertex.
+    Positions ascend, so the first such pair starts at the first contracted
+    position p0: it is (p0, p1) unless p1 = p0 + 1, and then (p0, p2).
     """
     positions = [i for i, e in enumerate(edge_ids) if e in cset]
-    for a in range(len(positions)):
-        for b in range(a + 1, len(positions)):
-            if positions[b] >= positions[a] + 2:
-                return positions[a], positions[b]
-    return None
+    if len(positions) < 2:
+        return None
+    if positions[1] >= positions[0] + 2:
+        return positions[0], positions[1]
+    return (positions[0], positions[2]) if len(positions) > 2 else None
 
 
 def _require_path_graph(g: Graph) -> None:

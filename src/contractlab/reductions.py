@@ -47,11 +47,11 @@ REASON_INCOMPLETE = "not-complete"
 class GadgetGraph:
     """A bipartite core plus one pendant copy of every vertex.
 
-    Combined-graph vertex layout for a core with sides of sizes nV and nU:
-    core-left i -> i, core-right j -> nV + j, left pendant i -> nV + nU + i,
-    right pendant j -> 2*nV + nU + j.  ``pendant_map[v]`` gives the pendant of
-    each core vertex; ``edge_kind[eid]`` tags every combined edge as 'core' or
-    'matching'.
+    Combined-graph vertex layout for a core of n = nV + nU vertices: core
+    vertex v keeps its index v in ``core.to_graph()`` (left i -> i, right
+    j -> nV + j) and its pendant is n + v, so ``pendant_map`` is
+    ``range(n, 2n)``.  ``edge_kind[eid]`` tags every combined edge as 'core'
+    or 'matching'; a matching edge is one whose larger endpoint is at least n.
     """
 
     core: BipartiteGraph
@@ -64,10 +64,6 @@ class GadgetGraph:
     def left_count(self) -> int:
         return self.core.left_count
 
-    @property
-    def right_count(self) -> int:
-        return self.core.right_count
-
     @cached_property
     def bipartition(self) -> tuple[BipartiteGraph, tuple[int, ...], tuple[int, ...]]:
         """The gadget as a bipartite graph plus side-to-combined index maps.
@@ -77,18 +73,16 @@ class GadgetGraph:
         Core-vertex indices are unchanged, so a biclique of the core is
         already in side-local coordinates of this view.
         """
-        nv, nu = self.left_count, self.right_count
-        side0 = tuple(range(nv)) + tuple(2 * nv + nu + j for j in range(nu))
-        side1 = tuple(nv + j for j in range(nu)) + tuple(nv + nu + i for i in range(nv))
+        nv, n = self.left_count, self.core.vertex_count
+        side0 = (*range(nv), *range(n + nv, 2 * n))
+        side1 = (*range(nv, n), *range(n, n + nv))
         pos0 = {c: i for i, c in enumerate(side0)}
         pos1 = {c: i for i, c in enumerate(side1)}
-        edges = []
-        for u, v, w in self.combined.edges:
-            if u in pos0:
-                edges.append((pos0[u], pos1[v], w))
-            else:
-                edges.append((pos0[v], pos1[u], w))
-        return BipartiteGraph(len(side0), len(side1), tuple(edges)), side0, side1
+        edges = tuple(
+            (pos0[u], pos1[v], w) if u in pos0 else (pos0[v], pos1[u], w)
+            for u, v, w in self.combined.edges
+        )
+        return BipartiteGraph(len(side0), len(side1), edges), side0, side1
 
 
 def build_gadget(g: BipartiteGraph, weight=1) -> GadgetGraph:
@@ -101,32 +95,21 @@ def build_gadget(g: BipartiteGraph, weight=1) -> GadgetGraph:
     w = Fraction(weight)
     if w <= 0:
         raise ValueError(f"gadget weight must be positive, got {weight}")
-    if not is_connected(g.to_graph()):
+    core = g.to_graph()
+    if not is_connected(core):
         raise DisconnectedGraphError("gadget construction requires a connected graph")
-    nv, nu = g.left_count, g.right_count
-    core_pairs = set()
-    edges = []
-    for l, r, _ in g.edges:
-        u, v = l, nv + r
-        core_pairs.add((u, v))
-        edges.append((u, v, w))
-    pendant = [0] * (nv + nu)
-    for i in range(nv):
-        pendant[i] = nv + nu + i
-        edges.append((i, pendant[i], w))
-    for j in range(nu):
-        pendant[nv + j] = 2 * nv + nu + j
-        edges.append((nv + j, pendant[nv + j], w))
-    combined = Graph(2 * (nv + nu), tuple(edges))
-    kinds = tuple(
-        CORE if (u, v) in core_pairs else MATCHING for u, v, _ in combined.edges
+    n = core.vertex_count
+    pendant_map = tuple(range(n, 2 * n))
+    # the core's edges, then each core vertex v's pendant edge (v, n + v)
+    combined = Graph(
+        2 * n, tuple((u, v, w) for u, v, *_ in (*core.edges, *enumerate(pendant_map)))
     )
     return GadgetGraph(
         core=g,
         weight=w,
         combined=combined,
-        pendant_map=tuple(pendant),
-        edge_kind=kinds,
+        pendant_map=pendant_map,
+        edge_kind=tuple(MATCHING if v >= n else CORE for _, v, _ in combined.edges),
     )
 
 

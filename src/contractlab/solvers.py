@@ -217,24 +217,26 @@ def _matrix_scan(
     """The walker's pair scan: ``scan(matrix)`` lists the failing pairs of a
     packed induced matrix, in lexicographic order.
 
-    Pair (u, v) fails exactly when ``check.lhs * d < check.rhs[u][v]``, that
-    is when its induced distance d is below ceil(rhs/lhs).  So the scan holds
-    a packed threshold matrix: that ceiling clamped to [0, D+1]
-    (``RowPacking.top``, since d lies in [0, D]), and 0 for v <= u.  One
-    guarded subtraction, ``(matrix | guards) - thresholds``, clears field
-    (u, v)'s guard exactly where (u, v) fails, and weak mode keeps only the
-    fields holding at least 1 (unmerged pairs).  Fields run in lexicographic
-    pair order, so the set guards are decoded lowest first: strong mode
-    stops at the first, weak mode decodes every one into the search's own
-    flat table of (u, v) tuples, shared rather than made per scan, so the
-    walker's memo of failing pairs holds no copies.
+    Pair (u, v) fails exactly when ``lhs * d + offset < coeff * D`` (the
+    ``ToleranceCheck`` inequality, D its base distance), that is when its
+    induced distance d is below ceil((coeff*D - offset) / lhs), computed as
+    ``-((offset - coeff*D) // lhs)``.  So the scan holds a packed threshold
+    matrix: that ceiling clamped to [0, D+1] (``RowPacking.top``, since d
+    lies in [0, D]), and 0 for v <= u.  One guarded subtraction, ``(matrix
+    | guards) - thresholds``, clears field (u, v)'s guard exactly where
+    (u, v) fails, and weak mode keeps only the fields holding at least 1
+    (unmerged pairs).  Fields run in lexicographic pair order, so the set
+    guards are decoded lowest first: strong mode stops at the first, weak
+    mode decodes every one into the search's own flat table of (u, v)
+    tuples, shared rather than made per scan, so the walker's memo of
+    failing pairs holds no copies.
     """
     width, _, ones, guards, *_ = packing
-    lhs, n = check.lhs, check.n
+    lhs, offset, coeff, n = check.lhs, check.offset, check.coeff, check.n
     thresholds = packing.pack(
-        0 if v <= u else min(max(-(-r // lhs), 0), packing.top)
-        for u, rhs in enumerate(check.rhs)
-        for v, r in enumerate(rhs)
+        0 if v <= u else min(max(-((offset - coeff * d) // lhs), 0), packing.top)
+        for u, row in enumerate(check.base_scaled)
+        for v, d in enumerate(row)
     )
     pairs = [(u, v) for u in range(n) for v in range(n)]
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 
 import contractlab as cl
 from contractlab.cli import main
-from contractlab.lab import LabReport, summarize
+from contractlab.lab import LabReport, instance_key, summarize
 
 
 def run_cli(*argv, capsys=None):
@@ -317,6 +318,61 @@ def test_gen_unknown_family_exit_two():
 
 
 # ---------------------------------------------------------------------------
+# integer flags: ASCII decimal, as in graph text
+# ---------------------------------------------------------------------------
+
+# every flag parsed by _positive_int, with the arguments it needs around it
+POSITIVE_INT_FLAGS = [
+    ("solve", "{k22}", "--problem", "cont", "--cap-edges"),
+    ("solve", "{k22}", "--problem", "meb", "--cap-side"),
+    ("solve", "{k22}", "--problem", "cont", "--threads"),
+    ("lab", "--out", "{out}", "--threads"),
+    ("lab", "--out", "{out}", "--cap-edges"),
+    ("lab", "--out", "{out}", "--cap-path-len"),
+    ("gen", "--family", "complete-bipartite", "--right", "2", "--left"),
+    ("gen", "--family", "complete-bipartite", "--left", "2", "--right"),
+    ("gen", "--family", "path", "--n"),
+]
+
+
+def _fill(argv, tmp_path, k22):
+    return [a.format(k22=k22, out=tmp_path / "out") for a in argv]
+
+
+@pytest.mark.parametrize("argv", POSITIVE_INT_FLAGS, ids=lambda a: f"{a[0]}{a[-1]}")
+def test_positive_int_flags_accept_decimal(tmp_path, k22, capsys, argv):
+    assert run_cli(*_fill(argv, tmp_path, k22), "20") == 0
+
+
+# int() reads "1_0" as 10, "+3" as 3 and the Arabic-Indic digit three as 3
+@pytest.mark.parametrize("value", ["1_0", "+3", "\u0663", "0", "-3", "3.0"])
+@pytest.mark.parametrize("argv", POSITIVE_INT_FLAGS, ids=lambda a: f"{a[0]}{a[-1]}")
+def test_positive_int_flags_refuse_other_syntax(tmp_path, k22, capsys, argv, value):
+    assert run_cli(*_fill(argv, tmp_path, k22), value) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "expected a positive integer" in out.err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--plant-left", "--plant-right"])
+@pytest.mark.parametrize("value", ["1_1", "+3", "\u0663", "3.0", ""])
+def test_integer_flags_refuse_other_syntax(capsys, flag, value):
+    argv = ["gen", "--family", "planted", "--left", "5", "--right", "5", flag, value]
+    assert run_cli(*argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "expected a decimal integer" in out.err
+
+
+def test_seed_flag_accepts_negative(capsys):
+    argv = ["gen", "--family", "random-bipartite", "--left", "3", "--right", "3"]
+    assert run_cli(*argv, "--seed", "-3") == 0
+    text = capsys.readouterr().out
+    assert cl.parse_graph(text) == cl.generate_random_bipartite(3, 3, Fraction(1, 2), -3)
+
+
+# ---------------------------------------------------------------------------
 # lab
 # ---------------------------------------------------------------------------
 
@@ -422,6 +478,76 @@ def test_lab_default_suite_runs(tmp_path, capsys):
             "lemma2-lift",
         ]
     )
+
+
+# A sha256 prefix of every default-suite report (its to_json_dict minus
+# stats.elapsed_ms, as sorted-key JSON), in report order, and of summary.csv.
+# Any change to a verdict, witness or counter of the default suite shows here;
+# a change that means to make one updates these and says why in CHANGES.md.
+DEFAULT_SUITE_REPORTS = [
+    ("path-lemma", "path[n=3]", "c4ba3ef34f2d4bfa"),
+    ("path-lemma-shortest", "path[n=3]", "dbd830d2d141073d"),
+    ("path-lemma", "path[n=4]", "36bbda9de47eae69"),
+    ("path-lemma-shortest", "path[n=4]", "373ea07ffef821be"),
+    ("path-lemma", "path[n=5]", "76894a9dbc3d7b0f"),
+    ("path-lemma-shortest", "path[n=5]", "78c5b963afd816ed"),
+    ("path-lemma", "cycle[n=4]", "00a7e5e720443112"),
+    ("path-lemma-shortest", "cycle[n=4]", "1920518312038258"),
+    ("biclique-lemma", "all-bipartite[index=0,left=1,right=1]", "1c49beb1306298e6"),
+    ("thm6-soundness", "all-bipartite[index=0,left=1,right=1]", "1392fe9f0febff97"),
+    ("thm6-completeness", "all-bipartite[index=0,left=1,right=1]", "4e5aea76aaa777c7"),
+    ("lemma2-lift", "all-bipartite[index=0,left=1,right=1]", "98bc5d2677e03c3a"),
+    ("biclique-lemma", "all-bipartite[index=0,left=1,right=2]", "5669465132f8a354"),
+    ("thm6-soundness", "all-bipartite[index=0,left=1,right=2]", "0adb91bb21f6e897"),
+    ("thm6-completeness", "all-bipartite[index=0,left=1,right=2]", "471c9c8cd80f9f8c"),
+    ("lemma2-lift", "all-bipartite[index=0,left=1,right=2]", "093ac8d8dbbee84f"),
+    ("biclique-lemma", "all-bipartite[index=0,left=2,right=2]", "10baf4d9326208f0"),
+    ("thm6-soundness", "all-bipartite[index=0,left=2,right=2]", "d937aa8c24ed77c1"),
+    ("thm6-completeness", "all-bipartite[index=0,left=2,right=2]", "c34176b9a8ab992f"),
+    ("lemma2-lift", "all-bipartite[index=0,left=2,right=2]", "56541d9eb44eea07"),
+    ("biclique-lemma", "all-bipartite[index=1,left=2,right=2]", "5b6f605f8383978b"),
+    ("thm6-soundness", "all-bipartite[index=1,left=2,right=2]", "fc50caa89a65ab7e"),
+    ("thm6-completeness", "all-bipartite[index=1,left=2,right=2]", "5bf2430619f9bf0d"),
+    ("lemma2-lift", "all-bipartite[index=1,left=2,right=2]", "6a3a0b0cce81f5a0"),
+    ("biclique-lemma", "all-bipartite[index=0,left=2,right=3]", "437bf207394d8dd0"),
+    ("thm6-soundness", "all-bipartite[index=0,left=2,right=3]", "8ba756dcbad22dae"),
+    ("thm6-completeness", "all-bipartite[index=0,left=2,right=3]", "28a1ffa63bb4c600"),
+    ("lemma2-lift", "all-bipartite[index=0,left=2,right=3]", "250f27e9c7bdefec"),
+    ("biclique-lemma", "all-bipartite[index=1,left=2,right=3]", "eb5c88cd8ef415bb"),
+    ("thm6-soundness", "all-bipartite[index=1,left=2,right=3]", "813e2b496ed99f8b"),
+    ("thm6-completeness", "all-bipartite[index=1,left=2,right=3]", "61d3491136e26029"),
+    ("lemma2-lift", "all-bipartite[index=1,left=2,right=3]", "1712d4c8de651711"),
+    ("biclique-lemma", "all-bipartite[index=2,left=2,right=3]", "a526cf1aec97b04f"),
+    ("thm6-soundness", "all-bipartite[index=2,left=2,right=3]", "1ae2f5818fe9eaed"),
+    ("thm6-completeness", "all-bipartite[index=2,left=2,right=3]", "60d1624c9d387090"),
+    ("lemma2-lift", "all-bipartite[index=2,left=2,right=3]", "2fcba6709aab087c"),
+    ("biclique-lemma", "all-bipartite[index=3,left=2,right=3]", "6a59b9553c85bbc4"),
+    ("thm6-soundness", "all-bipartite[index=3,left=2,right=3]", "b96b96ced768d42d"),
+    ("thm6-completeness", "all-bipartite[index=3,left=2,right=3]", "49e996b1fd04a16e"),
+    ("lemma2-lift", "all-bipartite[index=3,left=2,right=3]", "dc8c88edd28c6d83"),
+    ("corollary-scaling", "random-bipartite[beta=1/2,left=3,prob=1/2,right=3;seed=2]", "a45f3249af0886f8"),
+    ("corollary-scaling", "random-bipartite[beta=3,left=3,prob=1/2,right=3;seed=2]", "3e194a003f7d7d1f"),
+    ("lemma2-lift", "random-bipartite[left=3,prob=1/2,right=3;seed=2]", "e843c3b1f663a82b"),
+]
+DEFAULT_SUITE_SUMMARY = "eff01c6accfbbde8"
+
+
+def _sha16(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def test_lab_default_suite_outputs_pinned(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("lab", "--out", str(out)) == 0
+    got = []
+    for rep in json.loads((out / "reports.json").read_text(encoding="utf-8")):
+        del rep["stats"]["elapsed_ms"]
+        digest = _sha16(json.dumps(rep, sort_keys=True).encode())
+        got.append((rep["claim"], instance_key(rep["instance"]), digest))
+    for want, have in zip(DEFAULT_SUITE_REPORTS, got):
+        assert have == want, f"first differing report: {want[:2]}, now {have}"
+    assert len(got) == len(DEFAULT_SUITE_REPORTS)
+    assert _sha16((out / "summary.csv").read_bytes()) == DEFAULT_SUITE_SUMMARY
 
 
 @pytest.mark.parametrize("target", ["reports.json", "summary.csv", "goldens/path-lemma.json"])

@@ -38,6 +38,7 @@ from contractlab.lab import (
     ERROR,
     HOLDS,
     VACUOUS,
+    _first_disjoint_contracted_pair,
     compare_goldens,
 )
 
@@ -102,6 +103,17 @@ def test_four_cycle_shortest_only_vacuous():
 def test_path_lemma_claim_ids():
     assert check_path_lemma(cl.path_graph(3), False).claim == CLAIM_PATH
     assert check_path_lemma(cl.path_graph(3), True).claim == CLAIM_PATH_SHORTEST
+
+
+def test_first_disjoint_contracted_pair_matches_pair_scan():
+    # the closed form against the first (a, b) of the double scan over
+    # contracted positions, on every subset of a 6-edge path
+    eids = tuple(range(10, 16))
+    for mask in range(1 << len(eids)):
+        cset = frozenset(e for i, e in enumerate(eids) if mask >> i & 1)
+        positions = [i for i, e in enumerate(eids) if e in cset]
+        expected = next(((a, b) for a in positions for b in positions if b >= a + 2), None)
+        assert _first_disjoint_contracted_pair(eids, cset) == expected
 
 
 def test_path_lemma_requires_unit_weights_and_connectivity():
