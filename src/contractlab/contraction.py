@@ -39,6 +39,11 @@ class Tolerance:
     alpha must be positive and beta non-negative.  alpha >= 1 is the intended
     regime (with alpha < 1 even the empty set can fail); values below 1 are
     accepted because the inequality stays meaningful.
+
+    With alpha = p/q and beta = r/s in lowest terms, ``ints`` is the triple
+    (p*s, p*r, q*s), computed once here so that a ``ToleranceCheck`` reads
+    three ints instead of four Fraction properties.  It is not a field:
+    equality, hashing and repr see alpha and beta only.
     """
 
     alpha: Fraction
@@ -53,16 +58,32 @@ class Tolerance:
             raise ValueError(f"beta must be non-negative, got {self.beta}")
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "beta", b)
+        p, q = a.numerator, a.denominator
+        r, s = b.numerator, b.denominator
+        object.__setattr__(self, "ints", (p * s, p * r, q * s))
 
 
 def normalize_edge_ids(g: Graph, edge_ids: Iterable[int]) -> tuple[int, ...]:
     """Deduplicate, sort and range-check a contraction set for ``g``."""
-    ids = sorted(set(edge_ids))
+    mask = _edge_mask(g, edge_ids)
+    return tuple(e for e in range(g.edge_count) if mask >> e & 1)
+
+
+def _edge_mask(g: Graph, edge_ids: Iterable[int]) -> int:
+    """The bitmask of a contraction set for ``g``, in one pass over
+    ``edge_ids`` (which may be a generator).  An id outside ``[0, m)`` is a
+    ValueError naming the smallest such id."""
     m = g.edge_count
-    for e in ids:
-        if not 0 <= e < m:
-            raise ValueError(f"edge id {e} out of range [0,{m})")
-    return tuple(ids)
+    mask = 0
+    bad = None
+    for e in edge_ids:
+        if 0 <= e < m:
+            mask |= 1 << e
+        elif bad is None or e < bad:
+            bad = e
+    if bad is not None:
+        raise ValueError(f"edge id {bad} out of range [0,{m})")
+    return mask
 
 
 @dataclass(frozen=True)
@@ -126,7 +147,7 @@ def contracted_distance(g: Graph, edge_ids: Iterable[int], u: int, v: int) -> Fr
     n = g.vertex_count
     if not (0 <= u < n) or not (0 <= v < n):
         raise ValueError(f"vertex out of range [0,{n}): ({u},{v})")
-    mask = sum(1 << e for e in normalize_edge_ids(g, edge_ids))
+    mask = _edge_mask(g, edge_ids)
     engine = g.distances
     return engine.exact(engine.row(u, mask)[v])
 
@@ -164,11 +185,13 @@ class ToleranceCheck:
     ``d_C >= d/alpha - beta`` becomes ``p*s*D_C >= q*s*D - p*r*L`` where D and
     D_C are scaled distances.  That is ``lhs * D_C + offset >= coeff * D``
     with ``lhs`` = p*s, ``coeff`` = q*s and ``offset`` = p*r*L, D read from
-    the graph's cached base rows (``Graph.distances.base``).  A verdict tests
-    the failing side, ``lhs * D_C + offset < coeff * D``, pair by pair and
-    builds no table; the exact searches (``solvers._matrix_scan``) read the
-    same three integers and base rows to test their own packed distance
-    matrices.  All of these are read-only.
+    the graph's cached base rows (``Graph.distances.base``).  The tolerance
+    computes p*s, p*r and q*s once (``Tolerance.ints``) and the graph's engine
+    holds L, so construction does one multiplication.  A verdict tests the
+    failing side, ``lhs * D_C + offset < coeff * D``, pair by pair and builds
+    no table; the exact searches (``solvers._matrix_scan``) read the same
+    three integers and base rows to test their own packed distance matrices.
+    All of these are read-only.
 
     Subsets are passed as bitmasks over edge ids.  A scan reads row u through
     the engine's memo (``ScaledDistances.row``) only when the lexicographic
@@ -192,11 +215,8 @@ class ToleranceCheck:
         self._row = engine.row
         self._exact = engine.exact
 
-        a, b = tolerance.alpha.numerator, tolerance.alpha.denominator
-        r, s = tolerance.beta.numerator, tolerance.beta.denominator
-        self.lhs = a * s
-        self.offset = a * r * engine.scale
-        self.coeff = b * s
+        self.lhs, offset, self.coeff = tolerance.ints
+        self.offset = offset * engine.scale
 
     def _violations(self, cmask: int, weak: bool) -> Iterator[tuple[int, int, int]]:
         """Failing pairs in lexicographic order as (u, v, scaled induced
@@ -252,5 +272,5 @@ def violation_witness(
     Pair witnesses pick the lexicographically smallest violating (u, v); a
     weak-mode set equal to all edges yields kind 'not-proper-subset'.
     """
-    mask = sum(1 << e for e in normalize_edge_ids(g, edge_ids))
+    mask = _edge_mask(g, edge_ids)
     return ToleranceCheck(g, tolerance).first_violation(mask, weak)

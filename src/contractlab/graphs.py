@@ -150,9 +150,6 @@ class Graph:
         """The graph's distance engine, built on first use and kept with the graph."""
         return ScaledDistances(self)
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def endpoints(self, edge_id: int) -> tuple[int, int]:
         u, v, _ = self.edges[edge_id]
         return u, v
@@ -281,7 +278,8 @@ class ScaledDistances:
     def __init__(self, g: Graph):
         self.n = n = g.vertex_count
         self.scale = scale = math.lcm(1, *(w.denominator for _, _, w in g.edges))
-        self.weights = [int(w * scale) for _, _, w in g.edges]
+        # w * scale, exact without a Fraction: scale is a multiple of every denominator
+        self.weights = [w.numerator * (scale // w.denominator) for _, _, w in g.edges]
         uniq = set(self.weights)
         self.uniform = uniq.pop() if len(uniq) == 1 else None
         self.adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -42,6 +44,39 @@ def test_tolerance_validation():
         Tolerance(0, 1)
     with pytest.raises(ValueError):
         Tolerance(1, -1)
+
+
+def test_tolerance_ints_leave_identity_alone():
+    # ints is derived state, not a field: equality, hashing and repr are those
+    # of the (alpha, beta) pair, however the pair was written
+    t = Tolerance(1, 1)
+    assert t == Tolerance(Fraction(1), Fraction(1)) == Tolerance("1", "1/1")
+    assert hash(t) == hash(Tolerance(Fraction(1), Fraction(1)))
+    assert {t: 1}[Tolerance(Fraction(1), Fraction(1))] == 1
+    assert repr(t) == "Tolerance(alpha=Fraction(1, 1), beta=Fraction(1, 1))"
+    assert repr(Tolerance("3/2", "1/7")) == "Tolerance(alpha=Fraction(3, 2), beta=Fraction(1, 7))"
+    assert [f.name for f in dataclasses.fields(Tolerance)] == ["alpha", "beta"]
+    # alpha = p/q and beta = r/s in lowest terms give (p*s, p*r, q*s)
+    assert Tolerance("6/4", "2/14").ints == (3 * 7, 3 * 1, 2 * 7)
+    assert Tolerance(2, 0).ints == (2, 0, 1)
+
+
+def test_tolerance_check_ints_match_fraction_formula():
+    # lhs = p*s, offset = p*r*L and coeff = q*s with alpha = p/q, beta = r/s
+    # and L the lcm of the weights' denominators, read off the Fractions
+    rng = random.Random(2207)
+    graphs = [random_connected_graph(rng, rng.randint(2, 7), unit=unit) for unit in (True, False) * 4]
+    graphs.append(Graph(3, ((0, 1, Fraction(2, 3)), (1, 2, Fraction(5, 4)))))
+    assert any(g.distances.scale > 1 for g in graphs)
+    alphas = [Fraction(1, 3), Fraction(1), Fraction(3, 2), Fraction(2)]
+    betas = [Fraction(0), Fraction(1, 7), Fraction(1), Fraction(5, 2)]
+    for g in graphs:
+        scale = math.lcm(1, *(w.denominator for _, _, w in g.edges))
+        for alpha, beta in itertools.product(alphas, betas):
+            check = cl.ToleranceCheck(g, Tolerance(alpha, beta))
+            p, q = alpha.numerator, alpha.denominator
+            r, s = beta.numerator, beta.denominator
+            assert (check.lhs, check.offset, check.coeff) == (p * s, p * r * scale, q * s)
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +146,71 @@ def test_contract_invalid_edge_id():
         with pytest.raises(ValueError, match="out of range") as info:
             violation_witness(disconnected, [5], T11, weak=weak)
         assert not isinstance(info.value, DisconnectedGraphError)
+        # the same with several bad ids, unsorted, and from a generator
+        for ids in ([3, -2, 0], (e for e in (3, -2, 0))):
+            with pytest.raises(ValueError, match=r"^edge id -2 out of range \[0,2\)$") as info:
+                violation_witness(disconnected, ids, T11, weak=weak)
+            assert not isinstance(info.value, DisconnectedGraphError)
+
+
+def test_bad_edge_id_names_the_smallest():
+    # every entry point names the smallest bad id, whatever the input order
+    g = cl.path_graph(4)
+    assert g.edge_count == 3
+    message = r"^edge id -1 out of range \[0,3\)$"
+    calls = [
+        lambda ids: violation_witness(g, ids, T11, weak=False),
+        lambda ids: violation_witness(g, ids, T11, weak=True),
+        lambda ids: is_contraction(g, ids, T11),
+        lambda ids: is_weak_contraction(g, ids, T11),
+        lambda ids: contracted_distance(g, ids, 0, 3),
+        lambda ids: contract(g, ids),
+        lambda ids: cl.normalize_edge_ids(g, ids),
+    ]
+    for call in calls:
+        for ids in ([7, -1, 5], [0, 7, 2, -1, 1, -1], iter([5, -1, 7])):
+            with pytest.raises(ValueError, match=message):
+                call(ids)
+    # the mask and the normalised tuple refuse the same sets with the same text
+    rng = random.Random(2208)
+    for _ in range(200):
+        ids = [rng.randint(-4, 6) for _ in range(rng.randint(0, 5))]
+        try:
+            expected = cl.normalize_edge_ids(g, ids)
+        except ValueError as exc:
+            expected = str(exc)
+        try:
+            got = violation_witness(g, ids, T11, weak=False)
+            assert not isinstance(expected, str)
+            assert got == violation_witness(g, expected, T11, weak=False)
+        except ValueError as exc:
+            assert str(exc) == expected
+
+
+def test_edge_id_order_duplicates_and_generators_do_not_matter():
+    # a verdict depends on the set of ids only: unsorted and repeated ids,
+    # and a generator read once, give the sorted set's verdict and witness
+    rng = random.Random(2209)
+    tolerances = [Tolerance(1, 0), T11, Tolerance("3/2", "1/2"), Tolerance(2, "1/7")]
+    checked = 0
+    for unit in (True, False) * 6:
+        g = random_connected_graph(rng, rng.randint(3, 7), unit=unit)
+        for _ in range(6):
+            ids = sorted(e for e in range(g.edge_count) if rng.random() < 0.5)
+            messy = ids + [rng.choice(ids) for _ in range(2)] if ids else []
+            rng.shuffle(messy)
+            for tol, weak in itertools.product(tolerances, (False, True)):
+                want = violation_witness(g, ids, tol, weak)
+                assert violation_witness(g, messy, tol, weak) == want
+                assert violation_witness(g, (e for e in messy), tol, weak) == want
+                assert violation_witness(g, tuple(ids), tol, weak) == want
+                assert is_weak_contraction(g, iter(messy), tol) == is_weak_contraction(g, ids, tol)
+                checked += want is not None
+            u, v = rng.randrange(g.vertex_count), rng.randrange(g.vertex_count)
+            want_d = contracted_distance(g, ids, u, v)
+            assert contracted_distance(g, (e for e in messy), u, v) == want_d
+            assert contracted_distance(g, messy, u, v) == want_d
+    assert checked > 0
 
 
 def test_contracted_distance_examples():
@@ -121,6 +221,11 @@ def test_contracted_distance_examples():
     assert contracted_distance(p4, [0, 2], 0, 3) == 1
     with pytest.raises(ValueError, match="out of range"):
         contracted_distance(p3, [0], 0, 9)
+    # vertices are checked before edge ids
+    with pytest.raises(ValueError, match=r"^vertex out of range \[0,3\): \(0,9\)$"):
+        contracted_distance(p3, [9, -1], 0, 9)
+    with pytest.raises(ValueError, match=r"^edge id -1 out of range \[0,2\)$"):
+        contracted_distance(p3, [9, -1], 0, 2)
     # agrees with the full quotient on every pair, disconnected graphs included
     rng = random.Random(17)
     graphs = [Graph(4, ((0, 1, 2), (2, 3, 2)))]

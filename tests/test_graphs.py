@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -158,6 +159,19 @@ def _seeded_graphs(rng):
     in turn) and a 6-cycle with a chord whose weights are all 2."""
     graphs = [random_connected_graph(rng, rng.randint(2, 9), unit=unit) for unit in (True, False) * 6]
     return graphs + [Graph(6, tuple((u, v, 2) for u, v, _ in cl.cycle_graph(6).edges) + ((0, 3, 2),))]
+
+
+def test_scaled_weights_are_exact_products():
+    # the engine scales each weight by integer arithmetic; the value must be
+    # the Fraction product w * scale, with scale the lcm of the denominators
+    rng = random.Random(2210)
+    graphs = [random_connected_graph(rng, rng.randint(2, 9), unit=False) for _ in range(20)]
+    graphs.append(Graph(3, ((0, 1, Fraction(7, 6)), (1, 2, Fraction(9, 4)), (0, 2, 5))))
+    assert any(g.distances.scale > 1 for g in graphs)
+    for g in graphs:
+        engine = g.distances
+        assert engine.scale == math.lcm(1, *(w.denominator for _, _, w in g.edges))
+        assert engine.weights == [int(w * engine.scale) for _, _, w in g.edges]
 
 
 def test_all_pairs_shares_rows_within_blocks():
