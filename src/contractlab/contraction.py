@@ -41,9 +41,8 @@ class Tolerance:
     accepted because the inequality stays meaningful.
 
     With alpha = p/q and beta = r/s in lowest terms, ``ints`` is the triple
-    (p*s, p*r, q*s), computed once here so that a ``ToleranceCheck`` reads
-    three ints instead of four Fraction properties.  It is not a field:
-    equality, hashing and repr see alpha and beta only.
+    (p*s, p*r, q*s) that ``ToleranceCheck`` tests with, computed once here.
+    It is not a field: equality, hashing and repr see alpha and beta only.
     """
 
     alpha: Fraction
