@@ -373,10 +373,7 @@ def cmd_lab(args) -> int:
         out_dir / "reports.json", json.dumps(payloads, sort_keys=True, indent=2) + "\n"
     )
     summary = io.StringIO()
-    writer = csv.DictWriter(
-        summary,
-        fieldnames=["claim", "family", "holds", "counterexample", "vacuous", "error", "total"],
-    )
+    writer = csv.DictWriter(summary, fieldnames=lablib.SUMMARY_COLUMNS)
     writer.writeheader()
     writer.writerows(lablib.summarize(reports))
     lablib.write_atomic(out_dir / "summary.csv", summary.getvalue())

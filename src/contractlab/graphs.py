@@ -5,9 +5,10 @@ in this package ever rounds, so verifier verdicts that hinge on ties at
 equality are reproducible.  Every distance in the package comes from one
 engine, ``ScaledDistances``, which works in integers after scaling all weights
 by the lcm of their denominators; Fractions are made only when a distance
-leaves it.  A graph builds its engine once (``Graph.distances``) and the engine
-its uncontracted rows once (``ScaledDistances.base``); both live as long as the
-graph and the rows are shared, never copied.  The engine also keeps the rows of
+leaves it.  A graph builds its engine once (``Graph.distances``), the engine
+walks the graph's own incidence lists (``Graph.adjacency``) and it computes its
+uncontracted rows once (``ScaledDistances.base``); all live as long as the
+graph and are shared, never copied.  The engine also keeps the rows of
 the last contracted edge mask it was asked about (``ScaledDistances.row``).
 Unreachable pairs get the distinguished value ``UNREACHABLE`` (``math.inf``),
 which orders above every rational and saturates under addition.
@@ -30,7 +31,7 @@ UNREACHABLE = math.inf
 # the digits of other scripts
 _COUNT_RE = re.compile(r"\d+", re.ASCII)
 _INTEGER_RE = re.compile(r"-?\d+", re.ASCII)
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$", re.ASCII)
+_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$", re.ASCII)
 _ONE = Fraction(1)
 
 
@@ -63,11 +64,12 @@ def parse_rational(text: str) -> Fraction:
 
     Raises ValueError on anything else (including floating-point syntax).
     """
-    token = text.strip()
-    if not _RATIONAL_RE.match(token):
+    match = _RATIONAL_RE.match(text.strip())
+    if not match:
         raise ValueError(f"not a rational (expected integer or p/q): {text!r}")
+    num, den = match.groups()
     try:
-        return Fraction(token)
+        return Fraction(int(num), int(den or 1))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in rational: {text!r}") from None
 
@@ -137,13 +139,15 @@ class Graph:
         return len(self.edges)
 
     @cached_property
-    def adjacency(self) -> tuple[tuple[tuple[int, Fraction, int], ...], ...]:
-        """Per-vertex incidence lists of ``(neighbor, weight, edge_id)``."""
-        adj: list[list[tuple[int, Fraction, int]]] = [[] for _ in range(self.vertex_count)]
-        for eid, (u, v, w) in enumerate(self.edges):
-            adj[u].append((v, w, eid))
-            adj[v].append((u, w, eid))
-        return tuple(tuple(a) for a in adj)
+    def adjacency(self) -> list[list[tuple[int, int]]]:
+        """Per-vertex incidence lists of ``(neighbor, edge_id)`` in edge-id
+        order, built once: shared, so neither the list nor its lists may be
+        mutated."""
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.vertex_count)]
+        for eid, (u, v, _) in enumerate(self.edges):
+            adj[u].append((v, eid))
+            adj[v].append((u, eid))
+        return adj
 
     @cached_property
     def distances(self) -> "ScaledDistances":
@@ -282,10 +286,7 @@ class ScaledDistances:
         self.weights = [w.numerator * (scale // w.denominator) for _, _, w in g.edges]
         uniq = set(self.weights)
         self.uniform = uniq.pop() if len(uniq) == 1 else None
-        self.adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for eid, (u, v, _) in enumerate(g.edges):
-            self.adj[u].append((v, eid))
-            self.adj[v].append((u, eid))
+        self.adj = g.adjacency
         self._memo: tuple[int, list] = (0, [None] * n)
 
     def from_source(self, src: int, cmask: int = 0) -> list[int]:
@@ -391,7 +392,7 @@ def connected_components(g: Graph) -> list[list[int]]:
         stack = [s]
         while stack:
             u = stack.pop()
-            for v, _, _ in adj[u]:
+            for v, _ in adj[u]:
                 if not seen[v]:
                     seen[v] = True
                     comp.append(v)

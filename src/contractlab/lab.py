@@ -86,6 +86,12 @@ COUNTEREXAMPLE = "counterexample"
 VACUOUS = "vacuous"
 ERROR = "error"
 
+# The columns of a summarize() row, in summary.csv order
+SUMMARY_COLUMNS = ("claim", "family", HOLDS, COUNTEREXAMPLE, VACUOUS, ERROR, "total")
+
+# The (1,1) tolerance the path and gadget claims are stated at
+_UNIT_TOLERANCE = Tolerance(Fraction(1), Fraction(1))
+
 
 @dataclass(frozen=True)
 class LabReport:
@@ -136,73 +142,61 @@ def _stats(enumerated: int, truncated: bool, t0: float) -> dict:
 # ----------------------------------------------------------------------------
 
 
-def _edge_id_lookup(g: Graph) -> dict[tuple[int, int], int]:
-    return {(u, v): eid for eid, (u, v, _) in enumerate(g.edges)}
+# A path as (vertices, edge ids), edge i joining vertices i and i + 1
+_Path = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _path_edge_ids(path: tuple[int, ...], lookup: dict[tuple[int, int], int]) -> tuple[int, ...]:
-    out = []
-    for a, b in zip(path, path[1:]):
-        out.append(lookup[(a, b) if a < b else (b, a)])
-    return tuple(out)
-
-
-def _all_simple_paths(g: Graph, max_edges: int) -> tuple[list[tuple[int, ...]], bool]:
-    """Every simple path with 1..max_edges edges, one orientation per path.
+def _all_simple_paths(g: Graph, max_edges: int) -> tuple[list[_Path], bool]:
+    """Every simple path with 3..max_edges edges (the fewest that hold two
+    disjoint ones), one orientation per path, as ``(vertices, edge_ids)``.
 
     Paths are kept when the first endpoint is smaller than the last; order is
     by start vertex, then depth-first with ascending neighbors.  The second
     return value flags that some path hit the cap while still extendable.
     """
-    n = g.vertex_count
     adj = g.adjacency
-    paths: list[tuple[int, ...]] = []
+    paths: list[_Path] = []
     truncated = False
 
-    def extend(path: list[int], visited: set[int]) -> None:
+    def extend(path: tuple[int, ...], eids: tuple[int, ...]) -> None:
         nonlocal truncated
-        if len(path) - 1 == max_edges:
-            if any(v not in visited for v, _, _ in adj[path[-1]]):
+        if len(eids) == max_edges:
+            if any(v not in path for v, _ in adj[path[-1]]):
                 truncated = True
             return
-        for v, _, _ in adj[path[-1]]:
-            if v in visited:
-                continue
-            path.append(v)
-            visited.add(v)
-            if path[0] < path[-1]:
-                paths.append(tuple(path))
-            extend(path, visited)
-            visited.remove(v)
-            path.pop()
+        for v, eid in adj[path[-1]]:
+            if v not in path:
+                longer = (path + (v,), eids + (eid,))
+                if len(eids) >= 2 and path[0] < v:  # longer has 3 edges or more
+                    paths.append(longer)
+                extend(*longer)
 
-    for s in range(n):
-        extend([s], {s})
+    for s in range(g.vertex_count):
+        extend((s,), ())
     return paths, truncated
 
 
-def _all_shortest_paths(g: Graph) -> list[tuple[int, ...]]:
-    """Every geodesic between every vertex pair (u < v), unit weights."""
+def _all_shortest_paths(g: Graph) -> list[_Path]:
+    """Every geodesic with 3 or more edges between every vertex pair (u < v),
+    unit weights, as ``(vertices, edge_ids)``."""
     n = g.vertex_count
     adj = g.adjacency
     dist = g.distances.base
-    paths: list[tuple[int, ...]] = []
+    paths: list[_Path] = []
 
-    def extend(path: list[int], target: int) -> None:
+    def extend(path: tuple[int, ...], eids: tuple[int, ...], target: int) -> None:
         x = path[-1]
         if x == target:
-            paths.append(tuple(path))
+            paths.append((path, eids))
             return
-        for y, _, _ in adj[x]:
+        for y, eid in adj[x]:
             if dist[y][target] == dist[x][target] - 1:
-                path.append(y)
-                extend(path, target)
-                path.pop()
+                extend(path + (y,), eids + (eid,), target)
 
     for u in range(n):
         for v in range(u + 1, n):
-            if dist[u][v] > 0:
-                extend([u], v)
+            if dist[u][v] >= 3:
+                extend((u,), (), v)
     return paths
 
 
@@ -234,7 +228,7 @@ def _require_path_graph(g: Graph) -> None:
 def _sorted_valid_sets(g: Graph, cap_edges: int) -> tuple[tuple[int, ...], ...]:
     """Valid weak contractions at (1,1), smallest first, then lexicographically."""
     return tuple(sorted(
-        enumerate_valid_weak_contractions(g, Tolerance(Fraction(1), Fraction(1)), cap_edges),
+        enumerate_valid_weak_contractions(g, _UNIT_TOLERANCE, cap_edges),
         key=lambda s: (len(s), s),
     ))
 
@@ -278,15 +272,13 @@ def check_path_lemma(
             diameter = max((max(row) for row in g.distances.base), default=0)
             max_path_edges = diameter + 2
         paths, truncated = _all_simple_paths(g, max_path_edges)
-    lookup = _edge_id_lookup(g)
-    path_edges = [(p, _path_edge_ids(p, lookup)) for p in paths if len(p) >= 4]
 
     matched = False
     for cand in valid_sets:
         if len(cand) < 2:
             continue
         cset = frozenset(cand)
-        for path, eids in path_edges:
+        for path, eids in paths:
             pair = _first_disjoint_contracted_pair(eids, cset)
             if pair is None:
                 continue
@@ -333,9 +325,7 @@ def check_biclique_lemma(
     bg = build_gadget(g, 1) if gadget is None else gadget
     enumerated = 0
     matched = False
-    for cand in enumerate_valid_weak_contractions(
-        bg.combined, Tolerance(Fraction(1), Fraction(1)), cap_edges
-    ):
+    for cand in enumerate_valid_weak_contractions(bg.combined, _UNIT_TOLERANCE, cap_edges):
         enumerated += 1
         if len(cand) <= 1:
             continue
@@ -379,9 +369,7 @@ def check_theorem6(
     meb_core = max_edge_biclique_exact(g, side_cap)
     view, _, _ = bg.bipartition
     meb_gadget = max_edge_biclique_exact(view, side_cap)
-    optimum = max_weak_contraction_exact(
-        bg.combined, Tolerance(Fraction(1), Fraction(1)), cap_edges
-    )
+    optimum = max_weak_contraction_exact(bg.combined, _UNIT_TOLERANCE, cap_edges)
     lemma = biclique_report
     if lemma is None:
         lemma = check_biclique_lemma(g, cap_edges=cap_edges, instance=instance, gadget=bg)
@@ -454,7 +442,7 @@ def check_corollary_scaling(
         return LabReport(CLAIM_COROLLARY, inst, VACUOUS, None, _stats(0, False, t0))
     unit = build_gadget(g, 1)
     scaled = build_gadget(g, b)
-    check_unit = ToleranceCheck(unit.combined, Tolerance(Fraction(1), Fraction(1)))
+    check_unit = ToleranceCheck(unit.combined, _UNIT_TOLERANCE)
     check_scaled = ToleranceCheck(scaled.combined, Tolerance(Fraction(1), b))
     m = unit.combined.edge_count
     rng = random.Random(seed)
@@ -904,18 +892,10 @@ def summarize(reports: list[LabReport]) -> list[dict]:
     rows: dict[tuple[str, str], dict] = {}
     for rep in reports:
         key = (rep.claim, rep.instance["family"])
-        row = rows.setdefault(
-            key,
-            {
-                "claim": key[0],
-                "family": key[1],
-                HOLDS: 0,
-                COUNTEREXAMPLE: 0,
-                VACUOUS: 0,
-                ERROR: 0,
-                "total": 0,
-            },
-        )
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = dict.fromkeys(SUMMARY_COLUMNS, 0)
+            row["claim"], row["family"] = key
         row[rep.verdict] += 1
         row["total"] += 1
     return list(rows.values())

@@ -308,27 +308,36 @@ class NaiveUnitChecker:
         return strong, weak
 
 
-def naive_geodesics(g: Graph) -> list[tuple[int, ...]]:
-    """Every shortest path of a unit-weight graph, once per vertex pair.
-
-    All simple paths are enumerated by depth-first search and kept when their
-    edge count equals the BFS distance of their endpoints; a path is listed
-    only in the orientation whose first vertex is the smaller endpoint.
-    """
+def naive_simple_paths(g: Graph) -> list[tuple[int, ...]]:
+    """Every simple path with at least one edge, in both orientations, by
+    depth-first search over neighbor lists read from ``g.edges``."""
     n = g.vertex_count
     adj = [[] for _ in range(n)]
     for u, v, _ in g.edges:
         adj[u].append(v)
         adj[v].append(u)
-    base = [bfs_levels(g, s) for s in range(n)]
     out = []
     stack = [(s,) for s in range(n)]
     while stack:
         path = stack.pop()
-        if len(path) > 1 and path[0] < path[-1] and base[path[0]][path[-1]] == len(path) - 1:
+        if len(path) > 1:
             out.append(path)
         stack.extend(path + (v,) for v in adj[path[-1]] if v not in path)
     return out
+
+
+def naive_geodesics(g: Graph) -> list[tuple[int, ...]]:
+    """Every shortest path of a unit-weight graph, once per vertex pair.
+
+    All simple paths are kept when their edge count equals the BFS distance
+    of their endpoints; a path is listed only in the orientation whose first
+    vertex is the smaller endpoint.
+    """
+    base = [bfs_levels(g, s) for s in range(g.vertex_count)]
+    return [
+        p for p in naive_simple_paths(g)
+        if p[0] < p[-1] and base[p[0]][p[-1]] == len(p) - 1
+    ]
 
 
 def naive_path_claim_shortest(g: Graph):

@@ -21,6 +21,7 @@ from contractlab import (
     generate_random_bipartite,
     is_connected,
     parse_graph,
+    parse_rational,
     render_graph,
     shortest_distances,
 )
@@ -235,6 +236,19 @@ def test_graph_builds_one_engine_and_one_set_of_base_rows():
     assert twin.distances.base == g.distances.base
 
 
+def test_adjacency_carries_edge_ids_and_is_the_engines():
+    # one set of incidence lists per graph, in edge-id order; the distance
+    # engine walks the same lists rather than building its own
+    g = random_connected_graph(random.Random(8), 7, 12, unit=False)
+    expected = [[] for _ in range(g.vertex_count)]
+    for eid, (u, v, _) in enumerate(g.edges):
+        expected[u].append((v, eid))
+        expected[v].append((u, eid))
+    assert g.adjacency == expected
+    assert g.adjacency is g.adjacency
+    assert g.distances.adj is g.adjacency
+
+
 def test_verifiers_leave_base_rows_unchanged():
     # the rows are shared by every caller, so none may write to them
     g = random_connected_graph(random.Random(3), 6, 8, unit=False)
@@ -400,6 +414,34 @@ _PARSE_ERRORS = [
     # token errors come before edge-rule errors, whatever their lines
     ("graph 3 2\n0 0\n1 x\n", "malformed-edge", 3),
 ]
+
+
+# (token, value or the ValueError message), as parse_rational gave them when it
+# handed the matched token to Fraction(str)
+_RATIONALS = [
+    ("007", Fraction(7)),
+    ("-0", Fraction(0)),
+    ("0/5", Fraction(0)),
+    ("12/8", Fraction(3, 2)),
+    ("1/0", "zero denominator in rational: '1/0'"),
+    (" 3/4 ", Fraction(3, 4)),
+    ("1.5", "not a rational (expected integer or p/q): '1.5'"),
+    ("+1", "not a rational (expected integer or p/q): '+1'"),
+    ("1_0", "not a rational (expected integer or p/q): '1_0'"),
+    ("3/-4", "not a rational (expected integer or p/q): '3/-4'"),
+    ("\u0663", "not a rational (expected integer or p/q): '\u0663'"),
+]
+
+
+@pytest.mark.parametrize("token,expected", _RATIONALS, ids=[repr(t) for t, _ in _RATIONALS])
+def test_parse_rational_values_and_refusals(token, expected):
+    if isinstance(expected, Fraction):
+        value = parse_rational(token)
+        assert type(value) is Fraction and value == expected
+    else:
+        with pytest.raises(ValueError) as exc:
+            parse_rational(token)
+        assert type(exc.value) is ValueError and str(exc.value) == expected
 
 
 @pytest.mark.parametrize(

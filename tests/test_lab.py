@@ -38,11 +38,14 @@ from contractlab.lab import (
     ERROR,
     HOLDS,
     VACUOUS,
+    _all_shortest_paths,
+    _all_simple_paths,
     _first_disjoint_contracted_pair,
     compare_goldens,
 )
 
 import naive
+from builders import random_connected_graph
 
 T11 = Tolerance(1, 1)
 THREE_PATH = BipartiteGraph(2, 1, ((0, 0), (1, 0)))
@@ -114,6 +117,31 @@ def test_first_disjoint_contracted_pair_matches_pair_scan():
         positions = [i for i, e in enumerate(eids) if e in cset]
         expected = next(((a, b) for a in positions for b in positions if b >= a + 2), None)
         assert _first_disjoint_contracted_pair(eids, cset) == expected
+
+
+def test_path_walkers_carry_edge_ids():
+    # both walkers list the paths of 3 or more edges, oriented first < last,
+    # in lexicographic order of their vertex tuples (by start vertex, then
+    # depth-first with ascending neighbors; geodesics by endpoint pair first),
+    # each with the ids of its edges in path order
+    rng = random.Random(23)
+    for _ in range(40):
+        g = random_connected_graph(rng, rng.randint(2, 8), unit=True)
+        edge_id = {frozenset(e[:2]): i for i, e in enumerate(g.edges)}
+        max_edges = rng.randint(1, 6)
+        simple, truncated = _all_simple_paths(g, max_edges)
+        shortest = _all_shortest_paths(g)
+        for vertices, eids in simple + shortest:
+            assert eids == tuple(edge_id[frozenset(ab)] for ab in zip(vertices, vertices[1:]))
+        paths = naive.naive_simple_paths(g)
+        assert [p for p, _ in simple] == sorted(
+            p for p in paths if 3 <= len(p) - 1 <= max_edges and p[0] < p[-1]
+        )
+        # some path hit the cap still extendable: a longer simple path exists
+        assert truncated == any(len(p) - 1 > max_edges for p in paths)
+        assert [p for p, _ in shortest] == sorted(
+            (p for p in naive.naive_geodesics(g) if len(p) >= 4), key=lambda p: (p[0], p[-1], p)
+        )
 
 
 def test_path_lemma_requires_unit_weights_and_connectivity():

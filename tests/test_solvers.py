@@ -575,6 +575,27 @@ def test_search_counters_pinned():
     assert (meb.objective, meb.explored) == (42, 2527)
     mbb = max_balanced_biclique_exact(b)
     assert (mbb.objective, mbb.explored) == (6, 296)
+    # both biclique maximizers run one walk: its results, witnesses included,
+    # on planted 20x20 seeds 0-4
+    pinned = [
+        ((42, ((1, 5, 6, 8, 10, 12, 15), (6, 9, 11, 15, 18, 19)), 2527),
+         (6, ((1, 4, 5, 6, 8, 13), (5, 6, 11, 13, 15, 18)), 296)),
+        ((36, ((0, 2, 3, 4, 7, 18), (3, 6, 7, 10, 12, 14)), 1187),
+         (6, ((0, 2, 3, 4, 7, 18), (3, 6, 7, 10, 12, 14)), 119)),
+        ((42, ((1, 2, 4, 5, 11, 16, 18), (1, 5, 6, 8, 9, 17)), 1454),
+         (6, ((1, 2, 4, 5, 11, 16), (1, 5, 6, 8, 9, 17)), 123)),
+        ((40, ((4, 7, 10, 11, 14, 15, 17, 18), (2, 4, 15, 18, 19)), 1390),
+         (6, ((4, 7, 11, 14, 17, 18), (0, 2, 4, 15, 18, 19)), 106)),
+        ((42, ((2, 3, 7, 9, 11, 12, 15), (0, 2, 9, 12, 16, 19)), 867),
+         (6, ((2, 3, 7, 9, 11, 12), (0, 2, 9, 12, 16, 19)), 128)),
+    ]
+    for seed, expected in enumerate(pinned):
+        b, _ = cl.generate_planted_biclique(20, 20, 6, 6, Fraction(1, 2), seed)
+        got = tuple(
+            (r.objective, (r.witness.left, r.witness.right), r.explored)
+            for r in (max_edge_biclique_exact(b), max_balanced_biclique_exact(b))
+        )
+        assert got == expected, seed
 
 
 def test_search_distance_evaluations_pinned(monkeypatch):
