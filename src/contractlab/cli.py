@@ -2,9 +2,10 @@
 
 Exit codes everywhere: 0 success / valid, 1 negative verdict or refusal
 (invalid contraction, golden regression, cap exceeded, disconnected input
-where connectivity is required), 2 usage, parse or file errors.  All comparable
-output is deterministic for fixed flags and seed; wall-clock timings never
-appear outside the lab reports' ``elapsed_ms`` field.
+where connectivity is required), 2 usage or parse errors and every failed read
+or write, of a named file or of stdout: exit 1 is only ever a verdict or a
+refusal.  All comparable output is deterministic for fixed flags and seed;
+wall-clock timings never appear outside the lab reports' ``elapsed_ms`` field.
 """
 
 from __future__ import annotations
@@ -159,9 +160,25 @@ def _flatten(payload: dict, prefix: str = "") -> list[tuple[str, str]]:
     return rows
 
 
+def _write(out: str | Path | None, text: str) -> None:
+    """Write ``text`` to the file ``out``, or to stdout when ``out`` is empty.
+    A plain write, not a rename: ``out`` may be a symlink, FIFO or /dev/stdout."""
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
+        return
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError:
+        # the stream keeps what it could not write and would retry it at exit,
+        # with a second message and exit status 120: drop the stream
+        sys.stdout = None
+        raise
+
+
 def _emit(payload: dict, human: str, fmt: str, out: str | None) -> None:
     if fmt == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = lablib.json_text(payload)
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -170,10 +187,7 @@ def _emit(payload: dict, human: str, fmt: str, out: str | None) -> None:
         text = buf.getvalue()
     else:
         text = human if human.endswith("\n") else human + "\n"
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write(out, text)
 
 
 def _load_graph(path: str) -> Graph | BipartiteGraph:
@@ -263,10 +277,7 @@ def cmd_solve(args) -> int:
         payload = {
             "problem": problem,
             "objective": result.objective,
-            "witness": {
-                "left": list(result.witness.left),
-                "right": list(result.witness.right),
-            },
+            "witness": result.witness.to_json_dict(),
             "explored": result.explored,
         }
         human = (
@@ -342,12 +353,10 @@ def cmd_reduce(args) -> int:
             "left_pairs": [list(p) for p in tensor.left_pairs],
             "right_pairs": [list(p) for p in tensor.right_pairs],
         }
-    out_path.write_text(text, encoding="utf-8")
     sidecar = out_path.with_name(out_path.name + ".provenance.json")
-    sidecar.write_text(
-        json.dumps(provenance, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    sys.stdout.write(f"wrote {out_path} and {sidecar}\n")
+    _write(out_path, text)
+    _write(sidecar, lablib.json_text(provenance))
+    _write(None, f"wrote {out_path} and {sidecar}\n")
     return 0
 
 
@@ -369,9 +378,7 @@ def cmd_lab(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     payloads = [rep.to_json_dict() for rep in reports]
-    lablib.write_atomic(
-        out_dir / "reports.json", json.dumps(payloads, sort_keys=True, indent=2) + "\n"
-    )
+    lablib.write_atomic(out_dir / "reports.json", lablib.json_text(payloads))
     summary = io.StringIO()
     writer = csv.DictWriter(summary, fieldnames=lablib.SUMMARY_COLUMNS)
     writer.writeheader()
@@ -382,13 +389,14 @@ def cmd_lab(args) -> int:
     pinned, regressions, unreadable = lablib.compare_goldens(reports, goldens)
 
     counts = Counter(rep.verdict for rep in reports)
-    sys.stdout.write(
+    text = (
         f"{len(reports)} reports: {counts['holds']} holds, "
         f"{counts['counterexample']} counterexamples, {counts['vacuous']} vacuous, "
         f"{counts['error']} errors\n"
     )
     if pinned:
-        sys.stdout.write(f"pinned {pinned} new golden verdicts in {goldens}\n")
+        text += f"pinned {pinned} new golden verdicts in {goldens}\n"
+    _write(None, text)
     for claim in unreadable:
         sys.stderr.write(f"unreadable golden file for claim {claim}\n")
     for line in regressions:
@@ -415,7 +423,7 @@ def cmd_gen(args) -> int:
             args.noise,
             args.seed,
         )
-        plant_payload = {"left": list(plant.left), "right": list(plant.right)}
+        plant_payload = plant.to_json_dict()
     elif args.family == "path":
         g = path_graph(need("n"))
     elif args.family == "cycle":
@@ -423,15 +431,9 @@ def cmd_gen(args) -> int:
     else:
         g = complete_bipartite(need("left"), need("right"))
 
-    text = render_graph(g)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write(args.out, render_graph(g))
     if plant_payload is not None and args.plant_out:
-        Path(args.plant_out).write_text(
-            json.dumps(plant_payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        _write(args.plant_out, lablib.json_text(plant_payload))
     return 0
 
 
@@ -446,16 +448,7 @@ def main(argv=None) -> int:
     except (CapExceededError, DisconnectedGraphError) as exc:
         sys.stderr.write(f"refused: {exc}\n")
         return 1
-    # a path the user named that cannot be used; other OSErrors, such as a
-    # failed write, keep their traceback
-    except (
-        FileNotFoundError,
-        FileExistsError,
-        IsADirectoryError,
-        NotADirectoryError,
-        PermissionError,
-        ValueError,
-    ) as exc:
+    except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -228,6 +228,9 @@ class Biclique:
     def is_empty(self) -> bool:
         return not self.left and not self.right
 
+    def to_json_dict(self) -> dict:
+        return {"left": list(self.left), "right": list(self.right)}
+
     def is_complete_in(self, host: BipartiteGraph) -> bool:
         if any(not 0 <= l < host.left_count for l in self.left):
             return False

@@ -227,10 +227,8 @@ def _require_path_graph(g: Graph) -> None:
 
 def _sorted_valid_sets(g: Graph, cap_edges: int) -> tuple[tuple[int, ...], ...]:
     """Valid weak contractions at (1,1), smallest first, then lexicographically."""
-    return tuple(sorted(
-        enumerate_valid_weak_contractions(g, _UNIT_TOLERANCE, cap_edges),
-        key=lambda s: (len(s), s),
-    ))
+    # the stream is lexicographic and sorted is stable, so size alone suffices
+    return tuple(sorted(enumerate_valid_weak_contractions(g, _UNIT_TOLERANCE, cap_edges), key=len))
 
 
 def check_path_lemma(
@@ -397,10 +395,7 @@ def check_theorem6(
     t1 = time.perf_counter()
     ids, valid, violation = biclique_to_contraction(bg, meb_gadget.witness)
     completeness_witness = {
-        "biclique": {
-            "left": list(meb_gadget.witness.left),
-            "right": list(meb_gadget.witness.right),
-        },
+        "biclique": meb_gadget.witness.to_json_dict(),
         "contraction": list(ids),
         "verifier_verdict": valid,
     }
@@ -515,7 +510,7 @@ def check_lemma2(
             _lift_into(tensor, b)
         except ValueError as exc:
             witness = {
-                "factor_biclique": {"left": list(b.left), "right": list(b.right)},
+                "factor_biclique": b.to_json_dict(),
                 "failure": "lift-not-complete",
                 "detail": str(exc),
             }
@@ -529,10 +524,7 @@ def check_lemma2(
             projected = project_biclique(tensor, mbb.witness)
         except ValueError as exc:
             witness = {
-                "tensor_biclique": {
-                    "left": list(mbb.witness.left),
-                    "right": list(mbb.witness.right),
-                },
+                "tensor_biclique": mbb.witness.to_json_dict(),
                 "failure": "projection-not-complete",
                 "detail": str(exc),
             }
@@ -543,7 +535,7 @@ def check_lemma2(
             "balanced_size": mbb.objective,
             "balanced_squared": mbb.objective * mbb.objective,
             "projected_edges": projected.edge_count,
-            "projected": {"left": list(projected.left), "right": list(projected.right)},
+            "projected": projected.to_json_dict(),
         }
         return LabReport(CLAIM_LEMMA2, inst, HOLDS, witness, _stats(enumerated, False, t0))
     if not maximal:
@@ -901,6 +893,11 @@ def summarize(reports: list[LabReport]) -> list[dict]:
     return list(rows.values())
 
 
+def json_text(value) -> str:
+    """The one JSON text form of every file and report this package writes."""
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
 def write_atomic(path: Path, text: str) -> None:
     """Replace ``path`` with ``text`` in one step: write a temporary file in
     the same directory, then ``os.replace`` it into place.  A write that fails
@@ -956,5 +953,5 @@ def compare_goldens(reports: list[LabReport], goldens: Path) -> tuple[int, list[
                     f"{claim}: {key} recorded {recorded[key]!r}, got {rep.verdict!r}"
                 )
         if changed:
-            write_atomic(golden_path, json.dumps(recorded, sort_keys=True, indent=2) + "\n")
+            write_atomic(golden_path, json_text(recorded))
     return pinned, regressions, unreadable

@@ -207,14 +207,12 @@ def contraction_to_biclique(
         return None, REASON_SIZE
     if any(bg.edge_kind[e] == MATCHING for e in ids):
         return None, REASON_MATCHING
-    nv = bg.left_count
-    pairs = set()
-    for e in ids:
-        u, v, _ = bg.combined.edges[e]
-        pairs.add((u, v - nv))
-    lefts = sorted({p[0] for p in pairs})
-    rights = sorted({p[1] for p in pairs})
-    if pairs == {(l, r) for l in lefts for r in rights}:
+    # distinct core edges are distinct pairs inside lefts x rights, so the
+    # pairs fill that product exactly when there are as many of them
+    nv, edges = bg.left_count, bg.combined.edges
+    lefts = {edges[e][0] for e in ids}
+    rights = {edges[e][1] - nv for e in ids}
+    if len(ids) == len(lefts) * len(rights):
         return Biclique(tuple(lefts), tuple(rights)), None
     return None, REASON_INCOMPLETE
 
@@ -233,14 +231,8 @@ def biclique_to_contraction(
     """
     view, side0, side1 = bg.bipartition
     b.validate_in(view)
-    edge_ids: set[int] = set()
-    lookup = {
-        (min(u, v), max(u, v)): eid for eid, (u, v, _) in enumerate(bg.combined.edges)
-    }
-    for i in b.left:
-        for k in b.right:
-            u, v = side0[i], side1[k]
-            edge_ids.add(lookup[(min(u, v), max(u, v))])
-    ids = tuple(sorted(edge_ids))
+    rights = {side1[k] for k in b.right}
+    adjacency = bg.combined.adjacency
+    ids = tuple(sorted(eid for i in b.left for v, eid in adjacency[side0[i]] if v in rights))
     witness = violation_witness(bg.combined, ids, Tolerance(Fraction(1), bg.weight), weak=True)
     return ids, witness is None, witness

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import csv
+import errno
 import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -550,10 +553,54 @@ def test_lab_default_suite_outputs_pinned(tmp_path, capsys):
     assert _sha16((out / "summary.csv").read_bytes()) == DEFAULT_SUITE_SUMMARY
 
 
+# A sha256 prefix per (claim, size) of the all-bipartite 3x4 and 2x6 reports
+# with the six path and gadget claims (276 reports): the newline-joined
+# sorted-key JSON of that group's reports, minus stats.elapsed_ms, in report
+# order.  These reports carry path witnesses, gadget contractions and biclique
+# witnesses that the default suite's smaller instances do not reach.
+SIX_CLAIMS = [
+    "path-lemma", "path-lemma-shortest", "biclique-lemma",
+    "thm6-soundness", "thm6-completeness", "lemma2-lift",
+]
+ALL_BIPARTITE_REPORTS = {
+    ("path-lemma", "3x4"): (34, "b8e1ff66483fc13c"),
+    ("path-lemma-shortest", "3x4"): (34, "cb48706462c16d91"),
+    ("biclique-lemma", "3x4"): (34, "6a39cc0e619196cc"),
+    ("thm6-soundness", "3x4"): (34, "55d6c0753b2c102a"),
+    ("thm6-completeness", "3x4"): (34, "cb7f09da657075f5"),
+    ("lemma2-lift", "3x4"): (34, "1cf6730fb116fa58"),
+    ("path-lemma", "2x6"): (12, "60ff96bde153c384"),
+    ("path-lemma-shortest", "2x6"): (12, "4cc5b3a54c09c6ed"),
+    ("biclique-lemma", "2x6"): (12, "7c72bcf121574fc5"),
+    ("thm6-soundness", "2x6"): (12, "d7b42201ca022398"),
+    ("thm6-completeness", "2x6"): (12, "409791dde9e23020"),
+    ("lemma2-lift", "2x6"): (12, "59318abae1c7af5a"),
+}
+
+
+def test_lab_all_bipartite_outputs_pinned(tmp_path, capsys):
+    config = {"instances": [
+        {"family": "all-bipartite", "left": 3, "right": 4, "claims": SIX_CLAIMS},
+        {"family": "all-bipartite", "left": 2, "right": 6, "claims": SIX_CLAIMS},
+    ]}
+    suite = write(tmp_path, "suite.json", json.dumps(config))
+    out = tmp_path / "out"
+    assert run_cli("lab", "--suite", suite, "--out", str(out)) == 0
+    groups: dict[tuple[str, str], list[str]] = {}
+    for rep in json.loads((out / "reports.json").read_text(encoding="utf-8")):
+        del rep["stats"]["elapsed_ms"]
+        size = "{left}x{right}".format(**rep["instance"]["params"])
+        groups.setdefault((rep["claim"], size), []).append(json.dumps(rep, sort_keys=True))
+    got = {key: (len(lines), _sha16("\n".join(lines).encode())) for key, lines in groups.items()}
+    for key, want in ALL_BIPARTITE_REPORTS.items():
+        assert got.get(key) == want, f"reports of {key[0]} at {key[1]} differ"
+    assert got.keys() == ALL_BIPARTITE_REPORTS.keys()
+
+
 @pytest.mark.parametrize("target", ["reports.json", "summary.csv", "goldens/path-lemma.json"])
 def test_lab_failed_write_keeps_old_file(tmp_path, capsys, monkeypatch, target):
     # every lab output goes to a temporary file that is renamed into place:
-    # a write that fails keeps the old bytes and leaves no temporary file
+    # a write that fails exits 2, keeps the old bytes and leaves no temporary file
     suite = _mini_suite(tmp_path)
     out = tmp_path / "out"
     assert run_cli("lab", "--suite", suite, "--out", str(out)) == 0
@@ -572,12 +619,14 @@ def test_lab_failed_write_keeps_old_file(tmp_path, capsys, monkeypatch, target):
 
     def failing_replace(src, dst):
         if Path(dst) == path:
-            raise OSError("no space left on device")
+            raise OSError(errno.ENOSPC, "No space left on device")
         replace(src, dst)
 
     monkeypatch.setattr(os, "replace", failing_replace)
-    with pytest.raises(OSError, match="no space left"):
-        run_cli("lab", "--suite", suite, "--out", str(out))
+    assert run_cli("lab", "--suite", suite, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "no space left" in err.lower() and "Traceback" not in err
     assert path.read_bytes() == old
     assert sorted(out.rglob("*")) == files
 
@@ -690,6 +739,88 @@ def test_permission_denied_path_exit_two(tmp_path, capsys, monkeypatch, p3, argv
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Permission denied" in err
     assert "Traceback" not in err
+
+
+class _FullStream(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize(
+    "argv, full",
+    [
+        (("verify", "{p3}", "{c}", "--weak", "--out", "{tmp}/v.txt"), "v.txt"),
+        (("verify", "{p3}", "{c}", "--format", "json"), "<stdout>"),
+        (("solve", "{p3}", "--problem", "cont", "--out", "{tmp}/s.txt"), "s.txt"),
+        (("reduce", "{k22}", "--construction", "gadget", "--out", "{tmp}/r.txt"), "r.txt"),
+        (
+            ("reduce", "{k22}", "--construction", "tensor", "--out", "{tmp}/r.txt"),
+            "r.txt.provenance.json",
+        ),
+        (("reduce", "{k22}", "--construction", "gadget", "--out", "{tmp}/r.txt"), "<stdout>"),
+        (("gen", "--family", "path", "--n", "3", "--out", "{tmp}/g.txt"), "g.txt"),
+        (("gen", "--family", "path", "--n", "3"), "<stdout>"),
+        (
+            ("gen", "--family", "planted", "--left", "3", "--right", "3", "--plant-left", "2",
+             "--plant-right", "2", "--out", "{tmp}/g.txt", "--plant-out", "{tmp}/w.json"),
+            "w.json",
+        ),
+        (("lab", "--suite", "{suite}", "--out", "{tmp}/o"), "<stdout>"),
+    ],
+)
+def test_failed_write_exit_two(tmp_path, capsys, monkeypatch, p3, k22, argv, full):
+    # a full disk is simulated: writing the named file, or stdout, raises
+    # ENOSPC; the command exits 2 with one error line and no traceback
+    paths = {
+        "p3": p3, "k22": k22, "c": write(tmp_path, "c.txt", "0\n"),
+        "suite": _mini_suite(tmp_path), "tmp": tmp_path,
+    }
+    write_text = Path.write_text
+
+    def filling(path, *args, **kwargs):
+        if path.name == full:
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+        return write_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", filling)
+    if full == "<stdout>":
+        monkeypatch.setattr(sys, "stdout", _FullStream())
+    assert run_cli(*(arg.format(**paths) for arg in argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "No space left on device" in err and "Traceback" not in err
+
+
+def _run_module(*argv, stdout):
+    # a fresh interpreter with block-buffered stdout, as in a shell pipeline
+    env = dict(os.environ, PYTHONPATH=str(Path(cl.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run(
+        [sys.executable, "-m", "contractlab.cli", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [(), ("--out", "/dev/full")])
+def test_full_device_exit_two(argv):
+    # stdout's buffer is flushed and dropped in the command, so the exit does
+    # not retry the write (exit 120 with a second message)
+    with open("/dev/full", "w") as full:
+        proc = _run_module("gen", "--family", "path", "--n", "3", *argv, stdout=full)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: [Errno 28] No space left on device\n"
+
+
+def test_broken_pipe_exit_two():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _run_module("gen", "--family", "path", "--n", "3", stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: [Errno 32] Broken pipe\n"
 
 
 # ---------------------------------------------------------------------------
