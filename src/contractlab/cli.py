@@ -11,9 +11,12 @@ wall-clock timings never appear outside the lab reports' ``elapsed_ms`` field.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import errno
 import io
 import json
+import os
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -124,11 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lab.set_defaults(func=cmd_lab)
 
     p_gen = sub.add_parser("gen", help="generate an instance")
-    p_gen.add_argument(
-        "--family",
-        required=True,
-        choices=("random-bipartite", "planted", "path", "cycle", "complete-bipartite"),
-    )
+    p_gen.add_argument("--family", required=True, choices=_GEN_FAMILIES)
     p_gen.add_argument("--left", type=_positive_int)
     p_gen.add_argument("--right", type=_positive_int)
     p_gen.add_argument("--n", type=_positive_int)
@@ -186,7 +185,7 @@ def _emit(payload: dict, human: str, fmt: str, out: str | None) -> None:
         writer.writerows(_flatten(payload))
         text = buf.getvalue()
     else:
-        text = human if human.endswith("\n") else human + "\n"
+        text = human + "\n"
     _write(out, text)
 
 
@@ -246,22 +245,11 @@ def _split_for_solving(g: Graph) -> list[tuple[Graph, list[int]]]:
     Component vertices are renumbered in ascending order, which preserves the
     canonical edge order, so subgraph edge id i maps to edge_map[i].
     """
-    comps = connected_components(g)
-    if len(comps) <= 1:
-        return [(g, list(range(g.edge_count)))]
     out = []
-    for comp in comps:
+    for comp in connected_components(g):
         index = {v: i for i, v in enumerate(comp)}
-        members = set(comp)
-        edge_map = [eid for eid, (u, _, _) in enumerate(g.edges) if u in members]
-        sub = Graph(
-            len(comp),
-            tuple(
-                (index[u], index[v], w)
-                for u, v, w in g.edges
-                if u in members
-            ),
-        )
+        edge_map = [eid for eid, (u, _, _) in enumerate(g.edges) if u in index]
+        sub = Graph(len(comp), tuple((index[u], index[v], w) for u, v, w in g.edges if u in index))
         out.append((sub, edge_map))
     return out
 
@@ -330,6 +318,11 @@ def cmd_reduce(args) -> int:
     if not is_connected(g.to_graph()):
         raise DisconnectedGraphError("reduce requires a connected instance")
     out_path = Path(args.out)
+    sidecar = out_path.with_name(out_path.name + ".provenance.json")
+    # the graph is written first, and a missing directory or a directory at
+    # --out fails that write; a directory at the sidecar is refused before it
+    if sidecar.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(sidecar))
     if args.construction == "gadget":
         gadget = build_gadget(g, args.weight)
         text = render_graph(gadget.combined)
@@ -353,7 +346,6 @@ def cmd_reduce(args) -> int:
             "left_pairs": [list(p) for p in tensor.left_pairs],
             "right_pairs": [list(p) for p in tensor.right_pairs],
         }
-    sidecar = out_path.with_name(out_path.name + ".provenance.json")
     _write(out_path, text)
     _write(sidecar, lablib.json_text(provenance))
     _write(None, f"wrote {out_path} and {sidecar}\n")
@@ -404,46 +396,51 @@ def cmd_lab(args) -> int:
     return 1 if regressions or unreadable else 0
 
 
+# gen's families, in --family's order: the size flags each needs and a builder
+# of (graph, planted witness or None)
+_GEN_FAMILIES = {
+    "random-bipartite": (
+        ("left", "right"),
+        lambda a: (generate_random_bipartite(a.left, a.right, a.prob, a.seed), None),
+    ),
+    "planted": (
+        ("left", "right"),
+        lambda a: generate_planted_biclique(
+            a.left, a.right, a.plant_left, a.plant_right, a.noise, a.seed
+        ),
+    ),
+    "path": (("n",), lambda a: (path_graph(a.n), None)),
+    "cycle": (("n",), lambda a: (cycle_graph(a.n), None)),
+    "complete-bipartite": (("left", "right"), lambda a: (complete_bipartite(a.left, a.right), None)),
+}
+
+
 def cmd_gen(args) -> int:
-    def need(name):
-        value = getattr(args, name.replace("-", "_"))
-        if value is None:
+    sizes, build = _GEN_FAMILIES[args.family]
+    for name in sizes:
+        if getattr(args, name) is None:
             raise ValueError(f"--{name} is required for family {args.family}")
-        return value
-
-    plant_payload = None
-    if args.family == "random-bipartite":
-        g = generate_random_bipartite(need("left"), need("right"), args.prob, args.seed)
-    elif args.family == "planted":
-        g, plant = generate_planted_biclique(
-            need("left"),
-            need("right"),
-            args.plant_left,
-            args.plant_right,
-            args.noise,
-            args.seed,
-        )
-        plant_payload = plant.to_json_dict()
-    elif args.family == "path":
-        g = path_graph(need("n"))
-    elif args.family == "cycle":
-        g = cycle_graph(need("n"))
-    else:
-        g = complete_bipartite(need("left"), need("right"))
-
+    g, plant = build(args)
+    if args.plant_out and plant is None:
+        raise ValueError(f"--plant-out needs a planted witness; family {args.family} has none")
     _write(args.out, render_graph(g))
-    if plant_payload is not None and args.plant_out:
-        _write(args.plant_out, lablib.json_text(plant_payload))
+    if args.plant_out:
+        _write(args.plant_out, lablib.json_text(plant.to_json_dict()))
     return 0
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    shown = io.StringIO()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        try:
+            with contextlib.redirect_stdout(shown):
+                args = parser.parse_args(argv)
+        except SystemExit as exc:
+            # argparse prints help itself and ignores a failed write: its text
+            # goes out through the one writer instead
+            _write(None, shown.getvalue())
+            return int(exc.code or 0)
         return args.func(args)
     except (CapExceededError, DisconnectedGraphError) as exc:
         sys.stderr.write(f"refused: {exc}\n")

@@ -225,9 +225,6 @@ class Biclique:
     def edge_count(self) -> int:
         return len(self.left) * len(self.right)
 
-    def is_empty(self) -> bool:
-        return not self.left and not self.right
-
     def to_json_dict(self) -> dict:
         return {"left": list(self.left), "right": list(self.right)}
 
@@ -457,21 +454,18 @@ def generate_planted_biclique(
     return BipartiteGraph(left, right, tuple(edges)), Biclique(tuple(plant_l), tuple(plant_r))
 
 
-def path_graph(n: int, weight=1) -> Graph:
-    return Graph(n, tuple((i, i + 1, weight) for i in range(n - 1)))
+def path_graph(n: int) -> Graph:
+    return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
 
 
-def cycle_graph(n: int, weight=1) -> Graph:
+def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("a cycle needs at least 3 vertices")
-    edges = [(i, i + 1, weight) for i in range(n - 1)] + [(0, n - 1, weight)]
-    return Graph(n, tuple(edges))
+    return Graph(n, tuple((i, i + 1) for i in range(n - 1)) + ((0, n - 1),))
 
 
-def complete_bipartite(left: int, right: int, weight=1) -> BipartiteGraph:
-    return BipartiteGraph(
-        left, right, tuple((l, r, weight) for l in range(left) for r in range(right))
-    )
+def complete_bipartite(left: int, right: int) -> BipartiteGraph:
+    return BipartiteGraph(left, right, tuple((l, r) for l in range(left) for r in range(right)))
 
 
 # ----------------------------------------------------------------------------

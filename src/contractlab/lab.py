@@ -55,9 +55,9 @@ from .graphs import (
 )
 from .contraction import Tolerance, ToleranceCheck
 from .solvers import (
-    CapExceededError,
     DEFAULT_EDGE_CAP,
     DEFAULT_SIDE_CAP,
+    _require_cap,
     enumerate_valid_weak_contractions,
     max_balanced_biclique_exact,
     max_edge_biclique_exact,
@@ -442,7 +442,7 @@ def check_corollary_scaling(
     m = unit.combined.edge_count
     rng = random.Random(seed)
     for trial in range(trials):
-        mask = rng.getrandbits(m) if m else 0
+        mask = rng.getrandbits(m)
         v_unit = check_unit.is_valid(mask, weak=True)
         v_scaled = check_scaled.is_valid(mask, weak=True)
         if v_unit != v_scaled:
@@ -497,15 +497,12 @@ def check_lemma2(
     """
     t0 = time.perf_counter()
     inst = _adhoc_instance(instance)
-    if g.left_count * g.right_count > side_cap:
-        raise CapExceededError(
-            f"tensor side {g.left_count * g.right_count} exceeds the enumeration cap ({side_cap})"
-        )
+    _require_cap(g.left_count * g.right_count, side_cap, "tensor side")
     tensor = build_tensor_square(g)
     maximal = _maximal_factor_bicliques(g)
-    enumerated = 0
-    for b in maximal:
-        enumerated += 1
+    if not maximal:
+        return LabReport(CLAIM_LEMMA2, inst, VACUOUS, None, _stats(0, False, t0))
+    for enumerated, b in enumerate(maximal, 1):
         try:
             _lift_into(tensor, b)
         except ValueError as exc:
@@ -518,29 +515,26 @@ def check_lemma2(
                 CLAIM_LEMMA2, inst, COUNTEREXAMPLE, witness, _stats(enumerated, False, t0)
             )
 
+    # the lifts above are complete tensor bicliques, so t >= 1
     mbb = max_balanced_biclique_exact(tensor.graph, side_cap)
-    if mbb.objective > 0:
-        try:
-            projected = project_biclique(tensor, mbb.witness)
-        except ValueError as exc:
-            witness = {
-                "tensor_biclique": mbb.witness.to_json_dict(),
-                "failure": "projection-not-complete",
-                "detail": str(exc),
-            }
-            return LabReport(
-                CLAIM_LEMMA2, inst, COUNTEREXAMPLE, witness, _stats(enumerated, False, t0)
-            )
+    try:
+        projected = project_biclique(tensor, mbb.witness)
+    except ValueError as exc:
         witness = {
-            "balanced_size": mbb.objective,
-            "balanced_squared": mbb.objective * mbb.objective,
-            "projected_edges": projected.edge_count,
-            "projected": projected.to_json_dict(),
+            "tensor_biclique": mbb.witness.to_json_dict(),
+            "failure": "projection-not-complete",
+            "detail": str(exc),
         }
-        return LabReport(CLAIM_LEMMA2, inst, HOLDS, witness, _stats(enumerated, False, t0))
-    if not maximal:
-        return LabReport(CLAIM_LEMMA2, inst, VACUOUS, None, _stats(enumerated, False, t0))
-    return LabReport(CLAIM_LEMMA2, inst, HOLDS, None, _stats(enumerated, False, t0))
+        return LabReport(
+            CLAIM_LEMMA2, inst, COUNTEREXAMPLE, witness, _stats(enumerated, False, t0)
+        )
+    witness = {
+        "balanced_size": mbb.objective,
+        "balanced_squared": mbb.objective * mbb.objective,
+        "projected_edges": projected.edge_count,
+        "projected": projected.to_json_dict(),
+    }
+    return LabReport(CLAIM_LEMMA2, inst, HOLDS, witness, _stats(enumerated, False, t0))
 
 
 # ----------------------------------------------------------------------------
@@ -563,11 +557,7 @@ def enumerate_connected_bipartite(
     CapExceededError before it.
     """
     total = left * right
-    if total > cap:
-        raise CapExceededError(
-            f"{left}x{right} bipartite family has {total} possible edges, "
-            f"over the enumeration cap ({cap})"
-        )
+    _require_cap(total, cap, f"{left}x{right} bipartite family's possible edge count")
     cells = [(l, r) for l in range(left) for r in range(right)]
     # A graph up to relabelling of the larger side is the multiset of the
     # larger side's neighbour bitmasks (rows, or columns when left < right),

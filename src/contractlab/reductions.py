@@ -173,8 +173,6 @@ def project_biclique(t: TensorGraph, b: Biclique) -> Biclique:
     first on ties.  Completeness in the factor is verified before returning.
     """
     b.validate_in(t.graph)
-    if b.is_empty():
-        return Biclique((), ())
     first = Biclique(
         tuple(t.left_pairs[i][0] for i in b.left),
         tuple(t.right_pairs[k][0] for k in b.right),

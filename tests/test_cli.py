@@ -269,6 +269,16 @@ def test_reduce_refuses_disconnected(tmp_path):
     assert run_cli("reduce", gfile, "--construction", "tensor", "--out", str(tmp_path / "x")) == 1
 
 
+@pytest.mark.parametrize("directory", ["r.txt.provenance.json", "r.txt"])
+def test_reduce_refuses_a_directory_before_writing(tmp_path, k22, capsys, directory):
+    # a directory at either output path exits 2 and the other file is not created
+    (tmp_path / directory).mkdir()
+    assert run_cli("reduce", k22, "--construction", "gadget", "--out", str(tmp_path / "r.txt")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["k22.txt", directory])
+
+
 def test_reduce_weight_flag(tmp_path, k22):
     out = tmp_path / "w.txt"
     assert run_cli(
@@ -318,6 +328,31 @@ def test_gen_missing_parameter_exit_two(capsys):
 
 def test_gen_unknown_family_exit_two():
     assert run_cli("gen", "--family", "dodecahedron") == 2
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        ("--family", "path", "--n", "3"),
+        ("--family", "cycle", "--n", "3"),
+        ("--family", "complete-bipartite", "--left", "2", "--right", "2"),
+        ("--family", "random-bipartite", "--left", "2", "--right", "2"),
+    ],
+    ids=lambda sizes: sizes[1],
+)
+def test_gen_plant_out_without_a_plant_exit_two(tmp_path, capsys, sizes):
+    # only the planted family has a witness: a plant file that would not be
+    # written is refused before either file is
+    out, plant_out = tmp_path / "g.txt", tmp_path / "w.json"
+    assert run_cli("gen", *sizes, "--out", str(out), "--plant-out", str(plant_out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists() and not plant_out.exists()
+
+
+def test_gen_help_lists_families_in_order(capsys):
+    assert run_cli("gen", "--help") == 0
+    assert "{random-bipartite,planted,path,cycle,complete-bipartite}" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +678,8 @@ def test_lab_all_bipartite_over_cap_is_refused(tmp_path, capsys):
     suite = write(tmp_path, "suite.json", json.dumps(config))
     out = tmp_path / "o"
     assert run_cli("lab", "--suite", suite, "--out", str(out)) == 1
-    assert capsys.readouterr().err.startswith("refused:")
+    err = capsys.readouterr().err
+    assert err.startswith("refused:") and "exceeds the enumeration cap (20)" in err
     assert not out.exists()
 
 
@@ -791,10 +827,13 @@ def test_failed_write_exit_two(tmp_path, capsys, monkeypatch, p3, k22, argv, ful
     assert "No space left on device" in err and "Traceback" not in err
 
 
-def _run_module(*argv, stdout):
-    # a fresh interpreter with block-buffered stdout, as in a shell pipeline
+def _run_module(*argv, stdout, unbuffered=False):
+    # a fresh interpreter with block-buffered stdout, as in a shell pipeline,
+    # or with PYTHONUNBUFFERED set
     env = dict(os.environ, PYTHONPATH=str(Path(cl.__file__).resolve().parents[1]))
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run(
         [sys.executable, "-m", "contractlab.cli", *argv],
         stdout=stdout, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
@@ -808,6 +847,18 @@ def test_full_device_exit_two(argv):
     # not retry the write (exit 120 with a second message)
     with open("/dev/full", "w") as full:
         proc = _run_module("gen", "--family", "path", "--n", "3", *argv, stdout=full)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [("--help",), ("gen", "--help")], ids=["help", "gen-help"])
+def test_help_to_full_device_exit_two(argv, unbuffered):
+    # argparse prints help itself and ignores a failed write; the help text
+    # goes through the one writer, so a failed write exits 2 like any other
+    with open("/dev/full", "w") as full:
+        proc = _run_module(*argv, stdout=full, unbuffered=unbuffered)
     assert proc.returncode == 2
     assert proc.stderr == "error: [Errno 28] No space left on device\n"
 

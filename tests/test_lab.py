@@ -387,6 +387,17 @@ def test_lemma2_three_path_records_counts():
 def test_lemma2_no_edges_vacuous():
     rep = check_lemma2(BipartiteGraph(2, 2))
     assert rep.verdict == VACUOUS
+    rep = check_lemma2(BipartiteGraph(2, 3, ()))
+    assert rep.verdict == VACUOUS and rep.stats["enumerated"] == 0
+
+
+def test_lemma2_holds_with_a_witness_on_all_3x3_classes():
+    # a graph with an edge has a tensor biclique with t >= 1, so a verdict of
+    # holds always records the balanced size and the projection
+    for g in enumerate_connected_bipartite(3, 3):
+        rep = check_lemma2(g)
+        assert rep.verdict == HOLDS
+        assert rep.witness["balanced_size"] >= 1
 
 
 def test_lemma2_random_instances_hold():

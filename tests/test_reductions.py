@@ -212,6 +212,11 @@ def test_project_single_edge():
     assert project_biclique(t, Biclique((0,), (0,))) == Biclique((0,), (0,))
 
 
+def test_project_empty_biclique():
+    t = build_tensor_square(THREE_PATH)
+    assert project_biclique(t, Biclique((), ())) == Biclique((), ())
+
+
 def test_project_k22_back_to_star():
     t = build_tensor_square(THREE_PATH)
     projected = project_biclique(t, Biclique((0, 1), (0, 1)))
