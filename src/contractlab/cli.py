@@ -131,11 +131,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--left", type=_positive_int)
     p_gen.add_argument("--right", type=_positive_int)
     p_gen.add_argument("--n", type=_positive_int)
-    p_gen.add_argument("--prob", type=_rational, default=Fraction(1, 2))
-    p_gen.add_argument("--plant-left", type=_integer, default=0)
-    p_gen.add_argument("--plant-right", type=_integer, default=0)
-    p_gen.add_argument("--noise", type=_rational, default=Fraction(0))
-    p_gen.add_argument("--seed", type=_integer, default=0)
+    # no defaults here: a flag left as None was not given (see _GEN_FAMILIES)
+    p_gen.add_argument("--prob", type=_rational)
+    p_gen.add_argument("--plant-left", type=_integer)
+    p_gen.add_argument("--plant-right", type=_integer)
+    p_gen.add_argument("--noise", type=_rational)
+    p_gen.add_argument("--seed", type=_integer)
     p_gen.add_argument("--out")
     p_gen.add_argument("--plant-out", help="write the planted witness JSON here")
     p_gen.set_defaults(func=cmd_gen)
@@ -396,33 +397,47 @@ def cmd_lab(args) -> int:
     return 1 if regressions or unreadable else 0
 
 
-# gen's families, in --family's order: the size flags each needs and a builder
-# of (graph, planted witness or None)
+# gen's families, in --family's order: the size flags each needs, the other
+# flags it reads with their defaults, and a builder of (graph, planted witness
+# or None).  Every other flag in _GEN_FLAGS is refused if given, --plant-out
+# too: only the planted family has a witness to write.
 _GEN_FAMILIES = {
     "random-bipartite": (
         ("left", "right"),
+        {"prob": Fraction(1, 2), "seed": 0},
         lambda a: (generate_random_bipartite(a.left, a.right, a.prob, a.seed), None),
     ),
     "planted": (
         ("left", "right"),
+        {"plant_left": 0, "plant_right": 0, "noise": Fraction(0), "seed": 0, "plant_out": None},
         lambda a: generate_planted_biclique(
             a.left, a.right, a.plant_left, a.plant_right, a.noise, a.seed
         ),
     ),
-    "path": (("n",), lambda a: (path_graph(a.n), None)),
-    "cycle": (("n",), lambda a: (cycle_graph(a.n), None)),
-    "complete-bipartite": (("left", "right"), lambda a: (complete_bipartite(a.left, a.right), None)),
+    "path": (("n",), {}, lambda a: (path_graph(a.n), None)),
+    "cycle": (("n",), {}, lambda a: (cycle_graph(a.n), None)),
+    "complete-bipartite": (
+        ("left", "right"), {}, lambda a: (complete_bipartite(a.left, a.right), None)
+    ),
 }
+_GEN_FLAGS = (
+    "left", "right", "n", "prob", "plant_left", "plant_right", "noise", "seed", "plant_out"
+)
 
 
 def cmd_gen(args) -> int:
-    sizes, build = _GEN_FAMILIES[args.family]
+    sizes, optional, build = _GEN_FAMILIES[args.family]
     for name in sizes:
         if getattr(args, name) is None:
             raise ValueError(f"--{name} is required for family {args.family}")
+    for name in _GEN_FLAGS:
+        if name not in sizes and name not in optional and getattr(args, name) is not None:
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag} is not read by family {args.family}")
+    for name, default in optional.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     g, plant = build(args)
-    if args.plant_out and plant is None:
-        raise ValueError(f"--plant-out needs a planted witness; family {args.family} has none")
     _write(args.out, render_graph(g))
     if args.plant_out:
         _write(args.plant_out, lablib.json_text(plant.to_json_dict()))

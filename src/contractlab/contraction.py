@@ -200,6 +200,9 @@ class ToleranceCheck:
     """
 
     def __init__(self, g: Graph, tolerance: Tolerance):
+        # too few edges to connect: refused before the O(n^2) base rows
+        if g.edge_count < g.vertex_count - 1:
+            raise DisconnectedGraphError("tolerance checks require a connected graph")
         engine = g.distances
         self.base_scaled = base = engine.base
         if base and -1 in base[0]:

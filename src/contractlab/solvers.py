@@ -42,6 +42,15 @@ node, and it holds a partition as a str of block labels: a merge is one
 ``str.replace`` and the memo key is the str itself, whose hash Python
 caches.
 
+The weak maximizer walks only on trees.  On a connected graph with a cycle
+(m >= n) the weak optimum is m - 1 in closed form: removing a non-bridge j
+leaves a connected set that merges every vertex, so every pair is exempt and
+E - {j} is valid whatever the tolerance, and no set of m edges is proper.
+Every (m-1)-set is some E - {j}, and a larger j gives a smaller sorted tuple,
+so the maximizer tests E - {j} for j = m-1 down and returns the first valid
+one, the lexicographically smallest optimum, after at most m verdicts (a
+bridge may pass or fail; the first non-bridge passes).
+
 A search node holds its whole induced distance matrix as one Python int
 (``RowPacking``): every pair's distance in a fixed-width field under a guard
 bit, row-major.  Deriving the matrix after a merge (``RowPacking.merge``)
@@ -76,8 +85,9 @@ class SolveResult:
     ``witness`` is a sorted tuple of edge ids (contraction problems) or a
     Biclique; ``explored`` counts search nodes and is deterministic (a strong
     contraction solve sums the nodes of all its walks: one per suffix bound
-    and, if one runs, the final one), ``elapsed`` is wall time in seconds
-    and is never compared.
+    and, if one runs, the final one; a weak solve in closed form, on a graph
+    with a cycle, counts the sets it tested, m - j for witness E - {j}),
+    ``elapsed`` is wall time in seconds and is never compared.
     """
 
     objective: int
@@ -392,8 +402,15 @@ def _max_valid_set(g: Graph, tolerance: Tolerance, cap: int, weak: bool) -> Solv
         )
     _require_cap(g.edge_count, cap, "edge count")
     t0 = time.perf_counter()
-    search = _Search(ToleranceCheck(g, tolerance), weak)
+    check = ToleranceCheck(g, tolerance)
     m = g.edge_count
+    if weak and m >= g.vertex_count:
+        # connected with a cycle: the closed form (module docstring)
+        full = check.full_mask
+        j = next(j for j in range(m - 1, -1, -1) if check.is_valid(full ^ (1 << j), True))
+        best = (*range(j), *range(j + 1, m))
+        return SolveResult(m - 1, best, m - j, time.perf_counter() - t0)
+    search = _Search(check, weak)
     best = None
     if weak:
         floor = [-1]

@@ -17,6 +17,7 @@ import pytest
 
 import contractlab as cl
 from contractlab.cli import main
+from contractlab.graphs import ScaledDistances
 from contractlab.lab import LabReport, instance_key, summarize
 
 
@@ -140,6 +141,22 @@ def test_verify_exit_matrix(tmp_path, p3):
     ]
     for argv, expected in matrix:
         assert run_cli(*argv) == expected
+
+
+@pytest.mark.parametrize("weak", [(), ("--weak",)], ids=["strong", "weak"])
+def test_verify_refuses_too_few_edges_before_any_search(tmp_path, capsys, monkeypatch, weak):
+    # 20000 vertices and one edge cannot be connected: refused from the
+    # counts alone, before the O(n^2) base rows (a search here fails the test)
+    def no_search(self, src, cmask=0):
+        raise AssertionError("searched a graph that cannot be connected")
+
+    monkeypatch.setattr(ScaledDistances, "from_source", no_search)
+    graph = write(tmp_path, "g.txt", "graph 20000 1\n0 1\n")
+    ids = write(tmp_path, "c.txt", "0\n")
+    assert run_cli("verify", graph, ids, *weak) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "refused: tolerance checks require a connected graph\n"
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +367,40 @@ def test_gen_plant_out_without_a_plant_exit_two(tmp_path, capsys, sizes):
     assert not out.exists() and not plant_out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # several unread flags: the error names the first in the parser's order
+        ("--family", "path", "--n", "3", "--noise", "1/2", "--left", "4"),
+        ("--family", "path", "--n", "3", "--seed", "1"),
+        ("--family", "cycle", "--n", "3", "--prob", "1/2"),
+        ("--family", "complete-bipartite", "--left", "2", "--right", "2", "--seed", "0"),
+        ("--family", "random-bipartite", "--left", "2", "--right", "2", "--noise", "1/2"),
+        ("--family", "random-bipartite", "--left", "2", "--right", "2", "--plant-left", "1"),
+        ("--family", "random-bipartite", "--left", "2", "--right", "2", "--n", "3"),
+        ("--family", "planted", "--left", "2", "--right", "2", "--prob", "1/2"),
+    ],
+    ids=lambda argv: f"{argv[1]}{argv[-2]}",
+)
+def test_gen_refuses_a_flag_its_family_does_not_read(tmp_path, capsys, argv):
+    # a flag the family would ignore, given even at its default value, exits
+    # 2 with one line naming it, before anything is written
+    out = tmp_path / "g.txt"
+    assert run_cli("gen", *argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {argv[-2]} is not read by family {argv[1]}\n"
+    assert not out.exists()
+
+
+def test_gen_defaults_of_the_flags_a_family_reads(capsys):
+    assert run_cli("gen", "--family", "random-bipartite", "--left", "3", "--right", "3") == 0
+    text = capsys.readouterr().out
+    assert cl.parse_graph(text) == cl.generate_random_bipartite(3, 3, Fraction(1, 2), 0)
+    assert run_cli("gen", "--family", "planted", "--left", "3", "--right", "3") == 0
+    text = capsys.readouterr().out
+    assert cl.parse_graph(text) == cl.generate_planted_biclique(3, 3, 0, 0, 0, 0)[0]
+
+
 def test_gen_help_lists_families_in_order(capsys):
     assert run_cli("gen", "--help") == 0
     assert "{random-bipartite,planted,path,cycle,complete-bipartite}" in capsys.readouterr().out
@@ -544,7 +595,7 @@ DEFAULT_SUITE_REPORTS = [
     ("thm6-completeness", "all-bipartite[index=0,left=2,right=2]", "c34176b9a8ab992f"),
     ("lemma2-lift", "all-bipartite[index=0,left=2,right=2]", "56541d9eb44eea07"),
     ("biclique-lemma", "all-bipartite[index=1,left=2,right=2]", "5b6f605f8383978b"),
-    ("thm6-soundness", "all-bipartite[index=1,left=2,right=2]", "fc50caa89a65ab7e"),
+    ("thm6-soundness", "all-bipartite[index=1,left=2,right=2]", "18e99b5e9d987f09"),
     ("thm6-completeness", "all-bipartite[index=1,left=2,right=2]", "5bf2430619f9bf0d"),
     ("lemma2-lift", "all-bipartite[index=1,left=2,right=2]", "6a3a0b0cce81f5a0"),
     ("biclique-lemma", "all-bipartite[index=0,left=2,right=3]", "437bf207394d8dd0"),
@@ -556,11 +607,11 @@ DEFAULT_SUITE_REPORTS = [
     ("thm6-completeness", "all-bipartite[index=1,left=2,right=3]", "61d3491136e26029"),
     ("lemma2-lift", "all-bipartite[index=1,left=2,right=3]", "1712d4c8de651711"),
     ("biclique-lemma", "all-bipartite[index=2,left=2,right=3]", "a526cf1aec97b04f"),
-    ("thm6-soundness", "all-bipartite[index=2,left=2,right=3]", "1ae2f5818fe9eaed"),
+    ("thm6-soundness", "all-bipartite[index=2,left=2,right=3]", "fdc1c88ca69c6b07"),
     ("thm6-completeness", "all-bipartite[index=2,left=2,right=3]", "60d1624c9d387090"),
     ("lemma2-lift", "all-bipartite[index=2,left=2,right=3]", "2fcba6709aab087c"),
     ("biclique-lemma", "all-bipartite[index=3,left=2,right=3]", "6a59b9553c85bbc4"),
-    ("thm6-soundness", "all-bipartite[index=3,left=2,right=3]", "b96b96ced768d42d"),
+    ("thm6-soundness", "all-bipartite[index=3,left=2,right=3]", "e9898aac300b5032"),
     ("thm6-completeness", "all-bipartite[index=3,left=2,right=3]", "49e996b1fd04a16e"),
     ("lemma2-lift", "all-bipartite[index=3,left=2,right=3]", "dc8c88edd28c6d83"),
     ("corollary-scaling", "random-bipartite[beta=1/2,left=3,prob=1/2,right=3;seed=2]", "a45f3249af0886f8"),
@@ -601,13 +652,13 @@ ALL_BIPARTITE_REPORTS = {
     ("path-lemma", "3x4"): (34, "b8e1ff66483fc13c"),
     ("path-lemma-shortest", "3x4"): (34, "cb48706462c16d91"),
     ("biclique-lemma", "3x4"): (34, "6a39cc0e619196cc"),
-    ("thm6-soundness", "3x4"): (34, "55d6c0753b2c102a"),
+    ("thm6-soundness", "3x4"): (34, "94765565d9f65cc5"),
     ("thm6-completeness", "3x4"): (34, "cb7f09da657075f5"),
     ("lemma2-lift", "3x4"): (34, "1cf6730fb116fa58"),
     ("path-lemma", "2x6"): (12, "60ff96bde153c384"),
     ("path-lemma-shortest", "2x6"): (12, "4cc5b3a54c09c6ed"),
     ("biclique-lemma", "2x6"): (12, "7c72bcf121574fc5"),
-    ("thm6-soundness", "2x6"): (12, "d7b42201ca022398"),
+    ("thm6-soundness", "2x6"): (12, "1501ac1d5ed582fe"),
     ("thm6-completeness", "2x6"): (12, "409791dde9e23020"),
     ("lemma2-lift", "2x6"): (12, "59318abae1c7af5a"),
 }

@@ -509,7 +509,7 @@ def test_run_suite_empty_config():
 def test_run_suite_default_counters_pinned():
     reports = run_suite()
     assert len(reports) == 43
-    assert sum(r.stats["enumerated"] for r in reports) == 452
+    assert sum(r.stats["enumerated"] for r in reports) == 423
 
 
 def test_run_suite_deterministic_modulo_elapsed():

@@ -361,6 +361,47 @@ def test_walker_stops_anywhere_and_handles_one_vertex():
 # ---------------------------------------------------------------------------
 
 
+def _floor_raising_walk(search) -> tuple[int, ...]:
+    """The last set of a weak walk that raises its floor to each set it
+    yields: the lexicographically smallest optimum."""
+    floor = [-1]
+    for best in search.walk(floor, list(range(search.m, -1, -1))):
+        floor[0] = len(best)
+    return best
+
+
+def test_weak_closed_form_matches_floor_raising_walk():
+    # on a connected graph with a cycle the weak maximizer drops one edge,
+    # the largest j whose removal leaves a valid set, testing j = m-1 down
+    rng = random.Random(26)
+    tolerances = [
+        (Fraction(1, 2), 0), (1, 0), (1, 1), (Fraction(5, 4), Fraction(1, 3)),
+        (Fraction(3, 2), 1), (2, 2),
+    ]
+    dropped_before_last = 0
+    for trial in range(120):
+        n = rng.randint(3, 9)
+        m = rng.randint(n, min(14, n * (n - 1) // 2))
+        g = random_connected_graph(rng, n, m, unit=trial % 2 == 0)
+        t = Tolerance(*tolerances[trial % len(tolerances)])
+        res = max_weak_contraction_exact(g, t)
+        best = _floor_raising_walk(solvers._Search(cl.ToleranceCheck(g, t), True))
+        assert (res.objective, res.witness) == (m - 1, best)
+        (j,) = set(range(m)) - set(res.witness)
+        assert res.explored == m - j
+        dropped_before_last += j < m - 1
+    assert dropped_before_last >= 10
+
+
+def test_weak_closed_form_tests_trailing_bridges_first():
+    # edge 3 (2-3) is a bridge: without it pair (0, 3) has induced distance
+    # 1 < 2/1 - 0, so it is rejected; edge 2 (1-2) is on the triangle, so E
+    # minus 2 merges every vertex and is the optimum, the second set tested
+    g = cl.parse_graph("graph 4 4\n0 1\n0 2\n1 2\n2 3\n")
+    res = max_weak_contraction_exact(g, Tolerance(1, 0))
+    assert (res.objective, res.witness, res.explored) == (3, (0, 1, 3), 2)
+
+
 def test_contraction_solvers_match_power_set_filter():
     rng = random.Random(71)
     for trial in range(40):
@@ -561,7 +602,12 @@ def test_search_counters_pinned():
     # shows up here as a diff with a reason, not only as a change of speed
     g = random_connected_graph(random.Random(2024), 12, 18, unit=True)
     weak = max_weak_contraction_exact(g, T11)
-    assert (weak.objective, weak.explored) == (17, 19)
+    assert (weak.objective, weak.explored) == (17, 1)
+    # the graph has a cycle, so the weak maximizer tests sets in closed form
+    # (explored counts them); a floor-raising walk, which trees still take,
+    # finds the same witness in 19 nodes
+    search = solvers._Search(cl.ToleranceCheck(g, T11), True)
+    assert (_floor_raising_walk(search), search.explored) == (weak.witness, 19)
     strong = max_contraction_exact(g, Tolerance(1, 2))
     assert (strong.objective, strong.explored) == (12, 1110)
     cells = [(l, r) for l in range(3) for r in range(4) if (l, r) not in ((0, 0), (2, 3))]
@@ -651,7 +697,14 @@ def test_search_distance_evaluations_pinned(monkeypatch):
 
     g = random_connected_graph(random.Random(2024), 12, 18, unit=True)
     calls, weak = evaluated(g, lambda: max_weak_contraction_exact(g, T11))
-    assert (calls, weak.explored) == (12, 19)
+    assert (calls, weak.explored) == (0, 1)
+
+    def walked():
+        search = solvers._Search(cl.ToleranceCheck(g, T11), True)
+        return _floor_raising_walk(search), search.explored
+
+    calls, walk = evaluated(g, walked)
+    assert (calls, walk) == (12, (weak.witness, 19))
     calls, strong = evaluated(g, lambda: max_contraction_exact(g, Tolerance(1, 2)))
     assert (calls, strong.explored) == (292, 1110)
     cells = [(l, r) for l in range(3) for r in range(4) if (l, r) not in ((0, 0), (2, 3))]
@@ -660,4 +713,5 @@ def test_search_distance_evaluations_pinned(monkeypatch):
         gadget, lambda: sum(1 for _ in enumerate_valid_weak_contractions(gadget, T11))
     )
     assert (calls, valid) == (501, 291)
-    assert searches == [(0, 0), (0, 0), (0, 0)]
+    # the closed form's one verdict runs one search: its set merges every vertex
+    assert searches == [(1, 0), (0, 0), (0, 0), (0, 0)]
