@@ -14,7 +14,6 @@ from .graphs import (
     Graph,
     GraphFormatError,
     complete_bipartite,
-    connected_components,
     cycle_graph,
     generate_planted_biclique,
     generate_random_bipartite,

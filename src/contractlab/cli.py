@@ -30,15 +30,14 @@ from .graphs import (
     _COUNT_RE,
     _INTEGER_RE,
     complete_bipartite,
-    connected_components,
     cycle_graph,
     generate_planted_biclique,
     generate_random_bipartite,
-    is_connected,
     parse_graph,
     parse_rational,
     path_graph,
     render_graph,
+    require_connected,
 )
 from .contraction import Tolerance, violation_witness
 from .solvers import (
@@ -241,18 +240,23 @@ def cmd_verify(args) -> int:
 
 
 def _split_for_solving(g: Graph) -> list[tuple[Graph, list[int]]]:
-    """Connected pieces of g with their edge-id maps back to g.
+    """Connected pieces of g that carry an edge, with their edge-id maps back to g.
 
-    Component vertices are renumbered in ascending order, which preserves the
-    canonical edge order, so subgraph edge id i maps to edge_map[i].
+    The edges' endpoints, then each component's vertices, are renumbered in
+    ascending order, which preserves the canonical edge order, so subgraph
+    edge id i maps to edge_map[i].  No vertex without an edge is visited.
     """
-    out = []
-    for comp in connected_components(g):
-        index = {v: i for i, v in enumerate(comp)}
-        edge_map = [eid for eid, (u, _, _) in enumerate(g.edges) if u in index]
-        sub = Graph(len(comp), tuple((index[u], index[v], w) for u, v, w in g.edges if u in index))
-        out.append((sub, edge_map))
-    return out
+    core, _ = _renumbered(g, sorted({x for u, v, _ in g.edges for x in (u, v)}))
+    return [_renumbered(core, comp) for comp in core.components]
+
+
+def _renumbered(g: Graph, kept: list[int]) -> tuple[Graph, list[int]]:
+    """The subgraph of g on the ascending vertex list ``kept``, with vertex
+    kept[i] as i, and the ids in g of its edges."""
+    index = {v: i for i, v in enumerate(kept)}
+    ids = [eid for eid, (u, _, _) in enumerate(g.edges) if u in index]
+    edges = tuple((index[u], index[v], w) for u, v, w in map(g.edges.__getitem__, ids))
+    return Graph(len(kept), edges), ids
 
 
 def cmd_solve(args) -> int:
@@ -284,9 +288,7 @@ def cmd_solve(args) -> int:
         )
     tolerance = Tolerance(args.alpha, args.beta)
     solver = max_contraction_exact if problem == "cont" else max_weak_contraction_exact
-    pieces = [
-        (sub, emap) for sub, emap in _split_for_solving(g) if sub.edge_count > 0
-    ]
+    pieces = _split_for_solving(g)
 
     solved = []
     for sub, emap in pieces:
@@ -316,8 +318,7 @@ def cmd_reduce(args) -> int:
     g = _load_graph(args.graph)
     if not isinstance(g, BipartiteGraph):
         raise ValueError("reduce needs a bipartite instance")
-    if not is_connected(g.to_graph()):
-        raise DisconnectedGraphError("reduce requires a connected instance")
+    require_connected(g.to_graph(), "reduce requires a connected instance")
     out_path = Path(args.out)
     sidecar = out_path.with_name(out_path.name + ".provenance.json")
     # the graph is written first, and a missing directory or a directory at

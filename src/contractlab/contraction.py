@@ -25,10 +25,10 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
 from .graphs import (
-    DisconnectedGraphError,
     DistanceMatrix,
     Graph,
     is_connected,  # not called here; kept as contraction.is_connected, which bench/ reads
+    require_connected,
 )
 
 
@@ -200,13 +200,10 @@ class ToleranceCheck:
     """
 
     def __init__(self, g: Graph, tolerance: Tolerance):
-        # too few edges to connect: refused before the O(n^2) base rows
-        if g.edge_count < g.vertex_count - 1:
-            raise DisconnectedGraphError("tolerance checks require a connected graph")
+        # refused before the O(n^2) base rows
+        require_connected(g, "tolerance checks require a connected graph")
         engine = g.distances
-        self.base_scaled = base = engine.base
-        if base and -1 in base[0]:
-            raise DisconnectedGraphError("tolerance checks require a connected graph")
+        self.base_scaled = engine.base
         self.graph = g
         n = g.vertex_count
         m = g.edge_count

@@ -7,9 +7,10 @@ engine, ``ScaledDistances``, which works in integers after scaling all weights
 by the lcm of their denominators; Fractions are made only when a distance
 leaves it.  A graph builds its engine once (``Graph.distances``), the engine
 walks the graph's own incidence lists (``Graph.adjacency``) and it computes its
-uncontracted rows once (``ScaledDistances.base``); all live as long as the
-graph and are shared, never copied.  The engine also keeps the rows of
-the last contracted edge mask it was asked about (``ScaledDistances.row``).
+uncontracted rows once (``ScaledDistances.base``); a graph also finds its
+components once (``Graph.components``).  All live as long as the graph and are
+shared, never copied.  The engine also keeps the rows of the last contracted
+edge mask it was asked about (``ScaledDistances.row``).
 Unreachable pairs get the distinguished value ``UNREACHABLE`` (``math.inf``),
 which orders above every rational and saturates under addition.
 """
@@ -150,6 +151,26 @@ class Graph:
         return adj
 
     @cached_property
+    def components(self) -> list[list[int]]:
+        """Vertex lists of the connected components, each sorted, ordered by
+        minimum vertex, found once: shared, so none may be mutated."""
+        adj = self.adjacency
+        seen = [False] * self.vertex_count
+        comps: list[list[int]] = []
+        for s in range(self.vertex_count):
+            if seen[s]:
+                continue
+            seen[s] = True
+            comp = [s]
+            for u in comp:  # a breadth-first search over the growing list
+                for v, _ in adj[u]:
+                    if not seen[v]:
+                        seen[v] = True
+                        comp.append(v)
+            comps.append(sorted(comp))
+        return comps
+
+    @cached_property
     def distances(self) -> "ScaledDistances":
         """The graph's distance engine, built on first use and kept with the graph."""
         return ScaledDistances(self)
@@ -254,9 +275,6 @@ class DistanceMatrix:
     def __getitem__(self, pair: tuple[int, int]) -> Fraction | float:
         u, v = pair
         return self.values[u][v]
-
-    def is_reachable(self, u: int, v: int) -> bool:
-        return self.values[u][v] != UNREACHABLE
 
 
 class ScaledDistances:
@@ -373,32 +391,18 @@ def shortest_distances(g: Graph) -> DistanceMatrix:
 def is_connected(g: Graph) -> bool:
     """True iff the graph has exactly one connected component.
 
-    The empty graph (no vertices) counts as connected.
+    The empty graph (no vertices) counts as connected.  Fewer than n - 1 edges
+    cannot connect n vertices, so those counts decide before any per-vertex
+    list is built.
     """
-    return len(connected_components(g)) <= 1
+    return g.edge_count >= g.vertex_count - 1 and len(g.components) <= 1
 
 
-def connected_components(g: Graph) -> list[list[int]]:
-    """Vertex lists of the connected components, each sorted, ordered by minimum vertex."""
-    n = g.vertex_count
-    adj = g.adjacency
-    seen = [False] * n
-    comps: list[list[int]] = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        comp = [s]
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for v, _ in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    stack.append(v)
-        comps.append(sorted(comp))
-    return comps
+def require_connected(g: Graph, message: str) -> None:
+    """Raise DisconnectedGraphError(message) unless ``is_connected(g)``: the
+    one connectivity refusal of the package."""
+    if not is_connected(g):
+        raise DisconnectedGraphError(message)
 
 
 # ----------------------------------------------------------------------------

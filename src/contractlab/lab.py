@@ -43,7 +43,6 @@ from pathlib import Path
 from .graphs import (
     Biclique,
     BipartiteGraph,
-    DisconnectedGraphError,
     Graph,
     complete_bipartite,
     cycle_graph,
@@ -52,6 +51,7 @@ from .graphs import (
     parse_graph,
     parse_rational,
     path_graph,
+    require_connected,
 )
 from .contraction import Tolerance, ToleranceCheck
 from .solvers import (
@@ -221,8 +221,7 @@ def _require_path_graph(g: Graph) -> None:
     """Refuse a graph the path claims are not defined on."""
     if not g.has_unit_weights():
         raise ValueError("path claim checks require unit weights")
-    if not is_connected(g):
-        raise DisconnectedGraphError("path claim checks require a connected graph")
+    require_connected(g, "path claim checks require a connected graph")
 
 
 def _sorted_valid_sets(g: Graph, cap_edges: int) -> tuple[tuple[int, ...], ...]:
@@ -705,9 +704,9 @@ def validate_suite(config) -> None:
     each instance needs a known family, that family's keys with values in range
     (sizes non-negative, a cycle's ``n`` at least 3, ``prob`` an integer or
     ``p/q`` string in [0, 1]), and a list of known claim ids.  Optional
-    ``betas`` must be a list of integers or ``p/q`` strings and ``trials`` a
-    non-negative integer; an instance holds no other keys.  No boolean
-    counts as an integer and no float is accepted.
+    ``betas`` must be a list of positive integers or ``p/q`` strings and
+    ``trials`` a non-negative integer; an instance holds no other keys.  No
+    boolean counts as an integer and no float is accepted.
     """
     if not isinstance(config, dict):
         raise ValueError("suite: the top level must be an object")
@@ -741,8 +740,8 @@ def validate_suite(config) -> None:
             if key not in keys and key not in _INSTANCE_KEYS:
                 raise ValueError(f"{where}.{key} is not a key of family {family!r}")
         betas = entry.get("betas", [])
-        if not isinstance(betas, list) or not all(_is_rational(beta) for beta in betas):
-            raise ValueError(f"{where}.betas must be a list of integers or p/q strings")
+        if not isinstance(betas, list) or not all(_is_rational(b) and Fraction(b) > 0 for b in betas):
+            raise ValueError(f"{where}.betas must be a list of positive integers or p/q strings")
         trials = entry.get("trials", 0)
         if not _is_count(trials):
             raise ValueError(f"{where}.trials must be a non-negative integer")

@@ -20,13 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .graphs import (
-    Biclique,
-    BipartiteGraph,
-    DisconnectedGraphError,
-    Graph,
-    is_connected,
-)
+from .graphs import Biclique, BipartiteGraph, Graph, require_connected
 from .contraction import (
     Tolerance,
     ViolationWitness,
@@ -96,8 +90,7 @@ def build_gadget(g: BipartiteGraph, weight=1) -> GadgetGraph:
     if w <= 0:
         raise ValueError(f"gadget weight must be positive, got {weight}")
     core = g.to_graph()
-    if not is_connected(core):
-        raise DisconnectedGraphError("gadget construction requires a connected graph")
+    require_connected(core, "gadget construction requires a connected graph")
     n = core.vertex_count
     pendant_map = tuple(range(n, 2 * n))
     # the core's edges, then each core vertex v's pendant edge (v, n + v)

@@ -66,12 +66,14 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
-from .graphs import Biclique, BipartiteGraph, DisconnectedGraphError, Graph, is_connected
-# is_weak_contraction is not called here; kept as solvers.is_weak_contraction, which bench/ reads
+# is_connected and is_weak_contraction are not called here; kept as
+# solvers.is_connected and solvers.is_weak_contraction, which bench/ reads
+from .graphs import Biclique, BipartiteGraph, Graph, is_connected, require_connected
 from .contraction import Tolerance, ToleranceCheck, is_weak_contraction
 
 DEFAULT_EDGE_CAP = 20
 DEFAULT_SIDE_CAP = 20
+_SPLIT_FIRST = "solver requires a connected graph; split into components first"
 
 
 class CapExceededError(ValueError):
@@ -94,13 +96,6 @@ class SolveResult:
     witness: tuple[int, ...] | Biclique
     explored: int
     elapsed: float
-
-
-def _require_connected(g: Graph) -> None:
-    if not is_connected(g):
-        raise DisconnectedGraphError(
-            "solver requires a connected graph; split into components first"
-        )
 
 
 def _require_cap(m: int, cap: int, what: str) -> None:
@@ -395,7 +390,7 @@ def _suffix_bounds(search: _Search) -> tuple[list[int], tuple[int, ...] | None]:
 
 
 def _max_valid_set(g: Graph, tolerance: Tolerance, cap: int, weak: bool) -> SolveResult:
-    _require_connected(g)
+    require_connected(g, _SPLIT_FIRST)
     if weak and g.edge_count == 0:
         raise ValueError(
             "weak contraction needs at least one edge: no proper subset exists"
@@ -458,7 +453,7 @@ def enumerate_valid_weak_contractions(
     ... whenever those are valid.  Branches that provably contain no valid
     superset (a failing pair that can never be merged) are skipped.
     """
-    _require_connected(g)
+    require_connected(g, _SPLIT_FIRST)
     _require_cap(g.edge_count, cap, "edge count")
     m = g.edge_count
     yield from _Search(ToleranceCheck(g, tolerance), True).walk([-1], list(range(m, -1, -1)))

@@ -6,11 +6,13 @@ import csv
 import errno
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -45,6 +47,25 @@ def c4(tmp_path):
 @pytest.fixture()
 def k22(tmp_path):
     return write(tmp_path, "k22.txt", cl.render_graph(cl.complete_bipartite(2, 2)))
+
+
+# a header whose vertices no per-vertex list could hold
+HUGE = "99999999999999999999"
+
+
+@pytest.fixture()
+def no_huge_adjacency(monkeypatch):
+    """Building the adjacency of a graph on more than 10**6 vertices fails the
+    test before anything is allocated."""
+    build = cl.Graph.adjacency.func
+
+    def guarded(g):
+        assert g.vertex_count <= 10**6, f"built the adjacency of {g.vertex_count} vertices"
+        return build(g)
+
+    adjacency = cached_property(guarded)
+    adjacency.__set_name__(cl.Graph, "adjacency")
+    monkeypatch.setattr(cl.Graph, "adjacency", adjacency)
 
 
 # ---------------------------------------------------------------------------
@@ -146,17 +167,21 @@ def test_verify_exit_matrix(tmp_path, p3):
 @pytest.mark.parametrize("weak", [(), ("--weak",)], ids=["strong", "weak"])
 def test_verify_refuses_too_few_edges_before_any_search(tmp_path, capsys, monkeypatch, weak):
     # 20000 vertices and one edge cannot be connected: refused from the
-    # counts alone, before the O(n^2) base rows (a search here fails the test)
+    # counts alone, before the O(n^2) base rows (a search here fails the
+    # test); K_64 plus 1,936 isolated vertices has 2,016 edges, enough for
+    # its 2,000 vertices, and is refused from its components instead
     def no_search(self, src, cmask=0):
         raise AssertionError("searched a graph that cannot be connected")
 
     monkeypatch.setattr(ScaledDistances, "from_source", no_search)
-    graph = write(tmp_path, "g.txt", "graph 20000 1\n0 1\n")
+    k64 = cl.Graph(2000, tuple(itertools.combinations(range(64), 2)))
     ids = write(tmp_path, "c.txt", "0\n")
-    assert run_cli("verify", graph, ids, *weak) == 1
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err == "refused: tolerance checks require a connected graph\n"
+    for text in ("graph 20000 1\n0 1\n", cl.render_graph(k64)):
+        graph = write(tmp_path, "g.txt", text)
+        assert run_cli("verify", graph, ids, *weak) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "refused: tolerance checks require a connected graph\n"
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +225,21 @@ def test_solve_splits_disconnected_components(tmp_path, capsys):
     assert payload["objective"] == 2
     assert len(payload["components"]) == 2
     assert payload["witness"] == [0, 2]
+
+
+def test_solve_visits_only_vertices_with_an_edge(tmp_path, capsys, no_huge_adjacency):
+    graph = write(tmp_path, "g.txt", f"graph {HUGE} 0\n")
+    assert run_cli("solve", graph, "--problem", "cont") == 0
+    assert capsys.readouterr().out == "objective 0\nwitness []\n"
+    # edges far apart solve as the same two pieces on five vertices
+    n = int(HUGE)
+    far = write(tmp_path, "far.txt", f"graph {HUGE} 3\n0 1\n1 {n - 4}\n{n - 2} {n - 1}\n")
+    near = write(tmp_path, "near.txt", "graph 5 3\n0 1\n1 2\n3 4\n")
+    outputs = []
+    for path in (far, near):
+        assert run_cli("solve", path, "--problem", "weakcont", "--format", "json") == 0
+        outputs.append(json.loads(capsys.readouterr().out))
+    assert outputs[0] == outputs[1] and len(outputs[0]["components"]) == 2
 
 
 def test_solve_threads_do_not_change_output(tmp_path, capsys):
@@ -284,6 +324,14 @@ def test_reduce_refuses_disconnected(tmp_path):
     gfile = write(tmp_path, "dis.txt", cl.render_graph(b))
     assert run_cli("reduce", gfile, "--construction", "gadget", "--out", str(tmp_path / "x")) == 1
     assert run_cli("reduce", gfile, "--construction", "tensor", "--out", str(tmp_path / "x")) == 1
+
+
+def test_reduce_refuses_huge_edgeless_header_at_once(tmp_path, capsys, no_huge_adjacency):
+    gfile = write(tmp_path, "huge.txt", f"bipartite {HUGE} 1 0\n")
+    out = tmp_path / "x"
+    assert run_cli("reduce", gfile, "--construction", "gadget", "--out", str(out)) == 1
+    assert capsys.readouterr().err == "refused: reduce requires a connected instance\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("directory", ["r.txt.provenance.json", "r.txt"])
@@ -768,6 +816,9 @@ _COROLLARY = {
         ({"instance": [dict(_COROLLARY)]}, "suite: instance is not"),
         # rationals are ASCII decimal: an Arabic-Indic three is not 3
         ({"instances": [dict(_COROLLARY, betas=["\u0663"])]}, "instances[0].betas"),
+        # the corollary is stated for positive beta only: refused before any run
+        ({"instances": [dict(_COROLLARY, betas=["0", "-1/2"])]}, "instances[0].betas"),
+        ({"instances": [dict(_COROLLARY, betas=[1, -2])]}, "instances[0].betas"),
     ],
 )
 def test_lab_malformed_suite_exit_two(tmp_path, capsys, config, where):
@@ -776,6 +827,25 @@ def test_lab_malformed_suite_exit_two(tmp_path, capsys, config, where):
     err = capsys.readouterr().err
     assert err.startswith("error: suite") and where in err
     assert "Traceback" not in err
+
+
+def test_lab_file_instance_refuses_huge_edgeless_header(tmp_path, capsys, no_huge_adjacency):
+    # every claim that needs a connected graph refuses it from the counts
+    huge = write(tmp_path, "huge.txt", f"bipartite {HUGE} 1 0\n")
+    claims = [
+        "path-lemma", "path-lemma-shortest", "biclique-lemma",
+        "thm6-soundness", "thm6-completeness", "corollary-scaling",
+    ]
+    suite = write(tmp_path, "suite.json", json.dumps(
+        {"instances": [{"family": "file", "path": huge, "claims": claims}]}
+    ))
+    out = tmp_path / "o"
+    assert run_cli("lab", "--suite", suite, "--out", str(out)) == 0
+    assert capsys.readouterr().out.startswith("6 reports: 0 holds, 0 counterexamples, 0 vacuous, 6 errors\n")
+    reports = json.loads((out / "reports.json").read_text(encoding="utf-8"))
+    assert [r["claim"] for r in reports] == claims
+    for r in reports:
+        assert r["witness"]["error"].startswith("DisconnectedGraphError: ")
 
 
 @pytest.mark.parametrize(

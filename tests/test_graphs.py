@@ -25,7 +25,7 @@ from contractlab import (
     render_graph,
     shortest_distances,
 )
-from contractlab.graphs import ScaledDistances
+from contractlab.graphs import ScaledDistances, require_connected
 from contractlab.solvers import RowPacking
 
 import naive
@@ -109,12 +109,12 @@ def test_unreachable_pairs():
     g = Graph(3, ((0, 1),))
     dm = shortest_distances(g)
     assert dm[0, 2] == UNREACHABLE
-    assert not dm.is_reachable(1, 2)
+    assert dm[1, 2] == UNREACHABLE
     # uniform weight 2 (scaled BFS) and mixed rational weights (Dijkstra)
     uniform = Graph(4, ((0, 1, 2), (2, 3, 2)))
     dm = shortest_distances(uniform)
     assert dm[0, 2] == UNREACHABLE and dm[0, 1] == 2 and dm[3, 2] == 2
-    assert not dm.is_reachable(1, 3) and dm.is_reachable(2, 3)
+    assert dm[1, 3] == UNREACHABLE and dm[2, 3] != UNREACHABLE
     mixed = Graph(5, ((0, 1, Fraction(1, 2)), (1, 2, 3), (3, 4, Fraction(2, 3))))
     dm = shortest_distances(mixed)
     assert dm[0, 2] == Fraction(7, 2) and dm[4, 3] == Fraction(2, 3)
@@ -286,6 +286,18 @@ def test_is_connected_basic():
     assert not is_connected(Graph(2))
     assert is_connected(Graph(1))
     assert is_connected(Graph(0))
+
+
+def test_components_found_once():
+    g = Graph(6, ((4, 5), (0, 2)))
+    assert g.components == [[0, 2], [1], [3], [4, 5]]
+    assert g.components is g.components
+    with pytest.raises(cl.DisconnectedGraphError, match="^no way through$"):
+        require_connected(g, "no way through")
+    require_connected(cl.path_graph(3), "unused")
+    # fewer than n - 1 edges decide from the counts: no incidence list is built
+    sparse = Graph(10**20, ((0, 1),))
+    assert not is_connected(sparse) and "adjacency" not in sparse.__dict__
 
 
 def test_gadget_of_connected_bipartite_is_connected():
