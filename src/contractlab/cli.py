@@ -125,7 +125,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_lab.set_defaults(func=cmd_lab)
 
-    p_gen = sub.add_parser("gen", help="generate an instance")
+    p_gen = sub.add_parser(
+        "gen", help="generate an instance",
+        description=f"Generate an instance of at most {GEN_MAX_EDGES} edges.",
+    )
     p_gen.add_argument("--family", required=True, choices=_GEN_FAMILIES)
     p_gen.add_argument("--left", type=_positive_int)
     p_gen.add_argument("--right", type=_positive_int)
@@ -246,17 +249,23 @@ def _split_for_solving(g: Graph) -> list[tuple[Graph, list[int]]]:
     ascending order, which preserves the canonical edge order, so subgraph
     edge id i maps to edge_map[i].  No vertex without an edge is visited.
     """
-    core, _ = _renumbered(g, sorted({x for u, v, _ in g.edges for x in (u, v)}))
-    return [_renumbered(core, comp) for comp in core.components]
+    [(core, _)] = _pieces(g, [sorted({x for u, v, _ in g.edges for x in (u, v)})])
+    return _pieces(core, core.components)
 
 
-def _renumbered(g: Graph, kept: list[int]) -> tuple[Graph, list[int]]:
-    """The subgraph of g on the ascending vertex list ``kept``, with vertex
-    kept[i] as i, and the ids in g of its edges."""
-    index = {v: i for i, v in enumerate(kept)}
-    ids = [eid for eid, (u, _, _) in enumerate(g.edges) if u in index]
-    edges = tuple((index[u], index[v], w) for u, v, w in map(g.edges.__getitem__, ids))
-    return Graph(len(kept), edges), ids
+def _pieces(g: Graph, blocks: list[list[int]]) -> list[tuple[Graph, list[int]]]:
+    """The subgraphs of g on the disjoint ascending vertex lists ``blocks``,
+    each edge's two ends in one of them, with vertex blocks[c][i] as i in
+    piece c and the ids in g of piece c's edges.  One pass over the edges
+    fills every piece."""
+    where = {v: (c, i) for c, block in enumerate(blocks) for i, v in enumerate(block)}
+    edges: list[list] = [[] for _ in blocks]
+    ids: list[list[int]] = [[] for _ in blocks]
+    for eid, (u, v, w) in enumerate(g.edges):
+        c, i = where[u]
+        edges[c].append((i, where[v][1], w))
+        ids[c].append(eid)
+    return [(Graph(len(block), tuple(e)), i) for block, e, i in zip(blocks, edges, ids)]
 
 
 def cmd_solve(args) -> int:
@@ -398,27 +407,37 @@ def cmd_lab(args) -> int:
     return 1 if regressions or unreadable else 0
 
 
+# The most edges gen builds, checked from the size flags before anything is
+# built.  A path of a million edges peaks at 389 MB and takes 4.5 s to build
+# and render (Python 3.11, x86-64); the solvers and the lab take at most a
+# few dozen edges.
+GEN_MAX_EDGES = 1_000_000
+
 # gen's families, in --family's order: the size flags each needs, the other
-# flags it reads with their defaults, and a builder of (graph, planted witness
-# or None).  Every other flag in _GEN_FLAGS is refused if given, --plant-out
-# too: only the planted family has a witness to write.
+# flags it reads with their defaults, the most edges the sizes let it build,
+# and a builder of (graph, planted witness or None).  Every other flag in
+# _GEN_FLAGS is refused if given, --plant-out too: only the planted family
+# has a witness to write.
 _GEN_FAMILIES = {
     "random-bipartite": (
         ("left", "right"),
         {"prob": Fraction(1, 2), "seed": 0},
+        lambda a: a.left * a.right,
         lambda a: (generate_random_bipartite(a.left, a.right, a.prob, a.seed), None),
     ),
     "planted": (
         ("left", "right"),
         {"plant_left": 0, "plant_right": 0, "noise": Fraction(0), "seed": 0, "plant_out": None},
+        lambda a: a.left * a.right,
         lambda a: generate_planted_biclique(
             a.left, a.right, a.plant_left, a.plant_right, a.noise, a.seed
         ),
     ),
-    "path": (("n",), {}, lambda a: (path_graph(a.n), None)),
-    "cycle": (("n",), {}, lambda a: (cycle_graph(a.n), None)),
+    "path": (("n",), {}, lambda a: a.n - 1, lambda a: (path_graph(a.n), None)),
+    "cycle": (("n",), {}, lambda a: a.n, lambda a: (cycle_graph(a.n), None)),
     "complete-bipartite": (
-        ("left", "right"), {}, lambda a: (complete_bipartite(a.left, a.right), None)
+        ("left", "right"), {}, lambda a: a.left * a.right,
+        lambda a: (complete_bipartite(a.left, a.right), None),
     ),
 }
 _GEN_FLAGS = (
@@ -427,7 +446,7 @@ _GEN_FLAGS = (
 
 
 def cmd_gen(args) -> int:
-    sizes, optional, build = _GEN_FAMILIES[args.family]
+    sizes, optional, most_edges, build = _GEN_FAMILIES[args.family]
     for name in sizes:
         if getattr(args, name) is None:
             raise ValueError(f"--{name} is required for family {args.family}")
@@ -435,6 +454,12 @@ def cmd_gen(args) -> int:
         if name not in sizes and name not in optional and getattr(args, name) is not None:
             flag = "--" + name.replace("_", "-")
             raise ValueError(f"{flag} is not read by family {args.family}")
+    edges = most_edges(args)
+    if edges > GEN_MAX_EDGES:
+        raise ValueError(
+            f"family {args.family} would build up to {edges} edges, "
+            f"over gen's bound of {GEN_MAX_EDGES}"
+        )
     for name, default in optional.items():
         if getattr(args, name) is None:
             setattr(args, name, default)

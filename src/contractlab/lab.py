@@ -3,7 +3,11 @@
 Each check enumerates everything relevant on one instance (valid weak
 contractions, paths, bicliques) with independent machinery and reports
 holds / counterexample / vacuous, where "vacuous" means the claim's
-hypothesis matched nothing.  A counterexample report always carries enough
+hypothesis matched nothing.  The suite builds what an instance's claims
+share once: both path claims read one enumeration of valid sets, and the
+gadget claims one gadget and one weak search of it at (1,1), so theorem 6's
+weak optimum walks partitions the biclique-lemma enumeration already
+evaluated, merged and scanned.  A counterexample report always carries enough
 witness data to re-verify it from scratch.  All checks are deterministic
 functions of their inputs, so suite reports can be pinned and diffed.
 
@@ -58,10 +62,12 @@ from .solvers import (
     DEFAULT_EDGE_CAP,
     DEFAULT_SIDE_CAP,
     _require_cap,
+    _Search,
     enumerate_valid_weak_contractions,
     max_balanced_biclique_exact,
     max_edge_biclique_exact,
     max_weak_contraction_exact,
+    weak_search,
 )
 from .reductions import (
     GadgetGraph,
@@ -309,20 +315,25 @@ def check_biclique_lemma(
     cap_edges: int = DEFAULT_EDGE_CAP,
     instance: dict | None = None,
     gadget: GadgetGraph | None = None,
+    search: _Search | None = None,
 ) -> LabReport:
     """Does every valid weak contraction of the unit gadget with more than one
     edge contract a complete biclique of the core?
 
     Enumerates valid sets in lexicographic order and stops at the first one
     whose edges do not form a core biclique.  Vacuous when no valid set has
-    more than one edge.  ``gadget``, when given, must be ``build_gadget(g, 1)``.
+    more than one edge.  ``gadget``, when given, must be ``build_gadget(g, 1)``,
+    and ``search`` a ``weak_search`` of its combined graph at (1,1).
     """
     t0 = time.perf_counter()
     inst = _adhoc_instance(instance)
     bg = build_gadget(g, 1) if gadget is None else gadget
     enumerated = 0
     matched = False
-    for cand in enumerate_valid_weak_contractions(bg.combined, _UNIT_TOLERANCE, cap_edges):
+    valid_sets = enumerate_valid_weak_contractions(
+        bg.combined, _UNIT_TOLERANCE, cap_edges, search=search
+    )
+    for cand in valid_sets:
         enumerated += 1
         if len(cand) <= 1:
             continue
@@ -349,6 +360,7 @@ def check_theorem6(
     instance: dict | None = None,
     biclique_report: LabReport | None = None,
     gadget: GadgetGraph | None = None,
+    search: _Search | None = None,
 ) -> tuple[LabReport, LabReport]:
     """Adjudicate both directions of the gadget reduction on one instance.
 
@@ -358,7 +370,9 @@ def check_theorem6(
     contracting a maximum-edge biclique of the gadget verifies as a valid
     weak contraction; the verifier's verdict is recorded either way and the
     witness carries everything needed to re-check it.  ``gadget``, when
-    given, must be ``build_gadget(g, 1)``.
+    given, must be ``build_gadget(g, 1)``, and ``search`` a ``weak_search``
+    of its combined graph at (1,1): the weak optimum then walks partitions
+    the biclique claim's enumeration already evaluated.
     """
     t0 = time.perf_counter()
     inst = _adhoc_instance(instance)
@@ -366,10 +380,12 @@ def check_theorem6(
     meb_core = max_edge_biclique_exact(g, side_cap)
     view, _, _ = bg.bipartition
     meb_gadget = max_edge_biclique_exact(view, side_cap)
-    optimum = max_weak_contraction_exact(bg.combined, _UNIT_TOLERANCE, cap_edges)
+    optimum = max_weak_contraction_exact(bg.combined, _UNIT_TOLERANCE, cap_edges, search=search)
     lemma = biclique_report
     if lemma is None:
-        lemma = check_biclique_lemma(g, cap_edges=cap_edges, instance=instance, gadget=bg)
+        lemma = check_biclique_lemma(
+            g, cap_edges=cap_edges, instance=instance, gadget=bg, search=search
+        )
 
     evidence = {
         "meb_core": meb_core.objective,
@@ -779,16 +795,22 @@ class _Instance:
         return build_gadget(self.obj, 1)
 
     @cached_property
+    def search(self) -> _Search:
+        """One weak search of the gadget at (1,1) for both gadget claims."""
+        return weak_search(self.gadget.combined, _UNIT_TOLERANCE, self.cap_edges)
+
+    @cached_property
     def biclique(self) -> LabReport:
         return check_biclique_lemma(
-            self.obj, cap_edges=self.cap_edges, instance=self.desc, gadget=self.gadget
+            self.obj, cap_edges=self.cap_edges, instance=self.desc, gadget=self.gadget,
+            search=self.search,
         )
 
     @cached_property
     def theorem6(self) -> tuple[LabReport, LabReport]:
         return check_theorem6(
             self.obj, cap_edges=self.cap_edges, instance=self.desc,
-            biclique_report=self.biclique, gadget=self.gadget,
+            biclique_report=self.biclique, gadget=self.gadget, search=self.search,
         )
 
 

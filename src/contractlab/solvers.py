@@ -34,8 +34,9 @@ subset of a valid set may fail), so weak mode has no suffix bound and takes
 no other shortcut; equivalence with plain power-set filtering is part of the
 test suite.  Induced distances, and so the failing pairs, depend only on the
 vertex partition a set induces, so each search (``_Search``, shared by every
-walk of one solve) evaluates a partition once and reuses the result for
-every other set inducing it.  A child's induced distances are derived from
+walk of one solve, and by the weak calls handed one from ``weak_search``)
+evaluates a partition once and reuses the result for every other set
+inducing it.  A child's induced distances are derived from
 its parent's, so a search runs no BFS or Dijkstra.  The walker is one
 generator frame driving an explicit stack of open nodes, not a generator per
 node, and it holds a partition as a str of block labels: a merge is one
@@ -85,10 +86,12 @@ class SolveResult:
     """Outcome of a solver run.
 
     ``witness`` is a sorted tuple of edge ids (contraction problems) or a
-    Biclique; ``explored`` counts search nodes and is deterministic (a strong
-    contraction solve sums the nodes of all its walks: one per suffix bound
-    and, if one runs, the final one; a weak solve in closed form, on a graph
-    with a cycle, counts the sets it tested, m - j for witness E - {j}),
+    Biclique; ``explored`` counts the search nodes of this call alone and is
+    deterministic (a strong contraction solve sums the nodes of all its
+    walks: one per suffix bound and, if one runs, the final one; a weak solve
+    in closed form, on a graph with a cycle, counts the sets it tested, m - j
+    for witness E - {j}).  A walk counts the nodes it visits, memoised or
+    not, so a solve handed a shared search counts what a fresh one would.
     ``elapsed`` is wall time in seconds and is never compared.
     """
 
@@ -101,6 +104,13 @@ class SolveResult:
 def _require_cap(m: int, cap: int, what: str) -> None:
     if m > cap:
         raise CapExceededError(f"{what} {m} exceeds the enumeration cap ({cap})")
+
+
+def _refuse(g: Graph, cap: int) -> None:
+    """The refusals of every contraction search, in order: a disconnected
+    graph, then one with more edges than ``cap``."""
+    require_connected(g, _SPLIT_FIRST)
+    _require_cap(g.edge_count, cap, "edge count")
 
 
 def _last_child(labels: str, g: Graph, pairs) -> int:
@@ -282,7 +292,7 @@ class _Search:
     """
 
     def __init__(self, check: ToleranceCheck, weak: bool) -> None:
-        self.edges, self.weak, self.m = check.graph.edges, weak, check.m
+        self.check, self.edges, self.weak, self.m = check, check.graph.edges, weak, check.m
         self.packing = packing = RowPacking.for_rows(check.base_scaled)
         self.seen: dict[str, tuple[str, int, list[tuple[int, int]], int]] = {}
         self.explored = 0
@@ -389,15 +399,28 @@ def _suffix_bounds(search: _Search) -> tuple[list[int], tuple[int, ...] | None]:
     return bound, first
 
 
-def _max_valid_set(g: Graph, tolerance: Tolerance, cap: int, weak: bool) -> SolveResult:
-    require_connected(g, _SPLIT_FIRST)
+def weak_search(g: Graph, tolerance: Tolerance, cap: int = DEFAULT_EDGE_CAP) -> _Search:
+    """A weak search of ``g`` at ``tolerance``, to hand to the ``search=``
+    keyword of ``max_weak_contraction_exact`` and
+    ``enumerate_valid_weak_contractions``: their walks then share one
+    partition memo, so a partition one of them evaluated costs the other no
+    merge, scan or ``_last_child`` pass.  Refuses as those calls do, before
+    anything is built: a disconnected graph, then one over ``cap`` edges."""
+    _refuse(g, cap)
+    return _Search(ToleranceCheck(g, tolerance), True)
+
+
+def _max_valid_set(
+    g: Graph, tolerance: Tolerance, cap: int, weak: bool, search: _Search | None = None
+) -> SolveResult:
+    if search is None:
+        _refuse(g, cap)
     if weak and g.edge_count == 0:
         raise ValueError(
             "weak contraction needs at least one edge: no proper subset exists"
         )
-    _require_cap(g.edge_count, cap, "edge count")
     t0 = time.perf_counter()
-    check = ToleranceCheck(g, tolerance)
+    check = ToleranceCheck(g, tolerance) if search is None else search.check
     m = g.edge_count
     if weak and m >= g.vertex_count:
         # connected with a cycle: the closed form (module docstring)
@@ -405,7 +428,9 @@ def _max_valid_set(g: Graph, tolerance: Tolerance, cap: int, weak: bool) -> Solv
         j = next(j for j in range(m - 1, -1, -1) if check.is_valid(full ^ (1 << j), True))
         best = (*range(j), *range(j + 1, m))
         return SolveResult(m - 1, best, m - j, time.perf_counter() - t0)
-    search = _Search(check, weak)
+    if search is None:
+        search = _Search(check, weak)
+    before = search.explored
     best = None
     if weak:
         floor = [-1]
@@ -423,7 +448,7 @@ def _max_valid_set(g: Graph, tolerance: Tolerance, cap: int, weak: bool) -> Solv
             f"no valid {what} exists for this tolerance "
             "(possible only when alpha < 1)"
         )
-    return SolveResult(len(best), best, search.explored, time.perf_counter() - t0)
+    return SolveResult(len(best), best, search.explored - before, time.perf_counter() - t0)
 
 
 def max_contraction_exact(
@@ -438,25 +463,30 @@ def max_contraction_exact(
 
 
 def max_weak_contraction_exact(
-    g: Graph, tolerance: Tolerance, cap: int = DEFAULT_EDGE_CAP
+    g: Graph, tolerance: Tolerance, cap: int = DEFAULT_EDGE_CAP, *, search: _Search | None = None
 ) -> SolveResult:
-    """Largest proper edge subset valid in weak mode (merged pairs exempt)."""
-    return _max_valid_set(g, tolerance, cap, weak=True)
+    """Largest proper edge subset valid in weak mode (merged pairs exempt).
+
+    ``search``, when given, must be a search of this same graph and
+    tolerance (``weak_search``); the refusals ran when it was built.
+    """
+    return _max_valid_set(g, tolerance, cap, weak=True, search=search)
 
 
 def enumerate_valid_weak_contractions(
-    g: Graph, tolerance: Tolerance, cap: int = DEFAULT_EDGE_CAP
+    g: Graph, tolerance: Tolerance, cap: int = DEFAULT_EDGE_CAP, *, search: _Search | None = None
 ) -> Iterator[tuple[int, ...]]:
     """Yield exactly the valid proper subsets, in lexicographic order.
 
     Subsets compare as sorted tuples, so the stream starts (), (0,), (0, 1),
     ... whenever those are valid.  Branches that provably contain no valid
     superset (a failing pair that can never be merged) are skipped.
+    ``search``, when given, must be a search of this same graph and
+    tolerance (``weak_search``); the refusals ran when it was built.
     """
-    require_connected(g, _SPLIT_FIRST)
-    _require_cap(g.edge_count, cap, "edge count")
-    m = g.edge_count
-    yield from _Search(ToleranceCheck(g, tolerance), True).walk([-1], list(range(m, -1, -1)))
+    if search is None:
+        search = weak_search(g, tolerance, cap)
+    yield from search.walk([-1], list(range(g.edge_count, -1, -1)))
 
 
 # ----------------------------------------------------------------------------
@@ -477,16 +507,21 @@ def _best_biclique(
     ``value`` must not decrease in either argument, so a node whose subsets
     can hold k - j more vertices stops at the first child j with value(|S| +
     k - j, |T|) <= best and skips a child whose own neighborhood gives no
-    more.  A balanced witness keeps the first |S| vertices of T.
+    more.  A balanced witness keeps the first |S| vertices of T.  T is a
+    mask over the partner side's vertices that have an edge, bit i for the
+    i-th least, so the root's T is every bit and no mask or loop spans the
+    partner side's own size.
     """
     enum_left = b.left_count <= b.right_count
-    k, other = (b.left_count, b.right_count) if enum_left else (b.right_count, b.left_count)
+    k = b.left_count if enum_left else b.right_count
     _require_cap(k, cap, "smaller side size")
     t0 = time.perf_counter()
+    pairs = [(l, r) if enum_left else (r, l) for l, r, _ in b.edges]
+    partners = sorted({y for _, y in pairs})
+    bit = {y: i for i, y in enumerate(partners)}
     nbr = [0] * k
-    for l, r, _ in b.edges:
-        x, y = (l, r) if enum_left else (r, l)
-        nbr[x] |= 1 << y
+    for x, y in pairs:
+        nbr[x] |= 1 << bit[y]
     best_value = 0
     best = Biclique((), ())
     explored = 0
@@ -497,7 +532,7 @@ def _best_biclique(
         size, width = len(s), tmask.bit_count()
         if value(size, width) > best_value:
             best_value = value(size, width)
-            partner = tuple(y for y in range(other) if (tmask >> y) & 1)
+            partner = tuple(y for i, y in enumerate(partners) if (tmask >> i) & 1)
             if balanced:
                 partner = partner[:size]
             subset = tuple(s)
@@ -514,7 +549,7 @@ def _best_biclique(
             visit(s, nt, j + 1)
             s.pop()
 
-    visit([], (1 << other) - 1, 0)
+    visit([], (1 << len(partners)) - 1, 0)
     return SolveResult(best_value, best, explored, time.perf_counter() - t0)
 
 

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import contractlab as cl
+from contractlab import cli
 from contractlab.cli import main
 from contractlab.graphs import ScaledDistances
 from contractlab.lab import LabReport, instance_key, summarize
@@ -242,6 +243,45 @@ def test_solve_visits_only_vertices_with_an_edge(tmp_path, capsys, no_huge_adjac
     assert outputs[0] == outputs[1] and len(outputs[0]["components"]) == 2
 
 
+def test_solve_many_components_match_their_pieces(tmp_path, capsys):
+    # 1,200 components, each followed by a vertex without an edge: the split
+    # reads the edges once, not once per component, and each piece solves as
+    # it would alone, its edge ids shifted by the edges before it
+    pieces = [cl.path_graph(3), cl.cycle_graph(3), cl.path_graph(2)] * 400
+    edges, base = [], 0
+    for piece in pieces:
+        edges += [(base + u, base + v) for u, v, _ in piece.edges]
+        base += piece.vertex_count + 1
+    gfile = write(tmp_path, "g.txt", cl.render_graph(cl.Graph(base, tuple(edges))))
+    t11 = cl.Tolerance(1, 1)
+    for problem, solver in (
+        ("cont", cl.max_contraction_exact), ("weakcont", cl.max_weak_contraction_exact)
+    ):
+        assert run_cli("solve", gfile, "--problem", problem, "--format", "json") == 0
+        payload = json.loads(capsys.readouterr().out)
+        components, explored, offset = [], 0, 0
+        for piece in pieces:
+            res = solver(piece, t11)
+            components.append(
+                {"objective": res.objective, "witness": [offset + e for e in res.witness]}
+            )
+            explored += res.explored
+            offset += piece.edge_count
+        assert payload["components"] == components
+        assert payload["witness"] == [e for c in components for e in c["witness"]]
+        assert payload["objective"] == sum(c["objective"] for c in components)
+        assert payload["explored"] == explored
+
+
+@pytest.mark.parametrize("problem", ["meb", "mbb"])
+def test_solve_biclique_on_huge_edgeless_header(tmp_path, capsys, no_huge_adjacency, problem):
+    # the partner side's size enters no mask and no loop, whichever side it is
+    for text in (f"bipartite {HUGE} 1 0\n", f"bipartite 1 {HUGE} 0\n"):
+        graph = write(tmp_path, "g.txt", text)
+        assert run_cli("solve", graph, "--problem", problem) == 0
+        assert capsys.readouterr().out == "objective 0\nleft []\nright []\n"
+
+
 def test_solve_threads_do_not_change_output(tmp_path, capsys):
     g = cl.Graph(6, ((0, 1), (1, 2), (3, 4), (4, 5)))
     gfile = write(tmp_path, "g.txt", cl.render_graph(g))
@@ -447,6 +487,40 @@ def test_gen_defaults_of_the_flags_a_family_reads(capsys):
     assert run_cli("gen", "--family", "planted", "--left", "3", "--right", "3") == 0
     text = capsys.readouterr().out
     assert cl.parse_graph(text) == cl.generate_planted_biclique(3, 3, 0, 0, 0, 0)[0]
+
+
+@pytest.mark.parametrize(
+    "argv,edges",
+    [
+        (("--family", "path", "--n", "10000000000"), 9999999999),
+        (("--family", "cycle", "--n", "1000001"), 1000001),
+        (("--family", "complete-bipartite", "--left", "1001", "--right", "1000"), 1001000),
+        (("--family", "random-bipartite", "--left", "1", "--right", "10000000000"), 10**10),
+        (("--family", "planted", "--left", "100000", "--right", "100000"), 10**10),
+    ],
+    ids=lambda value: value[1] if isinstance(value, tuple) else None,
+)
+def test_gen_refuses_over_the_edge_bound(capsys, argv, edges):
+    # checked from the flags, before any graph is built
+    assert run_cli("gen", *argv) == 2
+    family = argv[1]
+    assert capsys.readouterr() == (
+        "", f"error: family {family} would build up to {edges} edges, over gen's bound of 1000000\n"
+    )
+
+
+def test_gen_edge_bound_is_inclusive(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "GEN_MAX_EDGES", 4)
+    for family, within, over in (
+        ("path", ("--n", "5"), ("--n", "6")),
+        ("cycle", ("--n", "4"), ("--n", "5")),
+        ("complete-bipartite", ("--left", "2", "--right", "2"), ("--left", "1", "--right", "5")),
+        ("planted", ("--left", "1", "--right", "4"), ("--left", "5", "--right", "1")),
+    ):
+        assert run_cli("gen", "--family", family, *within) == 0
+        assert cl.parse_graph(capsys.readouterr().out).edge_count <= 4
+        assert run_cli("gen", "--family", family, *over) == 2
+        assert "over gen's bound of 4" in capsys.readouterr().err
 
 
 def test_gen_help_lists_families_in_order(capsys):

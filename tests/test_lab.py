@@ -44,6 +44,8 @@ from contractlab.lab import (
     compare_goldens,
 )
 
+from contractlab import solvers
+
 import naive
 from builders import random_connected_graph
 
@@ -185,6 +187,43 @@ def test_path_claims_share_one_enumeration(monkeypatch):
     assert calls[0] == 12  # 4 path instances + 8 biclique-lemma gadgets
 
 
+def test_theorem6_walks_the_partitions_biclique_lemma_evaluated():
+    # on a tree-core gadget (a tree, so the weak optimum is walked, not in
+    # closed form) a complete enumeration leaves the weak optimum no
+    # partition to evaluate, and the optimum still counts a fresh solve's nodes
+    core = next(b for b in enumerate_connected_bipartite(2, 6) if b.edge_count == 7)
+    gadget = cl.build_gadget(core, 1)
+    assert gadget.combined.edge_count == gadget.combined.vertex_count - 1
+    search = solvers.weak_search(gadget.combined, T11)
+    lemma = check_biclique_lemma(core, gadget=gadget, search=search)
+    assert lemma.verdict == VACUOUS and lemma.stats["enumerated"] > 1
+    seen = len(search.seen)
+    soundness, _ = check_theorem6(core, gadget=gadget, search=search, biclique_report=lemma)
+    assert len(search.seen) == seen
+    fresh = cl.max_weak_contraction_exact(gadget.combined, T11)
+    assert soundness.stats["enumerated"] == fresh.explored
+    assert soundness.witness["optimum_witness"] == list(fresh.witness)
+
+
+def test_run_suite_builds_one_search_per_instance(monkeypatch):
+    # each gadget instance builds one weak search for both gadget claims,
+    # and each path instance one for its enumeration; a closed-form optimum
+    # builds none
+    built = []
+
+    class Counted(solvers._Search):
+        def __init__(self, check, weak):
+            built.append(weak)
+            super().__init__(check, weak)
+
+    monkeypatch.setattr(solvers, "_Search", Counted)
+    reports = run_suite()
+    paths = sum(r.claim == CLAIM_PATH for r in reports)
+    gadgets = sum(r.claim == CLAIM_BICLIQUE for r in reports)
+    assert (paths, gadgets) == (4, 8)
+    assert built == [True] * 12
+
+
 def test_path_memo_matches_fresh_calls():
     graphs = [cl.cycle_graph(4), THREE_PATH.to_graph(), cl.complete_bipartite(2, 3).to_graph()]
     fresh = []
@@ -210,14 +249,21 @@ def test_shared_inputs_give_the_reports_of_fresh_calls():
         for flag in (False, True):
             shared = check_path_lemma(g, flag, valid_sets=valid_sets)
             assert _without_elapsed(shared) == _without_elapsed(check_path_lemma(g, flag))
-    for b in (cl.complete_bipartite(2, 2), THREE_PATH, cl.complete_bipartite(2, 3)):
+    # search= hands both gadget checks one weak search, whichever walks first
+    tree_core = next(b for b in enumerate_connected_bipartite(2, 6) if b.edge_count == 7)
+    for b in (cl.complete_bipartite(2, 2), THREE_PATH, cl.complete_bipartite(2, 3), tree_core):
         gadget = cl.build_gadget(b, 1)
         fresh = check_biclique_lemma(b)
-        assert _without_elapsed(check_biclique_lemma(b, gadget=gadget)) == _without_elapsed(fresh)
+        searches = [solvers.weak_search(gadget.combined, T11) for _ in range(2)]
+        for kwargs in ({}, {"search": searches[0]}):
+            shared = check_biclique_lemma(b, gadget=gadget, **kwargs)
+            assert _without_elapsed(shared) == _without_elapsed(fresh)
         shared = check_theorem6(b, gadget=gadget)
         shared += check_theorem6(b, gadget=gadget, biclique_report=fresh)
+        shared += check_theorem6(b, gadget=gadget, search=searches[0], biclique_report=fresh)
+        shared += check_theorem6(b, gadget=gadget, search=searches[1])
         fresh_pair = [_without_elapsed(r) for r in check_theorem6(b)]
-        assert [_without_elapsed(r) for r in shared] == fresh_pair * 2
+        assert [_without_elapsed(r) for r in shared] == fresh_pair * 4
     # the suite hands both path claims one enumeration
     claims = [CLAIM_PATH, CLAIM_PATH_SHORTEST]
     reports = run_suite({"instances": [{"family": "cycle", "n": 4, "claims": claims}]})

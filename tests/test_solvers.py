@@ -569,6 +569,21 @@ def test_biclique_solvers_match_double_subset_filter():
         assert (mbb.witness.left, mbb.witness.right) == (l, r)
 
 
+def test_biclique_partner_side_size_costs_nothing():
+    # the partner side enters the walk only through its vertices with an
+    # edge: a side of 10**20 vertices, one of them far out, solves as its
+    # two vertices with an edge do on a side of 7
+    far = 10**20 - 1
+    huge = BipartiteGraph(10**20, 2, ((5, 0), (5, 1), (far, 0)))
+    small = BipartiteGraph(7, 2, ((5, 0), (5, 1), (6, 0)))
+    for solver, objective, left in (
+        (max_edge_biclique_exact, 2, (5, far)), (max_balanced_biclique_exact, 1, (5,))
+    ):
+        res, ref = solver(huge), solver(small)
+        assert (res.objective, res.witness) == (objective, Biclique(left, (0,)))
+        assert (ref.objective, ref.explored) == (objective, res.explored)
+
+
 def test_meb_at_least_square_of_mbb():
     rng = random.Random(41)
     for _ in range(30):
@@ -595,6 +610,26 @@ def test_solver_results_are_reproducible():
     a = max_weak_contraction_exact(g, T11)
     b = max_weak_contraction_exact(g, T11)
     assert (a.objective, a.witness, a.explored) == (b.objective, b.witness, b.explored)
+
+
+def test_weak_calls_sharing_a_search_match_fresh_calls():
+    # walks of one weak_search reuse each other's partitions and change no
+    # output: each solve counts its own nodes, as a fresh one does, and a
+    # graph with a cycle takes the closed form on the search's own check
+    rng = random.Random(93)
+    relaxed = Tolerance(Fraction(3, 2), 1)
+    for m in (6, 6, 7, 9):
+        g = random_connected_graph(rng, 7, m)
+        for tol in (T11, relaxed):
+            fresh_sets = list(enumerate_valid_weak_contractions(g, tol))
+            fresh = max_weak_contraction_exact(g, tol)
+            search = solvers.weak_search(g, tol)
+            for _ in range(2):
+                res = max_weak_contraction_exact(g, tol, search=search)
+                assert (res.objective, res.witness, res.explored) == (
+                    fresh.objective, fresh.witness, fresh.explored
+                )
+                assert list(enumerate_valid_weak_contractions(g, tol, search=search)) == fresh_sets
 
 
 def test_search_counters_pinned():
