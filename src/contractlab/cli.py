@@ -242,17 +242,6 @@ def cmd_verify(args) -> int:
     return 0 if witness is None else 1
 
 
-def _split_for_solving(g: Graph) -> list[tuple[Graph, list[int]]]:
-    """Connected pieces of g that carry an edge, with their edge-id maps back to g.
-
-    The edges' endpoints, then each component's vertices, are renumbered in
-    ascending order, which preserves the canonical edge order, so subgraph
-    edge id i maps to edge_map[i].  No vertex without an edge is visited.
-    """
-    [(core, _)] = _pieces(g, [sorted({x for u, v, _ in g.edges for x in (u, v)})])
-    return _pieces(core, core.components)
-
-
 def _pieces(g: Graph, blocks: list[list[int]]) -> list[tuple[Graph, list[int]]]:
     """The subgraphs of g on the disjoint ascending vertex lists ``blocks``,
     each edge's two ends in one of them, with vertex blocks[c][i] as i in
@@ -291,13 +280,18 @@ def cmd_solve(args) -> int:
 
     if isinstance(g, BipartiteGraph):
         g = g.to_graph()
-    if problem == "weakcont" and g.edge_count == 0:
-        raise ValueError(
-            "weak contraction needs at least one edge: no proper subset exists"
-        )
     tolerance = Tolerance(args.alpha, args.beta)
+    # one piece: g on its edges' endpoints, renumbered in ascending order,
+    # which keeps every edge id; no other vertex is visited.  A weak set is a
+    # proper subset of all the edges, so weakcont solves that piece once (the
+    # solver refuses edges spanning several components, and no edges at all)
+    pieces = _pieces(g, [sorted({x for u, v, _ in g.edges for x in (u, v)})])
+    if problem == "cont":
+        # strong validity has no properness condition, so the optimum and its
+        # lexicographically smallest witness compose per component
+        [(core, _)] = pieces
+        pieces = _pieces(core, core.components)
     solver = max_contraction_exact if problem == "cont" else max_weak_contraction_exact
-    pieces = _split_for_solving(g)
 
     solved = []
     for sub, emap in pieces:

@@ -15,7 +15,10 @@ Validity of a contraction set against a tolerance (alpha, beta) means
   only checks pairs that were not merged (``d_C != 0``).
 
 All comparisons are carried out in scaled integer arithmetic, so verdicts are
-exact; ties at equality count as valid.
+exact; ties at equality count as valid.  Verdicts, and so every search built
+on them, need a connected graph (``ToleranceCheck`` refuses any other), while
+``contract``, ``contracted_distance`` and ``graphs.shortest_distances`` also
+take disconnected ones, with ``UNREACHABLE`` between components.
 """
 
 from __future__ import annotations

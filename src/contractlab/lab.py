@@ -71,11 +71,11 @@ from .solvers import (
 )
 from .reductions import (
     GadgetGraph,
-    _lift_into,
     biclique_to_contraction,
     build_gadget,
     build_tensor_square,
     contraction_to_biclique,
+    lift_biclique,
     project_biclique,
 )
 
@@ -519,7 +519,7 @@ def check_lemma2(
         return LabReport(CLAIM_LEMMA2, inst, VACUOUS, None, _stats(0, False, t0))
     for enumerated, b in enumerate(maximal, 1):
         try:
-            _lift_into(tensor, b)
+            lift_biclique(tensor, b)
         except ValueError as exc:
             witness = {
                 "factor_biclique": b.to_json_dict(),

@@ -135,18 +135,13 @@ def build_tensor_square(g: BipartiteGraph) -> TensorGraph:
     return TensorGraph(factor=g, graph=tensor, left_pairs=left_pairs, right_pairs=right_pairs)
 
 
-def lift_biclique(g: BipartiteGraph, b: Biclique) -> Biclique:
-    """Lift a factor biclique with sides (S, T) to the tensor square.
+def lift_biclique(t: TensorGraph, b: Biclique) -> Biclique:
+    """Lift a biclique with sides (S, T) of ``t``'s factor to the tensor square.
 
     The image has left side {(l, r) : l in S, r in T} and right side
     {(r, l) : r in T, l in S}, i.e. |S||T| vertices per side; completeness in
     the tensor is verified before returning.
     """
-    return _lift_into(build_tensor_square(g), b)
-
-
-def _lift_into(t: TensorGraph, b: Biclique) -> Biclique:
-    """``lift_biclique`` against an already built tensor square ``t``."""
     g = t.factor
     b.validate_in(g)
     nl, nr = g.left_count, g.right_count

@@ -18,7 +18,7 @@ never increases an induced distance:
   its descendants draw edges only from the chosen ones and edges j..m-1, a
   set that shrinks as j grows, so a node builds its children only up to the
   last j whose set still joins every failing pair (``_last_child``), and
-  none if no j does;
+  none if that j is below its first child;
 * strong mode only: the Russian-doll suffix bound (``_suffix_bounds``).
   Strong validity is down-closed (every subset of a valid set is valid), so
   cset + {j} + S valid makes {j} + S a valid set inside edges j..m-1, and
@@ -74,7 +74,6 @@ from .contraction import Tolerance, ToleranceCheck, is_weak_contraction
 
 DEFAULT_EDGE_CAP = 20
 DEFAULT_SIDE_CAP = 20
-_SPLIT_FIRST = "solver requires a connected graph; split into components first"
 
 
 class CapExceededError(ValueError):
@@ -109,24 +108,26 @@ def _require_cap(m: int, cap: int, what: str) -> None:
 def _refuse(g: Graph, cap: int) -> None:
     """The refusals of every contraction search, in order: a disconnected
     graph, then one with more edges than ``cap``."""
-    require_connected(g, _SPLIT_FIRST)
+    require_connected(g, "contraction searches require a connected graph")
     _require_cap(g.edge_count, cap, "edge count")
 
 
 def _last_child(labels: str, g: Graph, pairs) -> int:
     """The largest j at which the partition ``labels`` joined with the edges
-    j..m-1 joins every pair, or -1 if none does.
+    j..m-1 joins every pair.
 
     ``pairs`` is a non-empty list of pairs that ``labels`` leaves apart.
     Edges are added from the last one down, each merge relabelling one block
     (one ``str.replace``), and a joined pair stays joined, so one index walks
     the pairs once.  The edges j..m-1 only grow as j falls, so every j up to
-    the result joins every pair too.
+    the result joins every pair too.  g is connected (every search's
+    ``ToleranceCheck`` refuses any other), so all its edges join every pair:
+    when no j >= 1 does, the result is 0 without adding edge 0.
     """
     label = labels
     i, k = 0, len(pairs)
     edges = g.edges
-    for j in range(g.edge_count - 1, -1, -1):
+    for j in range(g.edge_count - 1, 0, -1):
         u, v, _ = edges[j]
         a, b = label[u], label[v]
         if a != b:
@@ -137,7 +138,7 @@ def _last_child(labels: str, g: Graph, pairs) -> int:
                 if i == k:
                     return j
                 x, y = pairs[i]
-    return -1
+    return 0
 
 
 class RowPacking(NamedTuple):

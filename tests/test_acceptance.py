@@ -320,14 +320,14 @@ def test_criterion_07_lemma2_constructions():
         b = cl.generate_random_bipartite(3, 3, Fraction(1, 2), rng.randrange(10**6))
         tensor = build_tensor_square(b)
         for biclique in _maximal_factor_bicliques(b):
-            lifted = lift_biclique(b, biclique)  # validates completeness internally
+            lifted = lift_biclique(tensor, biclique)  # validates completeness internally
             assert lifted.is_complete_in(tensor.graph)
             assert len(lifted.left) == biclique.edge_count
             lifts += 1
 
     three_path = BipartiteGraph(2, 1, ((0, 0), (1, 0)))
     tensor = build_tensor_square(three_path)
-    lifted = lift_biclique(three_path, Biclique((0, 1), (0,)))
+    lifted = lift_biclique(tensor, Biclique((0, 1), (0,)))
     assert lifted == Biclique((0, 1), (0, 1))
     assert tensor.graph.edge_count == 4
     back = project_biclique(tensor, lifted)

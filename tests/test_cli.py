@@ -139,6 +139,49 @@ def test_verify_csv_format(tmp_path, p3, capsys):
     assert "valid,True" in out
 
 
+def test_csv_flattens_nested_witnesses(tmp_path, capsys):
+    # a rejected set's witness and a biclique are objects: one row per field
+    p4 = write(tmp_path, "p4.txt", cl.render_graph(cl.path_graph(4)))
+    cfile = write(tmp_path, "c.txt", "0\n2\n")
+    assert run_cli("verify", p4, cfile, "--weak", "--format", "csv") == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "key,value", "mode,weak", "alpha,1", "beta,1", 'contraction,"[0, 2]"',
+        "valid,False", "witness.kind,pair", "witness.u,0", "witness.v,3",
+        "witness.distance,3", "witness.contracted_distance,1",
+    ]
+    k23 = write(tmp_path, "k23.txt", cl.render_graph(cl.complete_bipartite(2, 3)))
+    assert run_cli("solve", k23, "--problem", "meb", "--format", "csv") == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "key,value", "problem,meb", "objective,6", 'witness.left,"[0, 1]"',
+        'witness.right,"[0, 1, 2]"', "explored,3",
+    ]
+
+
+def test_verify_reads_a_bipartite_file(tmp_path, capsys):
+    # right vertex r is vertex left_count + r of the graph verified
+    k22 = write(tmp_path, "k22.txt", "bipartite 2 2 4\n0 0\n0 1\n1 0\n1 1\n")
+    cfile = write(tmp_path, "c.txt", "0\n")
+    assert run_cli("verify", k22, cfile, "--beta", "0") == 1
+    assert capsys.readouterr().out == (
+        "invalid: pair (0, 1) has distance 2 but contracted distance 1\n"
+    )
+    graph = write(tmp_path, "g.txt", cl.render_graph(cl.complete_bipartite(2, 2).to_graph()))
+    assert run_cli("verify", graph, cfile, "--beta", "0") == 1
+    assert capsys.readouterr().out == (
+        "invalid: pair (0, 1) has distance 2 but contracted distance 1\n"
+    )
+
+
+def test_edge_id_file_skips_blank_and_comment_lines(tmp_path, p3, capsys):
+    plain = write(tmp_path, "plain.txt", "0\n")
+    commented = write(tmp_path, "commented.txt", "# contracted edges\n\n  \n0\n  # done\n")
+    outputs = []
+    for cfile in (plain, commented):
+        assert run_cli("verify", p3, cfile, "--weak", "--format", "json") == 0
+        outputs.append(json.loads(capsys.readouterr().out))
+    assert outputs[0] == outputs[1] and outputs[0]["contraction"] == [0]
+
+
 def test_lab_cap_path_len_flag(tmp_path, capsys):
     suite = write(
         tmp_path,
@@ -216,16 +259,42 @@ def test_solve_cont_beta_zero(tmp_path, c4, capsys):
 
 
 def test_solve_splits_disconnected_components(tmp_path, capsys):
+    # strong validity has no properness condition, so cont solves each
+    # component alone; a weak set is one proper subset of all the edges, so
+    # weakcont refuses edges spanning several components as the library does
     g = cl.Graph(6, ((0, 1), (1, 2), (3, 4), (4, 5)))  # two 3-paths
     gfile = write(tmp_path, "g.txt", cl.render_graph(g))
     assert (
-        run_cli("solve", gfile, "--problem", "weakcont", "--beta", "1", "--format", "json")
+        run_cli("solve", gfile, "--problem", "cont", "--beta", "1", "--format", "json")
         == 0
     )
     payload = json.loads(capsys.readouterr().out)
     assert payload["objective"] == 2
     assert len(payload["components"]) == 2
     assert payload["witness"] == [0, 2]
+    triangles = cl.Graph(6, ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)))
+    for graph in (g, triangles):
+        gfile = write(tmp_path, "g.txt", cl.render_graph(graph))
+        assert run_cli("solve", gfile, "--problem", "weakcont", "--beta", "1") == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "refused: contraction searches require a connected graph\n"
+        with pytest.raises(cl.DisconnectedGraphError, match="^contraction searches"):
+            cl.max_weak_contraction_exact(graph, cl.Tolerance(1, 1))
+
+
+def test_solve_weakcont_drops_only_edgeless_vertices(tmp_path, capsys):
+    # the edges lie in one component: weakcont solves that graph once, with
+    # the edge ids of the file and no components payload
+    gfile = write(tmp_path, "g.txt", "graph 5 3\n0 1\n1 2\n2 3\n")
+    assert run_cli("solve", gfile, "--problem", "weakcont") == 0
+    assert capsys.readouterr().out == "objective 1\nwitness [0]\n"
+    res = cl.max_weak_contraction_exact(cl.path_graph(4), cl.Tolerance(1, 1))
+    assert run_cli("solve", gfile, "--problem", "weakcont", "--format", "json") == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "problem": "weakcont", "alpha": "1", "beta": "1", "objective": res.objective,
+        "witness": list(res.witness), "explored": res.explored,
+    }
 
 
 def test_solve_visits_only_vertices_with_an_edge(tmp_path, capsys, no_huge_adjacency):
@@ -238,8 +307,11 @@ def test_solve_visits_only_vertices_with_an_edge(tmp_path, capsys, no_huge_adjac
     near = write(tmp_path, "near.txt", "graph 5 3\n0 1\n1 2\n3 4\n")
     outputs = []
     for path in (far, near):
-        assert run_cli("solve", path, "--problem", "weakcont", "--format", "json") == 0
+        assert run_cli("solve", path, "--problem", "cont", "--format", "json") == 0
         outputs.append(json.loads(capsys.readouterr().out))
+        # the same two pieces are one graph whose edges span two components
+        assert run_cli("solve", path, "--problem", "weakcont") == 1
+        assert capsys.readouterr().err.startswith("refused: ")
     assert outputs[0] == outputs[1] and len(outputs[0]["components"]) == 2
 
 
@@ -254,23 +326,24 @@ def test_solve_many_components_match_their_pieces(tmp_path, capsys):
         base += piece.vertex_count + 1
     gfile = write(tmp_path, "g.txt", cl.render_graph(cl.Graph(base, tuple(edges))))
     t11 = cl.Tolerance(1, 1)
-    for problem, solver in (
-        ("cont", cl.max_contraction_exact), ("weakcont", cl.max_weak_contraction_exact)
-    ):
-        assert run_cli("solve", gfile, "--problem", problem, "--format", "json") == 0
-        payload = json.loads(capsys.readouterr().out)
-        components, explored, offset = [], 0, 0
-        for piece in pieces:
-            res = solver(piece, t11)
-            components.append(
-                {"objective": res.objective, "witness": [offset + e for e in res.witness]}
-            )
-            explored += res.explored
-            offset += piece.edge_count
-        assert payload["components"] == components
-        assert payload["witness"] == [e for c in components for e in c["witness"]]
-        assert payload["objective"] == sum(c["objective"] for c in components)
-        assert payload["explored"] == explored
+    assert run_cli("solve", gfile, "--problem", "cont", "--format", "json") == 0
+    payload = json.loads(capsys.readouterr().out)
+    components, explored, offset = [], 0, 0
+    for piece in pieces:
+        res = cl.max_contraction_exact(piece, t11)
+        components.append(
+            {"objective": res.objective, "witness": [offset + e for e in res.witness]}
+        )
+        explored += res.explored
+        offset += piece.edge_count
+    assert payload["components"] == components
+    assert payload["witness"] == [e for c in components for e in c["witness"]]
+    assert payload["objective"] == sum(c["objective"] for c in components)
+    assert payload["explored"] == explored
+    # weak validity does not compose per component: one refusal
+    assert run_cli("solve", gfile, "--problem", "weakcont", "--format", "json") == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("problem", ["meb", "mbb"])
@@ -289,7 +362,7 @@ def test_solve_threads_do_not_change_output(tmp_path, capsys):
     for threads in ("1", "4"):
         assert (
             run_cli(
-                "solve", gfile, "--problem", "weakcont", "--beta", "1",
+                "solve", gfile, "--problem", "cont", "--beta", "1",
                 "--threads", threads, "--format", "json",
             )
             == 0
@@ -893,6 +966,9 @@ _COROLLARY = {
         # the corollary is stated for positive beta only: refused before any run
         ({"instances": [dict(_COROLLARY, betas=["0", "-1/2"])]}, "instances[0].betas"),
         ({"instances": [dict(_COROLLARY, betas=[1, -2])]}, "instances[0].betas"),
+        ({"instances": {"family": "path"}}, "suite: instances must be a list"),
+        ({"instances": [["path", 3]]}, "suite: instances[0] must be an object"),
+        ({"instances": [dict(_COROLLARY, claims="path-lemma")]}, "instances[0].claims must be a list"),
     ],
 )
 def test_lab_malformed_suite_exit_two(tmp_path, capsys, config, where):

@@ -471,5 +471,8 @@ def test_biclique_validation():
     b = BipartiteGraph(2, 2, ((0, 0), (0, 1), (1, 0)))
     assert Biclique((0,), (0, 1)).is_complete_in(b)
     assert not Biclique((0, 1), (0, 1)).is_complete_in(b)
+    # an index past either side is not a vertex of b
+    assert not Biclique((2,), (0,)).is_complete_in(b)
+    assert not Biclique((0,), (2,)).is_complete_in(b)
     with pytest.raises(ValueError):
         Biclique((0, 1), (0, 1)).validate_in(b)

@@ -185,25 +185,25 @@ def test_tensor_edge_rule():
 
 
 def test_lift_single_edge():
-    lifted = lift_biclique(cl.complete_bipartite(1, 1), Biclique((0,), (0,)))
+    lifted = lift_biclique(build_tensor_square(cl.complete_bipartite(1, 1)), Biclique((0,), (0,)))
     assert lifted == Biclique((0,), (0,))
 
 
 def test_lift_star_in_three_vertex_path():
-    lifted = lift_biclique(THREE_PATH, Biclique((0, 1), (0,)))
+    lifted = lift_biclique(build_tensor_square(THREE_PATH), Biclique((0, 1), (0,)))
     assert lifted == Biclique((0, 1), (0, 1))
 
 
 def test_lift_rejects_invalid_biclique():
     with pytest.raises(ValueError):
-        lift_biclique(THREE_PATH, Biclique((0, 1), (0, 1)))
+        lift_biclique(build_tensor_square(THREE_PATH), Biclique((0, 1), (0, 1)))
 
 
 def test_lift_planted_k23_gives_36_edges():
     g, plant = cl.generate_planted_biclique(3, 4, 2, 3, 0, seed=5)
-    lifted = lift_biclique(g, plant)
-    assert lifted.edge_count == 36
     tensor = build_tensor_square(g)
+    lifted = lift_biclique(tensor, plant)
+    assert lifted.edge_count == 36
     assert lifted.is_complete_in(tensor.graph)
 
 
@@ -246,7 +246,7 @@ def test_lift_project_round_trip_preserves_edge_count():
             continue
         biclique = Biclique(l, r)
         t = build_tensor_square(b)
-        lifted = lift_biclique(b, biclique)
+        lifted = lift_biclique(t, biclique)
         assert lifted.edge_count == obj * obj
         back = project_biclique(t, lifted)
         assert back.edge_count >= obj
