@@ -94,13 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="run an exact solver")
     p_solve.add_argument("graph", help="graph file")
-    p_solve.add_argument(
-        "--problem", required=True, choices=("cont", "weakcont", "meb", "mbb")
-    )
-    p_solve.add_argument("--alpha", type=_rational, default=Fraction(1))
-    p_solve.add_argument("--beta", type=_rational, default=Fraction(1))
-    p_solve.add_argument("--cap-edges", type=_positive_int, default=DEFAULT_EDGE_CAP)
-    p_solve.add_argument("--cap-side", type=_positive_int, default=DEFAULT_SIDE_CAP)
+    p_solve.add_argument("--problem", required=True, choices=_SOLVE_PROBLEMS)
+    p_solve.add_argument("--alpha", type=_rational)
+    p_solve.add_argument("--beta", type=_rational)
+    p_solve.add_argument("--cap-edges", type=_positive_int)
+    p_solve.add_argument("--cap-side", type=_positive_int)
     p_solve.add_argument("--threads", type=_positive_int, default=1, help="accepted and ignored")
     p_solve.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_solve.add_argument("--out")
@@ -108,8 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_reduce = sub.add_parser("reduce", help="build the gadget or tensor square")
     p_reduce.add_argument("graph", help="bipartite graph file")
-    p_reduce.add_argument("--construction", required=True, choices=("gadget", "tensor"))
-    p_reduce.add_argument("--weight", type=_rational, default=Fraction(1))
+    p_reduce.add_argument("--construction", required=True, choices=_REDUCE_CONSTRUCTIONS)
+    p_reduce.add_argument("--weight", type=_rational)
     p_reduce.add_argument("--out", required=True, help="output graph file")
     p_reduce.set_defaults(func=cmd_reduce)
 
@@ -133,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--left", type=_positive_int)
     p_gen.add_argument("--right", type=_positive_int)
     p_gen.add_argument("--n", type=_positive_int)
-    # no defaults here: a flag left as None was not given (see _GEN_FAMILIES)
+    # no defaults for a choice's flags: None means not given (see _choose)
     p_gen.add_argument("--prob", type=_rational)
     p_gen.add_argument("--plant-left", type=_integer)
     p_gen.add_argument("--plant-right", type=_integer)
@@ -208,6 +206,38 @@ def _load_edge_ids(path: str) -> list[int]:
     return ids
 
 
+# The flags each choice of solve's --problem and reduce's --construction
+# reads, with their defaults, and each problem's solver (see _choose).
+_REQUIRED = object()  # in a choice's flags: one with no default, which must be given
+_CONTRACTION_FLAGS = {"alpha": Fraction(1), "beta": Fraction(1), "cap_edges": DEFAULT_EDGE_CAP}
+_SOLVE_PROBLEMS = {
+    "cont": (_CONTRACTION_FLAGS, max_contraction_exact),
+    "weakcont": (_CONTRACTION_FLAGS, max_weak_contraction_exact),
+    "meb": ({"cap_side": DEFAULT_SIDE_CAP}, max_edge_biclique_exact),
+    "mbb": ({"cap_side": DEFAULT_SIDE_CAP}, max_balanced_biclique_exact),
+}
+_REDUCE_CONSTRUCTIONS = {"gadget": ({"weight": Fraction(1)},), "tensor": ({},)}
+
+
+def _choose(args, table, choice: str, what: str) -> list:
+    """The rest of ``table[choice]``, whose first item maps each flag the
+    choice reads (an ``args`` attribute, None when not given) to its default
+    or _REQUIRED.  A missing required flag is refused first, then a flag only
+    other choices read; each flag read but not given then takes its default."""
+    reads, *rest = table[choice]
+    others = {name for entry in table.values() for name in entry[0]} - reads.keys()
+    missing = [name for name in reads if reads[name] is _REQUIRED and getattr(args, name) is None]
+    # vars(args) holds the flags in the parser's order: the first is named
+    unread = [name for name, value in vars(args).items() if name in others and value is not None]
+    for names, rule in ((missing, "is required for"), (unread, "is not read by")):
+        if names:
+            raise ValueError(f"--{names[0].replace('_', '-')} {rule} {what} {choice}")
+    for name, default in reads.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+    return rest
+
+
 # ----------------------------------------------------------------------------
 # Subcommands.
 # ----------------------------------------------------------------------------
@@ -258,12 +288,12 @@ def _pieces(g: Graph, blocks: list[list[int]]) -> list[tuple[Graph, list[int]]]:
 
 
 def cmd_solve(args) -> int:
-    g = _load_graph(args.graph)
     problem = args.problem
+    [solver] = _choose(args, _SOLVE_PROBLEMS, problem, "problem")
+    g = _load_graph(args.graph)
     if problem in ("meb", "mbb"):
         if not isinstance(g, BipartiteGraph):
             raise ValueError(f"problem {problem} needs a bipartite instance")
-        solver = max_edge_biclique_exact if problem == "meb" else max_balanced_biclique_exact
         result = solver(g, args.cap_side)
         payload = {
             "problem": problem,
@@ -291,7 +321,6 @@ def cmd_solve(args) -> int:
         # lexicographically smallest witness compose per component
         [(core, _)] = pieces
         pieces = _pieces(core, core.components)
-    solver = max_contraction_exact if problem == "cont" else max_weak_contraction_exact
 
     solved = []
     for sub, emap in pieces:
@@ -318,6 +347,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    _choose(args, _REDUCE_CONSTRUCTIONS, args.construction, "construction")
     g = _load_graph(args.graph)
     if not isinstance(g, BipartiteGraph):
         raise ValueError("reduce needs a bipartite instance")
@@ -370,9 +400,15 @@ def cmd_lab(args) -> int:
         if args.cap_path_len:
             caps["max_path_edges"] = args.cap_path_len
         config = dict(config, caps=caps)
+    out_dir = Path(args.out)
+    goldens = Path(args.goldens) if args.goldens else out_dir / "goldens"
+    # refused before any claim runs: a path that is, or lies below, a
+    # non-directory (a dangling symlink included)
+    for path in (out_dir, goldens):
+        if not next(p for p in (path, *path.parents) if p.exists() or p.is_symlink()).is_dir():
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(path))
     reports = lablib.run_suite(config, threads=args.threads)
 
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     payloads = [rep.to_json_dict() for rep in reports]
     lablib.write_atomic(out_dir / "reports.json", lablib.json_text(payloads))
@@ -382,7 +418,6 @@ def cmd_lab(args) -> int:
     writer.writerows(lablib.summarize(reports))
     lablib.write_atomic(out_dir / "summary.csv", summary.getvalue())
 
-    goldens = Path(args.goldens) if args.goldens else out_dir / "goldens"
     pinned, regressions, unreadable = lablib.compare_goldens(reports, goldens)
 
     counts = Counter(rep.verdict for rep in reports)
@@ -407,56 +442,40 @@ def cmd_lab(args) -> int:
 # few dozen edges.
 GEN_MAX_EDGES = 1_000_000
 
-# gen's families, in --family's order: the size flags each needs, the other
-# flags it reads with their defaults, the most edges the sizes let it build,
-# and a builder of (graph, planted witness or None).  Every other flag in
-# _GEN_FLAGS is refused if given, --plant-out too: only the planted family
-# has a witness to write.
+# gen's families, in --family's order: the flags each reads (see _choose), the
+# most edges its sizes let it build, and a builder of (graph, planted witness
+# or None).  Only planted reads --plant-out: no other has a witness to write.
+_SIDES = {"left": _REQUIRED, "right": _REQUIRED}
 _GEN_FAMILIES = {
     "random-bipartite": (
-        ("left", "right"),
-        {"prob": Fraction(1, 2), "seed": 0},
+        dict(_SIDES, prob=Fraction(1, 2), seed=0),
         lambda a: a.left * a.right,
         lambda a: (generate_random_bipartite(a.left, a.right, a.prob, a.seed), None),
     ),
     "planted": (
-        ("left", "right"),
-        {"plant_left": 0, "plant_right": 0, "noise": Fraction(0), "seed": 0, "plant_out": None},
+        dict(_SIDES, plant_left=0, plant_right=0, noise=Fraction(0), seed=0, plant_out=None),
         lambda a: a.left * a.right,
         lambda a: generate_planted_biclique(
             a.left, a.right, a.plant_left, a.plant_right, a.noise, a.seed
         ),
     ),
-    "path": (("n",), {}, lambda a: a.n - 1, lambda a: (path_graph(a.n), None)),
-    "cycle": (("n",), {}, lambda a: a.n, lambda a: (cycle_graph(a.n), None)),
+    "path": ({"n": _REQUIRED}, lambda a: a.n - 1, lambda a: (path_graph(a.n), None)),
+    "cycle": ({"n": _REQUIRED}, lambda a: a.n, lambda a: (cycle_graph(a.n), None)),
     "complete-bipartite": (
-        ("left", "right"), {}, lambda a: a.left * a.right,
+        _SIDES, lambda a: a.left * a.right,
         lambda a: (complete_bipartite(a.left, a.right), None),
     ),
 }
-_GEN_FLAGS = (
-    "left", "right", "n", "prob", "plant_left", "plant_right", "noise", "seed", "plant_out"
-)
 
 
 def cmd_gen(args) -> int:
-    sizes, optional, most_edges, build = _GEN_FAMILIES[args.family]
-    for name in sizes:
-        if getattr(args, name) is None:
-            raise ValueError(f"--{name} is required for family {args.family}")
-    for name in _GEN_FLAGS:
-        if name not in sizes and name not in optional and getattr(args, name) is not None:
-            flag = "--" + name.replace("_", "-")
-            raise ValueError(f"{flag} is not read by family {args.family}")
+    most_edges, build = _choose(args, _GEN_FAMILIES, args.family, "family")
     edges = most_edges(args)
     if edges > GEN_MAX_EDGES:
         raise ValueError(
             f"family {args.family} would build up to {edges} edges, "
             f"over gen's bound of {GEN_MAX_EDGES}"
         )
-    for name, default in optional.items():
-        if getattr(args, name) is None:
-            setattr(args, name, default)
     g, plant = build(args)
     _write(args.out, render_graph(g))
     if args.plant_out:

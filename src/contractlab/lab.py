@@ -681,7 +681,7 @@ def _sides(entry: dict) -> dict:
 
 # Family -> (its required keys, each with a rule and what the rule says, and a
 # builder (entry, max_edges cap) -> [(params, seed, graph)]).  An instance may
-# hold only its family's keys and _INSTANCE_KEYS.
+# hold only its family's keys, family, claims and the keys its claims read.
 _FAMILIES = {
     "path": ({"n": _COUNT}, lambda e, cap: [({"n": e["n"]}, None, path_graph(e["n"]))]),
     "cycle": (
@@ -705,7 +705,6 @@ _FAMILIES = {
     ),
     "file": ({"path": (lambda value: isinstance(value, str), "a string")}, _file_instances),
 }
-_INSTANCE_KEYS = ("family", "claims", "betas", "trials")
 
 # Cap name -> default, which a suite's caps override (max_path_edges None:
 # the graph's diameter + 2).
@@ -721,8 +720,9 @@ def validate_suite(config) -> None:
     (sizes non-negative, a cycle's ``n`` at least 3, ``prob`` an integer or
     ``p/q`` string in [0, 1]), and a list of known claim ids.  Optional
     ``betas`` must be a list of positive integers or ``p/q`` strings and
-    ``trials`` a non-negative integer; an instance holds no other keys.  No
-    boolean counts as an integer and no float is accepted.
+    ``trials`` a non-negative integer, and a claim must read them
+    (``corollary-scaling``); an instance holds no other keys.  No boolean
+    counts as an integer and no float is accepted.
     """
     if not isinstance(config, dict):
         raise ValueError("suite: the top level must be an object")
@@ -752,9 +752,6 @@ def validate_suite(config) -> None:
             value = entry[key]
             if not valid(value):
                 raise ValueError(f"{where}.{key} must be {what}, got {value!r}")
-        for key in entry:
-            if key not in keys and key not in _INSTANCE_KEYS:
-                raise ValueError(f"{where}.{key} is not a key of family {family!r}")
         betas = entry.get("betas", [])
         if not isinstance(betas, list) or not all(_is_rational(b) and Fraction(b) > 0 for b in betas):
             raise ValueError(f"{where}.betas must be a list of positive integers or p/q strings")
@@ -765,8 +762,14 @@ def validate_suite(config) -> None:
         if not isinstance(claims, list):
             raise ValueError(f"{where}.claims must be a list")
         for claim in claims:
-            if claim not in _CLAIMS:
+            if not isinstance(claim, str) or claim not in _CLAIMS:
                 raise ValueError(f"{where}: unknown claim id {claim!r}")
+        allowed = {*keys, "family", "claims"}.union(*(_CLAIMS[claim][1] for claim in claims))
+        for key in entry:
+            if key not in allowed:
+                raise ValueError(
+                    f"{where}.{key} is a key of neither family {family!r} nor its claims"
+                )
 
 
 @dataclass(frozen=True)
@@ -832,24 +835,25 @@ def _corollary_reports(inst: _Instance) -> list[LabReport]:
     ]
 
 
-# Claim id -> (needs a bipartite instance, the reports it makes on one).  Every
-# report comes from a call of a check_* function looked up in this module at
-# call time, so a wrapper set on the module sees each claim's outermost call.
+# Claim id -> (needs a bipartite instance, the instance keys it reads beyond
+# its family's, the reports it makes on one).  Every report comes from a call
+# of a check_* function looked up in this module at call time, so a wrapper
+# set on the module sees each claim's outermost call.
 _CLAIMS = {
-    CLAIM_PATH: (False, lambda inst: _path_reports(inst, False)),
-    CLAIM_PATH_SHORTEST: (False, lambda inst: _path_reports(inst, True)),
-    CLAIM_BICLIQUE: (True, lambda inst: [inst.biclique]),
-    CLAIM_T6_SOUNDNESS: (True, lambda inst: [inst.theorem6[0]]),
-    CLAIM_T6_COMPLETENESS: (True, lambda inst: [inst.theorem6[1]]),
-    CLAIM_COROLLARY: (True, _corollary_reports),
-    CLAIM_LEMMA2: (True, lambda inst: [check_lemma2(inst.obj, instance=inst.desc)]),
+    CLAIM_PATH: (False, (), lambda inst: _path_reports(inst, False)),
+    CLAIM_PATH_SHORTEST: (False, (), lambda inst: _path_reports(inst, True)),
+    CLAIM_BICLIQUE: (True, (), lambda inst: [inst.biclique]),
+    CLAIM_T6_SOUNDNESS: (True, (), lambda inst: [inst.theorem6[0]]),
+    CLAIM_T6_COMPLETENESS: (True, (), lambda inst: [inst.theorem6[1]]),
+    CLAIM_COROLLARY: (True, ("betas", "trials"), _corollary_reports),
+    CLAIM_LEMMA2: (True, (), lambda inst: [check_lemma2(inst.obj, instance=inst.desc)]),
 }
 
 
 def _run_instance(inst: _Instance) -> list[LabReport]:
     reports: list[LabReport] = []
     for claim in inst.entry.get("claims", []):
-        needs_bipartite, make_reports = _CLAIMS[claim]
+        needs_bipartite, _, make_reports = _CLAIMS[claim]
         try:
             if needs_bipartite and not isinstance(inst.obj, BipartiteGraph):
                 raise ValueError(f"claim {claim} needs a bipartite instance")

@@ -502,6 +502,10 @@ def test_gen_planted_with_witness(tmp_path):
 
 def test_gen_missing_parameter_exit_two(capsys):
     assert run_cli("gen", "--family", "path") == 2
+    assert capsys.readouterr().err == "error: --n is required for family path\n"
+    # a missing size is named before a given flag the family does not read
+    assert run_cli("gen", "--family", "path", "--seed", "1") == 2
+    assert capsys.readouterr().err == "error: --n is required for family path\n"
 
 
 def test_gen_unknown_family_exit_two():
@@ -540,26 +544,57 @@ def test_gen_plant_out_without_a_plant_exit_two(tmp_path, capsys, sizes):
         ("--family", "random-bipartite", "--left", "2", "--right", "2", "--plant-left", "1"),
         ("--family", "random-bipartite", "--left", "2", "--right", "2", "--n", "3"),
         ("--family", "planted", "--left", "2", "--right", "2", "--prob", "1/2"),
+        # solve's problems and reduce's constructions follow the same rule
+        ("--problem", "meb", "--alpha", "1"),
+        ("--problem", "mbb", "--cap-edges", "20"),
+        ("--problem", "cont", "--cap-side", "20"),
+        ("--construction", "tensor", "--weight", "1"),
     ],
     ids=lambda argv: f"{argv[1]}{argv[-2]}",
 )
-def test_gen_refuses_a_flag_its_family_does_not_read(tmp_path, capsys, argv):
-    # a flag the family would ignore, given even at its default value, exits
-    # 2 with one line naming it, before anything is written
+def test_gen_refuses_a_flag_its_family_does_not_read(tmp_path, k22, capsys, argv):
+    # a flag the family, problem or construction would ignore, given even at
+    # its default value, exits 2 with one line naming it, before any file is
+    # read or written
+    command = {"--family": ["gen"], "--problem": ["solve", k22], "--construction": ["reduce", k22]}
     out = tmp_path / "g.txt"
-    assert run_cli("gen", *argv, "--out", str(out)) == 2
+    assert run_cli(*command[argv[0]], *argv, "--out", str(out)) == 2
     err = capsys.readouterr().err
-    assert err == f"error: {argv[-2]} is not read by family {argv[1]}\n"
-    assert not out.exists()
+    assert err == f"error: {argv[-2]} is not read by {argv[0][2:]} {argv[1]}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["k22.txt"]
 
 
-def test_gen_defaults_of_the_flags_a_family_reads(capsys):
+def test_gen_defaults_of_the_flags_a_family_reads(tmp_path, k22, capsys):
     assert run_cli("gen", "--family", "random-bipartite", "--left", "3", "--right", "3") == 0
     text = capsys.readouterr().out
     assert cl.parse_graph(text) == cl.generate_random_bipartite(3, 3, Fraction(1, 2), 0)
     assert run_cli("gen", "--family", "planted", "--left", "3", "--right", "3") == 0
     text = capsys.readouterr().out
     assert cl.parse_graph(text) == cl.generate_planted_biclique(3, 3, 0, 0, 0, 0)[0]
+    # so do solve's problems and reduce's constructions: a flag the choice
+    # reads but was not given gives the output of its explicit default
+    # (over the caps of 20: 21 edges, and 21 vertices on the smaller side)
+    p22 = write(tmp_path, "p22.txt", cl.render_graph(cl.path_graph(22)))
+    k2121 = write(tmp_path, "k2121.txt", cl.render_graph(cl.complete_bipartite(21, 21)))
+    contraction = ("--alpha", "1", "--beta", "1", "--cap-edges", "20")
+    for graph, problem, explicit, code in (
+        (k22, "cont", contraction, 0),
+        (k22, "weakcont", contraction, 0),
+        (p22, "cont", contraction, 1),
+        (k22, "meb", ("--cap-side", "20"), 0),
+        (k22, "mbb", ("--cap-side", "20"), 0),
+        (k2121, "mbb", ("--cap-side", "20"), 1),
+    ):
+        argv = ("solve", graph, "--problem", problem, "--format", "json")
+        runs = [(run_cli(*argv, *flags), capsys.readouterr()) for flags in ((), explicit)]
+        assert runs[0] == runs[1] and runs[0][0] == code
+    outputs = []
+    for flags in ((), ("--weight", "1")):
+        out = tmp_path / f"r{len(outputs)}.txt"
+        assert run_cli("reduce", k22, "--construction", "gadget", *flags, "--out", str(out)) == 0
+        sidecar = out.with_name(out.name + ".provenance.json")
+        outputs.append((out.read_bytes(), sidecar.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize(
@@ -912,6 +947,28 @@ def test_lab_failed_write_keeps_old_file(tmp_path, capsys, monkeypatch, target):
     assert sorted(out.rglob("*")) == files
 
 
+@pytest.mark.parametrize(
+    "flag,name",
+    [("--out", "file"), ("--goldens", "file"), ("--out", "file/d"), ("--out", "dangling")],
+)
+def test_lab_refuses_an_output_that_is_not_a_directory(tmp_path, capsys, monkeypatch, flag, name):
+    # a file or a dangling symlink at the path or above it is refused before
+    # any claim runs, so nothing is written
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_suite ran")
+
+    monkeypatch.setattr(cli.lablib, "run_suite", no_run)
+    write(tmp_path, "file", "")
+    (tmp_path / "dangling").symlink_to(tmp_path / "nowhere")
+    paths = {"--out": tmp_path / "out", "--goldens": tmp_path / "goldens", flag: tmp_path / name}
+    argv = [word for option, path in paths.items() for word in (option, str(path))]
+    assert run_cli("lab", *argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 20] Not a directory: '{paths[flag]}'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dangling", "file"]
+    assert (tmp_path / "file").read_bytes() == b""
+
+
 def test_lab_bad_suite_file_exit_two(tmp_path):
     bad = write(tmp_path, "suite.json", "{broken")
     assert run_cli("lab", "--suite", bad, "--out", str(tmp_path / "o")) == 2
@@ -969,6 +1026,12 @@ _COROLLARY = {
         ({"instances": {"family": "path"}}, "suite: instances must be a list"),
         ({"instances": [["path", 3]]}, "suite: instances[0] must be an object"),
         ({"instances": [dict(_COROLLARY, claims="path-lemma")]}, "instances[0].claims must be a list"),
+        # betas and trials are read by corollary-scaling only
+        ({"instances": [{"family": "path", "n": 3, "claims": ["path-lemma"], "betas": ["2"]}]},
+         "instances[0].betas"),
+        # a claim id is a string: a list there is refused, not a TypeError
+        ({"instances": [{"family": "path", "n": 3, "claims": [["path-lemma"]]}]},
+         "instances[0]: unknown claim id"),
     ],
 )
 def test_lab_malformed_suite_exit_two(tmp_path, capsys, config, where):

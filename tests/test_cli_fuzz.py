@@ -74,6 +74,18 @@ TOKENS = [
     "", "#", "graph", "bipartite", HUGE,
 ]
 VALUES = [-1, 0, 1, 2, 3, "2", "1/2", 2.5, True, None, [], {}, "x", HUGE]
+# the flags each solve problem and reduce construction reads, and the share of
+# those cases given one more flag that only another choice reads
+READS = {
+    "solve": {
+        "cont": ("--beta", "--cap-edges"),
+        "weakcont": ("--beta", "--cap-edges"),
+        "meb": ("--cap-side",),
+        "mbb": ("--cap-side",),
+    },
+    "reduce": {"gadget": ("--weight",), "tensor": ()},
+}
+UNREAD_SHARE = 0.1
 
 
 def _mutate_text(rng: random.Random, text: str) -> str:
@@ -127,18 +139,31 @@ def _argv(rng: random.Random, k: int) -> list[str]:
     graph = pick("g.txt", len(GRAPHS), len(GRAPHS) + MUTANTS)
     good = lambda valid, invalid: rng.choice(valid if rng.random() < 0.85 else invalid)
     rational = lambda: good(["1", "2", "3/2", "1/3"], ["0", "-1", "x", "1/0", "0.5"])
+    cap = lambda: good(["4", "20"], ["0", "-1", HUGE])
+    value = {"--beta": rational, "--cap-edges": cap, "--cap-side": cap, "--weight": rational}
+
+    def flags(command: str, choice: str) -> list[str]:
+        table = READS[command]
+        names = list(table[choice])
+        unread = sorted({name for read in table.values() for name in read} - set(names))
+        if unread and rng.random() < UNREAD_SHARE:
+            names.append(rng.choice(unread))
+        return [word for name in names for word in (name, value[name]())]
+
     command = rng.choice(["verify", "solve", "solve", "reduce", "lab", "gen"])
     if command == "verify":
         argv = ["verify", graph, pick("c.txt", len(EDGE_IDS), len(EDGE_IDS) + MUTANTS)]
         argv += rng.choice([[], ["--weak"]]) + ["--alpha", rational(), "--beta", rational()]
         argv += ["--format", rng.choice(["text", "json", "csv"])]
     elif command == "solve":
-        argv = ["solve", graph, "--problem", rng.choice(["cont", "weakcont", "weakcont", "meb", "mbb"])]
-        argv += ["--beta", rational(), "--cap-edges", good(["4", "20"], ["0", "-1", HUGE])]
+        problem = rng.choice(["cont", "weakcont", "weakcont", "meb", "mbb"])
+        argv = ["solve", graph, "--problem", problem]
+        argv += flags("solve", problem)
         argv += ["--format", rng.choice(["text", "json", "csv"])]
     elif command == "reduce":
-        argv = ["reduce", graph, "--construction", rng.choice(["gadget", "tensor"])]
-        argv += ["--weight", rational(), "--out", f"r{k}.txt"]
+        construction = rng.choice(["gadget", "tensor"])
+        argv = ["reduce", graph, "--construction", construction]
+        argv += flags("reduce", construction) + ["--out", f"r{k}.txt"]
     elif command == "lab":
         argv = ["lab", "--suite", pick("s.json", len(SUITES), len(SUITES) + MUTANTS)]
         argv += ["--out", f"lab{k}"]
