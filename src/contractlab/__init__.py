@@ -56,6 +56,7 @@ from .reductions import (
     project_biclique,
 )
 from .lab import (
+    LabInstance,
     LabReport,
     check_biclique_lemma,
     check_corollary_scaling,

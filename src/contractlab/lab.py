@@ -3,13 +3,14 @@
 Each check enumerates everything relevant on one instance (valid weak
 contractions, paths, bicliques) with independent machinery and reports
 holds / counterexample / vacuous, where "vacuous" means the claim's
-hypothesis matched nothing.  The suite builds what an instance's claims
-share once: both path claims read one enumeration of valid sets, and the
-gadget claims one gadget and one weak search of it at (1,1), so theorem 6's
-weak optimum walks partitions the biclique-lemma enumeration already
-evaluated, merged and scanned.  A counterexample report always carries enough
-witness data to re-verify it from scratch.  All checks are deterministic
-functions of their inputs, so suite reports can be pinned and diffed.
+hypothesis matched nothing.  Every check reads one ``LabInstance``, which
+builds what an instance's claims share once and only from its own graph:
+both path claims read one enumeration of valid sets, and the gadget claims
+one gadget and one weak search of it at (1,1), so theorem 6's weak optimum
+walks partitions the biclique-lemma enumeration already evaluated, merged
+and scanned.  A counterexample report always carries enough witness data to
+re-verify it from scratch.  All checks are deterministic functions of their
+instance, so suite reports can be pinned and diffed.
 
 Claim ids (fixed report-schema slugs):
   path-lemma            two vertex-disjoint contracted edges on a simple path
@@ -144,6 +145,66 @@ def _stats(enumerated: int, truncated: bool, t0: float) -> dict:
 
 
 # ----------------------------------------------------------------------------
+# The instance context.
+# ----------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LabInstance:
+    """One instance and the values its claims share, each built from
+    ``graph`` on first read, so that no check can be handed another graph's.
+
+    ``graph`` is a Graph (path claims only) or a BipartiteGraph (any claim).
+    ``cap_edges`` bounds every contraction search, ``max_path_edges`` the
+    simple paths of ``path-lemma`` (None: the graph's diameter + 2), and
+    ``instance`` is the descriptor every report carries (None: an ad hoc
+    one).  A value that raises caches nothing: each read raises again.
+    """
+
+    graph: Graph | BipartiteGraph
+    cap_edges: int = DEFAULT_EDGE_CAP
+    max_path_edges: int | None = None
+    instance: dict | None = None
+
+    @cached_property
+    def unit_graph(self) -> Graph:
+        """One Graph, so one distance engine, for both path claims; refused
+        unless it has unit weights and is connected."""
+        g = self.graph.to_graph() if isinstance(self.graph, BipartiteGraph) else self.graph
+        if not g.has_unit_weights():
+            raise ValueError("path claim checks require unit weights")
+        require_connected(g, "path claim checks require a connected graph")
+        return g
+
+    @cached_property
+    def valid_sets(self) -> tuple[tuple[int, ...], ...]:
+        """Valid weak contractions of ``unit_graph`` at (1,1), smallest
+        first, then lexicographically."""
+        sets = enumerate_valid_weak_contractions(self.unit_graph, _UNIT_TOLERANCE, self.cap_edges)
+        # the stream is lexicographic and sorted is stable, so size alone suffices
+        return tuple(sorted(sets, key=len))
+
+    @cached_property
+    def gadget(self) -> GadgetGraph:
+        return build_gadget(self.graph, 1)
+
+    @cached_property
+    def search(self) -> _Search:
+        """One weak search of the gadget at (1,1) for both gadget claims."""
+        return weak_search(self.gadget.combined, _UNIT_TOLERANCE, self.cap_edges)
+
+    @cached_property
+    def biclique(self) -> LabReport:
+        """The biclique-lemma report, which theorem 6's soundness reads."""
+        return check_biclique_lemma(self)
+
+    @cached_property
+    def theorem6(self) -> tuple[LabReport, LabReport]:
+        """The theorem-6 soundness and completeness reports, from one call."""
+        return check_theorem6(self)
+
+
+# ----------------------------------------------------------------------------
 # Path machinery (unit weights).
 # ----------------------------------------------------------------------------
 
@@ -223,54 +284,30 @@ def _first_disjoint_contracted_pair(
     return (positions[0], positions[2]) if len(positions) > 2 else None
 
 
-def _require_path_graph(g: Graph) -> None:
-    """Refuse a graph the path claims are not defined on."""
-    if not g.has_unit_weights():
-        raise ValueError("path claim checks require unit weights")
-    require_connected(g, "path claim checks require a connected graph")
-
-
-def _sorted_valid_sets(g: Graph, cap_edges: int) -> tuple[tuple[int, ...], ...]:
-    """Valid weak contractions at (1,1), smallest first, then lexicographically."""
-    # the stream is lexicographic and sorted is stable, so size alone suffices
-    return tuple(sorted(enumerate_valid_weak_contractions(g, _UNIT_TOLERANCE, cap_edges), key=len))
-
-
-def check_path_lemma(
-    g: Graph,
-    shortest_only: bool,
-    *,
-    cap_edges: int = DEFAULT_EDGE_CAP,
-    max_path_edges: int | None = None,
-    instance: dict | None = None,
-    valid_sets: tuple[tuple[int, ...], ...] | None = None,
-) -> LabReport:
+def check_path_lemma(ctx: LabInstance, shortest_only: bool) -> LabReport:
     """Does every valid weak contraction at (1,1) that contains two
     vertex-disjoint edges of a path contain the whole path?
 
     Candidate sets are scanned smallest-first (then lexicographically), paths
     in enumeration order, so the reported counterexample is the size-minimal
-    one.  Simple-path enumeration is capped at diameter + 2 edges by default;
-    hitting the cap sets the ``truncated`` flag.
+    one.  Simple-path enumeration is capped at ``ctx.max_path_edges`` edges,
+    the diameter + 2 by default; hitting the cap sets the ``truncated`` flag.
 
     With ``shortest_only`` the claim can fail only through the merged-pair
     exemption: the two contracted edges shorten the geodesic by 2 > beta = 1,
     so its endpoints lie in one supernode of every set the hypothesis fires
     on (a proper spanning set, say, on ``K_{2,3}`` minus an edge).
-
-    ``valid_sets`` stands in for ``g``'s sorted valid sets at ``cap_edges``.
     """
     t0 = time.perf_counter()
-    _require_path_graph(g)
     claim = CLAIM_PATH_SHORTEST if shortest_only else CLAIM_PATH
-    inst = _adhoc_instance(instance)
-
-    if valid_sets is None:
-        valid_sets = _sorted_valid_sets(g, cap_edges)
+    inst = _adhoc_instance(ctx.instance)
+    valid_sets = ctx.valid_sets  # refuses the graph before anything is walked
+    g = ctx.unit_graph
     truncated = False
     if shortest_only:
         paths = _all_shortest_paths(g)
     else:
+        max_path_edges = ctx.max_path_edges
         if max_path_edges is None:
             diameter = max((max(row) for row in g.distances.base), default=0)
             max_path_edges = diameter + 2
@@ -309,29 +346,21 @@ def check_path_lemma(
 # ----------------------------------------------------------------------------
 
 
-def check_biclique_lemma(
-    g: BipartiteGraph,
-    *,
-    cap_edges: int = DEFAULT_EDGE_CAP,
-    instance: dict | None = None,
-    gadget: GadgetGraph | None = None,
-    search: _Search | None = None,
-) -> LabReport:
+def check_biclique_lemma(ctx: LabInstance) -> LabReport:
     """Does every valid weak contraction of the unit gadget with more than one
     edge contract a complete biclique of the core?
 
     Enumerates valid sets in lexicographic order and stops at the first one
     whose edges do not form a core biclique.  Vacuous when no valid set has
-    more than one edge.  ``gadget``, when given, must be ``build_gadget(g, 1)``,
-    and ``search`` a ``weak_search`` of its combined graph at (1,1).
+    more than one edge.
     """
     t0 = time.perf_counter()
-    inst = _adhoc_instance(instance)
-    bg = build_gadget(g, 1) if gadget is None else gadget
+    inst = _adhoc_instance(ctx.instance)
+    bg = ctx.gadget
     enumerated = 0
     matched = False
     valid_sets = enumerate_valid_weak_contractions(
-        bg.combined, _UNIT_TOLERANCE, cap_edges, search=search
+        bg.combined, _UNIT_TOLERANCE, ctx.cap_edges, search=ctx.search
     )
     for cand in valid_sets:
         enumerated += 1
@@ -352,16 +381,7 @@ def check_biclique_lemma(
     return LabReport(CLAIM_BICLIQUE, inst, verdict, None, _stats(enumerated, False, t0))
 
 
-def check_theorem6(
-    g: BipartiteGraph,
-    *,
-    cap_edges: int = DEFAULT_EDGE_CAP,
-    side_cap: int = DEFAULT_SIDE_CAP,
-    instance: dict | None = None,
-    biclique_report: LabReport | None = None,
-    gadget: GadgetGraph | None = None,
-    search: _Search | None = None,
-) -> tuple[LabReport, LabReport]:
+def check_theorem6(ctx: LabInstance) -> tuple[LabReport, LabReport]:
     """Adjudicate both directions of the gadget reduction on one instance.
 
     Soundness: whenever the biclique claim holds (or is vacuous) here, the
@@ -369,23 +389,20 @@ def check_theorem6(
     edges; vacuous when the biclique claim already failed.  Completeness:
     contracting a maximum-edge biclique of the gadget verifies as a valid
     weak contraction; the verifier's verdict is recorded either way and the
-    witness carries everything needed to re-check it.  ``gadget``, when
-    given, must be ``build_gadget(g, 1)``, and ``search`` a ``weak_search``
-    of its combined graph at (1,1): the weak optimum then walks partitions
-    the biclique claim's enumeration already evaluated.
+    witness carries everything needed to re-check it.  The weak optimum
+    walks the context's search, so it reads the partitions the biclique
+    claim's enumeration already evaluated.
     """
     t0 = time.perf_counter()
-    inst = _adhoc_instance(instance)
-    bg = build_gadget(g, 1) if gadget is None else gadget
-    meb_core = max_edge_biclique_exact(g, side_cap)
+    inst = _adhoc_instance(ctx.instance)
+    lemma = ctx.biclique
+    bg = ctx.gadget
+    meb_core = max_edge_biclique_exact(ctx.graph)
     view, _, _ = bg.bipartition
-    meb_gadget = max_edge_biclique_exact(view, side_cap)
-    optimum = max_weak_contraction_exact(bg.combined, _UNIT_TOLERANCE, cap_edges, search=search)
-    lemma = biclique_report
-    if lemma is None:
-        lemma = check_biclique_lemma(
-            g, cap_edges=cap_edges, instance=instance, gadget=bg, search=search
-        )
+    meb_gadget = max_edge_biclique_exact(view)
+    optimum = max_weak_contraction_exact(
+        bg.combined, _UNIT_TOLERANCE, ctx.cap_edges, search=ctx.search
+    )
 
     evidence = {
         "meb_core": meb_core.objective,
@@ -426,32 +443,26 @@ def check_theorem6(
     return soundness, completeness
 
 
-def check_corollary_scaling(
-    g: BipartiteGraph,
-    beta,
-    trials: int,
-    seed: int,
-    *,
-    instance: dict | None = None,
-) -> LabReport:
+def check_corollary_scaling(ctx: LabInstance, beta, trials: int, seed: int) -> LabReport:
     """Sampled verdict equality between the unit gadget at (1,1) and the
     weight-b gadget at (1,b).
 
     Draws ``trials`` uniform edge subsets of the gadget and compares the weak
     verifier on both sides; any disagreement is a counterexample.  trials = 0
-    is vacuous.
+    is vacuous.  The report's instance gains ``beta`` among its params.
     """
     t0 = time.perf_counter()
-    inst = _adhoc_instance(instance)
     b = Fraction(beta)
     if b <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
+    desc = _adhoc_instance(ctx.instance)
+    inst = dict(desc, params=dict(desc["params"], beta=str(b)))
     if trials < 0:
         raise ValueError("trials must be non-negative")
     if trials == 0:
         return LabReport(CLAIM_COROLLARY, inst, VACUOUS, None, _stats(0, False, t0))
-    unit = build_gadget(g, 1)
-    scaled = build_gadget(g, b)
+    unit = build_gadget(ctx.graph, 1)
+    scaled = build_gadget(ctx.graph, b)
     check_unit = ToleranceCheck(unit.combined, _UNIT_TOLERANCE)
     check_scaled = ToleranceCheck(scaled.combined, Tolerance(Fraction(1), b))
     m = unit.combined.edge_count
@@ -496,12 +507,7 @@ def _maximal_factor_bicliques(g: BipartiteGraph):
     return out
 
 
-def check_lemma2(
-    g: BipartiteGraph,
-    *,
-    side_cap: int = DEFAULT_SIDE_CAP,
-    instance: dict | None = None,
-) -> LabReport:
+def check_lemma2(ctx: LabInstance) -> LabReport:
     """Lift/project consistency between a graph and its tensor square.
 
     Lifts every maximal biclique and verifies the image is complete in the
@@ -511,8 +517,9 @@ def check_lemma2(
     compared downstream.  Vacuous when the graph has no edges.
     """
     t0 = time.perf_counter()
-    inst = _adhoc_instance(instance)
-    _require_cap(g.left_count * g.right_count, side_cap, "tensor side")
+    inst = _adhoc_instance(ctx.instance)
+    g = ctx.graph
+    _require_cap(g.left_count * g.right_count, DEFAULT_SIDE_CAP, "tensor side")
     tensor = build_tensor_square(g)
     maximal = _maximal_factor_bicliques(g)
     if not maximal:
@@ -531,7 +538,7 @@ def check_lemma2(
             )
 
     # the lifts above are complete tensor bicliques, so t >= 1
-    mbb = max_balanced_biclique_exact(tensor.graph, side_cap)
+    mbb = max_balanced_biclique_exact(tensor.graph)
     try:
         projected = project_biclique(tensor, mbb.witness)
     except ValueError as exc:
@@ -772,96 +779,49 @@ def validate_suite(config) -> None:
                 )
 
 
-@dataclass(frozen=True)
-class _Instance:
-    """One suite instance and the values its claims share, each built on first
-    use.  A property that raises caches nothing: each claim reading it raises."""
-
-    desc: dict
-    obj: Graph | BipartiteGraph
-    entry: dict
-    cap_edges: int
-    max_path: int | None
-
-    @cached_property
-    def graph(self) -> Graph:
-        """One Graph, so one distance engine, for both path claims."""
-        return self.obj.to_graph() if isinstance(self.obj, BipartiteGraph) else self.obj
-
-    @cached_property
-    def valid_sets(self) -> tuple[tuple[int, ...], ...]:
-        _require_path_graph(self.graph)  # refuse before enumerating, as check_path_lemma does
-        return _sorted_valid_sets(self.graph, self.cap_edges)
-
-    @cached_property
-    def gadget(self) -> GadgetGraph:
-        return build_gadget(self.obj, 1)
-
-    @cached_property
-    def search(self) -> _Search:
-        """One weak search of the gadget at (1,1) for both gadget claims."""
-        return weak_search(self.gadget.combined, _UNIT_TOLERANCE, self.cap_edges)
-
-    @cached_property
-    def biclique(self) -> LabReport:
-        return check_biclique_lemma(
-            self.obj, cap_edges=self.cap_edges, instance=self.desc, gadget=self.gadget,
-            search=self.search,
-        )
-
-    @cached_property
-    def theorem6(self) -> tuple[LabReport, LabReport]:
-        return check_theorem6(
-            self.obj, cap_edges=self.cap_edges, instance=self.desc,
-            biclique_report=self.biclique, gadget=self.gadget, search=self.search,
-        )
-
-
-def _path_reports(inst: _Instance, shortest_only: bool) -> list[LabReport]:
-    return [check_path_lemma(
-        inst.graph, shortest_only, cap_edges=inst.cap_edges, max_path_edges=inst.max_path,
-        instance=inst.desc, valid_sets=inst.valid_sets,
-    )]
-
-
-def _corollary_reports(inst: _Instance) -> list[LabReport]:
-    desc, trials = inst.desc, inst.entry.get("trials", 25)
+def _corollary_reports(ctx: LabInstance, entry: dict) -> list[LabReport]:
+    trials, seed = entry.get("trials", 25), ctx.instance["seed"] or 0
     return [
-        check_corollary_scaling(
-            inst.obj, Fraction(beta), trials, seed=desc["seed"] or 0,
-            instance=dict(desc, params=dict(desc["params"], beta=str(Fraction(beta)))),
-        )
-        for beta in inst.entry.get("betas", ["1/2", "1", "3"])
+        check_corollary_scaling(ctx, Fraction(beta), trials, seed)
+        for beta in entry.get("betas", ["1/2", "1", "3"])
     ]
 
 
 # Claim id -> (needs a bipartite instance, the instance keys it reads beyond
-# its family's, the reports it makes on one).  Every report comes from a call
-# of a check_* function looked up in this module at call time, so a wrapper
-# set on the module sees each claim's outermost call.
+# its family's, the context values built before its check runs, the reports
+# it makes on one).  Every report comes from a call of a check_* function
+# looked up in this module at call time, so a wrapper set on the module sees
+# each claim's outermost call, and the shared values it reads are built
+# before that call, so no claim's call times them.
 _CLAIMS = {
-    CLAIM_PATH: (False, (), lambda inst: _path_reports(inst, False)),
-    CLAIM_PATH_SHORTEST: (False, (), lambda inst: _path_reports(inst, True)),
-    CLAIM_BICLIQUE: (True, (), lambda inst: [inst.biclique]),
-    CLAIM_T6_SOUNDNESS: (True, (), lambda inst: [inst.theorem6[0]]),
-    CLAIM_T6_COMPLETENESS: (True, (), lambda inst: [inst.theorem6[1]]),
-    CLAIM_COROLLARY: (True, ("betas", "trials"), _corollary_reports),
-    CLAIM_LEMMA2: (True, (), lambda inst: [check_lemma2(inst.obj, instance=inst.desc)]),
+    CLAIM_PATH: (False, (), ("valid_sets",), lambda ctx, entry: [check_path_lemma(ctx, False)]),
+    CLAIM_PATH_SHORTEST: (
+        False, (), ("valid_sets",), lambda ctx, entry: [check_path_lemma(ctx, True)]
+    ),
+    CLAIM_BICLIQUE: (True, (), ("search",), lambda ctx, entry: [ctx.biclique]),
+    CLAIM_T6_SOUNDNESS: (True, (), ("search", "biclique"), lambda ctx, entry: [ctx.theorem6[0]]),
+    CLAIM_T6_COMPLETENESS: (
+        True, (), ("search", "biclique"), lambda ctx, entry: [ctx.theorem6[1]]
+    ),
+    CLAIM_COROLLARY: (True, ("betas", "trials"), (), _corollary_reports),
+    CLAIM_LEMMA2: (True, (), (), lambda ctx, entry: [check_lemma2(ctx)]),
 }
 
 
-def _run_instance(inst: _Instance) -> list[LabReport]:
+def _run_instance(ctx: LabInstance, entry: dict) -> list[LabReport]:
     reports: list[LabReport] = []
-    for claim in inst.entry.get("claims", []):
-        needs_bipartite, _, make_reports = _CLAIMS[claim]
+    for claim in entry.get("claims", []):
+        needs_bipartite, _, shared, make_reports = _CLAIMS[claim]
         try:
-            if needs_bipartite and not isinstance(inst.obj, BipartiteGraph):
+            if needs_bipartite and not isinstance(ctx.graph, BipartiteGraph):
                 raise ValueError(f"claim {claim} needs a bipartite instance")
-            reports.extend(make_reports(inst))
+            for name in shared:  # built outside the check's call
+                getattr(ctx, name)
+            reports.extend(make_reports(ctx, entry))
         except ValueError as exc:  # an expected refusal fails this claim, not the suite
             error = {"error": f"{type(exc).__name__}: {exc}"}
             stats = {"enumerated": 0, "truncated": False, "elapsed_ms": 0.0}
-            reports.append(LabReport(claim, inst.desc, ERROR, error, stats))
+            reports.append(LabReport(claim, ctx.instance, ERROR, error, stats))
     return reports
 
 
@@ -889,7 +849,7 @@ def run_suite(config: dict | None = None, threads: int = 1) -> list[LabReport]:
     return [
         report for desc, obj, entry in tasks
         for report in _run_instance(
-            _Instance(desc, obj, entry, caps["max_edges"], caps["max_path_edges"])
+            LabInstance(obj, caps["max_edges"], caps["max_path_edges"], desc), entry
         )
     ]
 

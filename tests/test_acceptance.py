@@ -18,6 +18,7 @@ from contractlab import (
     Biclique,
     BipartiteGraph,
     Graph,
+    LabInstance,
     Tolerance,
     build_gadget,
     build_tensor_square,
@@ -180,7 +181,7 @@ def test_criterion_04_path_lemma_adjudication():
     merged; and that counterexamples exist, K_{2,3} minus an edge among them.
     """
     g = cl.cycle_graph(4)
-    rep = check_path_lemma(g, shortest_only=False)
+    rep = check_path_lemma(LabInstance(g), shortest_only=False)
     assert rep.verdict == COUNTEREXAMPLE
     w = rep.witness
     assert w["contraction"] == [0, 3]  # {(0,1), (2,3)}: a pair of opposite edges
@@ -194,7 +195,7 @@ def test_criterion_04_path_lemma_adjudication():
     for a, bb in zip(w["path"], w["path"][1:]):
         assert (min(a, bb), max(a, bb)) in {e[:2] for e in g.edges}
     assert any(e not in set(w["contraction"]) for e in w["path_edge_ids"])
-    assert check_path_lemma(Graph(1), shortest_only=True).verdict == VACUOUS
+    assert check_path_lemma(LabInstance(Graph(1)), shortest_only=True).verdict == VACUOUS
 
     def merged(gg, cset, path):
         label = naive.components_of(gg.vertex_count, [gg.edges[e][:2] for e in cset])
@@ -205,7 +206,7 @@ def test_criterion_04_path_lemma_adjudication():
     counterexamples = []
     for b in _connected_bipartite_upto(7):
         gg = b.to_graph()
-        rep = check_path_lemma(gg, shortest_only=True)
+        rep = check_path_lemma(LabInstance(gg), shortest_only=True)
         instances += 1
         verdict, smallest, firings = naive.naive_path_claim_shortest(gg)
         assert rep.verdict == verdict, (b.edges, rep.verdict, verdict)
@@ -256,7 +257,7 @@ def test_criterion_05_biclique_lemma_soundness_bound():
     for a in range(1, 4):
         for b in range(a, 4):
             for inst in enumerate_connected_bipartite(a, b):
-                lemma = check_biclique_lemma(inst)
+                lemma = check_biclique_lemma(LabInstance(inst))
                 bg = build_gadget(inst, 1)
                 if lemma.verdict in (HOLDS, VACUOUS):
                     optimum = max_weak_contraction_exact(bg.combined, T11).objective
@@ -349,7 +350,9 @@ def test_criterion_08_corollary_scaling():
     triples = 0
     for b in instances:
         for beta in (Fraction(1, 2), Fraction(1), Fraction(3)):
-            rep = check_corollary_scaling(b, beta, trials=30, seed=rng.randrange(10**6))
+            rep = check_corollary_scaling(
+                LabInstance(b), beta, trials=30, seed=rng.randrange(10**6)
+            )
             assert rep.verdict == HOLDS, (b, beta, rep.witness)
             triples += rep.stats["enumerated"]
     assert triples >= 1000

@@ -13,6 +13,7 @@ import contractlab as cl
 from contractlab import (
     BipartiteGraph,
     Graph,
+    LabInstance,
     Tolerance,
     check_biclique_lemma,
     check_corollary_scaling,
@@ -84,13 +85,13 @@ def test_path_graphs_are_vacuous_either_flag():
     # edges, so the hypothesis never fires
     for n in range(2, 7):
         for flag in (False, True):
-            rep = check_path_lemma(cl.path_graph(n), shortest_only=flag)
+            rep = check_path_lemma(LabInstance(cl.path_graph(n)), shortest_only=flag)
             assert rep.verdict == VACUOUS, (n, flag)
 
 
 def test_four_cycle_all_paths_counterexample_is_opposite_pair():
     g = cl.cycle_graph(4)
-    rep = check_path_lemma(g, shortest_only=False)
+    rep = check_path_lemma(LabInstance(g), shortest_only=False)
     assert rep.verdict == COUNTEREXAMPLE
     w = rep.witness
     # the pinned witness: contraction = opposite edges, path = 3-edge path
@@ -100,14 +101,14 @@ def test_four_cycle_all_paths_counterexample_is_opposite_pair():
 
 
 def test_four_cycle_shortest_only_vacuous():
-    rep = check_path_lemma(cl.cycle_graph(4), shortest_only=True)
+    rep = check_path_lemma(LabInstance(cl.cycle_graph(4)), shortest_only=True)
     assert rep.verdict in (HOLDS, VACUOUS)
     assert rep.verdict == VACUOUS  # geodesics have <= 2 edges here
 
 
 def test_path_lemma_claim_ids():
-    assert check_path_lemma(cl.path_graph(3), False).claim == CLAIM_PATH
-    assert check_path_lemma(cl.path_graph(3), True).claim == CLAIM_PATH_SHORTEST
+    assert check_path_lemma(LabInstance(cl.path_graph(3)), False).claim == CLAIM_PATH
+    assert check_path_lemma(LabInstance(cl.path_graph(3)), True).claim == CLAIM_PATH_SHORTEST
 
 
 def test_first_disjoint_contracted_pair_matches_pair_scan():
@@ -148,16 +149,16 @@ def test_path_walkers_carry_edge_ids():
 
 def test_path_lemma_requires_unit_weights_and_connectivity():
     with pytest.raises(ValueError, match="unit weights"):
-        check_path_lemma(Graph(2, ((0, 1, Fraction(1, 2)),)), False)
+        check_path_lemma(LabInstance(Graph(2, ((0, 1, Fraction(1, 2)),))), False)
     with pytest.raises(cl.DisconnectedGraphError):
-        check_path_lemma(Graph(3, ((0, 1),)), False)
+        check_path_lemma(LabInstance(Graph(3, ((0, 1),))), False)
 
 
 def test_path_truncation_flag():
     g = cl.cycle_graph(6)
-    rep = check_path_lemma(g, shortest_only=False, max_path_edges=2)
+    rep = check_path_lemma(LabInstance(g, max_path_edges=2), shortest_only=False)
     assert rep.stats["truncated"] is True
-    full = check_path_lemma(g, shortest_only=False)
+    full = check_path_lemma(LabInstance(g), shortest_only=False)
     assert full.stats["truncated"] is False  # diameter+2 covers every 6-cycle path
 
 
@@ -192,14 +193,14 @@ def test_theorem6_walks_the_partitions_biclique_lemma_evaluated():
     # closed form) a complete enumeration leaves the weak optimum no
     # partition to evaluate, and the optimum still counts a fresh solve's nodes
     core = next(b for b in enumerate_connected_bipartite(2, 6) if b.edge_count == 7)
-    gadget = cl.build_gadget(core, 1)
+    ctx = LabInstance(core)
+    gadget = ctx.gadget
     assert gadget.combined.edge_count == gadget.combined.vertex_count - 1
-    search = solvers.weak_search(gadget.combined, T11)
-    lemma = check_biclique_lemma(core, gadget=gadget, search=search)
+    lemma = check_biclique_lemma(ctx)
     assert lemma.verdict == VACUOUS and lemma.stats["enumerated"] > 1
-    seen = len(search.seen)
-    soundness, _ = check_theorem6(core, gadget=gadget, search=search, biclique_report=lemma)
-    assert len(search.seen) == seen
+    seen = len(ctx.search.seen)
+    soundness, _ = check_theorem6(ctx)
+    assert len(ctx.search.seen) == seen
     fresh = cl.max_weak_contraction_exact(gadget.combined, T11)
     assert soundness.stats["enumerated"] == fresh.explored
     assert soundness.witness["optimum_witness"] == list(fresh.witness)
@@ -229,46 +230,56 @@ def test_path_memo_matches_fresh_calls():
     fresh = []
     for g in graphs:
         for flag in (False, True):
-            fresh.append(_without_elapsed(check_path_lemma(g, flag)))
+            fresh.append(_without_elapsed(check_path_lemma(LabInstance(g), flag)))
     for _ in range(2):
         in_turn = [
-            _without_elapsed(check_path_lemma(g, flag)) for g in graphs for flag in (False, True)
+            _without_elapsed(check_path_lemma(LabInstance(g), flag))
+            for g in graphs
+            for flag in (False, True)
         ]
         assert in_turn == fresh
     # a smaller cap is a different key: it still refuses the graph
     g = graphs[-1]
-    check_path_lemma(g, False, cap_edges=g.edge_count)
+    check_path_lemma(LabInstance(g, cap_edges=g.edge_count), False)
     with pytest.raises(cl.CapExceededError):
-        check_path_lemma(g, True, cap_edges=g.edge_count - 1)
+        check_path_lemma(LabInstance(g, cap_edges=g.edge_count - 1), True)
 
 
 def test_shared_inputs_give_the_reports_of_fresh_calls():
-    # valid_sets= and gadget= hand a check what it would have built itself
+    # one context read by both path claims, or by both gadget claims, in
+    # either order, gives the reports each claim makes on a fresh context
     for g in (cl.cycle_graph(4), THREE_PATH.to_graph(), cl.complete_bipartite(2, 3).to_graph()):
-        valid_sets = cl.lab._sorted_valid_sets(g, cl.lab.DEFAULT_EDGE_CAP)
-        for flag in (False, True):
-            shared = check_path_lemma(g, flag, valid_sets=valid_sets)
-            assert _without_elapsed(shared) == _without_elapsed(check_path_lemma(g, flag))
-    # search= hands both gadget checks one weak search, whichever walks first
+        fresh = [_without_elapsed(check_path_lemma(LabInstance(g), flag)) for flag in (False, True)]
+        for order in ((False, True), (True, False)):
+            ctx = LabInstance(g)
+            shared = {flag: _without_elapsed(check_path_lemma(ctx, flag)) for flag in order}
+            assert [shared[False], shared[True]] == fresh
+    # both gadget checks walk the context's one weak search, whichever walks first
     tree_core = next(b for b in enumerate_connected_bipartite(2, 6) if b.edge_count == 7)
     for b in (cl.complete_bipartite(2, 2), THREE_PATH, cl.complete_bipartite(2, 3), tree_core):
-        gadget = cl.build_gadget(b, 1)
-        fresh = check_biclique_lemma(b)
-        searches = [solvers.weak_search(gadget.combined, T11) for _ in range(2)]
-        for kwargs in ({}, {"search": searches[0]}):
-            shared = check_biclique_lemma(b, gadget=gadget, **kwargs)
-            assert _without_elapsed(shared) == _without_elapsed(fresh)
-        shared = check_theorem6(b, gadget=gadget)
-        shared += check_theorem6(b, gadget=gadget, biclique_report=fresh)
-        shared += check_theorem6(b, gadget=gadget, search=searches[0], biclique_report=fresh)
-        shared += check_theorem6(b, gadget=gadget, search=searches[1])
-        fresh_pair = [_without_elapsed(r) for r in check_theorem6(b)]
-        assert [_without_elapsed(r) for r in shared] == fresh_pair * 4
-    # the suite hands both path claims one enumeration
-    claims = [CLAIM_PATH, CLAIM_PATH_SHORTEST]
-    reports = run_suite({"instances": [{"family": "cycle", "n": 4, "claims": claims}]})
+        fresh = [_without_elapsed(check_biclique_lemma(LabInstance(b)))]
+        fresh += [_without_elapsed(r) for r in check_theorem6(LabInstance(b))]
+        ctx = LabInstance(b)
+        lemma_first = [check_biclique_lemma(ctx), *check_theorem6(ctx)]
+        ctx = LabInstance(b)
+        soundness, completeness = check_theorem6(ctx)
+        theorem_first = [check_biclique_lemma(ctx), soundness, completeness]
+        for shared in (lemma_first, theorem_first):
+            assert [_without_elapsed(r) for r in shared] == fresh
+    # the suite's one context per instance gives the reports of fresh ones
+    instances = [
+        {"family": "cycle", "n": 4, "claims": [CLAIM_PATH_SHORTEST, CLAIM_PATH]},
+        {"family": "complete-bipartite", "left": 2, "right": 3,
+         "claims": [CLAIM_T6_COMPLETENESS, CLAIM_BICLIQUE, CLAIM_T6_SOUNDNESS]},
+    ]
+    reports = run_suite({"instances": instances})
     desc = reports[0].instance
-    fresh = [check_path_lemma(cl.cycle_graph(4), flag, instance=desc) for flag in (False, True)]
+    fresh = [check_path_lemma(LabInstance(cl.cycle_graph(4), instance=desc), flag)
+             for flag in (True, False)]
+    desc = reports[2].instance
+    fresh.append(check_theorem6(LabInstance(cl.complete_bipartite(2, 3), instance=desc))[1])
+    fresh.append(check_biclique_lemma(LabInstance(cl.complete_bipartite(2, 3), instance=desc)))
+    fresh.append(check_theorem6(LabInstance(cl.complete_bipartite(2, 3), instance=desc))[0])
     assert [_without_elapsed(r) for r in reports] == [_without_elapsed(r) for r in fresh]
 
 
@@ -281,7 +292,7 @@ def test_path_counterexamples_reverify_on_random_bipartite():
         if not cl.is_connected(g):
             continue
         seen += 1
-        rep = check_path_lemma(g, shortest_only=False)
+        rep = check_path_lemma(LabInstance(g), shortest_only=False)
         if rep.verdict == COUNTEREXAMPLE:
             reverify_path_counterexample(g, rep.witness)
 
@@ -292,13 +303,13 @@ def test_path_counterexamples_reverify_on_random_bipartite():
 
 
 def test_biclique_lemma_single_edge_vacuous():
-    rep = check_biclique_lemma(cl.complete_bipartite(1, 1))
+    rep = check_biclique_lemma(LabInstance(cl.complete_bipartite(1, 1)))
     assert rep.verdict == VACUOUS
 
 
 def test_biclique_lemma_k22_counterexample_reverifies():
     g = cl.complete_bipartite(2, 2)
-    rep = check_biclique_lemma(g)
+    rep = check_biclique_lemma(LabInstance(g))
     assert rep.verdict == COUNTEREXAMPLE
     cand = rep.witness["contraction"]
     bg = cl.build_gadget(g, 1)
@@ -318,7 +329,7 @@ def test_biclique_lemma_k22_counterexample_reverifies():
 
 def test_biclique_lemma_refuses_disconnected():
     with pytest.raises(cl.DisconnectedGraphError):
-        check_biclique_lemma(BipartiteGraph(2, 2, ((0, 0), (1, 1))))
+        check_biclique_lemma(LabInstance(BipartiteGraph(2, 2, ((0, 0), (1, 1)))))
 
 
 def test_biclique_lemma_verdicts_on_trees_vacuous():
@@ -329,7 +340,7 @@ def test_biclique_lemma_verdicts_on_trees_vacuous():
         BipartiteGraph(2, 2, ((0, 0), (1, 0), (1, 1))),  # 4-path
     ]
     for b in trees:
-        rep = check_biclique_lemma(b)
+        rep = check_biclique_lemma(LabInstance(b))
         assert rep.verdict == VACUOUS
 
 
@@ -337,7 +348,7 @@ def test_biclique_lemma_counterexample_on_cyclic_instances():
     # any cyclic core admits the spanning-escape contraction, which merges
     # everything and is never a biclique
     for b in (cl.complete_bipartite(2, 2), cl.complete_bipartite(2, 3)):
-        rep = check_biclique_lemma(b)
+        rep = check_biclique_lemma(LabInstance(b))
         assert rep.verdict == COUNTEREXAMPLE
 
 
@@ -347,7 +358,7 @@ def test_biclique_lemma_counterexample_on_cyclic_instances():
 
 
 def test_theorem6_single_edge_instance():
-    soundness, completeness = check_theorem6(cl.complete_bipartite(1, 1))
+    soundness, completeness = check_theorem6(LabInstance(cl.complete_bipartite(1, 1)))
     assert soundness.witness["optimum"] == 1
     assert soundness.witness["meb_gadget"] == 2
     assert soundness.verdict == HOLDS
@@ -362,8 +373,8 @@ def test_theorem6_single_edge_instance():
 def test_theorem6_soundness_never_violated_when_lemma_holds_small():
     for left, right in ((1, 1), (1, 2), (2, 2)):
         for b in enumerate_connected_bipartite(left, right):
-            soundness, _ = check_theorem6(b)
-            lemma = check_biclique_lemma(b)
+            soundness, _ = check_theorem6(LabInstance(b))
+            lemma = check_biclique_lemma(LabInstance(b))
             if lemma.verdict in (HOLDS, VACUOUS):
                 assert soundness.verdict == HOLDS
             else:
@@ -378,7 +389,7 @@ def test_theorem6_completeness_verdicts_reverify():
         if not cl.is_connected(b.to_graph()):
             continue
         seen += 1
-        _, completeness = check_theorem6(b)
+        _, completeness = check_theorem6(LabInstance(b))
         bg = cl.build_gadget(b, 1)
         ids = completeness.witness["contraction"]
         expected = completeness.witness["verifier_verdict"]
@@ -392,23 +403,25 @@ def test_theorem6_completeness_verdicts_reverify():
 
 
 def test_corollary_beta_one_identical():
-    rep = check_corollary_scaling(cl.complete_bipartite(2, 2), 1, trials=30, seed=4)
+    rep = check_corollary_scaling(LabInstance(cl.complete_bipartite(2, 2)), 1, trials=30, seed=4)
     assert rep.verdict == HOLDS
 
 
 def test_corollary_beta_three_holds():
-    rep = check_corollary_scaling(THREE_PATH, 3, trials=50, seed=9)
+    rep = check_corollary_scaling(LabInstance(THREE_PATH), 3, trials=50, seed=9)
     assert rep.verdict == HOLDS
 
 
 def test_corollary_zero_trials_vacuous():
-    rep = check_corollary_scaling(cl.complete_bipartite(2, 2), Fraction(1, 2), 0, seed=0)
+    rep = check_corollary_scaling(
+        LabInstance(cl.complete_bipartite(2, 2)), Fraction(1, 2), 0, seed=0
+    )
     assert rep.verdict == VACUOUS
 
 
 def test_corollary_rejects_bad_beta():
     with pytest.raises(ValueError, match="beta"):
-        check_corollary_scaling(THREE_PATH, 0, trials=1, seed=0)
+        check_corollary_scaling(LabInstance(THREE_PATH), 0, trials=1, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -417,12 +430,12 @@ def test_corollary_rejects_bad_beta():
 
 
 def test_lemma2_single_edge_holds():
-    rep = check_lemma2(cl.complete_bipartite(1, 1))
+    rep = check_lemma2(LabInstance(cl.complete_bipartite(1, 1)))
     assert rep.verdict == HOLDS
 
 
 def test_lemma2_three_path_records_counts():
-    rep = check_lemma2(THREE_PATH)
+    rep = check_lemma2(LabInstance(THREE_PATH))
     assert rep.verdict == HOLDS
     w = rep.witness
     assert w["balanced_size"] == 2
@@ -431,9 +444,9 @@ def test_lemma2_three_path_records_counts():
 
 
 def test_lemma2_no_edges_vacuous():
-    rep = check_lemma2(BipartiteGraph(2, 2))
+    rep = check_lemma2(LabInstance(BipartiteGraph(2, 2)))
     assert rep.verdict == VACUOUS
-    rep = check_lemma2(BipartiteGraph(2, 3, ()))
+    rep = check_lemma2(LabInstance(BipartiteGraph(2, 3, ())))
     assert rep.verdict == VACUOUS and rep.stats["enumerated"] == 0
 
 
@@ -441,7 +454,7 @@ def test_lemma2_holds_with_a_witness_on_all_3x3_classes():
     # a graph with an edge has a tensor biclique with t >= 1, so a verdict of
     # holds always records the balanced size and the projection
     for g in enumerate_connected_bipartite(3, 3):
-        rep = check_lemma2(g)
+        rep = check_lemma2(LabInstance(g))
         assert rep.verdict == HOLDS
         assert rep.witness["balanced_size"] >= 1
 
@@ -450,7 +463,7 @@ def test_lemma2_random_instances_hold():
     rng = random.Random(20)
     for _ in range(20):
         b = cl.generate_random_bipartite(3, 3, Fraction(1, 2), rng.randrange(10**6))
-        rep = check_lemma2(b)
+        rep = check_lemma2(LabInstance(b))
         assert rep.verdict in (HOLDS, VACUOUS)
 
 
@@ -470,14 +483,16 @@ def test_verdicts_invariant_under_vertex_relabeling():
         rng.shuffle(lp)
         rng.shuffle(rp)
         relabeled = naive.relabel_bipartite(b, lp, rp)
-        assert check_biclique_lemma(b).verdict == check_biclique_lemma(relabeled).verdict
-        assert check_lemma2(b).verdict == check_lemma2(relabeled).verdict
+        ctx, relabeled_ctx = LabInstance(b), LabInstance(relabeled)
+        assert check_biclique_lemma(ctx).verdict == check_biclique_lemma(relabeled_ctx).verdict
+        assert check_lemma2(ctx).verdict == check_lemma2(relabeled_ctx).verdict
         g = b.to_graph()
         perm = list(range(g.vertex_count))
         rng.shuffle(perm)
         gg = naive.relabel_graph(g, perm)
         assert (
-            check_path_lemma(g, True).verdict == check_path_lemma(gg, True).verdict
+            check_path_lemma(LabInstance(g), True).verdict
+            == check_path_lemma(LabInstance(gg), True).verdict
         )
 
 
@@ -661,18 +676,77 @@ def test_run_suite_builds_one_gadget_per_instance(monkeypatch):
     assert calls[0] == 12  # 8 gadget instances, plus 2 betas x 2 gadgets for the corollary
 
 
+LAB_CHECKS = (
+    "check_path_lemma", "check_biclique_lemma", "check_theorem6",
+    "check_corollary_scaling", "check_lemma2",
+)
+
+
+def _wrap_checks(monkeypatch, opened, closed=None):
+    """Wrap every lab.check_* on the module: ``opened`` is the stack of the
+    checks open now, and ``closed`` gets (name, reports) per outermost call."""
+    def wrap(name, fn):
+        def wrapped(*args, **kwargs):
+            opened.append(name)
+            try:
+                result = fn(*args, **kwargs)
+            finally:
+                opened.pop()
+            if not opened and closed is not None:
+                closed.append((name, result if isinstance(result, tuple) else (result,)))
+            return result
+
+        return wrapped
+
+    for name in LAB_CHECKS:
+        monkeypatch.setattr(cl.lab, name, wrap(name, getattr(cl.lab, name)))
+
+
 def test_run_suite_calls_checks_by_their_module_names(monkeypatch):
-    # a wrapper set on the module sees one outermost call per lemma2-lift report
-    calls = [0]
-    original = cl.lab.check_lemma2
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(cl.lab, "check_lemma2", counted)
+    # a wrapper set on the module sees exactly one outermost call per report,
+    # and the two theorem-6 reports of an instance share one call
+    calls = []
+    _wrap_checks(monkeypatch, [], calls)
     reports = run_suite(default_suite_config())
-    assert calls[0] == sum(r.claim == CLAIM_LEMMA2 for r in reports) == 9
+    returned = [rep for _, reps in calls for rep in reps]
+    assert sorted(map(id, returned)) == sorted(map(id, reports))
+    counts = {name: sum(called == name for called, _ in calls) for name in LAB_CHECKS}
+    assert counts == {
+        "check_path_lemma": 8, "check_biclique_lemma": 8, "check_theorem6": 8,
+        "check_corollary_scaling": 2, "check_lemma2": 9,
+    }
+    assert counts["check_lemma2"] == sum(r.claim == CLAIM_LEMMA2 for r in reports)
+    for name, reps in calls:
+        if name == "check_theorem6":
+            assert [r.claim for r in reps] == [CLAIM_T6_SOUNDNESS, CLAIM_T6_COMPLETENESS]
+            assert reps[0].instance is reps[1].instance
+
+
+def test_run_suite_builds_shared_values_outside_the_check_calls(monkeypatch):
+    # the values an instance's claims share are built before the check that
+    # reads them is called, so a check's call times its own work alone: the
+    # weak searches outside every call, the gadgets too but for
+    # corollary-scaling's own pair, and the valid sets too but for the
+    # biclique-lemma enumeration of a gadget
+    opened = []
+    _wrap_checks(monkeypatch, opened)
+    stacks = {"weak_search": set(), "build_gadget": set(), "enumerate_valid_weak_contractions": set()}
+
+    def record(name, fn):
+        def recorded(*args, **kwargs):
+            stacks[name].add(tuple(opened))
+            return fn(*args, **kwargs)
+
+        return recorded
+
+    for name in stacks:
+        monkeypatch.setattr(cl.lab, name, record(name, getattr(cl.lab, name)))
+    run_suite(default_suite_config())
+    assert stacks == {
+        "weak_search": {()},
+        "build_gadget": {(), ("check_corollary_scaling",)},
+        "enumerate_valid_weak_contractions": {(), ("check_biclique_lemma",)},
+    }
 
 
 def test_run_suite_rejects_unknown_claims_and_families():
