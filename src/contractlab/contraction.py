@@ -191,7 +191,7 @@ class ToleranceCheck:
     computes p*s, p*r and q*s once (``Tolerance.ints``) and the graph's engine
     holds L, so construction does one multiplication.  A verdict tests the
     failing side, ``lhs * D_C + offset < coeff * D``, pair by pair and builds
-    no table; the exact searches (``solvers._matrix_scan``) read the same
+    no table; the exact searches (``solvers._evaluation``) read the same
     three integers and base rows to test their own packed distance matrices.
     All of these are read-only.
 
@@ -207,7 +207,7 @@ class ToleranceCheck:
         require_connected(g, "tolerance checks require a connected graph")
         engine = g.distances
         self.base_scaled = engine.base
-        self.graph = g
+        self.graph, self.tolerance = g, tolerance
         n = g.vertex_count
         m = g.edge_count
         self.n = n

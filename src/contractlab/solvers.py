@@ -17,8 +17,11 @@ never increases an induced distance:
 * weak mode: a failing pair stays failing until it is merged.  Child j and
   its descendants draw edges only from the chosen ones and edges j..m-1, a
   set that shrinks as j grows, so a node builds its children only up to the
-  last j whose set still joins every failing pair (``_last_child``), and
-  none if that j is below its first child;
+  last j whose set still joins every failing pair, and none if that j is
+  below its first child.  One pass finds that j (``last_child`` in
+  ``_evaluation``): it adds the edges m-1 down to the node's first child and
+  no further, and decodes a failing pair only once the pair before it is
+  joined, so a dead node stops at its first pair that cannot be joined;
 * strong mode only: the Russian-doll suffix bound (``_suffix_bounds``).
   Strong validity is down-closed (every subset of a valid set is valid), so
   cset + {j} + S valid makes {j} + S a valid set inside edges j..m-1, and
@@ -36,7 +39,8 @@ test suite.  Induced distances, and so the failing pairs, depend only on the
 vertex partition a set induces, so each search (``_Search``, shared by every
 walk of one solve, and by the weak calls handed one from ``weak_search``)
 evaluates a partition once and reuses the result for every other set
-inducing it.  A child's induced distances are derived from
+inducing it; only a weak node found dead, and met again from an earlier
+first child, reruns its pass.  A child's induced distances are derived from
 its parent's, so a search runs no BFS or Dijkstra.  The walker is one
 generator frame driving an explicit stack of open nodes, not a generator per
 node, and it holds a partition as a str of block labels: a merge is one
@@ -54,10 +58,11 @@ bridge may pass or fail; the first non-bridge passes).
 
 A search node holds its whole induced distance matrix as one Python int
 (``RowPacking``): every pair's distance in a fixed-width field under a guard
-bit, row-major.  Deriving the matrix after a merge (``RowPacking.merge``)
-and testing it against the tolerance (the walker's scan, ``_matrix_scan``)
-are then each a fixed handful of big-int operations, not a loop over rows
-or entries.  This module is the only one that knows the format.
+bit, row-major.  Deriving the matrix after a merge and testing it against
+the tolerance are then each a fixed handful of big-int operations, not a
+loop over rows or entries, and a new partition costs one call that does
+both and, for a failing weak node, the pass (``evaluate`` in
+``_evaluation``).  This module is the only one that knows the format.
 """
 
 from __future__ import annotations
@@ -112,35 +117,6 @@ def _refuse(g: Graph, cap: int) -> None:
     _require_cap(g.edge_count, cap, "edge count")
 
 
-def _last_child(labels: str, g: Graph, pairs) -> int:
-    """The largest j at which the partition ``labels`` joined with the edges
-    j..m-1 joins every pair.
-
-    ``pairs`` is a non-empty list of pairs that ``labels`` leaves apart.
-    Edges are added from the last one down, each merge relabelling one block
-    (one ``str.replace``), and a joined pair stays joined, so one index walks
-    the pairs once.  The edges j..m-1 only grow as j falls, so every j up to
-    the result joins every pair too.  g is connected (every search's
-    ``ToleranceCheck`` refuses any other), so all its edges join every pair:
-    when no j >= 1 does, the result is 0 without adding edge 0.
-    """
-    label = labels
-    i, k = 0, len(pairs)
-    edges = g.edges
-    for j in range(g.edge_count - 1, 0, -1):
-        u, v, _ = edges[j]
-        a, b = label[u], label[v]
-        if a != b:
-            label = label.replace(b, a)
-            x, y = pairs[i]
-            while label[x] == label[y]:
-                i += 1
-                if i == k:
-                    return j
-                x, y = pairs[i]
-    return 0
-
-
 class RowPacking(NamedTuple):
     """A distance matrix packed into one Python int (SWAR, SIMD within a
     register: Lamport, "Multiple byte processing with full-word
@@ -158,10 +134,10 @@ class RowPacking(NamedTuple):
     where x[i] >= y[i]: with the guards set first no field borrows from the
     next.  Shifting that down by ``width - 1`` and subtracting turns each set
     guard into a mask of its field's value bits, which gives the fieldwise
-    minimum (``_min``), and the same guarded subtraction compares a matrix
-    with a matrix of thresholds (``_matrix_scan``).
+    minimum, and the same guarded subtraction compares a matrix with a
+    matrix of thresholds (both in ``_evaluation``).
 
-    ``merge`` spreads one row over the whole matrix with two products.
+    A merge spreads one row over the whole matrix with two products.
     ``spread`` = sum of 1 << k*(n-1)*width over k < n moves field u of a row
     to the start of row u; only these diagonal terms land in column 0 and at
     most two terms meet in any other field.  No value exceeds D, so a sum of
@@ -198,117 +174,148 @@ class RowPacking(NamedTuple):
             spread, copies * ((1 << (width - 1)) - 1), copies, top,
         )
 
-    def pack(self, values) -> int:
-        """Fields 0, 1, ... holding non-negative ``values`` below ``2**(width-1)``;
-        a matrix is its rows' values in row-major order."""
-        width = self.width
-        return sum(d << (i * width) for i, d in enumerate(values))
-
-    def merge(self, matrix: int, a: int, b: int) -> int:
-        """The packed induced matrix after the blocks of a and b merge.
-
-        With m the fieldwise minimum of rows a and b (the merged block's
-        row), the result is min(d(u,y), m[u] + m[y]) in every field.  This is
-        exact: d'(u,y) = min(d(u,y), d(u,a) + d(b,y), d(u,b) + d(a,y)), and
-        m[u] + m[y] is the least of those two cross terms and of d(u,a) +
-        d(a,y) and d(u,b) + d(b,y), which are at least d(u,y) by the triangle
-        inequality.  Where m[u] = 0 (u merged with a or b), row u becomes m.
-        The matrix must have no -1 (unreachable) field.
-        """
-        width, span, _, guards, row_ones, row_guards, spread, col0, copies, _ = self
-        row = (1 << span) - 1
-        m = _min((matrix >> (a * span)) & row, (matrix >> (b * span)) & row, row_guards, width)
-        cross = ((m * spread) & col0) * row_ones + m * copies
-        return _min(matrix, cross, guards, width)
+    def pack(self, rows: list[list[int]]) -> int:
+        """The matrix whose field u*n + y holds ``rows[u][y]``, a non-negative
+        value below ``2**(width-1)``.  Built from the last field down, one
+        row at a time, so no shift is wider than the matrix built so far."""
+        width, span = self.width, self.span
+        matrix = 0
+        for row in reversed(rows):
+            packed = 0
+            for d in reversed(row):
+                packed = packed << width | d
+            matrix = matrix << span | packed
+        return matrix
 
 
-def _min(x: int, y: int, guards: int, width: int) -> int:
-    """Fieldwise minimum of packed x and y (see ``RowPacking``)."""
-    ge = ((x | guards) - y) & guards
-    return x ^ ((x ^ y) & (ge - (ge >> (width - 1))))
+# (labels, packed matrix, failing mask, last child, start): see _Search
+_Node = tuple[str, int, int, int, int]
 
 
-def _matrix_scan(
+def _evaluation(
     check: ToleranceCheck, weak: bool, packing: RowPacking
-) -> Callable[[int], list[tuple[int, int]]]:
-    """The walker's pair scan: ``scan(matrix)`` lists the failing pairs of a
-    packed induced matrix, in lexicographic order.
+) -> tuple[Callable[[str, int, int, int, int], _Node], Callable[[str, int, int], int]]:
+    """A search's two closures: ``evaluate(labels, parent, a, b, start)``,
+    the node of the partition ``labels`` made by merging the blocks of a and
+    b in the ``parent`` matrix, and ``last_child(labels, failing, start)``,
+    the capped pass alone.  Both bind the packing's constants once.
 
-    Pair (u, v) fails exactly when ``lhs * d + offset < coeff * D`` (the
-    ``ToleranceCheck`` inequality, D its base distance), that is when its
-    induced distance d is below ceil((coeff*D - offset) / lhs), computed as
-    ``-((offset - coeff*D) // lhs)``.  So the scan holds a packed threshold
-    matrix: that ceiling clamped to [0, D+1] (``RowPacking.top``, since d
-    lies in [0, D]), and 0 for v <= u.  One guarded subtraction, ``(matrix
-    | guards) - thresholds``, clears field (u, v)'s guard exactly where
-    (u, v) fails, and weak mode keeps only the fields holding at least 1
-    (unmerged pairs).  Fields run in lexicographic pair order, so the set
-    guards are decoded lowest first: strong mode stops at the first, weak
-    mode decodes every one into the search's own flat table of (u, v)
-    tuples, shared rather than made per scan, so the walker's memo of
-    failing pairs holds no copies.
+    The merge: with r the fieldwise minimum of rows a and b (the merged
+    block's row), the child's field (u, y) is min(d(u,y), r[u] + r[y]).
+    This is exact: d'(u,y) = min(d(u,y), d(u,a) + d(b,y), d(u,b) + d(a,y)),
+    and r[u] + r[y] is the least of those two cross terms and of d(u,a) +
+    d(a,y) and d(u,b) + d(b,y), which are at least d(u,y) by the triangle
+    inequality.  Where r[u] = 0 (u merged with a or b), row u becomes r.  For
+    a = b the same inequality leaves the matrix as it is, which is how the
+    root is evaluated.
+
+    The scan: pair (u, v) fails exactly when ``lhs * d + offset < coeff *
+    D`` (the ``ToleranceCheck`` inequality, D its base distance), that is
+    when its induced distance d is below ceil((coeff*D - offset) / lhs),
+    ``-((offset - coeff*D) // lhs)``.  The threshold matrix holds that
+    ceiling clamped to [0, D+1] (``RowPacking.top``, since d lies in [0, D]),
+    computed once per distinct D, and 0 for v <= u.  One guarded subtraction
+    sets field (u, v)'s guard in the failing mask exactly where (u, v)
+    fails, and weak mode keeps only the fields holding at least 1 (unmerged
+    pairs).  Fields run in lexicographic pair order; nothing is decoded here.
+
+    The pass: the node's children draw edges from start..m-1, so only the
+    edges m-1 down to ``start`` are added to the partition, each merge
+    relabelling one block (one ``str.replace``).  Failing pairs are decoded
+    from the mask lowest field first, the next only once the current one is
+    joined, and a joined pair stays joined.  The edges j..m-1 only grow as j
+    falls, so the first j that joins every pair is the last child, returned
+    exactly when it is at least ``start``; otherwise -1, a dead node.  g is
+    connected (every search's ``ToleranceCheck`` refuses any other), so at
+    start 0, the root's, the result is the exact last child.
     """
-    width, _, ones, guards, *_ = packing
-    lhs, offset, coeff, n = check.lhs, check.offset, check.coeff, check.n
+    width, span, ones, guards, row_ones, row_guards, spread, col0, copies, top = packing
+    shift, row = width - 1, (1 << span) - 1
+    lhs, offset, coeff, n, m, base = (
+        check.lhs, check.offset, check.coeff, check.n, check.m, check.base_scaled
+    )
+    ceiling = {d: min(max(-((offset - coeff * d) // lhs), 0), top) for d in set().union(*base)}
     thresholds = packing.pack(
-        0 if v <= u else min(max(-((offset - coeff * d) // lhs), 0), packing.top)
-        for u, row in enumerate(check.base_scaled)
-        for v, d in enumerate(row)
+        [[0] * (u + 1) + [ceiling[d] for d in r[u + 1:]] for u, r in enumerate(base)]
     )
     pairs = [(u, v) for u in range(n) for v in range(n)]
+    edges = [(u, v) for u, v, _ in check.graph.edges]
 
-    def scan(matrix: int) -> list[tuple[int, int]]:
+    def last_child(labels: str, failing: int, start: int) -> int:
+        low = failing & -failing
+        x, y = pairs[low.bit_length() // width - 1]
+        for j in range(m - 1, start - 1, -1):
+            u, v = edges[j]
+            a, b = labels[u], labels[v]
+            if a != b:
+                labels = labels.replace(b, a)
+                while labels[x] == labels[y]:
+                    failing ^= low
+                    if not failing:
+                        return j
+                    low = failing & -failing
+                    x, y = pairs[low.bit_length() // width - 1]
+        return -1
+
+    def evaluate(labels: str, parent: int, a: int, b: int, start: int) -> _Node:
+        x = (parent >> (a * span)) & row
+        y = (parent >> (b * span)) & row
+        ge = ((x | row_guards) - y) & row_guards
+        r = x ^ ((x ^ y) & (ge - (ge >> shift)))
+        cross = ((r * spread) & col0) * row_ones + r * copies
+        ge = ((parent | guards) - cross) & guards
+        matrix = parent ^ ((parent ^ cross) & (ge - (ge >> shift)))
         held = matrix | guards
         failing = ((held - thresholds) & guards) ^ guards
-        if not weak:
-            return [pairs[((failing & -failing).bit_length() - 1) // width]] if failing else []
-        failing &= held - ones
-        out = []
-        while failing:
-            low = failing & -failing
-            out.append(pairs[(low.bit_length() - 1) // width])
-            failing ^= low
-        return out
+        if weak:
+            failing &= held - ones
+            if failing:
+                return labels, matrix, failing, last_child(labels, failing, start), start
+        return labels, matrix, failing, m - 1, start
 
-    return scan
+    return evaluate, last_child
 
 
 class _Search:
     """The state that every walk of one search shares.
 
-    One ``RowPacking``, one threshold matrix (inside ``scan``), one root node
-    and one partition memo ``seen``, so a partition is merged and scanned
-    once per search however many walks meet it.  ``explored`` sums the nodes
-    of every walk, including walks their consumer closed early.
+    One ``RowPacking``, one threshold matrix (inside ``evaluate``), one root
+    node and one partition memo ``seen``, so a partition is merged and
+    scanned once per search however many walks meet it.  ``explored`` sums
+    the nodes of every walk, including walks their consumer closed early.
 
     A node is its partition as a str (character i is ``chr`` of the least
     vertex in i's block, so a merge is one ``str.replace``), its packed
-    induced matrix (``RowPacking``), its failing pairs and its last child
-    worth building (m - 1 when none fails).  It depends only on its
-    partition, so nodes are memoised by the labels str: a partition met
-    before costs no merge, no scan and no ``_last_child`` pass.  Weak mode
-    keeps every failing pair, which ``_last_child`` needs; strong mode prunes
-    on any failing pair, so it keeps at most the first and its scan stops
-    there.
+    induced matrix (``RowPacking``), its failing mask (the guard bits of its
+    failing pairs, 0 when it is valid), its last child worth building and
+    the start that child was found from.  Strong mode prunes on any failing
+    pair and never decodes one; its last child is m - 1, as is a valid weak
+    node's.  A failing weak node's last child is the capped pass of
+    ``_evaluation`` from its first child: exact when it is at least that
+    start, -1 (dead) when it is below.
+
+    Nodes are memoised by the labels str: a partition met before costs no
+    merge, no scan and no pass, with one exception.  A node stored dead from
+    start s and met again from a smaller start reruns the pass from there,
+    on the stored mask, and replaces the entry; a stored exact last child
+    answers every start, and a dead one every start >= s.  In a walk that
+    never raises its floor the rerun never changes an answer: a partition
+    live anywhere is first reached along the shortest prefix, in id order,
+    of its internal edges that spans it, whose largest edge is the least of
+    any set inducing it, so if that path was cut some failing pair cannot be
+    joined by the later edges and the partition is dead at every visit.  A
+    floor-raising walk can cut that path, so the rerun stays.
     """
 
     def __init__(self, check: ToleranceCheck, weak: bool) -> None:
         self.check, self.edges, self.weak, self.m = check, check.graph.edges, weak, check.m
-        self.packing = packing = RowPacking.for_rows(check.base_scaled)
-        self.seen: dict[str, tuple[str, int, list[tuple[int, int]], int]] = {}
+        self.seen: dict[str, _Node] = {}
         self.explored = 0
-        scan, graph, m = _matrix_scan(check, weak, packing), check.graph, check.m
-
-        # a closure rather than a method: it runs once per partition and reads no attribute
-        def evaluate(labels: str, matrix: int) -> tuple[str, int, list[tuple[int, int]], int]:
-            failing = scan(matrix)
-            if weak and failing:
-                return labels, matrix, failing, _last_child(labels, graph, failing)
-            return labels, matrix, failing, m - 1
-
-        self.evaluate = evaluate
+        base = check.base_scaled
+        packing = RowPacking.for_rows(base)
+        self.evaluate, self.last_child = _evaluation(check, weak, packing)
         labels = "".join(map(chr, range(check.n)))
-        self.root = evaluate(labels, packing.pack(d for row in check.base_scaled for d in row))
+        self.root = self.evaluate(labels, packing.pack(base), 0, 0, 0)
 
     def walk(
         self, floor: list[int], bound: list[int], start: int = 0
@@ -327,12 +334,12 @@ class _Search:
         One generator frame walks the lattice with an explicit stack of open
         nodes, each entry the node's next child j and its node, starting
         from the root (the packed base matrix).  An edge inside a block
-        changes nothing; otherwise the child's matrix is one
-        ``RowPacking.merge`` of the parent's, unless the memo holds it.
-        Nodes are added to ``explored`` before each yield and at the end.
+        changes nothing; otherwise the child is one ``evaluate`` call on the
+        parent's matrix, unless the memo holds it.  Nodes are added to
+        ``explored`` before each yield and at the end.
         """
-        m, weak, seen, evaluate = self.m, self.weak, self.seen, self.evaluate
-        edges, merge = self.edges, self.packing.merge
+        m, weak, seen = self.m, self.weak, self.seen
+        edges, evaluate, last_child = self.edges, self.evaluate, self.last_child
         node = self.root
         cset: list[int] = []  # the stack's node at depth i has cset[:i]
         stack: list[list] = []  # [next child, node] per open node
@@ -344,11 +351,11 @@ class _Search:
                 self.explored += explored
                 explored = 0
                 yield tuple(cset)
-            if start < m and (weak or not failing):
+            if start <= node[3] and (weak or not failing):  # a dead node has no child
                 stack.append([start, node])
             while stack:
                 entry = stack[-1]
-                j, (labels, matrix, _, last) = entry
+                j, (labels, matrix, _, last, _) = entry
                 depth = len(stack) - 1
                 if j > last or depth + bound[j] <= floor[0]:
                     stack.pop()
@@ -364,7 +371,12 @@ class _Search:
                     merged = labels.replace(b, a)
                     node = seen.get(merged)
                     if node is None:
-                        node = seen[merged] = evaluate(merged, merge(matrix, ord(a), ord(b)))
+                        node = seen[merged] = evaluate(merged, matrix, ord(a), ord(b), start)
+                    elif node[3] < 0 and start < node[4]:
+                        # dead from a later start: rerun the pass from this one
+                        node = seen[merged] = (
+                            merged, node[1], node[2], last_child(merged, node[2], start), start
+                        )
                 else:
                     node = entry[1]
                 break
@@ -405,10 +417,19 @@ def weak_search(g: Graph, tolerance: Tolerance, cap: int = DEFAULT_EDGE_CAP) -> 
     keyword of ``max_weak_contraction_exact`` and
     ``enumerate_valid_weak_contractions``: their walks then share one
     partition memo, so a partition one of them evaluated costs the other no
-    merge, scan or ``_last_child`` pass.  Refuses as those calls do, before
+    merge, scan or last-child pass.  Refuses as those calls do, before
     anything is built: a disconnected graph, then one over ``cap`` edges."""
     _refuse(g, cap)
     return _Search(ToleranceCheck(g, tolerance), True)
+
+
+def _require_own(search: _Search, g: Graph, tolerance: Tolerance) -> None:
+    """Refuse a ``search=`` that is not a weak search of ``g`` at
+    ``tolerance``: it would answer for its own graph and tolerance, or prune
+    as a strong search."""
+    check = search.check
+    if not (search.weak and check.graph == g and check.tolerance == tolerance):
+        raise ValueError("search= must be a weak search of this graph and tolerance")
 
 
 def _max_valid_set(
@@ -416,6 +437,8 @@ def _max_valid_set(
 ) -> SolveResult:
     if search is None:
         _refuse(g, cap)
+    else:
+        _require_own(search, g, tolerance)
     if weak and g.edge_count == 0:
         raise ValueError(
             "weak contraction needs at least one edge: no proper subset exists"
@@ -468,8 +491,9 @@ def max_weak_contraction_exact(
 ) -> SolveResult:
     """Largest proper edge subset valid in weak mode (merged pairs exempt).
 
-    ``search``, when given, must be a search of this same graph and
-    tolerance (``weak_search``); the refusals ran when it was built.
+    ``search``, when given, must be a weak search of this same graph and
+    tolerance (``weak_search``), or ValueError is raised; the other
+    refusals ran when it was built.
     """
     return _max_valid_set(g, tolerance, cap, weak=True, search=search)
 
@@ -482,11 +506,14 @@ def enumerate_valid_weak_contractions(
     Subsets compare as sorted tuples, so the stream starts (), (0,), (0, 1),
     ... whenever those are valid.  Branches that provably contain no valid
     superset (a failing pair that can never be merged) are skipped.
-    ``search``, when given, must be a search of this same graph and
-    tolerance (``weak_search``); the refusals ran when it was built.
+    ``search``, when given, must be a weak search of this same graph and
+    tolerance (``weak_search``), or ValueError is raised; the other
+    refusals ran when it was built.
     """
     if search is None:
         search = weak_search(g, tolerance, cap)
+    else:
+        _require_own(search, g, tolerance)
     yield from search.walk([-1], list(range(g.edge_count, -1, -1)))
 
 

@@ -53,6 +53,20 @@ def unpack_matrix(matrix: int, packing, n: int) -> list[list[int]]:
     return [[(matrix >> ((u * n + y) * width)) & value for y in range(n)] for u in range(n)]
 
 
+def guard_mask(pairs, packing, n: int) -> int:
+    """The failing mask of ``pairs``: the guard bit of field u*n + v for each
+    (u, v) (see ``solvers.RowPacking``)."""
+    return sum(1 << ((u * n + v + 1) * packing.width - 1) for u, v in pairs)
+
+
+def unpack_pairs(failing: int, packing, n: int) -> list[tuple[int, int]]:
+    """The pairs whose guard bits are set in a failing mask, in field
+    (lexicographic) order; every other bit must be clear."""
+    width = packing.width
+    assert failing & ~packing.guards == 0
+    return [divmod(i, n) for i in range(n * n) if (failing >> ((i + 1) * width - 1)) & 1]
+
+
 def random_subset(rng: random.Random, m: int, nonempty: bool = False) -> tuple[int, ...]:
     while True:
         sub = tuple(e for e in range(m) if rng.random() < 0.5)

@@ -894,11 +894,9 @@ ALL_BIPARTITE_REPORTS = {
 }
 
 
-def test_lab_all_bipartite_outputs_pinned(tmp_path, capsys):
-    config = {"instances": [
-        {"family": "all-bipartite", "left": 3, "right": 4, "claims": SIX_CLAIMS},
-        {"family": "all-bipartite", "left": 2, "right": 6, "claims": SIX_CLAIMS},
-    ]}
+def _report_digests(tmp_path, config) -> dict[tuple[str, str], tuple[int, str]]:
+    """Run the lab on a suite config; per (claim, size), the number of
+    reports and the digest of their lines (see ALL_BIPARTITE_REPORTS)."""
     suite = write(tmp_path, "suite.json", json.dumps(config))
     out = tmp_path / "out"
     assert run_cli("lab", "--suite", suite, "--out", str(out)) == 0
@@ -907,10 +905,46 @@ def test_lab_all_bipartite_outputs_pinned(tmp_path, capsys):
         del rep["stats"]["elapsed_ms"]
         size = "{left}x{right}".format(**rep["instance"]["params"])
         groups.setdefault((rep["claim"], size), []).append(json.dumps(rep, sort_keys=True))
-    got = {key: (len(lines), _sha16("\n".join(lines).encode())) for key, lines in groups.items()}
+    return {key: (len(lines), _sha16("\n".join(lines).encode())) for key, lines in groups.items()}
+
+
+def test_lab_all_bipartite_outputs_pinned(tmp_path, capsys):
+    config = {"instances": [
+        {"family": "all-bipartite", "left": 3, "right": 4, "claims": SIX_CLAIMS},
+        {"family": "all-bipartite", "left": 2, "right": 6, "claims": SIX_CLAIMS},
+    ]}
+    got = _report_digests(tmp_path, config)
     for key, want in ALL_BIPARTITE_REPORTS.items():
         assert got.get(key) == want, f"reports of {key[0]} at {key[1]} differ"
     assert got.keys() == ALL_BIPARTITE_REPORTS.keys()
+
+
+# The same digests for all-bipartite 4x4 (93 classes): the gadget claims and
+# lemma2-lift with max_edges 29, since a 4x4 core's gadget has up to 29 edges
+# (372 reports: 102 holds, 177 counterexamples, 93 vacuous), and both path
+# claims (186 reports: 0 holds, 167 counterexamples, 19 vacuous)
+ALL_BIPARTITE_4X4_REPORTS = [
+    (["biclique-lemma", "thm6-soundness", "thm6-completeness", "lemma2-lift"], 29, {
+        ("biclique-lemma", "4x4"): (93, "cc68454628855abc"),
+        ("thm6-soundness", "4x4"): (93, "29385c0a286ef706"),
+        ("thm6-completeness", "4x4"): (93, "60bec10ae9008e59"),
+        ("lemma2-lift", "4x4"): (93, "4c3f8cda721c1eb5"),
+    }),
+    (["path-lemma", "path-lemma-shortest"], 20, {
+        ("path-lemma", "4x4"): (93, "bf5335c545639b4e"),
+        ("path-lemma-shortest", "4x4"): (93, "7941808a3ac765de"),
+    }),
+]
+
+
+@pytest.mark.parametrize(
+    "claims, max_edges, pinned", ALL_BIPARTITE_4X4_REPORTS, ids=["gadget-claims", "path-claims"]
+)
+def test_lab_all_bipartite_4x4_outputs_pinned(tmp_path, capsys, claims, max_edges, pinned):
+    config = {"caps": {"max_edges": max_edges}, "instances": [
+        {"family": "all-bipartite", "left": 4, "right": 4, "claims": claims},
+    ]}
+    assert _report_digests(tmp_path, config) == pinned
 
 
 @pytest.mark.parametrize("target", ["reports.json", "summary.csv", "goldens/path-lemma.json"])

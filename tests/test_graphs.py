@@ -26,7 +26,7 @@ from contractlab import (
     shortest_distances,
 )
 from contractlab.graphs import ScaledDistances, require_connected
-from contractlab.solvers import RowPacking
+from contractlab.solvers import RowPacking, _evaluation
 
 import naive
 from builders import connected_graphs, random_connected_graph, unpack_matrix
@@ -198,28 +198,30 @@ def test_all_pairs_shares_rows_within_blocks():
 
 def test_merged_rows_match_all_pairs():
     # the exact searches derive a child's packed distance matrix from its
-    # parent's, one merge at a time; merging edges in seeded orders, every
-    # derived matrix must decode to a fresh all_pairs of the merged edges
+    # parent's, one merge at a time, inside their evaluation call; merging
+    # edges in seeded orders, every derived matrix must decode to a fresh
+    # all_pairs of the merged edges
     order_rng = random.Random(31)
     merges = 0
     for g in _seeded_graphs(random.Random(23)):
         engine = g.distances
         packing = RowPacking.for_rows(engine.base)
-        base = packing.pack(d for row in engine.base for d in row)
+        base = packing.pack(engine.base)
         n, m = g.vertex_count, g.edge_count
         assert unpack_matrix(base, packing, n) == engine.base
         assert packing.top == max(map(max, engine.base)) + 1
+        evaluate, _ = _evaluation(cl.ToleranceCheck(g, cl.Tolerance(1, 1)), False, packing)
         for _ in range(3):
             order = list(range(m))
             order_rng.shuffle(order)
-            labels, matrix, mask = tuple(range(n)), base, 0
+            labels, matrix, mask = "".join(map(chr, range(n))), base, 0
             for e in order:
                 mask |= 1 << e
                 u, v, _ = g.edges[e]
                 a, b = sorted((labels[u], labels[v]))
                 if a != b:
-                    labels = tuple(a if x == b else x for x in labels)
-                    matrix = packing.merge(matrix, a, b)
+                    labels = labels.replace(b, a)
+                    matrix = evaluate(labels, matrix, ord(a), ord(b), 0)[1]
                     merges += 1
                 assert unpack_matrix(matrix, packing, n) == engine.all_pairs(mask)
     assert merges >= 100

@@ -25,7 +25,7 @@ from contractlab import solvers
 from contractlab.graphs import ScaledDistances
 
 import naive
-from builders import SMALL_WEIGHTS, random_connected_graph, unpack_matrix
+from builders import SMALL_WEIGHTS, guard_mask, random_connected_graph, unpack_matrix, unpack_pairs
 
 T11 = Tolerance(1, 1)
 
@@ -87,11 +87,12 @@ def _core_gadgets_4x5(rng):
 
 
 def test_matrix_merge_and_scan_match_the_verifier():
-    # the walker's merge and pair scan, driven without a search: at the edges
-    # of the field width (heavy weights scaled by 623, alpha < 1 with clamped
-    # thresholds) and on gadgets of 4x5 cores, every merged matrix decodes to
-    # a fresh all_pairs, the weak scan lists the verifier's failing pairs and
-    # the strong scan its first one
+    # the search's evaluation call (merge, then pair scan), driven along
+    # shuffled edge orders without a walk: at the edges of the field width
+    # (heavy weights scaled by 623, alpha < 1 with clamped thresholds) and on
+    # gadgets of 4x5 cores, every merged matrix decodes to a fresh all_pairs,
+    # the weak failing mask to the verifier's failing pairs and the strong
+    # one to all of its strong failing pairs
     rng = random.Random(47)
     cases = [(g, Tolerance(alpha, beta)) for g, alpha, beta in _field_width_cases()]
     cases += [(g, t) for g in _core_gadgets_4x5(rng) for t in (T11, Tolerance(2, Fraction(1, 2)))]
@@ -101,25 +102,28 @@ def test_matrix_merge_and_scan_match_the_verifier():
         check = cl.ToleranceCheck(g, t)
         engine = g.distances
         packing = solvers.RowPacking.for_rows(check.base_scaled)
-        weak_scan = solvers._matrix_scan(check, True, packing)
-        strong_scan = solvers._matrix_scan(check, False, packing)
+        weak_evaluate, _ = solvers._evaluation(check, True, packing)
+        strong_evaluate, _ = solvers._evaluation(check, False, packing)
         n = g.vertex_count
         order = list(range(g.edge_count))
         rng.shuffle(order)
-        labels, mask = tuple(range(n)), 0
-        matrix = packing.pack(d for row in check.base_scaled for d in row)
+        labels, mask, a, b = "".join(map(chr, range(n))), 0, 0, 0
+        matrix = packing.pack(check.base_scaled)
         for e in [None] + order:
             if e is not None:
                 mask |= 1 << e
                 u, v, _ = g.edges[e]
-                a, b = sorted((labels[u], labels[v]))
-                if a != b:
-                    labels = tuple(a if x == b else x for x in labels)
-                    matrix = packing.merge(matrix, a, b)
-                    merges += 1
+                a, b = sorted((ord(labels[u]), ord(labels[v])))
+                labels = labels.replace(chr(b), chr(a))
+                merges += a != b
+            # a == b (the root, or an edge inside a block) leaves the matrix as it is
+            parent = matrix
+            _, matrix, weak_failing, _, _ = weak_evaluate(labels, parent, a, b, 0)
+            _, strong_matrix, strong_failing, _, _ = strong_evaluate(labels, parent, a, b, 0)
+            assert strong_matrix == matrix
             assert unpack_matrix(matrix, packing, n) == engine.all_pairs(mask)
-            assert weak_scan(matrix) == check.failing_pairs(mask, weak=True)
-            assert strong_scan(matrix) == check.failing_pairs(mask, weak=False)[:1]
+            assert unpack_pairs(weak_failing, packing, n) == check.failing_pairs(mask, weak=True)
+            assert unpack_pairs(strong_failing, packing, n) == check.failing_pairs(mask, weak=False)
     assert merges >= 100
 
 
@@ -269,7 +273,7 @@ def test_enumerate_lex_order_and_oracle_equivalence():
 
 def test_enumerate_pendant_gadgets_match_oracle():
     # on the gadget of every connected core up to 2x3 (at most 11 edges) the
-    # walker's child loop is often cut short (solvers._last_child), which
+    # walker's child loop is often cut short (the last-child pass), which
     # random graphs with n <= 5 rarely trigger.  The unit-weight oracle filters
     # the whole power set; the Fraction one, slower, runs up to 8 edges
     for left in (1, 2):
@@ -307,10 +311,17 @@ def _joins_every_pair(labels, g: Graph, j: int, pairs) -> bool:
     return all(root(u) == root(v) for u, v in pairs)
 
 
+def _last_child_pass(g: Graph):
+    """The capped last-child pass of a weak search of g, with its packing."""
+    check = cl.ToleranceCheck(g, T11)
+    packing = solvers.RowPacking.for_rows(check.base_scaled)
+    return solvers._evaluation(check, True, packing)[1], packing
+
+
 def test_last_child_matches_fresh_union_find():
-    # for every start, the children the walker builds, range(start, last + 1),
-    # are exactly the j >= start whose edges j..m-1, added to the partition,
-    # join every pair; none at all (a dead node) when last < start
+    # for every start, the pass returns the last j whose edges j..m-1, added
+    # to the partition, join every pair (a fresh union-find), when that j is
+    # at least start, and -1 (a dead node, no child built) when it is below
     rng = random.Random(41)
     dead = live = 0
     for _ in range(80):
@@ -323,13 +334,17 @@ def test_last_child_matches_fresh_union_find():
         if not apart:
             continue
         pairs = rng.sample(apart, rng.randint(1, len(apart)))
-        last = solvers._last_child("".join(map(chr, labels)), g, pairs)
+        joined = [j for j in range(m) if _joins_every_pair(labels, g, j, pairs)]
+        exact = joined[-1]
+        assert joined == list(range(exact + 1))
+        last_child, packing = _last_child_pass(g)
+        failing = guard_mask(pairs, packing, n)
         for start in range(m + 1):
-            joined = [j for j in range(start, m) if _joins_every_pair(labels, g, j, pairs)]
-            assert joined == list(range(start, last + 1))
+            last = last_child("".join(map(chr, labels)), failing, start)
+            assert last == (exact if exact >= start else -1)
             if start < m:
-                dead += last < start
-                live += last >= start
+                dead += last < 0
+                live += last >= 0
     assert dead and live
     # labels past code point 255 (a wider str kind): a 300-vertex cycle
     g = cl.cycle_graph(300)
@@ -337,9 +352,76 @@ def test_last_child_matches_fresh_union_find():
     labels = _min_vertex_labels(300, chosen)
     apart = [(u, v) for u in range(256, 300) for v in range(u + 1, 300) if labels[u] != labels[v]]
     pairs = rng.sample(apart, 5)
-    last = solvers._last_child("".join(map(chr, labels)), g, pairs)
+    last_child, packing = _last_child_pass(g)
+    last = last_child("".join(map(chr, labels)), guard_mask(pairs, packing, 300), 0)
     joined = [j for j in range(300) if _joins_every_pair(labels, g, j, pairs)]
     assert joined == list(range(last + 1)) and last > 0
+    assert last_child("".join(map(chr, labels)), guard_mask(pairs, packing, 300), last + 1) == -1
+
+
+def _reference_walk(g: Graph, t: Tolerance, raise_floor: bool):
+    """A plain recursive weak walk with the walker's child rule and nothing
+    else: no memo, the verifier's failing pairs at every node and a fresh
+    union-find over edges j..m-1 for the last child.  Its sets and its node
+    count."""
+    check = cl.ToleranceCheck(g, t)
+    n, m = g.vertex_count, g.edge_count
+    floor, sets, nodes = [-1], [], 0
+
+    def visit(cset, start):
+        nonlocal nodes
+        nodes += 1
+        failing = check.failing_pairs(sum(1 << e for e in cset), weak=True)
+        if not failing and len(cset) < m and len(cset) > floor[0]:
+            sets.append(tuple(cset))
+            if raise_floor:
+                floor[0] = len(cset)
+        last = m - 1
+        if failing:
+            labels = _min_vertex_labels(n, [g.edges[e][:2] for e in cset])
+            last = max(j for j in range(m) if _joins_every_pair(labels, g, j, failing))
+        for j in range(start, last + 1):
+            if len(cset) + m - j <= floor[0]:
+                break
+            visit(cset + [j], j + 1)
+
+    visit([], 0)
+    return sets, nodes
+
+
+def test_walker_matches_a_reference_walk_without_memo():
+    # the memoised walker, with its capped pass, gives the reference walk's
+    # sets and node count, floor-free and floor-raising.  A memo entry dead
+    # from start s and met again from a smaller start reruns the pass (the
+    # walker's only direct last_child call); those reruns are pinned, as a
+    # walker that skipped them, or stored a dead node's last child as s - 1,
+    # builds children the reference does not
+    rng = random.Random(1)
+    tolerances = [T11, Tolerance(1, 0), Tolerance(Fraction(3, 2), Fraction(1, 2)),
+                  Tolerance(2, 2), Tolerance(Fraction(1, 2), 1)]
+    reran = {False: [], True: []}
+    for trial in range(200):
+        n = rng.randint(3, 7)
+        g = random_connected_graph(rng, n, rng.randint(n, min(10, n * (n - 1) // 2)), trial % 2 == 0)
+        t = tolerances[trial % len(tolerances)]
+        for raise_floor in (False, True):
+            search = solvers._Search(cl.ToleranceCheck(g, t), True)
+            last_child, starts = search.last_child, []
+
+            def rerun(labels, failing, start):
+                starts.append(start)
+                return last_child(labels, failing, start)
+
+            search.last_child = rerun
+            floor, sets = [-1], []
+            for s in search.walk(floor, list(range(g.edge_count, -1, -1))):
+                sets.append(s)
+                if raise_floor:
+                    floor[0] = len(s)
+            assert (sets, search.explored) == _reference_walk(g, t, raise_floor), trial
+            if starts:
+                reran[raise_floor].append((trial, len(starts), search.explored))
+    assert reran == {False: [(67, 1, 221), (130, 1, 803)], True: []}
 
 
 def test_walker_stops_anywhere_and_handles_one_vertex():
@@ -632,6 +714,35 @@ def test_weak_calls_sharing_a_search_match_fresh_calls():
                 assert list(enumerate_valid_weak_contractions(g, tol, search=search)) == fresh_sets
 
 
+@pytest.mark.parametrize(
+    "g, search",
+    [
+        # another graph with as many edges: its stream is the 4-cycle's 15
+        # sets, not the path's 5
+        (cl.path_graph(5), lambda: solvers.weak_search(cl.cycle_graph(4), T11)),
+        # more edges than the graph: the walk reads past the bound list
+        # (an IndexError)
+        (cl.path_graph(3), lambda: solvers.weak_search(cl.cycle_graph(4), T11)),
+        # a strong search of the same graph: it prunes as a strong one (7
+        # sets, not 15)
+        (cl.cycle_graph(4), lambda: solvers._Search(cl.ToleranceCheck(cl.cycle_graph(4), T11), False)),
+        # the same graph at another tolerance
+        (cl.path_graph(5), lambda: solvers.weak_search(cl.path_graph(5), Tolerance(2, 1))),
+    ],
+    ids=["another-graph", "more-edges", "strong-search", "another-tolerance"],
+)
+def test_weak_calls_refuse_a_foreign_search(g, search):
+    with pytest.raises(ValueError, match="search= must be a weak search of this graph"):
+        list(enumerate_valid_weak_contractions(g, T11, search=search()))
+    with pytest.raises(ValueError, match="search= must be a weak search of this graph"):
+        max_weak_contraction_exact(g, T11, search=search())
+    # an equal graph built apart is the same graph
+    own = solvers.weak_search(Graph(g.vertex_count, g.edges), T11)
+    assert list(enumerate_valid_weak_contractions(g, T11, search=own)) == list(
+        enumerate_valid_weak_contractions(g, T11)
+    )
+
+
 def test_search_counters_pinned():
     # node and valid-set counts of fixed searches: a change to the search
     # shows up here as a diff with a reason, not only as a change of speed
@@ -681,8 +792,9 @@ def test_search_counters_pinned():
 
 def test_search_distance_evaluations_pinned(monkeypatch):
     # the searches of test_search_counters_pinned evaluate each vertex
-    # partition once: the walker's pair scan runs once per distinct partition
-    # met, not once per node (19, 1110 and 2392 scans when every node paid).
+    # partition once: the search's evaluation call (merge and pair scan) runs
+    # once for the root and once per distinct partition met after it, not
+    # once per node (19, 1110 and 2392 calls when every node paid).
     # The strong solve's walks (one per suffix bound, then the final one)
     # share one memo, so no partition is scanned twice across them either.
     # A scanned matrix holds 0 exactly for the merged pairs, so distinct
@@ -695,18 +807,19 @@ def test_search_distance_evaluations_pinned(monkeypatch):
     runs: list[int] = []
     searches: list[int] = []
     exacts: list[int] = []
-    matrix_scan = solvers._matrix_scan
+    evaluation = solvers._evaluation
 
-    def counting_scan(check, weak, packing):
-        scan = matrix_scan(check, weak, packing)
+    def counting_evaluation(check, weak, packing):
+        evaluate, last_child = evaluation(check, weak, packing)
 
-        def counted(matrix):
-            scanned.append(matrix)
-            return scan(matrix)
+        def counted(*args):
+            node = evaluate(*args)
+            scanned.append(node[1])
+            return node
 
-        return counted
+        return counted, last_child
 
-    monkeypatch.setattr(solvers, "_matrix_scan", counting_scan)
+    monkeypatch.setattr(solvers, "_evaluation", counting_evaluation)
     from_source = ScaledDistances.from_source
     exact = ScaledDistances.exact
 
