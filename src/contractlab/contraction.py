@@ -195,11 +195,13 @@ class ToleranceCheck:
     three integers and base rows to test their own packed distance matrices.
     All of these are read-only.
 
-    Subsets are passed as bitmasks over edge ids.  A scan reads row u through
-    the engine's memo (``ScaledDistances.row``) only when the lexicographic
-    pair scan reaches u, so a scan that stops at its first failing pair
-    searches no row past it, and another verdict on the same mask searches
-    none.
+    Subsets are passed as bitmasks over edge ids.  ``_violations`` is the one
+    scan: ``first_violation`` returns its first pair as a witness and
+    ``is_valid`` only whether it has one, building no Fraction.  A scan reads
+    row u through the engine's memo (``ScaledDistances.row``) only when the
+    lexicographic pair scan reaches u, so a scan that stops at its first
+    failing pair searches no row past it, and another verdict on the same
+    mask searches none.
     """
 
     def __init__(self, g: Graph, tolerance: Tolerance):
@@ -244,7 +246,11 @@ class ToleranceCheck:
         return None
 
     def is_valid(self, cmask: int, weak: bool) -> bool:
-        return self.first_violation(cmask, weak) is None
+        """``first_violation(cmask, weak) is None``, from the same scan but
+        with no witness built."""
+        if weak and cmask == self.full_mask:
+            return False
+        return next(self._violations(cmask, weak), None) is None
 
     def failing_pairs(self, cmask: int, weak: bool) -> list[tuple[int, int]]:
         """All pairs violating the inequality (exempting merged pairs in weak mode)."""
@@ -257,13 +263,15 @@ def is_contraction(g: Graph, edge_ids: Iterable[int], tolerance: Tolerance) -> b
     Merged pairs are not exempt here: they need ``0 >= d(u,v)/alpha - beta``,
     so with beta = 0 only the empty set qualifies.
     """
-    return violation_witness(g, edge_ids, tolerance, weak=False) is None
+    mask = _edge_mask(g, edge_ids)
+    return ToleranceCheck(g, tolerance).is_valid(mask, weak=False)
 
 
 def is_weak_contraction(g: Graph, edge_ids: Iterable[int], tolerance: Tolerance) -> bool:
     """True iff the set is a proper subset of the edges and every unmerged
     pair stays within tolerance."""
-    return violation_witness(g, edge_ids, tolerance, weak=True) is None
+    mask = _edge_mask(g, edge_ids)
+    return ToleranceCheck(g, tolerance).is_valid(mask, weak=True)
 
 
 def violation_witness(

@@ -8,9 +8,10 @@ builds what an instance's claims share once and only from its own graph:
 both path claims read one enumeration of valid sets, and the gadget claims
 one gadget and one weak search of it at (1,1), so theorem 6's weak optimum
 walks partitions the biclique-lemma enumeration already evaluated, merged
-and scanned.  A counterexample report always carries enough witness data to
-re-verify it from scratch.  All checks are deterministic functions of their
-instance, so suite reports can be pinned and diffed.
+and scanned, and every beta of corollary-scaling reads one weak verifier of
+that gadget at (1,1).  A counterexample report always carries enough witness
+data to re-verify it from scratch.  All checks are deterministic functions of
+their instance, so suite reports can be pinned and diffed.
 
 Claim ids (fixed report-schema slugs):
   path-lemma            two vertex-disjoint contracted edges on a simple path
@@ -159,6 +160,8 @@ class LabInstance:
     simple paths of ``path-lemma`` (None: the graph's diameter + 2), and
     ``instance`` is the descriptor every report carries (None: an ad hoc
     one).  A value that raises caches nothing: each read raises again.
+    The gadget claims read ``gadget``, ``search`` and ``biclique``, and
+    every beta of corollary-scaling reads ``unit_check``.
     """
 
     graph: Graph | BipartiteGraph
@@ -187,6 +190,12 @@ class LabInstance:
     @cached_property
     def gadget(self) -> GadgetGraph:
         return build_gadget(self.graph, 1)
+
+    @cached_property
+    def unit_check(self) -> ToleranceCheck:
+        """The weak verifier of the gadget at (1,1) for every beta of
+        ``corollary-scaling``."""
+        return ToleranceCheck(self.gadget.combined, _UNIT_TOLERANCE)
 
     @cached_property
     def search(self) -> _Search:
@@ -461,11 +470,10 @@ def check_corollary_scaling(ctx: LabInstance, beta, trials: int, seed: int) -> L
         raise ValueError("trials must be non-negative")
     if trials == 0:
         return LabReport(CLAIM_COROLLARY, inst, VACUOUS, None, _stats(0, False, t0))
-    unit = build_gadget(ctx.graph, 1)
+    check_unit = ctx.unit_check
     scaled = build_gadget(ctx.graph, b)
-    check_unit = ToleranceCheck(unit.combined, _UNIT_TOLERANCE)
     check_scaled = ToleranceCheck(scaled.combined, Tolerance(Fraction(1), b))
-    m = unit.combined.edge_count
+    m = check_unit.m
     rng = random.Random(seed)
     for trial in range(trials):
         mask = rng.getrandbits(m)
@@ -781,10 +789,12 @@ def validate_suite(config) -> None:
 
 def _corollary_reports(ctx: LabInstance, entry: dict) -> list[LabReport]:
     trials, seed = entry.get("trials", 25), ctx.instance["seed"] or 0
-    return [
-        check_corollary_scaling(ctx, Fraction(beta), trials, seed)
-        for beta in entry.get("betas", ["1/2", "1", "3"])
-    ]
+    betas = entry.get("betas", ["1/2", "1", "3"])
+    if trials > 0 and betas:
+        # built outside the checks, but only when a check reads it: with no
+        # trial or no beta a disconnected core gives no error report
+        ctx.unit_check
+    return [check_corollary_scaling(ctx, Fraction(beta), trials, seed) for beta in betas]
 
 
 # Claim id -> (needs a bipartite instance, the instance keys it reads beyond
@@ -792,7 +802,9 @@ def _corollary_reports(ctx: LabInstance, entry: dict) -> list[LabReport]:
 # it makes on one).  Every report comes from a call of a check_* function
 # looked up in this module at call time, so a wrapper set on the module sees
 # each claim's outermost call, and the shared values it reads are built
-# before that call, so no claim's call times them.
+# before that call, so no claim's call times them.  corollary-scaling lists
+# none: ``_corollary_reports`` builds ``unit_check`` itself, only when some
+# check reads it, since with trials 0 a disconnected core is vacuous.
 _CLAIMS = {
     CLAIM_PATH: (False, (), ("valid_sets",), lambda ctx, entry: [check_path_lemma(ctx, False)]),
     CLAIM_PATH_SHORTEST: (

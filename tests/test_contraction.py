@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -470,6 +472,68 @@ def test_witness_is_lexicographically_first_violation():
         else:
             checked += 1
             assert (w.u, w.v) == violations[0]
+
+
+VERDICT_TOLERANCES = (T11, Tolerance(1, 0), Tolerance(2, 1), Tolerance("3/2", "1/2"))
+
+
+def _verdict_cases(seed: int, count: int):
+    """(graph, tolerance, weak, subset) on seeded unit and rational graphs,
+    with the empty, a random and the full subset of each."""
+    rng = random.Random(seed)
+    for trial in range(count):
+        g = random_connected_graph(rng, rng.randint(2, 7), unit=trial % 2 == 0)
+        m = g.edge_count
+        for t in VERDICT_TOLERANCES:
+            for weak in (False, True):
+                for sub in ([], [e for e in range(m) if rng.random() < 0.5], list(range(m))):
+                    yield g, t, weak, sub
+
+
+def test_is_valid_matches_first_violation():
+    seen = set()
+    for g, t, weak, sub in _verdict_cases(3305, 80):
+        check = cl.ToleranceCheck(g, t)
+        mask = sum(1 << e for e in sub)
+        valid = check.is_valid(mask, weak)
+        assert valid == (check.first_violation(mask, weak) is None)
+        assert valid == (is_weak_contraction if weak else is_contraction)(g, sub, t)
+        seen.add((weak, valid))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_verdicts_build_no_witness(monkeypatch):
+    # a yes/no verdict never turns a scaled distance into a Fraction: with
+    # the conversion broken every verdict still answers, while a witness of
+    # a failing set cannot be built
+    cases = [
+        (g, t, weak, sub, (is_weak_contraction if weak else is_contraction)(g, sub, t))
+        for g, t, weak, sub in _verdict_cases(3306, 30)
+    ]
+
+    def broken(self, d):
+        raise AssertionError("a verdict built a Fraction")
+
+    monkeypatch.setattr(ScaledDistances, "exact", broken)
+    for g, t, weak, sub, expected in cases:
+        mask = sum(1 << e for e in sub)
+        assert cl.ToleranceCheck(g, t).is_valid(mask, weak) == expected
+        assert (is_weak_contraction if weak else is_contraction)(g, sub, t) == expected
+    assert sum(not expected for *_, expected in cases) > 100
+    with pytest.raises(AssertionError, match="built a Fraction"):
+        violation_witness(cl.path_graph(4), [0, 2], T11, weak=True)
+
+
+def test_witnesses_pinned():
+    # every witness of the verdict cases, digest taken before is_valid
+    # stopped building them: 2,880 cases, 1,545 of them valid
+    out = []
+    for g, t, weak, sub in _verdict_cases(3303, 120):
+        w = violation_witness(g, sub, t, weak)
+        out.append(None if w is None else w.to_json_dict())
+    assert (len(out), out.count(None)) == (2880, 1545)
+    text = json.dumps(out, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "74bbe37ff85b8158"
 
 
 # ---------------------------------------------------------------------------

@@ -424,6 +424,41 @@ def test_corollary_rejects_bad_beta():
         check_corollary_scaling(LabInstance(THREE_PATH), 0, trials=1, seed=0)
 
 
+# random-bipartite 3x3 at prob 1/3, seed 2: four edges, left vertex 2 isolated
+DISCONNECTED_CORE = {
+    "family": "random-bipartite", "left": 3, "right": 3, "prob": "1/3", "seed": 2
+}
+GADGET_REFUSAL = "gadget construction requires a connected graph"
+
+
+def _corollary_on_the_disconnected_core(trials: int, betas: list) -> list:
+    entry = dict(DISCONNECTED_CORE, claims=[CLAIM_COROLLARY], betas=betas, trials=trials)
+    return [(r.verdict, r.witness) for r in run_suite({"instances": [entry]})]
+
+
+def test_corollary_on_a_disconnected_core():
+    # the unit verifier is built only once a check needs it: with no trial
+    # the report stays vacuous, and with no beta there is no report, though
+    # the core has no gadget
+    core = cl.generate_random_bipartite(3, 3, Fraction(1, 3), 2)
+    assert core.to_graph().edge_count == 4 and not cl.is_connected(core.to_graph())
+    assert check_corollary_scaling(LabInstance(core), 3, 0, seed=2).verdict == VACUOUS
+    assert _corollary_on_the_disconnected_core(0, ["3"]) == [(VACUOUS, None)]
+    assert _corollary_on_the_disconnected_core(0, ["1/2", "3"]) == [(VACUOUS, None)] * 2
+    assert _corollary_on_the_disconnected_core(5, []) == []
+    # with trials the gadget refuses the core: one error report per instance
+    with pytest.raises(cl.DisconnectedGraphError, match=f"^{GADGET_REFUSAL}$"):
+        check_corollary_scaling(LabInstance(core), 3, 5, seed=2)
+    error = {"error": f"DisconnectedGraphError: {GADGET_REFUSAL}"}
+    for betas in (["3"], ["1/2", "3"]):
+        assert _corollary_on_the_disconnected_core(5, betas) == [(ERROR, error)]
+    # a bad beta or trial count is still refused before the gadget is built
+    with pytest.raises(ValueError, match="^beta must be positive, got 0$"):
+        check_corollary_scaling(LabInstance(core), 0, 5, seed=2)
+    with pytest.raises(ValueError, match="^trials must be non-negative$"):
+        check_corollary_scaling(LabInstance(core), 3, -1, seed=2)
+
+
 # ---------------------------------------------------------------------------
 # tensor lift/project claim
 # ---------------------------------------------------------------------------
@@ -673,7 +708,9 @@ def test_run_suite_builds_one_gadget_per_instance(monkeypatch):
 
     monkeypatch.setattr(cl.lab, "build_gadget", counted)
     run_suite(default_suite_config())
-    assert calls[0] == 12  # 8 gadget instances, plus 2 betas x 2 gadgets for the corollary
+    # 8 gadget instances, plus the corollary's unit gadget and one weight-b
+    # gadget for each of its 2 betas
+    assert calls[0] == 11
 
 
 LAB_CHECKS = (
@@ -726,7 +763,7 @@ def test_run_suite_builds_shared_values_outside_the_check_calls(monkeypatch):
     # the values an instance's claims share are built before the check that
     # reads them is called, so a check's call times its own work alone: the
     # weak searches outside every call, the gadgets too but for
-    # corollary-scaling's own pair, and the valid sets too but for the
+    # corollary-scaling's weight-b ones, and the valid sets too but for the
     # biclique-lemma enumeration of a gadget
     opened = []
     _wrap_checks(monkeypatch, opened)
@@ -747,6 +784,35 @@ def test_run_suite_builds_shared_values_outside_the_check_calls(monkeypatch):
         "build_gadget": {(), ("check_corollary_scaling",)},
         "enumerate_valid_weak_contractions": {(), ("check_biclique_lemma",)},
     }
+
+
+def test_corollary_builds_one_unit_verifier_per_instance(monkeypatch):
+    # every beta of a corollary instance reads one weak verifier of the unit
+    # gadget, built outside every check call; each beta builds its own
+    # weight-b verifier inside its call
+    opened = []
+    _wrap_checks(monkeypatch, opened)
+    built = []
+    tolerance_check = cl.lab.ToleranceCheck
+
+    def recorded(g, tolerance):
+        built.append((tolerance, tuple(opened)))
+        return tolerance_check(g, tolerance)
+
+    monkeypatch.setattr(cl.lab, "ToleranceCheck", recorded)
+    config = default_suite_config()
+    config["instances"].append({
+        "family": "complete-bipartite", "left": 2, "right": 3,
+        "claims": [CLAIM_COROLLARY, CLAIM_BICLIQUE], "betas": ["1", "2", "3"], "trials": 4,
+    })
+    reports = run_suite(config)
+    assert sum(r.claim == CLAIM_COROLLARY for r in reports) == 5
+    inside = ("check_corollary_scaling",)
+    assert built == [
+        (Tolerance(1, 1), ()), (Tolerance(1, "1/2"), inside), (Tolerance(1, 3), inside),
+        (Tolerance(1, 1), ()), (Tolerance(1, 1), inside), (Tolerance(1, 2), inside),
+        (Tolerance(1, 3), inside),
+    ]
 
 
 def test_run_suite_rejects_unknown_claims_and_families():
