@@ -223,7 +223,10 @@ class BipartiteGraph:
         off = self.left_count
         return Graph(self.vertex_count, tuple((l, off + r, w) for l, r, w in self.edges))
 
+    @cached_property
     def edge_set(self) -> frozenset[tuple[int, int]]:
+        """The ``(left, right)`` pairs of the edges, built once: every
+        completeness test of a biclique in this host reads it."""
         return frozenset((l, r) for l, r, _ in self.edges)
 
 
@@ -254,7 +257,7 @@ class Biclique:
             return False
         if any(not 0 <= r < host.right_count for r in self.right):
             return False
-        present = host.edge_set()
+        present = host.edge_set
         return all((l, r) in present for l in self.left for r in self.right)
 
     def validate_in(self, host: BipartiteGraph) -> None:

@@ -277,15 +277,16 @@ def _all_shortest_paths(g: Graph) -> list[_Path]:
 
 
 def _first_disjoint_contracted_pair(
-    edge_ids: tuple[int, ...], cset: frozenset[int]
+    edge_ids: tuple[int, ...], cmask: int
 ) -> tuple[int, int] | None:
-    """First pair of positions at distance >= 2 whose edges are both contracted.
+    """First pair of positions at distance >= 2 whose edges are both
+    contracted (in ``cmask``, bit e for edge e).
 
     On a simple path, edges two or more positions apart share no vertex.
     Positions ascend, so the first such pair starts at the first contracted
     position p0: it is (p0, p1) unless p1 = p0 + 1, and then (p0, p2).
     """
-    positions = [i for i, e in enumerate(edge_ids) if e in cset]
+    positions = [i for i, e in enumerate(edge_ids) if cmask >> e & 1]
     if len(positions) < 2:
         return None
     if positions[1] >= positions[0] + 2:
@@ -322,17 +323,23 @@ def check_path_lemma(ctx: LabInstance, shortest_only: bool) -> LabReport:
             max_path_edges = diameter + 2
         paths, truncated = _all_simple_paths(g, max_path_edges)
 
+    if not paths:  # nothing to match: vacuous without scanning the sets
+        return LabReport(claim, inst, VACUOUS, None, _stats(len(valid_sets), truncated, t0))
     matched = False
+    masked = [(path, eids, sum(1 << e for e in eids)) for path, eids in paths]
     for cand in valid_sets:
         if len(cand) < 2:
             continue
-        cset = frozenset(cand)
-        for path, eids in paths:
-            pair = _first_disjoint_contracted_pair(eids, cset)
+        cmask = sum(1 << e for e in cand)
+        for path, eids, pmask in masked:
+            shared = pmask & cmask
+            if shared & (shared - 1) == 0:  # fewer than two path edges contracted
+                continue
+            pair = _first_disjoint_contracted_pair(eids, cmask)
             if pair is None:
                 continue
             matched = True
-            if not all(e in cset for e in eids):
+            if shared != pmask:
                 i, j = pair
                 witness = {
                     "contraction": list(cand),
@@ -340,7 +347,7 @@ def check_path_lemma(ctx: LabInstance, shortest_only: bool) -> LabReport:
                     "path_edge_ids": list(eids),
                     "disjoint_positions": [i, j],
                     "disjoint_edge_ids": [eids[i], eids[j]],
-                    "missing_edge_ids": [e for e in eids if e not in cset],
+                    "missing_edge_ids": [e for e in eids if not cmask >> e & 1],
                 }
                 return LabReport(
                     claim, inst, COUNTEREXAMPLE, witness,

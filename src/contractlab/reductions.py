@@ -123,7 +123,7 @@ class TensorGraph:
 
 def build_tensor_square(g: BipartiteGraph) -> TensorGraph:
     nl, nr = g.left_count, g.right_count
-    present = g.edge_set()
+    present = g.edge_set
     left_pairs = tuple((l, r) for l in range(nl) for r in range(nr))
     right_pairs = tuple((r, l) for r in range(nr) for l in range(nl))
     edges = []

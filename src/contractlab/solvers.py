@@ -47,6 +47,19 @@ node, and it holds a partition as a str of block labels: a merge is one
 ``str.replace`` and the memo key is the str itself, whose hash Python
 caches.
 
+A walk whose floor stays -1 (the enumerator's) also replays subtrees.  In
+such a walk the subtree below a node depends only on the node's partition,
+its first child and its depth (which decides whether a set is proper): the
+state that frontier-based search merges (Kawahara, Inoue, Iwashita &
+Minato, IEICE Trans. Fundamentals 2017).  A child is keyed by those three
+only when its partition is a memo hit, so a walk with no hit (a weak tree
+solve: each edge set of a forest is its own partition) builds no key.  The
+first subtree with a key records its span in the walk's log of yielded sets
+and its node count; a later child with that key yields its own prefix plus
+each recorded set's suffix, adds the count to ``explored`` and visits
+nothing below.  Walks that raise the floor (the weak maximizer, the strong
+maximizer's) never replay.
+
 The weak maximizer walks only on trees.  On a connected graph with a cycle
 (m >= n) the weak optimum is m - 1 in closed form: removing a non-bridge j
 leaves a connected set that merges every vertex, so every pair is exempt and
@@ -282,7 +295,9 @@ class _Search:
     One ``RowPacking``, one threshold matrix (inside ``evaluate``), one root
     node and one partition memo ``seen``, so a partition is merged and
     scanned once per search however many walks meet it.  ``explored`` sums
-    the nodes of every walk, including walks their consumer closed early.
+    the nodes of every walk, including walks their consumer closed early;
+    ``replayed`` sums those of them that a walk replayed (below) rather than
+    visited.
 
     A node is its partition as a str (character i is ``chr`` of the least
     vertex in i's block, so a merge is one ``str.replace``), its packed
@@ -305,12 +320,17 @@ class _Search:
     any set inducing it, so if that path was cut some failing pair cannot be
     joined by the later edges and the partition is dead at every visit.  A
     floor-raising walk can cut that path, so the rerun stays.
+
+    The replay (module docstring) is exact because a memo entry answers
+    every start as a fresh evaluation would, so below a node nothing depends
+    on which node met a partition first.  Its log and recorded subtrees
+    belong to one walk and go when the walk ends.
     """
 
     def __init__(self, check: ToleranceCheck, weak: bool) -> None:
         self.check, self.edges, self.weak, self.m = check, check.graph.edges, weak, check.m
         self.seen: dict[str, _Node] = {}
-        self.explored = 0
+        self.explored = self.replayed = 0
         base = check.base_scaled
         packing = RowPacking.for_rows(base)
         self.evaluate, self.last_child = _evaluation(check, weak, packing)
@@ -337,20 +357,41 @@ class _Search:
         changes nothing; otherwise the child is one ``evaluate`` call on the
         parent's matrix, unless the memo holds it.  Nodes are added to
         ``explored`` before each yield and at the end.
+
+        The replay.  While ``floor[0]`` is -1, a child whose partition the
+        memo holds and that has children of its own is keyed by (labels,
+        first child, depth).  The first such child with a key opens a
+        recording: the log position and node count at its start, closed
+        when its stack entry is popped into ``replays[key]`` as (first log
+        position, end log position, nodes).  A later child with the key
+        takes the recorded sets' suffixes after its own prefix and the
+        node count, all of it charged to ``explored`` before its first set.
+        Only sets yielded while a recording is open can be replayed, so
+        only those go into the log; they stay there until the walk ends.
+        The floor must never fall: a recording opened at -1 and closed
+        after the floor rose is never replayed, since no later child sees
+        a floor of -1.
         """
         m, weak, seen = self.m, self.weak, self.seen
         edges, evaluate, last_child = self.edges, self.evaluate, self.last_child
         node = self.root
         cset: list[int] = []  # the stack's node at depth i has cset[:i]
         stack: list[list] = []  # [next child, node] per open node
-        explored = 0
+        explored = flushed = 0  # nodes since the last yield, and before it
+        log: list[tuple[int, ...]] = []  # the sets yielded while recording, in order
+        replays: dict[tuple[str, int, int], tuple[int, int, int]] = {}
+        recording: list[tuple] = []  # (stack index, key, log start, nodes before)
         while True:
             explored += 1
             failing = node[2]
             if not failing and (not weak or len(cset) < m) and len(cset) > floor[0]:
                 self.explored += explored
+                flushed += explored
                 explored = 0
-                yield tuple(cset)
+                found = tuple(cset)
+                if recording:
+                    log.append(found)
+                yield found
             if start <= node[3] and (weak or not failing):  # a dead node has no child
                 stack.append([start, node])
             while stack:
@@ -359,6 +400,9 @@ class _Search:
                 depth = len(stack) - 1
                 if j > last or depth + bound[j] <= floor[0]:
                     stack.pop()
+                    if recording and recording[-1][0] == depth:
+                        _, key, first, before = recording.pop()
+                        replays[key] = (first, len(log), flushed + explored - before)
                     continue
                 entry[0] = start = j + 1
                 del cset[depth:]
@@ -377,6 +421,26 @@ class _Search:
                         node = seen[merged] = (
                             merged, node[1], node[2], last_child(merged, node[2], start), start
                         )
+                    elif floor[0] < 0 and start <= node[3] and (weak or not node[2]):
+                        # floor-free: replay this subtree if recorded, else record it
+                        key = (merged, start, depth + 1)
+                        done = replays.get(key)
+                        if done is None:
+                            recording.append((depth + 1, key, len(log), flushed + explored))
+                        else:
+                            first, end, nodes = done
+                            self.replayed += nodes
+                            explored += nodes
+                            self.explored += explored
+                            flushed += explored
+                            explored = 0
+                            prefix = tuple(cset)
+                            for i in range(first, end):
+                                found = prefix + log[i][depth + 1:]
+                                if recording:
+                                    log.append(found)
+                                yield found
+                            continue
                 else:
                     node = entry[1]
                 break
@@ -505,7 +569,13 @@ def enumerate_valid_weak_contractions(
 
     Subsets compare as sorted tuples, so the stream starts (), (0,), (0, 1),
     ... whenever those are valid.  Branches that provably contain no valid
-    superset (a failing pair that can never be merged) are skipped.
+    superset (a failing pair that can never be merged) are skipped, and a
+    subtree met before is replayed from the walk's log (``_Search.walk``).
+    The log holds the sets yielded while a recording is open until the walk
+    ends, so memory grows with the stream even when the consumer keeps
+    nothing: on K_{4,5} at (1,1) (1,048,575 sets, Python 3.11) a consumer
+    that discards every set peaks at about 67 MB of RSS, against 23 MB with
+    no log, and one that keeps them in a list at about 160 MB against 156.
     ``search``, when given, must be a weak search of this same graph and
     tolerance (``weak_search``), or ValueError is raised; the other
     refusals ran when it was built.

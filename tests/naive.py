@@ -196,7 +196,7 @@ def naive_meb(b: BipartiteGraph):
     Tie-break mirrors the solvers: minimize the subset on the smaller side
     (left on ties), then the other side.
     """
-    present = b.edge_set()
+    present = b.edge_set
     enum_left = b.left_count <= b.right_count
     best = (0, (), ())
 
@@ -221,7 +221,7 @@ def naive_meb(b: BipartiteGraph):
 
 def naive_mbb(b: BipartiteGraph):
     """(t, left, right) for the largest balanced complete biclique."""
-    present = b.edge_set()
+    present = b.edge_set
     enum_left = b.left_count <= b.right_count
     best = (0, (), ())
     for left in _subsets_of(range(b.left_count)):

@@ -339,7 +339,7 @@ def test_planted_biclique_no_noise_is_exact_plant():
     g, plant = generate_planted_biclique(4, 4, 2, 2, 0, seed=1)
     assert g.edge_count == 4
     assert plant.is_complete_in(g)
-    assert set(g.edge_set()) == {(l, r) for l in plant.left for r in plant.right}
+    assert set(g.edge_set) == {(l, r) for l in plant.left for r in plant.right}
 
 
 def test_planted_biclique_lower_bounds_meb():

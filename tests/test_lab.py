@@ -119,7 +119,8 @@ def test_first_disjoint_contracted_pair_matches_pair_scan():
         cset = frozenset(e for i, e in enumerate(eids) if mask >> i & 1)
         positions = [i for i, e in enumerate(eids) if e in cset]
         expected = next(((a, b) for a in positions for b in positions if b >= a + 2), None)
-        assert _first_disjoint_contracted_pair(eids, cset) == expected
+        cmask = sum(1 << e for e in cset)
+        assert _first_disjoint_contracted_pair(eids, cmask) == expected
 
 
 def test_path_walkers_carry_edge_ids():

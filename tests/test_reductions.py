@@ -171,8 +171,8 @@ def test_tensor_edge_rule():
     for _ in range(10):
         b = cl.generate_random_bipartite(3, 3, Fraction(1, 2), rng.randrange(10**6))
         t = build_tensor_square(b)
-        present = b.edge_set()
-        tensor_present = t.graph.edge_set()
+        present = b.edge_set
+        tensor_present = t.graph.edge_set
         for i, (a, bb) in enumerate(t.left_pairs):
             for k, (c, d) in enumerate(t.right_pairs):
                 expected = (a, c) in present and (d, bb) in present

@@ -422,6 +422,27 @@ def test_walker_matches_a_reference_walk_without_memo():
             if starts:
                 reran[raise_floor].append((trial, len(starts), search.explored))
     assert reran == {False: [(67, 1, 221), (130, 1, 803)], True: []}
+    # graphs dense enough that floor-free walks replay subtrees: gadgets of
+    # 2x3 and 3x3 cores and seeded graphs with m of 12-14.  Each search is
+    # walked twice, the second time with every partition of the first in its
+    # memo (as a shared lab search is), so the lexicographically first path
+    # of memo hits is keyed too, where the depth decides whether the full
+    # edge set, which is not proper, lies below a node
+    cores = [cl.complete_bipartite(2, 3), BipartiteGraph(3, 3, tuple(
+        (l, r) for l in range(3) for r in range(3) if (l, r) != (1, 1)
+    ))]
+    cases = [(cl.build_gadget(core, 1).combined, T11) for core in cores]
+    for trial in range(4):
+        g = random_connected_graph(rng, rng.randint(6, 8), rng.randint(12, 14), trial % 2 == 0)
+        cases.append((g, tolerances[trial + 1]))
+    for trial, (g, t) in enumerate(cases):
+        want = _reference_walk(g, t, False)
+        search = solvers._Search(cl.ToleranceCheck(g, t), True)
+        for _ in range(2):
+            before, replayed = search.explored, search.replayed
+            sets = list(search.walk([-1], list(range(g.edge_count, -1, -1))))
+            assert (sets, search.explored - before) == want, trial
+            assert search.replayed > replayed, trial
 
 
 def test_walker_stops_anywhere_and_handles_one_vertex():
@@ -762,6 +783,11 @@ def test_search_counters_pinned():
     search = solvers._Search(cl.ToleranceCheck(gadget, T11), True)
     valid = sum(1 for _ in search.walk([-1], list(range(17, -1, -1))))
     assert (valid, search.explored) == (291, 2392)
+    # 1,744 of those nodes lie in replayed subtrees; a second enumeration on
+    # the same search, its memo full, gives the same sets and nodes
+    assert search.replayed == 1744
+    valid = sum(1 for _ in search.walk([-1], list(range(17, -1, -1))))
+    assert (valid, search.explored, search.replayed) == (291, 2 * 2392, 2 * 1744)
     b, _ = cl.generate_planted_biclique(20, 20, 6, 6, Fraction(1, 2), 0)
     meb = max_edge_biclique_exact(b)
     assert (meb.objective, meb.explored) == (42, 2527)
@@ -788,6 +814,46 @@ def test_search_counters_pinned():
             for r in (max_edge_biclique_exact(b), max_balanced_biclique_exact(b))
         )
         assert got == expected, seed
+
+
+def test_only_floor_free_walks_replay(monkeypatch):
+    # a walk that raises its floor replays nothing, before and after an
+    # enumeration on the same search recorded subtrees (recordings belong to
+    # one walk), and finds the reference walk's sets in its nodes; the
+    # enumeration between them replays and matches the reference walk, its
+    # lexicographically first nodes memo hits left by the first walk; and no
+    # walk of a strong solve replays
+    cells = [(l, r) for l in range(3) for r in range(4) if (l, r) not in ((0, 0), (2, 3))]
+    gadget = cl.build_gadget(BipartiteGraph(3, 4, tuple(cells)), 1).combined
+    search = solvers._Search(cl.ToleranceCheck(gadget, T11), True)
+    raising, free = _reference_walk(gadget, T11, True), _reference_walk(gadget, T11, False)
+    bound = list(range(17, -1, -1))
+    for _ in range(2):
+        before = search.explored
+        floor, sets = [-1], []
+        for s in search.walk(floor, bound):
+            sets.append(s)
+            floor[0] = len(s)
+        assert (sets, search.explored - before) == raising
+        assert search.replayed == 0
+        before = search.explored
+        sets = list(search.walk([-1], bound))
+        assert (sets, search.explored - before) == free
+        assert search.replayed > 0
+        search.replayed = 0
+    built = []
+    search_class = solvers._Search
+
+    def recorded(check, weak):
+        built.append(search_class(check, weak))
+        return built[-1]
+
+    monkeypatch.setattr(solvers, "_Search", recorded)
+    g = random_connected_graph(random.Random(2024), 12, 18, unit=True)
+    assert max_contraction_exact(g, Tolerance(1, 2)).explored == 1110
+    # every single edge fails at (1, 0), so the final walk's floor is -1
+    assert max_contraction_exact(gadget, Tolerance(1, 0)).objective == 0
+    assert [s.replayed for s in built] == [0, 0]
 
 
 def test_search_distance_evaluations_pinned(monkeypatch):
