@@ -187,28 +187,28 @@ class ToleranceCheck:
     ``d_C >= d/alpha - beta`` becomes ``p*s*D_C >= q*s*D - p*r*L`` where D and
     D_C are scaled distances.  That is ``lhs * D_C + offset >= coeff * D``
     with ``lhs`` = p*s, ``coeff`` = q*s and ``offset`` = p*r*L, D read from
-    the graph's cached base rows (``Graph.distances.base``).  The tolerance
-    computes p*s, p*r and q*s once (``Tolerance.ints``) and the graph's engine
-    holds L, so construction does one multiplication.  A verdict tests the
-    failing side, ``lhs * D_C + offset < coeff * D``, pair by pair and builds
-    no table; the exact searches (``solvers._evaluation``) read the same
-    three integers and base rows to test their own packed distance matrices.
-    All of these are read-only.
+    the graph's uncontracted rows (``ScaledDistances.base_row``).  The
+    tolerance computes p*s, p*r and q*s once (``Tolerance.ints``) and the
+    graph's engine holds L, so construction does one multiplication and no
+    search.  A verdict tests the failing side, ``lhs * D_C + offset < coeff *
+    D``, pair by pair and builds no table (weak mode tests D_C != 0 first, so
+    a merged pair costs no product); the exact searches
+    (``solvers._evaluation``) read the same three integers and every base row
+    (``base_scaled``) to test their own packed distance matrices.  All of
+    these are read-only.
 
     Subsets are passed as bitmasks over edge ids.  ``_violations`` is the one
     scan: ``first_violation`` returns its first pair as a witness and
     ``is_valid`` only whether it has one, building no Fraction.  A scan reads
-    row u through the engine's memo (``ScaledDistances.row``) only when the
-    lexicographic pair scan reaches u, so a scan that stops at its first
-    failing pair searches no row past it, and another verdict on the same
-    mask searches none.
+    row u, contracted through the engine's memo (``ScaledDistances.row``) and
+    uncontracted through ``base_row``, only when the lexicographic pair scan
+    reaches u, so a scan that stops at its first failing pair searches no row
+    past it, and another verdict on the same mask searches none.
     """
 
     def __init__(self, g: Graph, tolerance: Tolerance):
-        # refused before the O(n^2) base rows
         require_connected(g, "tolerance checks require a connected graph")
         engine = g.distances
-        self.base_scaled = engine.base
         self.graph, self.tolerance = g, tolerance
         n = g.vertex_count
         m = g.edge_count
@@ -217,22 +217,28 @@ class ToleranceCheck:
         self.full_mask = (1 << m) - 1
 
         self._row = engine.row
+        self._base_row = engine.base_row
         self._exact = engine.exact
 
         self.lhs, offset, self.coeff = tolerance.ints
         self.offset = offset * engine.scale
 
+    @property
+    def base_scaled(self) -> list[list[int]]:
+        """``Graph.distances.base``, which the searches read whole."""
+        return self.graph.distances.base
+
     def _violations(self, cmask: int, weak: bool) -> Iterator[tuple[int, int, int]]:
         """Failing pairs in lexicographic order as (u, v, scaled induced
         distance); merged pairs are exempt in weak mode."""
         n, lhs, offset, coeff = self.n, self.lhs, self.offset, self.coeff
-        row, base = self._row, self.base_scaled
+        row, base_row = self._row, self._base_row
         for u in range(n - 1):
             dc = row(u, cmask)
-            d0 = base[u]
+            d0 = base_row(u)
             for v in range(u + 1, n):
                 d = dc[v]
-                if lhs * d + offset < coeff * d0[v] and not (weak and d == 0):
+                if (d or not weak) and lhs * d + offset < coeff * d0[v]:
                     yield u, v, d
 
     def first_violation(self, cmask: int, weak: bool) -> ViolationWitness | None:
@@ -242,7 +248,7 @@ class ToleranceCheck:
             return ViolationWitness(kind="not-proper-subset")
         exact = self._exact
         for u, v, d in self._violations(cmask, weak):
-            return ViolationWitness("pair", u, v, exact(self.base_scaled[u][v]), exact(d))
+            return ViolationWitness("pair", u, v, exact(self._base_row(u)[v]), exact(d))
         return None
 
     def is_valid(self, cmask: int, weak: bool) -> bool:

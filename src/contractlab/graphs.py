@@ -6,11 +6,12 @@ equality are reproducible.  Every distance in the package comes from one
 engine, ``ScaledDistances``, which works in integers after scaling all weights
 by the lcm of their denominators; Fractions are made only when a distance
 leaves it.  A graph builds its engine once (``Graph.distances``), the engine
-walks the graph's own incidence lists (``Graph.adjacency``) and it computes its
-uncontracted rows once (``ScaledDistances.base``); a graph also finds its
-components once (``Graph.components``).  All live as long as the graph and are
-shared, never copied.  The engine also keeps the rows of the last contracted
-edge mask it was asked about (``ScaledDistances.row``).
+walks the graph's own incidence lists (``Graph.adjacency``) and it searches
+each uncontracted row once, on its first read (``ScaledDistances.base_row``;
+``ScaledDistances.base`` is all of them); a graph also finds its components
+once (``Graph.components``).  All live as long as the graph and are shared,
+never copied.  The engine also keeps the rows of the last contracted edge mask
+it was asked about (``ScaledDistances.row``).
 Unreachable pairs get the distinguished value ``UNREACHABLE`` (``math.inf``),
 which orders above every rational and saturates under addition.
 """
@@ -21,7 +22,6 @@ import heapq
 import math
 import random
 import re
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -287,17 +287,21 @@ class ScaledDistances:
     denominators, so all distances are integers.  Edges whose id bit is set
     in ``cmask`` cost zero: that gives the induced distance d_C of the
     contraction set C, which is 0 exactly when two vertices are merged because
-    weights are positive.  Uniform weights run a 0-1 BFS over hop counts, any
-    other weights an integer Dijkstra.  Vertices the source cannot reach get
-    ``-1``.
+    weights are positive.  Uniform weights run a BFS by levels, one per
+    uncontracted hop, each grown in place by its zero-cost closure; any other
+    weights an integer Dijkstra over the weights with the contracted ones
+    zeroed.  Both extra steps run only for a nonzero ``cmask``, so an
+    uncontracted search tests no edge against a mask.  Vertices the source
+    cannot reach get ``-1``.
 
-    Build it through ``Graph.distances``, so a graph has one engine; its
-    uncontracted rows, ``base``, are computed once per engine and shared by
-    every caller.  ``row(u, cmask)`` reads rows through a memo of one edge
-    mask: a verdict, a witness, ``contracted_distance`` and ``contract`` on
-    the same set share their searches, one per block of merged vertices.
-    The memo is one ``(cmask, rows)`` tuple, replaced whole when another mask
-    is asked for, so it holds at most n rows (n² ints) per graph.
+    Build it through ``Graph.distances``, so a graph has one engine; each
+    uncontracted row is searched on its first read (``base_row``) and
+    shared by every caller.  ``row(u, cmask)`` reads rows through a memo of
+    one edge mask: a verdict, a witness, ``contracted_distance`` and
+    ``contract`` on the same set share their searches, one per block of
+    merged vertices.  The memo is one ``(cmask, rows)`` tuple, replaced
+    whole when another mask is asked for, so it holds at most n rows (n²
+    ints) per graph.
     """
 
     def __init__(self, g: Graph):
@@ -308,7 +312,8 @@ class ScaledDistances:
         uniq = set(self.weights)
         self.uniform = uniq.pop() if len(uniq) == 1 else None
         self.adj = g.adjacency
-        self._memo: tuple[int, list] = (0, [None] * n)
+        self._base: list = [None] * n
+        self._memo: tuple[int, list] = (0, [])
 
     def from_source(self, src: int, cmask: int = 0) -> list[int]:
         adj = self.adj
@@ -316,43 +321,65 @@ class ScaledDistances:
         dist[src] = 0
         w = self.uniform
         if w is not None:
-            dq = deque([src])
-            while dq:
-                u = dq.popleft()
-                du = dist[u]
-                for v, eid in adj[u]:
-                    cost = 0 if (cmask >> eid) & 1 else 1
-                    nd = du + cost
-                    if dist[v] == -1 or nd < dist[v]:
-                        dist[v] = nd
-                        if cost == 0:
-                            dq.appendleft(v)
-                        else:
-                            dq.append(v)
-            return dist if w == 1 else [d * w if d > 0 else d for d in dist]
+            # one level per uncontracted hop, each grown in place by its
+            # zero-cost closure before the next is found
+            level, d = [src], 0
+            while level:
+                if cmask:
+                    for u in level:
+                        for v, eid in adj[u]:
+                            if dist[v] == -1 and cmask >> eid & 1:
+                                dist[v] = d
+                                level.append(v)
+                d += w
+                nxt = []
+                for u in level:
+                    for v, _ in adj[u]:
+                        if dist[v] == -1:
+                            dist[v] = d
+                            nxt.append(v)
+                level = nxt
+            return dist
         weights = self.weights
+        if cmask:
+            weights = weights[:]
+            while cmask:
+                low = cmask & -cmask
+                weights[low.bit_length() - 1] = 0
+                cmask ^= low
         heap = [(0, src)]
         while heap:
             d, u = heapq.heappop(heap)
             if d > dist[u]:
                 continue
             for v, eid in adj[u]:
-                nd = d + (0 if (cmask >> eid) & 1 else weights[eid])
+                nd = d + weights[eid]
                 dv = dist[v]
                 if dv == -1 or nd < dv:
                     dist[v] = nd
                     heapq.heappush(heap, (nd, v))
         return dist
 
+    def base_row(self, u: int) -> list[int]:
+        """Vertex u's uncontracted row, searched on its first read and kept
+        for the engine's life: shared, so it must not be mutated."""
+        row = self._base[u]
+        if row is None:
+            row = self._base[u] = self.from_source(u)
+        return row
+
     def row(self, u: int, cmask: int = 0) -> list[int]:
         """Vertex u's row with the edges of ``cmask`` contracted, searched
-        only if the memo does not hold it yet.
+        only if the memo does not hold it yet; the empty mask reads
+        ``base_row``.
 
         Vertices at distance 0 from each other have equal rows, so one search
         fills the memo for u's whole block: rows may be aliased and must not
         be mutated.  Another mask replaces the memo in one assignment, so a
         reader never pairs one mask with another mask's rows.
         """
+        if not cmask:
+            return self.base_row(u)
         memo = self._memo
         if memo[0] != cmask:
             memo = self._memo = (cmask, [None] * self.n)
@@ -372,9 +399,11 @@ class ScaledDistances:
 
     @cached_property
     def base(self) -> list[list[int]]:
-        """``all_pairs()`` of the uncontracted graph, computed once: shared, so
-        neither the list nor its rows may be mutated."""
-        return self.all_pairs()
+        """Every ``base_row``, searching only those not read yet: shared,
+        so neither the list nor its rows may be mutated."""
+        for u in range(self.n):
+            self.base_row(u)
+        return self._base
 
     def exact(self, d: int) -> Fraction | float:
         """The distance a scaled value stands for: a Fraction or ``UNREACHABLE``."""

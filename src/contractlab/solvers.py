@@ -235,10 +235,13 @@ def _evaluation(
     The pass: the node's children draw edges from start..m-1, so only the
     edges m-1 down to ``start`` are added to the partition, each merge
     relabelling one block (one ``str.replace``).  Failing pairs are decoded
-    from the mask lowest field first, the next only once the current one is
-    joined, and a joined pair stays joined.  The edges j..m-1 only grow as j
-    falls, so the first j that joins every pair is the last child, returned
-    exactly when it is at least ``start``; otherwise -1, a dead node.  g is
+    from the mask highest field first (its index is the mask's bit length
+    over ``width``, and one XOR with the field's guard bit, built once per
+    weak search, clears it), the next only once the current one is joined,
+    and a joined pair stays joined.  The edges j..m-1 only grow as j falls,
+    so the first j that joins every pair is the last child, whatever order
+    the pairs are decoded in; it is returned exactly when it is at least
+    ``start``, otherwise -1, a dead node.  g is
     connected (every search's ``ToleranceCheck`` refuses any other), so at
     start 0, the root's, the result is the exact last child.
     """
@@ -251,23 +254,22 @@ def _evaluation(
     thresholds = packing.pack(
         [[0] * (u + 1) + [ceiling[d] for d in r[u + 1:]] for u, r in enumerate(base)]
     )
-    pairs = [(u, v) for u in range(n) for v in range(n)]
+    # field i's pair and guard bit, which only the weak pass decodes
+    fields = [(i // n, i % n, 1 << (i * width + shift)) for i in range(n * n)] if weak else []
     edges = [(u, v) for u, v, _ in check.graph.edges]
 
     def last_child(labels: str, failing: int, start: int) -> int:
-        low = failing & -failing
-        x, y = pairs[low.bit_length() // width - 1]
+        x, y, guard = fields[failing.bit_length() // width - 1]
         for j in range(m - 1, start - 1, -1):
             u, v = edges[j]
             a, b = labels[u], labels[v]
             if a != b:
                 labels = labels.replace(b, a)
                 while labels[x] == labels[y]:
-                    failing ^= low
+                    failing ^= guard
                     if not failing:
                         return j
-                    low = failing & -failing
-                    x, y = pairs[low.bit_length() // width - 1]
+                    x, y, guard = fields[failing.bit_length() // width - 1]
         return -1
 
     def evaluate(labels: str, parent: int, a: int, b: int, start: int) -> _Node:

@@ -1,8 +1,8 @@
 """Independent brute-force oracles for the test suite.
 
 Everything here is recomputed from scratch with different machinery than the
-package uses: Floyd-Warshall over Fractions instead of Dijkstra/0-1 BFS over
-scaled integers, explicit quotient construction instead of zero-weight
+package uses: Floyd-Warshall over Fractions instead of Dijkstra/levelled BFS
+over scaled integers, explicit quotient construction instead of zero-weight
 relaxation, and plain power-set / double-subset filtering instead of pruned
 search.  Agreement between the two routes is what the equivalence tests (and
 the acceptance criteria) actually check, so nothing in this module may import

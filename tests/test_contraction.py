@@ -326,7 +326,9 @@ def test_pair_scan_searches_rows_lazily(monkeypatch):
     # row u is searched only when the lexicographic scan reaches u, once per
     # block of merged vertices, and only the first time the graph's engine
     # meets the mask: every later verdict, witness, contracted_distance or
-    # contract on the same mask reads the memo and searches nothing
+    # contract on the same mask reads the memo and searches nothing.  The
+    # scan reads base row u at the same time (searched right after the
+    # contracted row, on its first read only) and builds no other row
     runs: list[int] = []
     from_source = ScaledDistances.from_source
 
@@ -339,7 +341,7 @@ def test_pair_scan_searches_rows_lazily(monkeypatch):
     check = cl.ToleranceCheck(cl.path_graph(5), Tolerance(1, 0))
     runs.clear()
     w = check.first_violation(0b1, weak=False)
-    assert (w.u, w.v) == (0, 1) and runs == [0]
+    assert (w.u, w.v) == (0, 1) and runs == [0, 0]
     # two contracted edges shorten no distance by more than beta = 2: a valid
     # set, with blocks {0,5} {1} {2,3} {4} of the 6-cycle's edges (0,5) and (2,3)
     g = cl.cycle_graph(6)
@@ -347,7 +349,7 @@ def test_pair_scan_searches_rows_lazily(monkeypatch):
     assert [g.endpoints(e) for e in (1, 3)] == [(0, 5), (2, 3)]
     runs.clear()
     assert check.first_violation(0b1010, weak=False) is None
-    assert runs == [0, 1, 2, 4]
+    assert runs == [0, 0, 1, 1, 2, 2, 3, 4, 4]
     runs.clear()
     assert check.failing_pairs(0b1010, weak=True) == []
     assert cl.ToleranceCheck(g, T11).first_violation(0b1010, weak=True) is None
@@ -360,6 +362,43 @@ def test_pair_scan_searches_rows_lazily(monkeypatch):
     runs.clear()
     assert check.first_violation(0b1010, weak=False) is None
     assert runs == [0, 1, 2, 4]
+
+
+def test_verdicts_search_only_the_rows_they_read(monkeypatch):
+    # a ToleranceCheck searches nothing when built; a verdict searches the
+    # contracted and the uncontracted row of each row it scans, so a strong
+    # verdict failing at pair (0, 1) of a 2,000-vertex path searches two rows,
+    # and a later read of every base row searches only the rows not read yet
+    runs: list[tuple[int, int]] = []
+    from_source = ScaledDistances.from_source
+
+    def counted(self, src, cmask=0):
+        runs.append((src, cmask))
+        return from_source(self, src, cmask)
+
+    monkeypatch.setattr(ScaledDistances, "from_source", counted)
+    g = cl.path_graph(2000)
+    check = cl.ToleranceCheck(g, Tolerance(1, 0))
+    assert runs == []
+    w = check.first_violation(0b1, weak=False)
+    assert (w.u, w.v, w.distance, w.contracted_distance) == (0, 1, 1, 0)
+    assert runs == [(0, 0b1), (0, 0)]
+    assert not check.is_valid(0b1, weak=False) and len(runs) == 2
+
+    g = cl.path_graph(40)
+    engine = g.distances
+    check = cl.ToleranceCheck(g, Tolerance(1, 0))
+    assert not check.is_valid(0b110, weak=False)
+    runs.clear()
+    base = engine.base
+    assert runs == [(u, 0) for u in range(1, 40)]
+    assert base == [[abs(u - v) for v in range(40)] for u in range(40)]
+    # the empty mask reads the same rows: none is searched or kept twice
+    runs.clear()
+    assert all(engine.row(u, 0) is base[u] for u in range(40))
+    assert all(r is b for r, b in zip(engine.all_pairs(0), base))
+    assert contract(g, []).supernode_count == 40
+    assert engine.base is base and runs == []
 
 
 def test_row_memo_follows_the_mask():

@@ -175,6 +175,47 @@ def test_scaled_weights_are_exact_products():
         assert engine.weights == [int(w * engine.scale) for _, _, w in g.edges]
 
 
+def test_from_source_matches_scaled_floyd_warshall():
+    # the one search kernel (levels grown by their zero-cost closure for
+    # uniform weights, Dijkstra otherwise) against Floyd-Warshall over
+    # Fractions with the contracted weights set to 0, scaled afterwards:
+    # unit, uniform non-unit and mixed rational weights, sparse graphs that
+    # fall apart (-1 entries), and no, random and all edges contracted
+    rng = random.Random(3535)
+    weightings = {
+        "unit": lambda: 1,
+        "all 3": lambda: 3,
+        "all 1/2": lambda: Fraction(1, 2),
+        "all 5/2": lambda: Fraction(5, 2),
+        "mixed": lambda: Fraction(rng.randint(1, 6), rng.randint(1, 4)),
+    }
+    seen = set()
+    for name, weight in weightings.items():
+        for trial in range(12):
+            n = rng.randint(1, 16)
+            density = rng.choice((0.15, 0.3, 0.6))
+            edges = tuple(
+                (u, v, weight()) for u in range(n) for v in range(u + 1, n) if rng.random() < density
+            )
+            g = Graph(n, edges)
+            m = g.edge_count
+            engine = ScaledDistances(g)
+            scale = math.lcm(1, *(w.denominator for _, _, w in g.edges))
+            for mask in (0, rng.getrandbits(m), (1 << m) - 1):
+                kept = [(u, v, 0 if mask >> e & 1 else w) for e, (u, v, w) in enumerate(g.edges)]
+                ref = [
+                    [-1 if d == naive.INF else int(d * scale) for d in row]
+                    for row in naive.fw_distances(n, kept)
+                ]
+                assert [engine.from_source(s, mask) for s in range(n)] == ref, (name, trial, mask)
+                seen.add((name, engine.uniform, mask != 0, any(-1 in row for row in ref)))
+    # every branch of the kernel met: unit, scaled-uniform and mixed weights,
+    # each with and without contracted edges, and unreachable vertices
+    assert {(u, c) for _, u, c, _ in seen} >= {(1, False), (1, True), (3, False), (3, True), (5, True)}
+    assert {(None, c) for name, u, c, _ in seen if name == "mixed"} == {(None, False), (None, True)}
+    assert any(disconnected for *_, disconnected in seen)
+
+
 def test_all_pairs_shares_rows_within_blocks():
     # all_pairs runs one search per block of merged vertices and hands the
     # block one shared row; the values must be each vertex's own search
