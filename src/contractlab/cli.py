@@ -18,6 +18,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -174,6 +175,41 @@ def _write(out: str | Path | None, text: str) -> None:
         # with a second message and exit status 120: drop the stream
         sys.stdout = None
         raise
+
+
+def _write_pair(
+    out: str | Path | None, text: str, sidecar: str | Path, sidecar_text: str
+) -> None:
+    """Write ``text`` to ``out`` and ``sidecar_text`` to its companion file
+    ``sidecar`` so that a failed write leaves neither new file.  Each text
+    goes to a file of the same name in a fresh hidden directory beside its
+    target, and once both are written they are renamed into place, the
+    sidecar first (``lab.write_atomic``'s pattern); a failure removes both
+    temporary files and leaves any old files as they were.  A directory at
+    either path is refused before anything is written.  When ``out`` is
+    stdout, or either path is a symlink (such as /dev/stdout), a FIFO or a
+    device, which a rename would replace rather than write through, both are
+    written in place in order."""
+    paths = [Path(p) for p in (out, sidecar) if p]
+    for path in paths:
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    if len(paths) < 2 or any(p.is_symlink() or p.exists() and not p.is_file() for p in paths):
+        _write(out, text)
+        _write(sidecar, sidecar_text)
+        return
+    staged: list[tuple[Path, Path]] = []
+    try:
+        for path, body in zip(paths, (text, sidecar_text)):
+            tmp = Path(tempfile.mkdtemp(prefix=f".{path.name}.", dir=path.parent)) / path.name
+            staged.append((tmp, path))
+            _write(tmp, body)
+        for tmp, path in reversed(staged):
+            os.replace(tmp, path)
+    finally:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+            tmp.parent.rmdir()
 
 
 def _emit(payload: dict, human: str, fmt: str, out: str | None) -> None:
@@ -354,10 +390,6 @@ def cmd_reduce(args) -> int:
     require_connected(g.to_graph(), "reduce requires a connected instance")
     out_path = Path(args.out)
     sidecar = out_path.with_name(out_path.name + ".provenance.json")
-    # the graph is written first, and a missing directory or a directory at
-    # --out fails that write; a directory at the sidecar is refused before it
-    if sidecar.is_dir():
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(sidecar))
     if args.construction == "gadget":
         gadget = build_gadget(g, args.weight)
         text = render_graph(gadget.combined)
@@ -381,8 +413,7 @@ def cmd_reduce(args) -> int:
             "left_pairs": [list(p) for p in tensor.left_pairs],
             "right_pairs": [list(p) for p in tensor.right_pairs],
         }
-    _write(out_path, text)
-    _write(sidecar, lablib.json_text(provenance))
+    _write_pair(out_path, text, sidecar, lablib.json_text(provenance))
     _write(None, f"wrote {out_path} and {sidecar}\n")
     return 0
 
@@ -477,9 +508,11 @@ def cmd_gen(args) -> int:
             f"over gen's bound of {GEN_MAX_EDGES}"
         )
     g, plant = build(args)
-    _write(args.out, render_graph(g))
+    graph = render_graph(g)
     if args.plant_out:
-        _write(args.plant_out, lablib.json_text(plant.to_json_dict()))
+        _write_pair(args.out, graph, args.plant_out, lablib.json_text(plant.to_json_dict()))
+    else:
+        _write(args.out, graph)
     return 0
 
 

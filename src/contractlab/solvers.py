@@ -21,7 +21,14 @@ never increases an induced distance:
   below its first child.  One pass finds that j (``last_child`` in
   ``_evaluation``): it adds the edges m-1 down to the node's first child and
   no further, and decodes a failing pair only once the pair before it is
-  joined, so a dead node stops at its first pair that cannot be joined;
+  joined, so a dead node stops at its first pair that cannot be joined.
+  On a tree (m = n - 1; every search refuses a disconnected graph) a
+  failing pair's path is the only way to join it, so every edge on it lies
+  in every valid superset: a weak search of a tree replaces the pass with
+  a forced-merge closure (``close`` in ``_evaluation``) that merges those
+  paths, then the paths of the pairs failing after that, until the set is
+  valid.  The node builds children only up to the least edge so forced,
+  and none if one lies below its first child or every edge is forced;
 * strong mode only: the Russian-doll suffix bound (``_suffix_bounds``).
   Strong validity is down-closed (every subset of a valid set is valid), so
   cset + {j} + S valid makes {j} + S a valid set inside edges j..m-1, and
@@ -33,9 +40,8 @@ never increases an induced distance:
   its first set instead.
 
 Validity itself is not monotone in weak mode (merging exempts pairs, so a
-subset of a valid set may fail), so weak mode has no suffix bound and takes
-no other shortcut; equivalence with plain power-set filtering is part of the
-test suite.  Induced distances, and so the failing pairs, depend only on the
+subset of a valid set may fail), so weak mode has no suffix bound;
+equivalence with plain power-set filtering is part of the test suite.  Induced distances, and so the failing pairs, depend only on the
 vertex partition a set induces, so each search (``_Search``, shared by every
 walk of one solve, and by the weak calls handed one from ``weak_search``)
 evaluates a partition once and reuses the result for every other set
@@ -66,16 +72,24 @@ leaves a connected set that merges every vertex, so every pair is exempt and
 E - {j} is valid whatever the tolerance, and no set of m edges is proper.
 Every (m-1)-set is some E - {j}, and a larger j gives a smaller sorted tuple,
 so the maximizer tests E - {j} for j = m-1 down and returns the first valid
-one, the lexicographically smallest optimum, after at most m verdicts (a
-bridge may pass or fail; the first non-bridge passes).
+one, the lexicographically smallest optimum (a bridge may pass or fail; the
+first non-bridge passes).  A test reads the base rows D of j = (a, b) and
+runs no verdict (``_valid_without``).  A = {x : D(x,a) < D(x,b)} holds a and
+not b, so when j is not a bridge some other edge joins A and V - A, along a
+path from a to b without j.  When j is a bridge, A is a's side of it, no
+other edge leaves A, and E - {j} merges each side into one block: only the
+pairs across j are unmerged, each at induced distance W = D(a,b) (j's
+weight) and base distance D(x,a) + W + D(b,y).  So E - {j} is valid exactly
+when ``lhs*W + offset >= coeff*(max over A of D(x,a) + W + max off A of
+D(b,y))``.
 
 A search node holds its whole induced distance matrix as one Python int
 (``RowPacking``): every pair's distance in a fixed-width field under a guard
 bit, row-major.  Deriving the matrix after a merge and testing it against
 the tolerance are then each a fixed handful of big-int operations, not a
 loop over rows or entries, and a new partition costs one call that does
-both and, for a failing weak node, the pass (``evaluate`` in
-``_evaluation``).  This module is the only one that knows the format.
+both and, for a failing weak node, the pass or, on a tree, the closure
+(``evaluate`` in ``_evaluation``).  This module is the only one that knows the format.
 """
 
 from __future__ import annotations
@@ -206,12 +220,14 @@ _Node = tuple[str, int, int, int, int]
 
 
 def _evaluation(
-    check: ToleranceCheck, weak: bool, packing: RowPacking
+    check: ToleranceCheck, weak: bool, packing: RowPacking, forest: bool = False
 ) -> tuple[Callable[[str, int, int, int, int], _Node], Callable[[str, int, int], int]]:
     """A search's two closures: ``evaluate(labels, parent, a, b, start)``,
     the node of the partition ``labels`` made by merging the blocks of a and
     b in the ``parent`` matrix, and ``last_child(labels, failing, start)``,
-    the capped pass alone.  Both bind the packing's constants once.
+    the capped pass alone.  Both bind the packing's constants once.  A weak
+    search of a tree passes ``forest`` and gets the forced-merge closure in
+    place of the pass (below).
 
     The merge: with r the fieldwise minimum of rows a and b (the merged
     block's row), the child's field (u, y) is min(d(u,y), r[u] + r[y]).
@@ -235,15 +251,37 @@ def _evaluation(
     The pass: the node's children draw edges from start..m-1, so only the
     edges m-1 down to ``start`` are added to the partition, each merge
     relabelling one block (one ``str.replace``).  Failing pairs are decoded
-    from the mask highest field first (its index is the mask's bit length
-    over ``width``, and one XOR with the field's guard bit, built once per
-    weak search, clears it), the next only once the current one is joined,
-    and a joined pair stays joined.  The edges j..m-1 only grow as j falls,
-    so the first j that joins every pair is the last child, whatever order
-    the pairs are decoded in; it is returned exactly when it is at least
-    ``start``, otherwise -1, a dead node.  g is
-    connected (every search's ``ToleranceCheck`` refuses any other), so at
-    start 0, the root's, the result is the exact last child.
+    from the mask highest field first (the top set bit is that field's
+    guard, its index the mask's bit length over ``width``, and one XOR
+    clears it), the next only once the current one is joined, and a joined
+    pair stays joined.  The edges j..m-1 only grow as j falls, so the first
+    j that joins every pair is the last child, whatever order the pairs are
+    decoded in; it is returned exactly when it is at least ``start``,
+    otherwise -1, a dead node.  g is connected (every search's
+    ``ToleranceCheck`` refuses any other), so at start 0, the root's, the
+    result is the exact last child.
+
+    The forest closure.  On a tree the x-y path is the only way to join x
+    and y, so a failing pair forces every edge of its path into every valid
+    superset: merging only shrinks distances, so the pair fails until it is
+    merged.  A forest node's matrix carries its chosen edges above its n*n
+    fields (bit n*n*width + j for edge j; no merge or scan reads those
+    bits).  At a failing node ``close`` decodes the failing pairs as the
+    pass does and ORs their path masks (``paths``, one per field, each the
+    XOR of two paths from vertex 0), merges the forced edges not yet in the
+    set into the matrix (rows u and v of edge (u, v) directly: every row of
+    a block is the block's row), scans again and repeats until the set is
+    valid.  Every forced edge lies in every valid set of the subtree, so the
+    node is dead (-1) as soon as a decoded path holds an edge below
+    ``start`` that the node has not chosen, or when the closure is all of E
+    (not proper); otherwise its last child is the least forced edge it has
+    not chosen.  The answer is exact when it is at least ``start``, as the
+    pass's is.  ``last_child`` reruns the closure on the matrix rebuilt from
+    the labels: a forest's partition fixes its edge set.
+
+    Nothing a search builds once may exceed O(n^2) words besides the
+    matrices themselves: ``fields`` holds one small pair per field and
+    ``paths`` one m-bit mask.
     """
     width, span, ones, guards, row_ones, row_guards, spread, col0, copies, top = packing
     shift, row = width - 1, (1 << span) - 1
@@ -254,22 +292,24 @@ def _evaluation(
     thresholds = packing.pack(
         [[0] * (u + 1) + [ceiling[d] for d in r[u + 1:]] for u, r in enumerate(base)]
     )
-    # field i's pair and guard bit, which only the weak pass decodes
-    fields = [(i // n, i % n, 1 << (i * width + shift)) for i in range(n * n)] if weak else []
+    # field i's pair, which only the weak pass decodes
+    fields = [divmod(i, n) for i in range(n * n)] if weak and not forest else []
     edges = [(u, v) for u, v, _ in check.graph.edges]
 
     def last_child(labels: str, failing: int, start: int) -> int:
-        x, y, guard = fields[failing.bit_length() // width - 1]
+        high = failing.bit_length()
+        x, y = fields[high // width - 1]
         for j in range(m - 1, start - 1, -1):
             u, v = edges[j]
             a, b = labels[u], labels[v]
             if a != b:
                 labels = labels.replace(b, a)
                 while labels[x] == labels[y]:
-                    failing ^= guard
+                    failing ^= 1 << (high - 1)
                     if not failing:
                         return j
-                    x, y, guard = fields[failing.bit_length() // width - 1]
+                    high = failing.bit_length()
+                    x, y = fields[high // width - 1]
         return -1
 
     def evaluate(labels: str, parent: int, a: int, b: int, start: int) -> _Node:
@@ -288,7 +328,76 @@ def _evaluation(
                 return labels, matrix, failing, last_child(labels, failing, start), start
         return labels, matrix, failing, m - 1, start
 
-    return evaluate, last_child
+    if not forest:
+        return evaluate, last_child
+
+    hi = n * n * width
+    full = (1 << m) - 1
+    # rooted[x]: the edge mask of the path from vertex 0 to x; the x-y path
+    # is what the two do not share
+    rooted = [-1] * n
+    rooted[0] = 0
+    order = [0]
+    for u in order:
+        for v, e in check.graph.adjacency[u]:
+            if rooted[v] < 0:
+                rooted[v] = rooted[u] | 1 << e
+                order.append(v)
+    paths = [rx ^ ry for rx in rooted for ry in rooted]  # paths[x*n + y]
+
+    def merge(matrix: int, a: int, b: int) -> int:
+        x = (matrix >> (a * span)) & row
+        y = (matrix >> (b * span)) & row
+        ge = ((x | row_guards) - y) & row_guards
+        r = x ^ ((x ^ y) & (ge - (ge >> shift)))
+        cross = ((r * spread) & col0) * row_ones + r * copies
+        ge = ((matrix | guards) - cross) & guards
+        return matrix ^ ((matrix ^ cross) & (ge - (ge >> shift)))
+
+    def close(matrix: int, failing: int, start: int) -> int:
+        chosen = closed = matrix >> hi
+        unreachable = ((1 << start) - 1) & ~chosen  # no child can add these
+        while True:
+            forced = 0
+            while failing:
+                high = failing.bit_length()
+                path = paths[high // width - 1]
+                if path & unreachable:
+                    return -1
+                forced |= path
+                failing ^= 1 << (high - 1)
+            forced &= ~closed
+            closed |= forced
+            if closed == full:
+                return -1
+            while forced:
+                e = forced.bit_length() - 1
+                forced ^= 1 << e
+                matrix = merge(matrix, *edges[e])
+            held = matrix | guards
+            failing = (((held - thresholds) & guards) ^ guards) & (held - ones)
+            if not failing:
+                added = closed ^ chosen
+                return (added & -added).bit_length() - 1
+
+    def evaluate_forest(labels: str, parent: int, a: int, b: int, start: int) -> _Node:
+        matrix = merge(parent, a, b)
+        if start:  # the child of edge start - 1; the root has no edge
+            matrix |= 1 << (hi + start - 1)
+        held = matrix | guards
+        failing = (((held - thresholds) & guards) ^ guards) & (held - ones)
+        if failing:
+            return labels, matrix, failing, close(matrix, failing, start), start
+        return labels, matrix, failing, m - 1, start
+
+    def rerun(labels: str, failing: int, start: int) -> int:
+        matrix = packing.pack(base)
+        for j, (u, v) in enumerate(edges):
+            if labels[u] == labels[v]:
+                matrix = merge(matrix, u, v) | 1 << (hi + j)
+        return close(matrix, failing, start)
+
+    return evaluate_forest, rerun
 
 
 class _Search:
@@ -303,13 +412,15 @@ class _Search:
 
     A node is its partition as a str (character i is ``chr`` of the least
     vertex in i's block, so a merge is one ``str.replace``), its packed
-    induced matrix (``RowPacking``), its failing mask (the guard bits of its
-    failing pairs, 0 when it is valid), its last child worth building and
-    the start that child was found from.  Strong mode prunes on any failing
-    pair and never decodes one; its last child is m - 1, as is a valid weak
-    node's.  A failing weak node's last child is the capped pass of
-    ``_evaluation`` from its first child: exact when it is at least that
-    start, -1 (dead) when it is below.
+    induced matrix (``RowPacking``; a forest search's also carries the
+    node's edge set above the fields), its failing mask (the guard bits of
+    its failing pairs, 0 when it is valid), its last child worth building
+    and the start that child was found from.  Strong mode prunes on any
+    failing pair and never decodes one; its last child is m - 1, as is a
+    valid weak node's.  A failing weak node's last child is the capped pass
+    of ``_evaluation`` from its first child, or on a tree its forced-merge
+    closure: exact when it is at least that start, -1 (dead) when it is
+    below.
 
     Nodes are memoised by the labels str: a partition met before costs no
     merge, no scan and no pass, with one exception.  A node stored dead from
@@ -321,7 +432,12 @@ class _Search:
     of its internal edges that spans it, whose largest edge is the least of
     any set inducing it, so if that path was cut some failing pair cannot be
     joined by the later edges and the partition is dead at every visit.  A
-    floor-raising walk can cut that path, so the rerun stays.
+    floor-raising walk can cut that path, so the rerun stays.  A forest
+    search's rerun (its ``last_child``) is the closure again, on the matrix
+    rebuilt from the labels, since a forest partition fixes its edge set, so
+    it too answers as a fresh evaluation from the smaller start.  No walk
+    calls it: the one edge set C of a forest partition is reached only from
+    start max(C) + 1, so a forest entry is never met from another start.
 
     The replay (module docstring) is exact because a memo entry answers
     every start as a fresh evaluation would, so below a node nothing depends
@@ -335,7 +451,8 @@ class _Search:
         self.explored = self.replayed = 0
         base = check.base_scaled
         packing = RowPacking.for_rows(base)
-        self.evaluate, self.last_child = _evaluation(check, weak, packing)
+        forest = weak and check.m == check.n - 1
+        self.evaluate, self.last_child = _evaluation(check, weak, packing, forest)
         labels = "".join(map(chr, range(check.n)))
         self.root = self.evaluate(labels, packing.pack(base), 0, 0, 0)
 
@@ -498,6 +615,22 @@ def _require_own(search: _Search, g: Graph, tolerance: Tolerance) -> None:
         raise ValueError("search= must be a weak search of this graph and tolerance")
 
 
+def _valid_without(check: ToleranceCheck, j: int) -> bool:
+    """Whether E - {j} is a valid weak set of a connected graph, that is
+    ``check.is_valid(check.full_mask ^ 1 << j, True)``, from the base rows
+    of j's ends a and b alone (the module docstring says why)."""
+    edges, base_row = check.graph.edges, check.graph.distances.base_row
+    a, b, _ = edges[j]
+    ra, rb = base_row(a), base_row(b)
+    side = [x < y for x, y in zip(ra, rb)]  # nearer a than b
+    if sum(side[u] != side[v] for u, v, _ in edges) > 1:
+        return True  # not a bridge: E - {j} merges every vertex
+    w = ra[b]
+    far_a = max(d for d, s in zip(ra, side) if s)
+    far_b = max(d for d, s in zip(rb, side) if not s)
+    return check.lhs * w + check.offset >= check.coeff * (far_a + w + far_b)
+
+
 def _max_valid_set(
     g: Graph, tolerance: Tolerance, cap: int, weak: bool, search: _Search | None = None
 ) -> SolveResult:
@@ -514,8 +647,7 @@ def _max_valid_set(
     m = g.edge_count
     if weak and m >= g.vertex_count:
         # connected with a cycle: the closed form (module docstring)
-        full = check.full_mask
-        j = next(j for j in range(m - 1, -1, -1) if check.is_valid(full ^ (1 << j), True))
+        j = next(j for j in range(m - 1, -1, -1) if _valid_without(check, j))
         best = (*range(j), *range(j + 1, m))
         return SolveResult(m - 1, best, m - j, time.perf_counter() - t0)
     if search is None:

@@ -813,15 +813,15 @@ DEFAULT_SUITE_REPORTS = [
     ("path-lemma", "cycle[n=4]", "00a7e5e720443112"),
     ("path-lemma-shortest", "cycle[n=4]", "1920518312038258"),
     ("biclique-lemma", "all-bipartite[index=0,left=1,right=1]", "1c49beb1306298e6"),
-    ("thm6-soundness", "all-bipartite[index=0,left=1,right=1]", "1392fe9f0febff97"),
+    ("thm6-soundness", "all-bipartite[index=0,left=1,right=1]", "723394d7883124a1"),
     ("thm6-completeness", "all-bipartite[index=0,left=1,right=1]", "4e5aea76aaa777c7"),
     ("lemma2-lift", "all-bipartite[index=0,left=1,right=1]", "98bc5d2677e03c3a"),
     ("biclique-lemma", "all-bipartite[index=0,left=1,right=2]", "5669465132f8a354"),
-    ("thm6-soundness", "all-bipartite[index=0,left=1,right=2]", "0adb91bb21f6e897"),
+    ("thm6-soundness", "all-bipartite[index=0,left=1,right=2]", "99d9cdf9ce6ad152"),
     ("thm6-completeness", "all-bipartite[index=0,left=1,right=2]", "471c9c8cd80f9f8c"),
     ("lemma2-lift", "all-bipartite[index=0,left=1,right=2]", "093ac8d8dbbee84f"),
     ("biclique-lemma", "all-bipartite[index=0,left=2,right=2]", "10baf4d9326208f0"),
-    ("thm6-soundness", "all-bipartite[index=0,left=2,right=2]", "d937aa8c24ed77c1"),
+    ("thm6-soundness", "all-bipartite[index=0,left=2,right=2]", "9c81c2588cc28776"),
     ("thm6-completeness", "all-bipartite[index=0,left=2,right=2]", "c34176b9a8ab992f"),
     ("lemma2-lift", "all-bipartite[index=0,left=2,right=2]", "56541d9eb44eea07"),
     ("biclique-lemma", "all-bipartite[index=1,left=2,right=2]", "5b6f605f8383978b"),
@@ -829,11 +829,11 @@ DEFAULT_SUITE_REPORTS = [
     ("thm6-completeness", "all-bipartite[index=1,left=2,right=2]", "5bf2430619f9bf0d"),
     ("lemma2-lift", "all-bipartite[index=1,left=2,right=2]", "6a3a0b0cce81f5a0"),
     ("biclique-lemma", "all-bipartite[index=0,left=2,right=3]", "437bf207394d8dd0"),
-    ("thm6-soundness", "all-bipartite[index=0,left=2,right=3]", "8ba756dcbad22dae"),
+    ("thm6-soundness", "all-bipartite[index=0,left=2,right=3]", "5d019a525836f2c6"),
     ("thm6-completeness", "all-bipartite[index=0,left=2,right=3]", "28a1ffa63bb4c600"),
     ("lemma2-lift", "all-bipartite[index=0,left=2,right=3]", "250f27e9c7bdefec"),
     ("biclique-lemma", "all-bipartite[index=1,left=2,right=3]", "eb5c88cd8ef415bb"),
-    ("thm6-soundness", "all-bipartite[index=1,left=2,right=3]", "813e2b496ed99f8b"),
+    ("thm6-soundness", "all-bipartite[index=1,left=2,right=3]", "3673d834a5c04902"),
     ("thm6-completeness", "all-bipartite[index=1,left=2,right=3]", "61d3491136e26029"),
     ("lemma2-lift", "all-bipartite[index=1,left=2,right=3]", "1712d4c8de651711"),
     ("biclique-lemma", "all-bipartite[index=2,left=2,right=3]", "a526cf1aec97b04f"),
@@ -882,13 +882,13 @@ ALL_BIPARTITE_REPORTS = {
     ("path-lemma", "3x4"): (34, "b8e1ff66483fc13c"),
     ("path-lemma-shortest", "3x4"): (34, "cb48706462c16d91"),
     ("biclique-lemma", "3x4"): (34, "6a39cc0e619196cc"),
-    ("thm6-soundness", "3x4"): (34, "94765565d9f65cc5"),
+    ("thm6-soundness", "3x4"): (34, "1db02a8945ad91a0"),
     ("thm6-completeness", "3x4"): (34, "cb7f09da657075f5"),
     ("lemma2-lift", "3x4"): (34, "1cf6730fb116fa58"),
     ("path-lemma", "2x6"): (12, "60ff96bde153c384"),
     ("path-lemma-shortest", "2x6"): (12, "4cc5b3a54c09c6ed"),
     ("biclique-lemma", "2x6"): (12, "7c72bcf121574fc5"),
-    ("thm6-soundness", "2x6"): (12, "1501ac1d5ed582fe"),
+    ("thm6-soundness", "2x6"): (12, "39ae729341e87cfa"),
     ("thm6-completeness", "2x6"): (12, "409791dde9e23020"),
     ("lemma2-lift", "2x6"): (12, "59318abae1c7af5a"),
 }
@@ -926,7 +926,7 @@ def test_lab_all_bipartite_outputs_pinned(tmp_path, capsys):
 ALL_BIPARTITE_4X4_REPORTS = [
     (["biclique-lemma", "thm6-soundness", "thm6-completeness", "lemma2-lift"], 29, {
         ("biclique-lemma", "4x4"): (93, "cc68454628855abc"),
-        ("thm6-soundness", "4x4"): (93, "29385c0a286ef706"),
+        ("thm6-soundness", "4x4"): (93, "77817c2c96578a2d"),
         ("thm6-completeness", "4x4"): (93, "60bec10ae9008e59"),
         ("lemma2-lift", "4x4"): (93, "4c3f8cda721c1eb5"),
     }),
@@ -1193,6 +1193,62 @@ def test_failed_write_exit_two(tmp_path, capsys, monkeypatch, p3, k22, argv, ful
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "No space left on device" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("old", [False, True], ids=["new-paths", "old-files"])
+@pytest.mark.parametrize(
+    "argv, first, second",
+    [
+        (("reduce", "{k22}", "--construction", "gadget", "--out", "{tmp}/r.txt"),
+         "r.txt", "r.txt.provenance.json"),
+        (("gen", "--family", "planted", "--left", "3", "--right", "3", "--plant-left", "2",
+          "--plant-right", "2", "--out", "{tmp}/g.txt", "--plant-out", "{tmp}/w.json"),
+         "g.txt", "w.json"),
+    ],
+    ids=["reduce", "gen"],
+)
+def test_paired_write_leaves_no_file_without_its_partner(
+    tmp_path, capsys, monkeypatch, k22, argv, first, second, old
+):
+    # reduce writes a graph and its provenance sidecar, gen a graph and its
+    # plant file: when the second write fails, the first new file is not
+    # left behind without its partner, any old files keep their bytes, and
+    # no temporary file or directory is left
+    for name in (first, second) if old else ():
+        (tmp_path / name).write_text(f"old {name}\n", encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    write_text = Path.write_text
+
+    def filling(path, *args, **kwargs):
+        if path.name == second:
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+        return write_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", filling)
+    assert run_cli(*(arg.format(k22=k22, tmp=tmp_path) for arg in argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "No space left on device" in err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    # with the write restored both files are replaced, the sidecar first
+    monkeypatch.setattr(Path, "write_text", write_text)
+    renamed = []
+    replace = os.replace
+    monkeypatch.setattr(os, "replace", lambda a, b: (renamed.append(Path(b).name), replace(a, b)))
+    assert run_cli(*(arg.format(k22=k22, tmp=tmp_path) for arg in argv)) == 0
+    assert renamed == [second, first]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted({*before, first, second})
+
+
+def test_paired_write_goes_through_a_symlink(tmp_path, capsys, k22):
+    # an output path that is a symlink is written through, not replaced by
+    # a rename: the link stays and its target gets the new bytes
+    target = tmp_path / "real.txt"
+    target.write_text("old\n", encoding="utf-8")
+    (tmp_path / "r.txt").symlink_to(target)
+    assert run_cli("reduce", k22, "--construction", "gadget", "--out", str(tmp_path / "r.txt")) == 0
+    assert (tmp_path / "r.txt").is_symlink()
+    assert target.read_text(encoding="utf-8").startswith("graph 8 8\n")
+    assert (tmp_path / "r.txt.provenance.json").is_file()
 
 
 def _run_module(*argv, stdout, unbuffered=False):

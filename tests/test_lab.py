@@ -606,7 +606,9 @@ def test_run_suite_empty_config():
 def test_run_suite_default_counters_pinned():
     reports = run_suite()
     assert len(reports) == 43
-    assert sum(r.stats["enumerated"] for r in reports) == 423
+    # 423 before weak searches of trees took the forced-merge closure: the
+    # five tree-core thm6-soundness reports count fewer walk nodes
+    assert sum(r.stats["enumerated"] for r in reports) == 354
 
 
 def test_run_suite_deterministic_modulo_elapsed():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -359,13 +360,66 @@ def test_last_child_matches_fresh_union_find():
     assert last_child("".join(map(chr, labels)), guard_mask(pairs, packing, 300), last + 1) == -1
 
 
-def _reference_walk(g: Graph, t: Tolerance, raise_floor: bool):
+def test_weak_pass_memory_is_quadratic_in_the_vertices():
+    # the pass keeps one (x, y) pair per matrix field and clears the top
+    # failing field by its bit length, so building it on a 300-vertex cycle
+    # (90,000 fields) peaks at about 7 MB; a guard int kept per field would
+    # hold about n^4 * width / 2 bits, several GB here
+    g = cl.cycle_graph(300)
+    g.distances.base
+    tracemalloc.start()
+    try:
+        _last_child_pass(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20, peak
+
+
+def _tree_path_edges(g: Graph, x: int, y: int) -> set[int]:
+    """The edge ids of the x-y path of a tree, by a breadth-first search from
+    x that records each vertex's edge to its parent."""
+    via = {x: None}
+    queue = [x]
+    for u in queue:
+        for w, e in g.adjacency[u]:
+            if w not in via:
+                via[w] = (u, e)
+                queue.append(w)
+    path = set()
+    while via[y] is not None:
+        y, e = via[y]
+        path.add(e)
+    return path
+
+
+def _forest_closure(check, cset, failing) -> int:
+    """The least edge the forced-merge closure of a tree's set ``cset``
+    adds, -1 if it adds every edge missing from ``cset``: every edge on the
+    tree path of a failing pair joins the set, and the set's failing pairs
+    are read again, until none fails."""
+    g = check.graph
+    closed = set(cset)
+    while failing:
+        for x, y in failing:
+            closed |= _tree_path_edges(g, x, y)
+        failing = check.failing_pairs(sum(1 << e for e in closed), weak=True)
+    return -1 if len(closed) == g.edge_count else min(closed - set(cset))
+
+
+def _reference_walk(g: Graph, t: Tolerance, raise_floor: bool, closure: bool = True):
     """A plain recursive weak walk with the walker's child rule and nothing
     else: no memo, the verifier's failing pairs at every node and a fresh
     union-find over edges j..m-1 for the last child.  Its sets and its node
-    count."""
+    count.
+
+    On a tree (m = n - 1), unless ``closure`` is False, a failing node takes
+    the forced-merge closure instead (``_forest_closure``): its last child is
+    the least edge the closure adds, and it has none if the closure adds
+    every edge or that edge is below its first child."""
     check = cl.ToleranceCheck(g, t)
     n, m = g.vertex_count, g.edge_count
+    forest = closure and m == n - 1
     floor, sets, nodes = [-1], [], 0
 
     def visit(cset, start):
@@ -377,7 +431,9 @@ def _reference_walk(g: Graph, t: Tolerance, raise_floor: bool):
             if raise_floor:
                 floor[0] = len(cset)
         last = m - 1
-        if failing:
+        if failing and forest:
+            last = _forest_closure(check, cset, failing)
+        elif failing:
             labels = _min_vertex_labels(n, [g.edges[e][:2] for e in cset])
             last = max(j for j in range(m) if _joins_every_pair(labels, g, j, failing))
         for j in range(start, last + 1):
@@ -445,6 +501,70 @@ def test_walker_matches_a_reference_walk_without_memo():
             assert search.replayed > replayed, trial
 
 
+def test_forest_closure_matches_a_reference_walk():
+    # on a tree every weak search takes the forced-merge closure: the walker
+    # gives the reference walk's sets and node count, its closure built from
+    # tree paths found by the test and the verifier's failing pairs,
+    # floor-free and floor-raising, on seeded trees and on tree-core
+    # gadgets, and never visits more nodes than the plain union-find rule.
+    # A memo entry's rerun (last_child), given any start, answers as the
+    # reference closure from that start would
+    rng = random.Random(36)
+    tolerances = [T11, Tolerance(1, 0), Tolerance(Fraction(3, 2), Fraction(1, 2)),
+                  Tolerance(2, 2), Tolerance(Fraction(1, 2), 1), Tolerance(Fraction(3, 2), 1)]
+    cases = []
+    for trial in range(60):
+        n = rng.randint(2, 10)
+        cases.append((random_connected_graph(rng, n, n - 1, trial % 2 == 0), tolerances[trial % 6]))
+    tree_cores = [BipartiteGraph(2, 6, ((0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 0))),
+                  BipartiteGraph(3, 3, ((0, 0), (0, 1), (1, 1), (1, 2), (2, 2)))]
+    cases += [
+        (cl.build_gadget(core, 1).combined, t) for core in tree_cores for t in (T11, tolerances[2])
+    ]
+    fewer = reran = 0
+    for trial, (g, t) in enumerate(cases):
+        m = g.edge_count
+        check = cl.ToleranceCheck(g, t)
+        packing = solvers.RowPacking.for_rows(check.base_scaled)
+        for raise_floor in (False, True):
+            search = solvers._Search(check, True)
+            floor, sets = [-1], []
+            for s in search.walk(floor, list(range(m, -1, -1))):
+                sets.append(s)
+                if raise_floor:
+                    floor[0] = len(s)
+            assert (sets, search.explored) == _reference_walk(g, t, raise_floor), trial
+            plain = _reference_walk(g, t, raise_floor, closure=False)
+            assert plain[0] == sets and plain[1] >= search.explored, trial
+            fewer += plain[1] > search.explored
+        for labels, _, failing, _, _ in search.seen.values():
+            if not failing:
+                continue
+            cset = [e for e, (u, v, _) in enumerate(g.edges) if labels[u] == labels[v]]
+            pairs = unpack_pairs(failing, packing, g.vertex_count)
+            last = _forest_closure(check, cset, pairs)
+            for start in range(m + 1):
+                assert search.last_child(labels, failing, start) == (last if last >= start else -1)
+                reran += 1
+    assert fewer >= 20 and reran >= 1000
+
+
+def test_tree_gadget_walk_pinned():
+    # the pendant gadget of the star K_{1,6} plus an edge (all-bipartite 2x6,
+    # index 0) is a tree of 15 edges on 16 vertices whose only valid sets at
+    # (1, 1) are the empty set and the single edges; the closure finds them
+    # in 121 nodes (560 with the plain last-child pass alone), and the weak
+    # maximizer its optimum in 120 (559)
+    core = cl.lab.enumerate_connected_bipartite(2, 6)[0]
+    gadget = cl.build_gadget(core, 1).combined
+    assert (gadget.vertex_count, gadget.edge_count) == (16, 15)
+    search = solvers.weak_search(gadget, T11)
+    sets = list(enumerate_valid_weak_contractions(gadget, T11, search=search))
+    assert (sets, search.explored) == ([()] + [(e,) for e in range(15)], 121)
+    weak = max_weak_contraction_exact(gadget, T11)
+    assert (weak.objective, weak.witness, weak.explored) == (1, (0,), 120)
+
+
 def test_walker_stops_anywhere_and_handles_one_vertex():
     # a consumer that stops early gets a prefix of the full stream, and a
     # one-vertex graph has one node: the empty set, valid only in strong mode
@@ -494,6 +614,49 @@ def test_weak_closed_form_matches_floor_raising_walk():
         assert res.explored == m - j
         dropped_before_last += j < m - 1
     assert dropped_before_last >= 10
+
+
+def _with_pendant_bridges(rng: random.Random, n: int, unit: bool) -> Graph:
+    """A seeded connected graph on n vertices with a cycle when n >= 3, plus
+    one to three pendant leaves and sometimes a pendant path of two edges:
+    bridges that end at a leaf and one that does not."""
+    g = random_connected_graph(rng, n, rng.randint(min(n, n * (n - 1) // 2), n * (n - 1) // 2), unit)
+    edges = list(g.edges)
+    grown = n
+    for _ in range(rng.randint(1, 3)):
+        edges.append((rng.randrange(grown), grown))
+        grown += 1
+    if rng.random() < 0.5:
+        edges += [(rng.randrange(n), grown), (grown, grown + 1)]
+        grown += 2
+    weight = (lambda: 1) if unit else (lambda: rng.choice(SMALL_WEIGHTS))
+    return Graph(grown, tuple((*e[:2], weight()) for e in edges))
+
+
+def test_bridge_test_matches_the_verifier():
+    # the closed form's test of E - {j} reads two base rows and the edge
+    # list: for every edge of seeded graphs with pendant bridges, unit and
+    # rational weights, alpha < 1 and beta = 0 among the tolerances, it
+    # gives the weak verdict on E - {j}; bridges that pass and that fail
+    # both occur
+    rng = random.Random(36)
+    tolerances = [
+        T11, Tolerance(1, 0), Tolerance(Fraction(1, 2), 0), Tolerance(Fraction(1, 2), 2),
+        Tolerance(2, 2), Tolerance(3, 0), Tolerance(Fraction(3, 2), Fraction(1, 2)),
+        Tolerance(4, 3),
+    ]
+    seen = {(bridge, valid): 0 for bridge in (False, True) for valid in (False, True)}
+    for trial in range(60):
+        g = _with_pendant_bridges(rng, rng.randint(2, 7), unit=trial % 2 == 0)
+        for t in tolerances:
+            check = cl.ToleranceCheck(g, t)
+            for j in range(g.edge_count):
+                valid = check.is_valid(check.full_mask ^ 1 << j, True)
+                assert solvers._valid_without(check, j) == valid, (trial, t, j)
+                rest = Graph(g.vertex_count, g.edges[:j] + g.edges[j + 1:])
+                seen[not cl.is_connected(rest), valid] += 1
+    assert seen[False, False] == 0  # a non-bridge always passes
+    assert seen[True, True] >= 200 and seen[True, False] >= 200 and seen[False, True] >= 200
 
 
 def test_weak_closed_form_tests_trailing_bridges_first():
@@ -875,8 +1038,8 @@ def test_search_distance_evaluations_pinned(monkeypatch):
     exacts: list[int] = []
     evaluation = solvers._evaluation
 
-    def counting_evaluation(check, weak, packing):
-        evaluate, last_child = evaluation(check, weak, packing)
+    def counting_evaluation(*args):
+        evaluate, last_child = evaluation(*args)
 
         def counted(*args):
             node = evaluate(*args)
@@ -927,5 +1090,6 @@ def test_search_distance_evaluations_pinned(monkeypatch):
         gadget, lambda: sum(1 for _ in enumerate_valid_weak_contractions(gadget, T11))
     )
     assert (calls, valid) == (501, 291)
-    # the closed form's one verdict runs one search: its set merges every vertex
-    assert searches == [(1, 0), (0, 0), (0, 0), (0, 0)]
+    # the closed form runs no verdict and so no contracted search: it reads
+    # two base rows per tested edge, already cached here
+    assert searches == [(0, 0), (0, 0), (0, 0), (0, 0)]
