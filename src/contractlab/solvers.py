@@ -41,17 +41,18 @@ never increases an induced distance:
 
 Validity itself is not monotone in weak mode (merging exempts pairs, so a
 subset of a valid set may fail), so weak mode has no suffix bound;
-equivalence with plain power-set filtering is part of the test suite.  Induced distances, and so the failing pairs, depend only on the
-vertex partition a set induces, so each search (``_Search``, shared by every
-walk of one solve, and by the weak calls handed one from ``weak_search``)
-evaluates a partition once and reuses the result for every other set
-inducing it; only a weak node found dead, and met again from an earlier
-first child, reruns its pass.  A child's induced distances are derived from
-its parent's, so a search runs no BFS or Dijkstra.  The walker is one
-generator frame driving an explicit stack of open nodes, not a generator per
-node, and it holds a partition as a str of block labels: a merge is one
-``str.replace`` and the memo key is the str itself, whose hash Python
-caches.
+equivalence with plain power-set filtering is part of the test suite.
+
+Induced distances, and so the failing pairs, depend only on the vertex
+partition a set induces, so each search (``_Search``, shared by every walk
+of one solve, and by the weak calls handed one from ``weak_search``)
+evaluates a partition once and answers every other set inducing it with
+that result (``_Search`` says why it is final).  A child's induced
+distances are derived from its parent's, so a search runs no BFS or
+Dijkstra.  The walker is one generator frame driving an explicit stack of
+open nodes, not a generator per node, and it holds a partition as a str of
+block labels: a merge is one ``str.replace`` and the memo key is the str
+itself, whose hash Python caches.
 
 A walk whose floor stays -1 (the enumerator's) also replays subtrees.  In
 such a walk the subtree below a node depends only on the node's partition,
@@ -215,19 +216,19 @@ class RowPacking(NamedTuple):
         return matrix
 
 
-# (labels, packed matrix, failing mask, last child, start): see _Search
-_Node = tuple[str, int, int, int, int]
+# (labels, packed matrix, failing mask, last child): see _Search
+_Node = tuple[str, int, int, int]
 
 
 def _evaluation(
     check: ToleranceCheck, weak: bool, packing: RowPacking, forest: bool = False
-) -> tuple[Callable[[str, int, int, int, int], _Node], Callable[[str, int, int], int]]:
-    """A search's two closures: ``evaluate(labels, parent, a, b, start)``,
+) -> Callable[[str, int, int, int, int], _Node]:
+    """A search's evaluation call, ``evaluate(labels, parent, a, b, start)``:
     the node of the partition ``labels`` made by merging the blocks of a and
-    b in the ``parent`` matrix, and ``last_child(labels, failing, start)``,
-    the capped pass alone.  Both bind the packing's constants once.  A weak
-    search of a tree passes ``forest`` and gets the forced-merge closure in
-    place of the pass (below).
+    b in the ``parent`` matrix, its last child found from first child
+    ``start``.  It binds the packing's constants once.  A weak search of a
+    tree passes ``forest`` and gets the forced-merge closure in place of the
+    pass (below).
 
     The merge: with r the fieldwise minimum of rows a and b (the merged
     block's row), the child's field (u, y) is min(d(u,y), r[u] + r[y]).
@@ -276,8 +277,7 @@ def _evaluation(
     ``start`` that the node has not chosen, or when the closure is all of E
     (not proper); otherwise its last child is the least forced edge it has
     not chosen.  The answer is exact when it is at least ``start``, as the
-    pass's is.  ``last_child`` reruns the closure on the matrix rebuilt from
-    the labels: a forest's partition fixes its edge set.
+    pass's is.
 
     Nothing a search builds once may exceed O(n^2) words besides the
     matrices themselves: ``fields`` holds one small pair per field and
@@ -325,11 +325,11 @@ def _evaluation(
         if weak:
             failing &= held - ones
             if failing:
-                return labels, matrix, failing, last_child(labels, failing, start), start
-        return labels, matrix, failing, m - 1, start
+                return labels, matrix, failing, last_child(labels, failing, start)
+        return labels, matrix, failing, m - 1
 
     if not forest:
-        return evaluate, last_child
+        return evaluate
 
     hi = n * n * width
     full = (1 << m) - 1
@@ -387,17 +387,10 @@ def _evaluation(
         held = matrix | guards
         failing = (((held - thresholds) & guards) ^ guards) & (held - ones)
         if failing:
-            return labels, matrix, failing, close(matrix, failing, start), start
-        return labels, matrix, failing, m - 1, start
+            return labels, matrix, failing, close(matrix, failing, start)
+        return labels, matrix, failing, m - 1
 
-    def rerun(labels: str, failing: int, start: int) -> int:
-        matrix = packing.pack(base)
-        for j, (u, v) in enumerate(edges):
-            if labels[u] == labels[v]:
-                matrix = merge(matrix, u, v) | 1 << (hi + j)
-        return close(matrix, failing, start)
-
-    return evaluate_forest, rerun
+    return evaluate_forest
 
 
 class _Search:
@@ -414,35 +407,45 @@ class _Search:
     vertex in i's block, so a merge is one ``str.replace``), its packed
     induced matrix (``RowPacking``; a forest search's also carries the
     node's edge set above the fields), its failing mask (the guard bits of
-    its failing pairs, 0 when it is valid), its last child worth building
-    and the start that child was found from.  Strong mode prunes on any
-    failing pair and never decodes one; its last child is m - 1, as is a
-    valid weak node's.  A failing weak node's last child is the capped pass
-    of ``_evaluation`` from its first child, or on a tree its forced-merge
-    closure: exact when it is at least that start, -1 (dead) when it is
-    below.
+    its failing pairs, 0 when it is valid) and its last child worth
+    building.  Strong mode prunes on any failing pair and never decodes one;
+    its last child is m - 1, as is a valid weak node's.  A failing weak
+    node's last child is the capped pass of ``_evaluation`` from its first
+    child, or on a tree its forced-merge closure: exact when it is at least
+    that start, -1 (dead) when it is below.
 
-    Nodes are memoised by the labels str: a partition met before costs no
-    merge, no scan and no pass, with one exception.  A node stored dead from
-    start s and met again from a smaller start reruns the pass from there,
-    on the stored mask, and replaces the entry; a stored exact last child
-    answers every start, and a dead one every start >= s.  In a walk that
-    never raises its floor the rerun never changes an answer: a partition
-    live anywhere is first reached along the shortest prefix, in id order,
-    of its internal edges that spans it, whose largest edge is the least of
-    any set inducing it, so if that path was cut some failing pair cannot be
-    joined by the later edges and the partition is dead at every visit.  A
-    floor-raising walk can cut that path, so the rerun stays.  A forest
-    search's rerun (its ``last_child``) is the closure again, on the matrix
-    rebuilt from the labels, since a forest partition fixes its edge set, so
-    it too answers as a fresh evaluation from the smaller start.  No walk
-    calls it: the one edge set C of a forest partition is reached only from
-    start max(C) + 1, so a forest entry is never met from another start.
+    Nodes are memoised by the labels str, and an entry is final when it is
+    stored: a partition met again costs no merge, no scan and no pass, and
+    its entry answers as a fresh evaluation from that visit's first child
+    would.  A last child of m - 1 or an exact one answers every start, and a
+    dead one every start at least its own; no walk the package makes meets a
+    dead entry from a smaller start that would find it live:
 
-    The replay (module docstring) is exact because a memo entry answers
-    every start as a fresh evaluation would, so below a node nothing depends
-    on which node met a partition first.  Its log and recorded subtrees
-    belong to one walk and go when the walk ends.
+    * strong nodes are never dead;
+    * a weak walk raises its floor only on a tree (the weak maximizer of a
+      graph with a cycle takes the closed form), where every edge inside a
+      block is chosen, so a partition fixes its one edge set C, which is
+      reached only from start max(C) + 1;
+    * in a floor-free walk a node's children stop only at its last child.
+      Let C* be the shortest prefix, in id order, of the edges inside the
+      blocks of a partition P that spans P.  A set inducing P spans P
+      within those edges, so its largest edge is at least max(C*), and C*
+      is the lexicographically first such set (no replayed subtree holds
+      it: its recording met P earlier).  If P is live from some visit's
+      start, its failing pairs are joined by its edges from its last child
+      L > max(C*) on.  A pair failing at an ancestor of C* on the
+      include-first path stays failing until merged, so C*'s remaining
+      edges and then those from L on join it: each ancestor builds C*'s
+      next edge, and P is met first at C*, from start max(C*) + 1, live.
+      So a partition dead when first stored is dead from every start it is
+      met from, in every floor-free walk of the search, since each visits
+      the same nodes.
+
+    Floor-raising weak walks on graphs with a cycle are outside this proof
+    (a raised floor can cut the path to C*); the package never makes one.
+    The replay (module docstring) is exact for the same reason: below a
+    node nothing depends on which set met its partition first.  Its log and
+    recorded subtrees belong to one walk and go when the walk ends.
     """
 
     def __init__(self, check: ToleranceCheck, weak: bool) -> None:
@@ -452,7 +455,7 @@ class _Search:
         base = check.base_scaled
         packing = RowPacking.for_rows(base)
         forest = weak and check.m == check.n - 1
-        self.evaluate, self.last_child = _evaluation(check, weak, packing, forest)
+        self.evaluate = _evaluation(check, weak, packing, forest)
         labels = "".join(map(chr, range(check.n)))
         self.root = self.evaluate(labels, packing.pack(base), 0, 0, 0)
 
@@ -492,7 +495,7 @@ class _Search:
         a floor of -1.
         """
         m, weak, seen = self.m, self.weak, self.seen
-        edges, evaluate, last_child = self.edges, self.evaluate, self.last_child
+        edges, evaluate = self.edges, self.evaluate
         node = self.root
         cset: list[int] = []  # the stack's node at depth i has cset[:i]
         stack: list[list] = []  # [next child, node] per open node
@@ -515,7 +518,7 @@ class _Search:
                 stack.append([start, node])
             while stack:
                 entry = stack[-1]
-                j, (labels, matrix, _, last, _) = entry
+                j, (labels, matrix, _, last) = entry
                 depth = len(stack) - 1
                 if j > last or depth + bound[j] <= floor[0]:
                     stack.pop()
@@ -535,11 +538,6 @@ class _Search:
                     node = seen.get(merged)
                     if node is None:
                         node = seen[merged] = evaluate(merged, matrix, ord(a), ord(b), start)
-                    elif node[3] < 0 and start < node[4]:
-                        # dead from a later start: rerun the pass from this one
-                        node = seen[merged] = (
-                            merged, node[1], node[2], last_child(merged, node[2], start), start
-                        )
                     elif floor[0] < 0 and start <= node[3] and (weak or not node[2]):
                         # floor-free: replay this subtree if recorded, else record it
                         key = (merged, start, depth + 1)

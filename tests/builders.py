@@ -53,12 +53,6 @@ def unpack_matrix(matrix: int, packing, n: int) -> list[list[int]]:
     return [[(matrix >> ((u * n + y) * width)) & value for y in range(n)] for u in range(n)]
 
 
-def guard_mask(pairs, packing, n: int) -> int:
-    """The failing mask of ``pairs``: the guard bit of field u*n + v for each
-    (u, v) (see ``solvers.RowPacking``)."""
-    return sum(1 << ((u * n + v + 1) * packing.width - 1) for u, v in pairs)
-
-
 def unpack_pairs(failing: int, packing, n: int) -> list[tuple[int, int]]:
     """The pairs whose guard bits are set in a failing mask, in field
     (lexicographic) order; every other bit must be clear."""

@@ -251,7 +251,7 @@ def test_merged_rows_match_all_pairs():
         n, m = g.vertex_count, g.edge_count
         assert unpack_matrix(base, packing, n) == engine.base
         assert packing.top == max(map(max, engine.base)) + 1
-        evaluate, _ = _evaluation(cl.ToleranceCheck(g, cl.Tolerance(1, 1)), False, packing)
+        evaluate = _evaluation(cl.ToleranceCheck(g, cl.Tolerance(1, 1)), False, packing)
         for _ in range(3):
             order = list(range(m))
             order_rng.shuffle(order)

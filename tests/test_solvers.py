@@ -26,7 +26,7 @@ from contractlab import solvers
 from contractlab.graphs import ScaledDistances
 
 import naive
-from builders import SMALL_WEIGHTS, guard_mask, random_connected_graph, unpack_matrix, unpack_pairs
+from builders import SMALL_WEIGHTS, random_connected_graph, unpack_matrix, unpack_pairs
 
 T11 = Tolerance(1, 1)
 
@@ -103,8 +103,8 @@ def test_matrix_merge_and_scan_match_the_verifier():
         check = cl.ToleranceCheck(g, t)
         engine = g.distances
         packing = solvers.RowPacking.for_rows(check.base_scaled)
-        weak_evaluate, _ = solvers._evaluation(check, True, packing)
-        strong_evaluate, _ = solvers._evaluation(check, False, packing)
+        weak_evaluate = solvers._evaluation(check, True, packing)
+        strong_evaluate = solvers._evaluation(check, False, packing)
         n = g.vertex_count
         order = list(range(g.edge_count))
         rng.shuffle(order)
@@ -119,8 +119,8 @@ def test_matrix_merge_and_scan_match_the_verifier():
                 merges += a != b
             # a == b (the root, or an edge inside a block) leaves the matrix as it is
             parent = matrix
-            _, matrix, weak_failing, _, _ = weak_evaluate(labels, parent, a, b, 0)
-            _, strong_matrix, strong_failing, _, _ = strong_evaluate(labels, parent, a, b, 0)
+            _, matrix, weak_failing, _ = weak_evaluate(labels, parent, a, b, 0)
+            _, strong_matrix, strong_failing, _ = strong_evaluate(labels, parent, a, b, 0)
             assert strong_matrix == matrix
             assert unpack_matrix(matrix, packing, n) == engine.all_pairs(mask)
             assert unpack_pairs(weak_failing, packing, n) == check.failing_pairs(mask, weak=True)
@@ -312,52 +312,74 @@ def _joins_every_pair(labels, g: Graph, j: int, pairs) -> bool:
     return all(root(u) == root(v) for u, v in pairs)
 
 
-def _last_child_pass(g: Graph):
-    """The capped last-child pass of a weak search of g, with its packing."""
-    check = cl.ToleranceCheck(g, T11)
+def _weak_evaluation(g: Graph, t: Tolerance):
+    """The evaluation call of a weak search of g at t, with the capped
+    last-child pass (never the forest closure), and its check and packing."""
+    check = cl.ToleranceCheck(g, t)
     packing = solvers.RowPacking.for_rows(check.base_scaled)
-    return solvers._evaluation(check, True, packing)[1], packing
+    return solvers._evaluation(check, True, packing), check, packing
+
+
+def _evaluated(g: Graph, t: Tolerance, chosen: list[int]):
+    """The failing pairs of the partition of g's ``chosen`` edges at t, its
+    labels, and its last child from a given start as the evaluation call
+    finds it.  The call is handed the partition's contracted matrix, packed
+    fresh, with a = b, which leaves a matrix as it is; its failing mask must
+    hold exactly the verifier's failing pairs."""
+    evaluate, check, packing = _weak_evaluation(g, t)
+    n, mask = g.vertex_count, sum(1 << e for e in chosen)
+    labels = _min_vertex_labels(n, [g.edges[e][:2] for e in chosen])
+    text = "".join(map(chr, labels))
+    matrix = packing.pack(g.distances.all_pairs(mask))
+    node = evaluate(text, matrix, 0, 0, 0)
+    pairs = check.failing_pairs(mask, weak=True)
+    assert node[:2] == (text, matrix) and unpack_pairs(node[2], packing, n) == pairs
+
+    def last_child(start: int) -> int:
+        labels, matrix, failing, last = evaluate(text, node[1], 0, 0, start)
+        assert (labels, matrix, failing) == node[:3]
+        return last
+
+    return pairs, labels, last_child
 
 
 def test_last_child_matches_fresh_union_find():
-    # for every start, the pass returns the last j whose edges j..m-1, added
-    # to the partition, join every pair (a fresh union-find), when that j is
-    # at least start, and -1 (a dead node, no child built) when it is below
+    # for every start, the evaluation call of a failing weak node (its real
+    # failing mask, from the scan) gives the last j whose edges j..m-1, added
+    # to the partition, join every failing pair (a fresh union-find), when
+    # that j is at least start, and -1 (a dead node, no child built) when it
+    # is below (78 of 240 seeded partitions fail)
     rng = random.Random(41)
+    tolerances = [Tolerance(1, 0), T11, Tolerance(Fraction(3, 2), 0)]
     dead = live = 0
-    for _ in range(80):
+    for trial in range(240):
         n = rng.randint(2, 8)
         g = random_connected_graph(rng, n, unit=True)
         m = g.edge_count
-        chosen = [g.edges[e][:2] for e in range(m) if rng.random() < 0.3]
-        labels = _min_vertex_labels(n, chosen)
-        apart = [(u, v) for u in range(n) for v in range(u + 1, n) if labels[u] != labels[v]]
-        if not apart:
+        chosen = [e for e in range(m) if rng.random() < 0.3]
+        pairs, labels, last_child = _evaluated(g, tolerances[trial % 3], chosen)
+        if not pairs:
             continue
-        pairs = rng.sample(apart, rng.randint(1, len(apart)))
         joined = [j for j in range(m) if _joins_every_pair(labels, g, j, pairs)]
         exact = joined[-1]
         assert joined == list(range(exact + 1))
-        last_child, packing = _last_child_pass(g)
-        failing = guard_mask(pairs, packing, n)
         for start in range(m + 1):
-            last = last_child("".join(map(chr, labels)), failing, start)
+            last = last_child(start)
             assert last == (exact if exact >= start else -1)
             if start < m:
                 dead += last < 0
                 live += last >= 0
     assert dead and live
-    # labels past code point 255 (a wider str kind): a 300-vertex cycle
+    # labels past code point 255 (a wider str kind): a 300-vertex cycle,
+    # whose failing pairs at (1, 40) include vertices labelled past it
     g = cl.cycle_graph(300)
-    chosen = [g.edges[e][:2] for e in range(300) if rng.random() < 0.3]
-    labels = _min_vertex_labels(300, chosen)
-    apart = [(u, v) for u in range(256, 300) for v in range(u + 1, 300) if labels[u] != labels[v]]
-    pairs = rng.sample(apart, 5)
-    last_child, packing = _last_child_pass(g)
-    last = last_child("".join(map(chr, labels)), guard_mask(pairs, packing, 300), 0)
+    chosen = [e for e in range(300) if rng.random() < 0.3]
+    pairs, labels, last_child = _evaluated(g, Tolerance(1, 40), chosen)
+    assert any(labels[v] > 255 for _, v in pairs)
+    last = last_child(0)
     joined = [j for j in range(300) if _joins_every_pair(labels, g, j, pairs)]
     assert joined == list(range(last + 1)) and last > 0
-    assert last_child("".join(map(chr, labels)), guard_mask(pairs, packing, 300), last + 1) == -1
+    assert last_child(last + 1) == -1
 
 
 def test_weak_pass_memory_is_quadratic_in_the_vertices():
@@ -369,7 +391,7 @@ def test_weak_pass_memory_is_quadratic_in_the_vertices():
     g.distances.base
     tracemalloc.start()
     try:
-        _last_child_pass(g)
+        _weak_evaluation(g, T11)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -417,10 +439,21 @@ def _reference_walk(g: Graph, t: Tolerance, raise_floor: bool, closure: bool = T
     the forced-merge closure instead (``_forest_closure``): its last child is
     the least edge the closure adds, and it has none if the closure adds
     every edge or that edge is below its first child."""
+    sets, nodes, _ = _reference_visits(g, t, raise_floor, closure, record=False)
+    return sets, nodes
+
+
+def _reference_visits(
+    g: Graph, t: Tolerance, raise_floor: bool, closure: bool = True, record: bool = True
+):
+    """``_reference_walk``'s sets and node count, and with ``record`` its
+    visits: for each partition it meets (min-vertex labels), the (start,
+    dead) of every visit in walk order, dead meaning failing with its last
+    child below that start."""
     check = cl.ToleranceCheck(g, t)
     n, m = g.vertex_count, g.edge_count
     forest = closure and m == n - 1
-    floor, sets, nodes = [-1], [], 0
+    floor, sets, nodes, visits = [-1], [], 0, {}
 
     def visit(cset, start):
         nonlocal nodes
@@ -436,48 +469,50 @@ def _reference_walk(g: Graph, t: Tolerance, raise_floor: bool, closure: bool = T
         elif failing:
             labels = _min_vertex_labels(n, [g.edges[e][:2] for e in cset])
             last = max(j for j in range(m) if _joins_every_pair(labels, g, j, failing))
+        if record:
+            labels = _min_vertex_labels(n, [g.edges[e][:2] for e in cset])
+            visits.setdefault(labels, []).append((start, bool(failing) and last < start))
         for j in range(start, last + 1):
             if len(cset) + m - j <= floor[0]:
                 break
             visit(cset + [j], j + 1)
 
     visit([], 0)
-    return sets, nodes
+    return sets, nodes, visits
 
 
 def test_walker_matches_a_reference_walk_without_memo():
     # the memoised walker, with its capped pass, gives the reference walk's
-    # sets and node count, floor-free and floor-raising.  A memo entry dead
-    # from start s and met again from a smaller start reruns the pass (the
-    # walker's only direct last_child call); those reruns are pinned, as a
-    # walker that skipped them, or stored a dead node's last child as s - 1,
-    # builds children the reference does not
+    # sets and node count, floor-free and floor-raising, on graphs with a
+    # cycle.  Its memo answers each partition from its first visit alone,
+    # which is exact because, in a floor-free walk, a partition dead at its
+    # first visit is dead at every later one (the _Search docstring).  The
+    # reference walk checks that, and meets the case it covers, a dead
+    # partition met again from a smaller start, in trials 67 and 130, where a
+    # walker that stored a dead node's last child as start - 1 would build
+    # children the reference does not
     rng = random.Random(1)
     tolerances = [T11, Tolerance(1, 0), Tolerance(Fraction(3, 2), Fraction(1, 2)),
                   Tolerance(2, 2), Tolerance(Fraction(1, 2), 1)]
-    reran = {False: [], True: []}
+    smaller = []
     for trial in range(200):
         n = rng.randint(3, 7)
         g = random_connected_graph(rng, n, rng.randint(n, min(10, n * (n - 1) // 2)), trial % 2 == 0)
         t = tolerances[trial % len(tolerances)]
         for raise_floor in (False, True):
             search = solvers._Search(cl.ToleranceCheck(g, t), True)
-            last_child, starts = search.last_child, []
-
-            def rerun(labels, failing, start):
-                starts.append(start)
-                return last_child(labels, failing, start)
-
-            search.last_child = rerun
             floor, sets = [-1], []
             for s in search.walk(floor, list(range(g.edge_count, -1, -1))):
                 sets.append(s)
                 if raise_floor:
                     floor[0] = len(s)
-            assert (sets, search.explored) == _reference_walk(g, t, raise_floor), trial
-            if starts:
-                reran[raise_floor].append((trial, len(starts), search.explored))
-    assert reran == {False: [(67, 1, 221), (130, 1, 803)], True: []}
+            want, nodes, visits = _reference_visits(g, t, raise_floor, record=not raise_floor)
+            assert (sets, search.explored) == (want, nodes), trial
+            for (first, dead), *later in visits.values():
+                if dead:
+                    assert all(d for _, d in later), trial
+                    smaller += [trial] * any(start < first for start, _ in later)
+    assert smaller == [67, 130]
     # graphs dense enough that floor-free walks replay subtrees: gadgets of
     # 2x3 and 3x3 cores and seeded graphs with m of 12-14.  Each search is
     # walked twice, the second time with every partition of the first in its
@@ -507,8 +542,9 @@ def test_forest_closure_matches_a_reference_walk():
     # tree paths found by the test and the verifier's failing pairs,
     # floor-free and floor-raising, on seeded trees and on tree-core
     # gadgets, and never visits more nodes than the plain union-find rule.
-    # A memo entry's rerun (last_child), given any start, answers as the
-    # reference closure from that start would
+    # The reference walk meets each partition once, from start max(C) + 1
+    # for its one edge set C, and each failing memo entry holds what the
+    # reference closure gives from that start
     rng = random.Random(36)
     tolerances = [T11, Tolerance(1, 0), Tolerance(Fraction(3, 2), Fraction(1, 2)),
                   Tolerance(2, 2), Tolerance(Fraction(1, 2), 1), Tolerance(Fraction(3, 2), 1)]
@@ -521,11 +557,16 @@ def test_forest_closure_matches_a_reference_walk():
     cases += [
         (cl.build_gadget(core, 1).combined, t) for core in tree_cores for t in (T11, tolerances[2])
     ]
-    fewer = reran = 0
+    fewer = met = failing_entries = 0
     for trial, (g, t) in enumerate(cases):
         m = g.edge_count
         check = cl.ToleranceCheck(g, t)
         packing = solvers.RowPacking.for_rows(check.base_scaled)
+
+        def first_child(labels):
+            cset = [e for e, (u, v, _) in enumerate(g.edges) if labels[u] == labels[v]]
+            return cset, max(cset, default=-1) + 1
+
         for raise_floor in (False, True):
             search = solvers._Search(check, True)
             floor, sets = [-1], []
@@ -533,20 +574,21 @@ def test_forest_closure_matches_a_reference_walk():
                 sets.append(s)
                 if raise_floor:
                     floor[0] = len(s)
-            assert (sets, search.explored) == _reference_walk(g, t, raise_floor), trial
+            want, nodes, visits = _reference_visits(g, t, raise_floor)
+            assert (sets, search.explored) == (want, nodes), trial
+            for labels, starts in visits.items():
+                assert [start for start, _ in starts] == [first_child(labels)[1]], trial
+                met += 1
             plain = _reference_walk(g, t, raise_floor, closure=False)
             assert plain[0] == sets and plain[1] >= search.explored, trial
             fewer += plain[1] > search.explored
-        for labels, _, failing, _, _ in search.seen.values():
-            if not failing:
-                continue
-            cset = [e for e, (u, v, _) in enumerate(g.edges) if labels[u] == labels[v]]
-            pairs = unpack_pairs(failing, packing, g.vertex_count)
-            last = _forest_closure(check, cset, pairs)
-            for start in range(m + 1):
-                assert search.last_child(labels, failing, start) == (last if last >= start else -1)
-                reran += 1
-    assert fewer >= 20 and reran >= 1000
+            for labels, _, failing, last in search.seen.values():
+                if failing:
+                    cset, start = first_child(labels)
+                    closed = _forest_closure(check, cset, unpack_pairs(failing, packing, g.vertex_count))
+                    assert last == (closed if closed >= start else -1), trial
+                    failing_entries += 1
+    assert fewer >= 20 and met >= 2000 and failing_entries >= 1000
 
 
 def test_tree_gadget_walk_pinned():
@@ -595,7 +637,9 @@ def _floor_raising_walk(search) -> tuple[int, ...]:
 
 def test_weak_closed_form_matches_floor_raising_walk():
     # on a connected graph with a cycle the weak maximizer drops one edge,
-    # the largest j whose removal leaves a valid set, testing j = m-1 down
+    # the largest j whose removal leaves a valid set, testing j = m-1 down;
+    # the walker's floor-raising walk and the memo-free reference walk find
+    # that witness too
     rng = random.Random(26)
     tolerances = [
         (Fraction(1, 2), 0), (1, 0), (1, 1), (Fraction(5, 4), Fraction(1, 3)),
@@ -610,6 +654,7 @@ def test_weak_closed_form_matches_floor_raising_walk():
         res = max_weak_contraction_exact(g, t)
         best = _floor_raising_walk(solvers._Search(cl.ToleranceCheck(g, t), True))
         assert (res.objective, res.witness) == (m - 1, best)
+        assert _reference_walk(g, t, True)[0][-1] == best
         (j,) = set(range(m)) - set(res.witness)
         assert res.explored == m - j
         dropped_before_last += j < m - 1
@@ -1039,14 +1084,14 @@ def test_search_distance_evaluations_pinned(monkeypatch):
     evaluation = solvers._evaluation
 
     def counting_evaluation(*args):
-        evaluate, last_child = evaluation(*args)
+        evaluate = evaluation(*args)
 
         def counted(*args):
             node = evaluate(*args)
             scanned.append(node[1])
             return node
 
-        return counted, last_child
+        return counted
 
     monkeypatch.setattr(solvers, "_evaluation", counting_evaluation)
     from_source = ScaledDistances.from_source
