@@ -466,6 +466,10 @@ def check_corollary_scaling(ctx: LabInstance, beta, trials: int, seed: int) -> L
     Draws ``trials`` uniform edge subsets of the gadget and compares the weak
     verifier on both sides; any disagreement is a counterexample.  trials = 0
     is vacuous.  The report's instance gains ``beta`` among its params.
+
+    Holds by construction: ``build_gadget`` gives every edge one weight, so
+    at (1, b) both sides of every pair's inequality scale by b; a
+    counterexample means a fault in the gadget or the verifier.
     """
     t0 = time.perf_counter()
     b = Fraction(beta)
@@ -530,6 +534,12 @@ def check_lemma2(ctx: LabInstance) -> LabReport:
     projection is a complete factor biclique.  Records the balanced size t,
     t*t, and the projected edge count so the two ways of counting can be
     compared downstream.  Vacuous when the graph has no edges.
+
+    Holds by construction, with t = MEB(core): a tensor-square biclique lies
+    inside a product of factor bicliques (left side in S1 x T2, right in T1
+    x S2), so t <= sqrt(|S1||T1||S2||T2|) <= MEB(core), and a lifted maximum
+    biclique gives t >= MEB(core); a counterexample means a fault in the
+    tensor builder or the projection.
     """
     t0 = time.perf_counter()
     inst = _adhoc_instance(ctx.instance)

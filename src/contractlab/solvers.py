@@ -13,7 +13,7 @@ never increases an induced distance:
 
 * strong mode: a failing pair has a fixed positive right-hand side and its
   induced distance can only shrink, so every superset of an invalid set is
-  invalid and the branch dies;
+  invalid and the branch dies (its node is dead);
 * weak mode: a failing pair stays failing until it is merged.  Child j and
   its descendants draw edges only from the chosen ones and edges j..m-1, a
   set that shrinks as j grows, so a node builds its children only up to the
@@ -89,8 +89,8 @@ A search node holds its whole induced distance matrix as one Python int
 bit, row-major.  Deriving the matrix after a merge and testing it against
 the tolerance are then each a fixed handful of big-int operations, not a
 loop over rows or entries, and a new partition costs one call that does
-both and, for a failing weak node, the pass or, on a tree, the closure
-(``evaluate`` in ``_evaluation``).  This module is the only one that knows the format.
+both and finds the node's last child (``evaluate`` in ``_evaluation``, which
+states the child rule).  This module is the only one that knows the format.
 """
 
 from __future__ import annotations
@@ -223,12 +223,19 @@ _Node = tuple[str, int, int, int]
 def _evaluation(
     check: ToleranceCheck, weak: bool, packing: RowPacking, forest: bool = False
 ) -> Callable[[str, int, int, int, int], _Node]:
-    """A search's evaluation call, ``evaluate(labels, parent, a, b, start)``:
-    the node of the partition ``labels`` made by merging the blocks of a and
-    b in the ``parent`` matrix, its last child found from first child
-    ``start``.  It binds the packing's constants once.  A weak search of a
-    tree passes ``forest`` and gets the forced-merge closure in place of the
-    pass (below).
+    """A search's one evaluation call, ``evaluate(labels, parent, a, b,
+    start)``: the node of the partition ``labels`` made by merging the blocks
+    of a and b in the ``parent`` matrix (``merge``), scanning the result
+    against the tolerance, and finding the node's last child from first
+    child ``start``.  It binds the packing's constants once.
+
+    The child rule: a node builds its children start..last, and none when
+    its last child is below ``start`` (-1, a dead node).  A valid node's
+    last child is m - 1.  A failing strong node's is -1: strong validity is
+    down-closed, so no superset is valid.  A failing weak node's is
+    ``cut(labels, matrix, failing, start)``, chosen once per search: the
+    capped pass (``last_child``) or, on a weak search of a tree, which
+    passes ``forest``, the forced-merge closure (``close``).
 
     The merge: with r the fieldwise minimum of rows a and b (the merged
     block's row), the child's field (u, y) is min(d(u,y), r[u] + r[y]).
@@ -248,6 +255,7 @@ def _evaluation(
     sets field (u, v)'s guard in the failing mask exactly where (u, v)
     fails, and weak mode keeps only the fields holding at least 1 (unmerged
     pairs).  Fields run in lexicographic pair order; nothing is decoded here.
+    It is inlined, in ``evaluate`` and the closure, to spare a call.
 
     The pass: the node's children draw edges from start..m-1, so only the
     edges m-1 down to ``start`` are added to the partition, each merge
@@ -267,11 +275,13 @@ def _evaluation(
     superset: merging only shrinks distances, so the pair fails until it is
     merged.  A forest node's matrix carries its chosen edges above its n*n
     fields (bit n*n*width + j for edge j; no merge or scan reads those
-    bits).  At a failing node ``close`` decodes the failing pairs as the
-    pass does and ORs their path masks (``paths``, one per field, each the
-    XOR of two paths from vertex 0), merges the forced edges not yet in the
-    set into the matrix (rows u and v of edge (u, v) directly: every row of
-    a block is the block's row), scans again and repeats until the set is
+    bits): ``evaluate`` sets the bit of edge start - 1, the one that made
+    the child (the root, at start 0, has none).  At a failing node
+    ``close`` decodes the failing pairs as the pass does and ORs their path
+    masks (``paths``, one per field, each the XOR of two paths from vertex
+    0), merges the forced edges not yet in the set into the matrix
+    (``merge`` on rows u and v of edge (u, v) directly: every row of a
+    block is the block's row), scans again and repeats until the set is
     valid.  Every forced edge lies in every valid set of the subtree, so the
     node is dead (-1) as soon as a decoded path holds an edge below
     ``start`` that the node has not chosen, or when the closure is all of E
@@ -295,8 +305,18 @@ def _evaluation(
     # field i's pair, which only the weak pass decodes
     fields = [divmod(i, n) for i in range(n * n)] if weak and not forest else []
     edges = [(u, v) for u, v, _ in check.graph.edges]
+    hi = n * n * width
 
-    def last_child(labels: str, failing: int, start: int) -> int:
+    def merge(matrix: int, a: int, b: int) -> int:
+        x = (matrix >> (a * span)) & row
+        y = (matrix >> (b * span)) & row
+        ge = ((x | row_guards) - y) & row_guards
+        r = x ^ ((x ^ y) & (ge - (ge >> shift)))
+        cross = ((r * spread) & col0) * row_ones + r * copies
+        ge = ((matrix | guards) - cross) & guards
+        return matrix ^ ((matrix ^ cross) & (ge - (ge >> shift)))
+
+    def last_child(labels: str, matrix: int, failing: int, start: int) -> int:
         high = failing.bit_length()
         x, y = fields[high // width - 1]
         for j in range(m - 1, start - 1, -1):
@@ -312,85 +332,61 @@ def _evaluation(
                     x, y = fields[high // width - 1]
         return -1
 
+    if forest:
+        full = (1 << m) - 1
+        # rooted[x]: the edge mask of the path from vertex 0 to x; the x-y
+        # path is what the two do not share
+        rooted = [-1] * n
+        rooted[0] = 0
+        order = [0]
+        for u in order:
+            for v, e in check.graph.adjacency[u]:
+                if rooted[v] < 0:
+                    rooted[v] = rooted[u] | 1 << e
+                    order.append(v)
+        paths = [rx ^ ry for rx in rooted for ry in rooted]  # paths[x*n + y]
+
+        def close(labels: str, matrix: int, failing: int, start: int) -> int:
+            chosen = closed = matrix >> hi
+            unreachable = ((1 << start) - 1) & ~chosen  # no child can add these
+            while True:
+                forced = 0
+                while failing:
+                    high = failing.bit_length()
+                    path = paths[high // width - 1]
+                    if path & unreachable:
+                        return -1
+                    forced |= path
+                    failing ^= 1 << (high - 1)
+                forced &= ~closed
+                closed |= forced
+                if closed == full:
+                    return -1
+                while forced:
+                    e = forced.bit_length() - 1
+                    forced ^= 1 << e
+                    matrix = merge(matrix, *edges[e])
+                held = matrix | guards
+                failing = (((held - thresholds) & guards) ^ guards) & (held - ones)
+                if not failing:
+                    added = closed ^ chosen
+                    return (added & -added).bit_length() - 1
+
+    cut = close if forest else last_child
+
     def evaluate(labels: str, parent: int, a: int, b: int, start: int) -> _Node:
-        x = (parent >> (a * span)) & row
-        y = (parent >> (b * span)) & row
-        ge = ((x | row_guards) - y) & row_guards
-        r = x ^ ((x ^ y) & (ge - (ge >> shift)))
-        cross = ((r * spread) & col0) * row_ones + r * copies
-        ge = ((parent | guards) - cross) & guards
-        matrix = parent ^ ((parent ^ cross) & (ge - (ge >> shift)))
+        matrix = merge(parent, a, b)
+        if forest and start:  # the child of edge start - 1; the root has no edge
+            matrix |= 1 << (hi + start - 1)
         held = matrix | guards
         failing = ((held - thresholds) & guards) ^ guards
         if weak:
             failing &= held - ones
-            if failing:
-                return labels, matrix, failing, last_child(labels, failing, start)
-        return labels, matrix, failing, m - 1
+        if not failing:
+            return labels, matrix, 0, m - 1
+        return labels, matrix, failing, cut(labels, matrix, failing, start) if weak else -1
 
-    if not forest:
-        return evaluate
-
-    hi = n * n * width
-    full = (1 << m) - 1
-    # rooted[x]: the edge mask of the path from vertex 0 to x; the x-y path
-    # is what the two do not share
-    rooted = [-1] * n
-    rooted[0] = 0
-    order = [0]
-    for u in order:
-        for v, e in check.graph.adjacency[u]:
-            if rooted[v] < 0:
-                rooted[v] = rooted[u] | 1 << e
-                order.append(v)
-    paths = [rx ^ ry for rx in rooted for ry in rooted]  # paths[x*n + y]
-
-    def merge(matrix: int, a: int, b: int) -> int:
-        x = (matrix >> (a * span)) & row
-        y = (matrix >> (b * span)) & row
-        ge = ((x | row_guards) - y) & row_guards
-        r = x ^ ((x ^ y) & (ge - (ge >> shift)))
-        cross = ((r * spread) & col0) * row_ones + r * copies
-        ge = ((matrix | guards) - cross) & guards
-        return matrix ^ ((matrix ^ cross) & (ge - (ge >> shift)))
-
-    def close(matrix: int, failing: int, start: int) -> int:
-        chosen = closed = matrix >> hi
-        unreachable = ((1 << start) - 1) & ~chosen  # no child can add these
-        while True:
-            forced = 0
-            while failing:
-                high = failing.bit_length()
-                path = paths[high // width - 1]
-                if path & unreachable:
-                    return -1
-                forced |= path
-                failing ^= 1 << (high - 1)
-            forced &= ~closed
-            closed |= forced
-            if closed == full:
-                return -1
-            while forced:
-                e = forced.bit_length() - 1
-                forced ^= 1 << e
-                matrix = merge(matrix, *edges[e])
-            held = matrix | guards
-            failing = (((held - thresholds) & guards) ^ guards) & (held - ones)
-            if not failing:
-                added = closed ^ chosen
-                return (added & -added).bit_length() - 1
-
-    def evaluate_forest(labels: str, parent: int, a: int, b: int, start: int) -> _Node:
-        matrix = merge(parent, a, b)
-        if start:  # the child of edge start - 1; the root has no edge
-            matrix |= 1 << (hi + start - 1)
-        held = matrix | guards
-        failing = (((held - thresholds) & guards) ^ guards) & (held - ones)
-        if failing:
-            return labels, matrix, failing, close(matrix, failing, start)
-        return labels, matrix, failing, m - 1
-
-    return evaluate_forest
+    return evaluate
 
 
 class _Search:
@@ -408,11 +404,9 @@ class _Search:
     induced matrix (``RowPacking``; a forest search's also carries the
     node's edge set above the fields), its failing mask (the guard bits of
     its failing pairs, 0 when it is valid) and its last child worth
-    building.  Strong mode prunes on any failing pair and never decodes one;
-    its last child is m - 1, as is a valid weak node's.  A failing weak
-    node's last child is the capped pass of ``_evaluation`` from its first
-    child, or on a tree its forced-merge closure: exact when it is at least
-    that start, -1 (dead) when it is below.
+    building, by the child rule of ``_evaluation``: m - 1, -1 (dead), or a
+    failing weak node's pass or closure from its first child, exact when it
+    is at least that start.  Strong mode never decodes a failing pair.
 
     Nodes are memoised by the labels str, and an entry is final when it is
     stored: a partition met again costs no merge, no scan and no pass, and
@@ -421,7 +415,8 @@ class _Search:
     dead one every start at least its own; no walk the package makes meets a
     dead entry from a smaller start that would find it live:
 
-    * strong nodes are never dead;
+    * a failing strong node is dead from every start, since strong
+      validity is down-closed;
     * a weak walk raises its floor only on a tree (the weak maximizer of a
       graph with a cycle takes the closed form), where every edge inside a
       block is chosen, so a partition fixes its one edge set C, which is
@@ -514,7 +509,7 @@ class _Search:
                 if recording:
                     log.append(found)
                 yield found
-            if start <= node[3] and (weak or not failing):  # a dead node has no child
+            if start <= node[3]:  # a dead node has no child
                 stack.append([start, node])
             while stack:
                 entry = stack[-1]
@@ -538,7 +533,7 @@ class _Search:
                     node = seen.get(merged)
                     if node is None:
                         node = seen[merged] = evaluate(merged, matrix, ord(a), ord(b), start)
-                    elif floor[0] < 0 and start <= node[3] and (weak or not node[2]):
+                    elif floor[0] < 0 and start <= node[3]:
                         # floor-free: replay this subtree if recorded, else record it
                         key = (merged, start, depth + 1)
                         done = replays.get(key)

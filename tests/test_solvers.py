@@ -88,28 +88,42 @@ def _core_gadgets_4x5(rng):
 
 
 def test_matrix_merge_and_scan_match_the_verifier():
-    # the search's evaluation call (merge, then pair scan), driven along
-    # shuffled edge orders without a walk: at the edges of the field width
-    # (heavy weights scaled by 623, alpha < 1 with clamped thresholds) and on
-    # gadgets of 4x5 cores, every merged matrix decodes to a fresh all_pairs,
-    # the weak failing mask to the verifier's failing pairs and the strong
-    # one to all of its strong failing pairs
+    # the search's one evaluation call (merge, then pair scan, then last
+    # child), driven along shuffled edge orders without a walk: at the edges
+    # of the field width (heavy weights scaled by 623, alpha < 1 with clamped
+    # thresholds), on gadgets of 4x5 cores and on seeded trees, every merged
+    # matrix decodes to a fresh all_pairs, the weak failing mask to the
+    # verifier's failing pairs and the strong one to all of its strong
+    # failing pairs; a valid node's last child is m - 1 and a failing strong
+    # node's is -1, dead.  On the trees the forest evaluation (a weak search
+    # of a tree) runs too, given each edge's child start e + 1: its fields
+    # are the weak one's and the bits above them the chosen edges
     rng = random.Random(47)
     cases = [(g, Tolerance(alpha, beta)) for g, alpha, beta in _field_width_cases()]
     cases += [(g, t) for g in _core_gadgets_4x5(rng) for t in (T11, Tolerance(2, Fraction(1, 2)))]
     assert max(g.edge_count for g, _ in cases) == 29
-    merges = 0
+    tree_rng = random.Random(4747)
+    tree_tolerances = (T11, Tolerance(Fraction(3, 2), 1), Tolerance(2, Fraction(1, 2)))
+    for trial in range(12):
+        n = tree_rng.randint(2, 12)
+        g = random_connected_graph(tree_rng, n, n - 1, unit=trial % 2 == 0)
+        cases.append((g, tree_tolerances[trial % 3]))
+    merges = forest_nodes = 0
+    strong_lasts = {"valid": 0, "failing": 0}
     for g, t in cases:
         check = cl.ToleranceCheck(g, t)
         engine = g.distances
         packing = solvers.RowPacking.for_rows(check.base_scaled)
         weak_evaluate = solvers._evaluation(check, True, packing)
         strong_evaluate = solvers._evaluation(check, False, packing)
-        n = g.vertex_count
-        order = list(range(g.edge_count))
+        n, m = g.vertex_count, g.edge_count
+        forest = m == n - 1
+        forest_evaluate = solvers._evaluation(check, True, packing, forest=True) if forest else None
+        fields = (1 << (n * n * packing.width)) - 1
+        order = list(range(m))
         rng.shuffle(order)
         labels, mask, a, b = "".join(map(chr, range(n))), 0, 0, 0
-        matrix = packing.pack(check.base_scaled)
+        matrix = forest_matrix = packing.pack(check.base_scaled)
         for e in [None] + order:
             if e is not None:
                 mask |= 1 << e
@@ -119,13 +133,30 @@ def test_matrix_merge_and_scan_match_the_verifier():
                 merges += a != b
             # a == b (the root, or an edge inside a block) leaves the matrix as it is
             parent = matrix
-            _, matrix, weak_failing, _ = weak_evaluate(labels, parent, a, b, 0)
-            _, strong_matrix, strong_failing, _ = strong_evaluate(labels, parent, a, b, 0)
+            _, matrix, weak_failing, weak_last = weak_evaluate(labels, parent, a, b, 0)
+            _, strong_matrix, strong_failing, strong_last = strong_evaluate(labels, parent, a, b, 0)
             assert strong_matrix == matrix
             assert unpack_matrix(matrix, packing, n) == engine.all_pairs(mask)
             assert unpack_pairs(weak_failing, packing, n) == check.failing_pairs(mask, weak=True)
             assert unpack_pairs(strong_failing, packing, n) == check.failing_pairs(mask, weak=False)
+            assert strong_last == (-1 if strong_failing else m - 1)
+            strong_lasts["failing" if strong_failing else "valid"] += 1
+            if not weak_failing:
+                assert weak_last == m - 1
+            if forest:
+                start = 0 if e is None else e + 1
+                _, forest_matrix, forest_failing, forest_last = forest_evaluate(
+                    labels, forest_matrix, a, b, start
+                )
+                assert forest_matrix & fields == matrix
+                assert forest_matrix >> (n * n * packing.width) == mask
+                assert forest_failing == weak_failing
+                if not forest_failing:
+                    assert forest_last == m - 1
+                forest_nodes += 1
     assert merges >= 100
+    assert forest_nodes >= 60
+    assert min(strong_lasts.values()) >= 100, strong_lasts
 
 
 def _solved_or_none(solve, g, t):
