@@ -3,6 +3,8 @@ distance matrices, shared by the tests."""
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -59,6 +61,18 @@ def unpack_pairs(failing: int, packing, n: int) -> list[tuple[int, int]]:
     width = packing.width
     assert failing & ~packing.guards == 0
     return [divmod(i, n) for i in range(n * n) if (failing >> ((i + 1) * width - 1)) & 1]
+
+
+def report_digests(reports) -> dict[tuple[str, str], tuple[int, str]]:
+    """Per (claim, size) of parsed lab reports, the number of reports and a
+    sha256 prefix of the newline-joined sorted-key JSON of those reports,
+    minus ``stats.elapsed_ms``, in report order."""
+    groups: dict[tuple[str, str], list[str]] = {}
+    for rep in reports:
+        rep = {**rep, "stats": {k: v for k, v in rep["stats"].items() if k != "elapsed_ms"}}
+        size = "{left}x{right}".format(**rep["instance"]["params"])
+        groups.setdefault((rep["claim"], size), []).append(json.dumps(rep, sort_keys=True))
+    return {key: (len(v), hashlib.sha256("\n".join(v).encode()).hexdigest()[:16]) for key, v in groups.items()}
 
 
 def random_subset(rng: random.Random, m: int, nonempty: bool = False) -> tuple[int, ...]:

@@ -23,6 +23,8 @@ from contractlab.cli import main
 from contractlab.graphs import ScaledDistances
 from contractlab.lab import LabReport, instance_key, summarize
 
+from builders import report_digests
+
 
 def run_cli(*argv, capsys=None):
     code = main(list(argv))
@@ -895,17 +897,11 @@ ALL_BIPARTITE_REPORTS = {
 
 
 def _report_digests(tmp_path, config) -> dict[tuple[str, str], tuple[int, str]]:
-    """Run the lab on a suite config; per (claim, size), the number of
-    reports and the digest of their lines (see ALL_BIPARTITE_REPORTS)."""
+    """Run the lab on a suite config; its reports' ``report_digests``."""
     suite = write(tmp_path, "suite.json", json.dumps(config))
     out = tmp_path / "out"
     assert run_cli("lab", "--suite", suite, "--out", str(out)) == 0
-    groups: dict[tuple[str, str], list[str]] = {}
-    for rep in json.loads((out / "reports.json").read_text(encoding="utf-8")):
-        del rep["stats"]["elapsed_ms"]
-        size = "{left}x{right}".format(**rep["instance"]["params"])
-        groups.setdefault((rep["claim"], size), []).append(json.dumps(rep, sort_keys=True))
-    return {key: (len(lines), _sha16("\n".join(lines).encode())) for key, lines in groups.items()}
+    return report_digests(json.loads((out / "reports.json").read_text(encoding="utf-8")))
 
 
 def test_lab_all_bipartite_outputs_pinned(tmp_path, capsys):
