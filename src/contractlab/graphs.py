@@ -96,7 +96,7 @@ def _canonical_edges(edges, left: int, right: int | None = None) -> tuple[tuple[
             u, v, w = e
             if not isinstance(w, Fraction):
                 w = Fraction(w)
-            if w <= 0:
+            if w.numerator <= 0:  # a Fraction's denominator is positive
                 raise GraphFormatError(
                     "non-positive-weight", f"edge weight must be strictly positive, got {e[2]}", edge=i
                 )

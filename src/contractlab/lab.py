@@ -53,7 +53,7 @@ from .graphs import (
     complete_bipartite,
     cycle_graph,
     generate_random_bipartite,
-    is_connected,
+    is_connected,  # not called here; bench/tracer.py patches it in this namespace
     parse_graph,
     parse_rational,
     path_graph,
@@ -601,7 +601,14 @@ def enumerate_connected_bipartite(
     is deterministic.  The walk visits each sorted multiset of the larger
     side's neighbour bitmasks once, C(2**s + l - 1, l) of them for sides of
     s <= l vertices, and more than ``cap`` possible edges raise
-    CapExceededError before it.
+    CapExceededError before it.  Each multiset is tested in order of cost:
+    connectivity on the bitmasks themselves (no bitmask is empty, and those
+    that share a bit merge into one component covering the smaller side),
+    then the least image of every bitmask under the smaller side's
+    relabellings against the multiset's least element, then the full
+    relabelling test; a ``BipartiteGraph`` is built only for the multisets
+    kept.  An empty side leaves no edges: one class (the edgeless graph) when
+    the other side has at most one vertex, none otherwise.
     """
     total = left * right
     _require_cap(total, cap, f"{left}x{right} bipartite family's possible edge count")
@@ -613,10 +620,28 @@ def enumerate_connected_bipartite(
     # equal, which covers the swap).  Walking the sorted tuples and keeping
     # those that are their own key meets each class exactly once.
     small, large = min(left, right), max(left, right)
+    if not small:
+        return [BipartiteGraph(left, right)] if large <= 1 else []
+    full = (1 << small) - 1
     relabel = [
         [sum(1 << p[i] for i in range(small) if (x >> i) & 1) for x in range(1 << small)]
         for p in itertools.permutations(range(small))
     ]
+    # A key whose element x has an image below key[0] maps to a smaller
+    # sorted tuple, so it is not its own class key
+    minimg = [min(t[x] for t in relabel) for x in range(1 << small)]
+
+    def connected(key) -> bool:
+        if not key[0]:  # sorted, so some larger-side vertex has no edge
+            return False
+        reach = grown = key[-1]
+        while True:
+            for x in key:
+                if x & grown:
+                    grown |= x
+            if grown == reach:
+                return reach == full
+            reach = grown
 
     def transpose(view) -> list[int]:
         return [sum(((x >> r) & 1) << l for l, x in enumerate(view)) for r in range(small)]
@@ -634,16 +659,16 @@ def enumerate_connected_bipartite(
 
     masks = []
     for key in itertools.combinations_with_replacement(range(1 << small), large):
+        if not connected(key) or min(map(minimg.__getitem__, key)) < key[0]:
+            continue
         views = [key, transpose(key)] if left == right else [key]
         if any(tuple(sorted(map(t.__getitem__, view))) < key for t in relabel for view in views):
             continue
         masks.append(min(least_mask(map(t.__getitem__, view)) for t in relabel for view in views))
-    out: list[BipartiteGraph] = []
-    for mask in sorted(masks):
-        b = BipartiteGraph(left, right, tuple(cells[i] for i in range(total) if (mask >> i) & 1))
-        if is_connected(b.to_graph()):
-            out.append(b)
-    return out
+    return [
+        BipartiteGraph(left, right, tuple(cells[i] for i in range(total) if (mask >> i) & 1))
+        for mask in sorted(masks)
+    ]
 
 
 def default_suite_config() -> dict:
@@ -898,8 +923,11 @@ def summarize(reports: list[LabReport]) -> list[dict]:
 
 
 def json_text(value) -> str:
-    """The one JSON text form of every file and report this package writes."""
-    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+    """The one JSON text form of every file and report this package writes:
+    one line with sorted keys and ``json``'s default separators, ended by one
+    newline.  Without ``indent``, ``json.dumps`` uses the C encoder; with it,
+    the pure-Python one, several times slower on ``reports.json``."""
+    return json.dumps(value, sort_keys=True) + "\n"
 
 
 def write_atomic(path: Path, text: str) -> None:

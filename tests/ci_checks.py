@@ -10,6 +10,7 @@ source tree.  The tree walks and the bench smoke run the checkout's ``src/``.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
 import os
 import random
@@ -303,6 +304,15 @@ def test_lab_all_bipartite_4x5(tmp_path, config, summary, pinned):
     assert summary in done.stdout.splitlines()
     reports = json.loads((tmp_path / "out" / "reports.json").read_text(encoding="utf-8"))
     assert report_digests(reports) == pinned
+
+
+def test_all_bipartite_5x5_classes():
+    # the 5x5 classes, past tier-1's CLASS_TABLE (up to 4x5 and 5x4) and its
+    # mask sweep (up to 12 cells): class count and the first 16 hex digits of
+    # the sha256 of the rendered representatives, in order
+    classes = cl.lab.enumerate_connected_bipartite(5, 5, cap=25)
+    rendered = "".join(cl.render_graph(c) for c in classes)
+    assert (len(classes), hashlib.sha256(rendered.encode()).hexdigest()[:16]) == (1897, "0772b31d4201ee75")
 
 
 def test_weak_tree_walks_match_the_plain_reference_walk():

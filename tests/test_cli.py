@@ -21,7 +21,7 @@ import contractlab as cl
 from contractlab import cli
 from contractlab.cli import main
 from contractlab.graphs import ScaledDistances
-from contractlab.lab import LabReport, instance_key, summarize
+from contractlab.lab import LabReport, instance_key, json_text, summarize
 
 from builders import report_digests
 
@@ -740,6 +740,26 @@ def test_lab_pins_goldens_then_stays_stable(tmp_path, capsys):
     ]
     expected = [{k: str(v) for k, v in row.items()} for row in summarize(reports)]
     assert list(csv.DictReader(io.StringIO(summary))) == expected
+
+
+def test_json_files_are_one_line_with_sorted_keys(tmp_path, k22, capsys):
+    # reports.json, a golden and a provenance sidecar are each json_text of
+    # the value they hold: one line ending in one newline, every object's
+    # keys sorted
+    out = tmp_path / "out"
+    assert run_cli("lab", "--out", str(out)) == 0
+    assert run_cli("reduce", k22, "--construction", "gadget", "--out", str(tmp_path / "r.txt")) == 0
+    files = [out / "reports.json", out / "goldens" / "path-lemma.json", tmp_path / "r.txt.provenance.json"]
+    for path in files:
+        text = path.read_text(encoding="utf-8")
+        orders = []
+        value = json.loads(text, object_pairs_hook=lambda pairs: orders.append([k for k, _ in pairs]) or dict(pairs))
+        assert text.endswith("\n") and "\n" not in text[:-1], path.name
+        assert orders and all(keys == sorted(keys) for keys in orders), path.name
+        assert json_text(value) == text, path.name
+    # and the text parses back to the value, elapsed_ms floats included
+    payloads = [rep.to_json_dict() for rep in cl.run_suite()]
+    assert json.loads(json_text(payloads)) == payloads
 
 
 def test_lab_detects_tampered_golden(tmp_path, capsys):

@@ -66,6 +66,24 @@ def test_graph_rejects_bad_edges():
         assert (exc.value.reason, exc.value.edge) == (reason, position)
 
 
+@pytest.mark.parametrize("cls, counts", [(Graph, (3,)), (BipartiteGraph, (2, 3))], ids=["graph", "bipartite"])
+@pytest.mark.parametrize("weight", [0, -3, Fraction(0), Fraction(-1, 2), "0", "-1/2"], ids=repr)
+def test_non_positive_weight_is_refused_as_given(cls, counts, weight):
+    # the weight is tested after its Fraction conversion, whatever type it
+    # came as; the message quotes it as given and blames its input position
+    with pytest.raises(GraphFormatError) as exc:
+        cls(*counts, ((0, 1), (1, 2, weight)))
+    err = exc.value
+    assert (err.reason, err.edge) == ("non-positive-weight", 1)
+    assert err.message == f"edge weight must be strictly positive, got {weight}"
+
+
+@pytest.mark.parametrize("cls, counts", [(Graph, (3,)), (BipartiteGraph, (2, 3))], ids=["graph", "bipartite"])
+def test_tiny_positive_weight_is_accepted(cls, counts):
+    tiny = Fraction(1, 10**30)
+    assert cls(*counts, ((1, 2, tiny),)).edges == ((1, 2, tiny),)
+
+
 def test_bipartite_to_graph_offsets_right_side():
     b = BipartiteGraph(2, 2, ((0, 0), (1, 1, Fraction(1, 2))))
     g = b.to_graph()

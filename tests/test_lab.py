@@ -6,6 +6,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +44,7 @@ from contractlab.lab import (
     _all_simple_paths,
     _first_disjoint_contracted_pair,
     compare_goldens,
+    json_text,
 )
 
 from contractlab import solvers
@@ -845,6 +847,20 @@ def test_report_schema_and_instance_keys():
             assert rep.witness is not None
         keys.add((rep.claim, instance_key(rep.instance)))
     assert len(keys) == len(reports)  # (claim, instance) pairs are unique
+
+
+def test_readme_report_schema_is_the_written_form():
+    # README's schema block, unwrapped and with its {...} placeholders
+    # emptied, is json_text of itself (one line, keys sorted) and names the
+    # keys a report has
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Lab report schema", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    text = " ".join(line.strip() for line in block.splitlines()).replace("{...}", "{}")
+    schema = json.loads(text)
+    assert json_text(schema) == text + "\n"
+    payload = run_suite({"instances": [{"family": "path", "n": 4, "claims": [CLAIM_PATH]}]})[0].to_json_dict()
+    assert set(payload) <= set(schema) == set(payload) | {"witness"}
+    assert [set(payload[k]) for k in ("instance", "stats")] == [set(schema[k]) for k in ("instance", "stats")]
 
 
 def test_summarize_counts():
